@@ -9,8 +9,9 @@ Elementwise forward kernels dispatch through `backend.active`, which is
 either the compiled core or the numpy fallback; reductions, matmul and
 shape ops stay in numpy in both cases. Fused nodes (`fused`) compute their
 forward and backward directly in numpy, not through `backend.active`: the
-hyperbolic primitives in `geometry` and the cone penalties in `losses` are
-each one such node with a hand-derived backward.
+hyperbolic primitives in `geometry`, the cone penalties in `losses` and the
+segment softmax of attention pooling in `model` are each one such node with
+a hand-derived backward.
 
 Conventions:
   * gradients accumulate into `Tensor.grad` (None until touched); the first

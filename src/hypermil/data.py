@@ -20,7 +20,9 @@ to it (payload path + ".manifest.json") holding the dimension, class names,
 the frozen class base vectors, and per slide {id, label, site, patch counts
 per region, byte offset into the data section}. Bad magic, a version
 mismatch, a payload shorter than its own header declares, and a
-manifest/payload length disagreement raise four distinct errors.
+manifest/payload length disagreement raise four distinct errors; a manifest
+that is not valid JSON, lacks a key, or holds a dimension, label or patch
+count that is not an integer in range raises FormatError.
 """
 
 import json
@@ -33,6 +35,7 @@ import numpy as np
 from .errors import (
     BadMagicError,
     ConfigError,
+    FormatError,
     PayloadLengthError,
     SplitError,
     TruncatedPayloadError,
@@ -251,28 +254,46 @@ def read_bundle(path):
             f"{path} holds {len(data) - declared} bytes beyond its declared length"
         )
 
-    with open(manifest_path(path), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    where = manifest_path(path)
+    with open(where, "r", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise FormatError(f"{where} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{where} must hold one JSON object")
     if manifest.get("format") != "HPFB1" or manifest.get("version") != version:
         raise VersionError(
-            f"{manifest_path(path)} does not match payload version {version}"
+            f"{where} does not match payload version {version}"
         )
-    dim = int(manifest["dim"])
+    dim = _field(manifest, "dim", where)
+    if not isinstance(dim, int) or dim < 1:
+        raise FormatError(f"{where} has dimension {dim!r}")
+    n_classes = len(_field(manifest, "classes", where))
     bags = []
     offset = 0
-    for entry in manifest["slides"]:
-        if entry["offset"] != offset:
+    for entry in _field(manifest, "slides", where):
+        slide_id = _field(entry, "id", f"{where} slide entry")
+        context = f"{where} slide {slide_id}"
+        label = _field(entry, "label", context)
+        if not isinstance(label, int) or not 0 <= label < n_classes:
+            raise FormatError(
+                f"{context} has label {label!r}, expected 0 to {n_classes - 1}"
+            )
+        if _field(entry, "offset", context) != offset:
             raise PayloadLengthError(
-                f"{path}: slide {entry['id']} declares offset {entry['offset']}, "
+                f"{path}: slide {slide_id} declares offset {entry['offset']}, "
                 f"expected {offset}"
             )
         regions = []
-        for count in entry["patch_counts"]:
+        for count in _field(entry, "patch_counts", context):
+            if not isinstance(count, int) or count < 0:
+                raise FormatError(f"{context} has patch count {count!r}")
             nbytes = count * dim * 4
             if offset + nbytes > declared:
                 raise PayloadLengthError(
                     f"{path}: manifest declares more patches than the payload holds"
-                    f" (slide {entry['id']})"
+                    f" (slide {slide_id})"
                 )
             regions.append(
                 np.frombuffer(data, dtype="<f4", count=count * dim, offset=offset)
@@ -282,9 +303,9 @@ def read_bundle(path):
             offset += nbytes
         bags.append(
             FeatureBag(
-                slide_id=entry["id"],
-                label=int(entry["label"]),
-                site=entry["site"],
+                slide_id=slide_id,
+                label=label,
+                site=_field(entry, "site", context),
                 regions=regions,
             )
         )
@@ -294,10 +315,18 @@ def read_bundle(path):
         )
     return Bundle(
         bags=bags,
-        class_vectors=np.asarray(manifest["class_vectors"], dtype=np.float64),
+        class_vectors=np.asarray(_field(manifest, "class_vectors", where),
+                                 dtype=np.float64),
         class_names=list(manifest["classes"]),
         dim=dim,
     )
+
+
+def _field(entry, key, where):
+    """entry[key] of a manifest object; FormatError when it is missing."""
+    if not isinstance(entry, dict) or key not in entry:
+        raise FormatError(f"{where} has no '{key}' key")
+    return entry[key]
 
 
 # -- nested site-based splits -------------------------------------------------

@@ -25,10 +25,14 @@ from .fileio import atomic_write_text
 from .model import HierarchyLevel, embed_slide, embed_text
 
 
-def predict(bag, params, geom):
-    """Class probabilities: softmax over negative slide-to-text geodesics."""
+def predict(bag, params, geom, text=None):
+    """Class probabilities: softmax over negative slide-to-text geodesics.
+
+    `text` is `embed_text(params, geom)` when the caller already holds it;
+    None embeds it here.
+    """
     with ad.no_grad():
-        emb = embed_slide(bag, params, geom)
+        emb = embed_slide(bag, params, geom, text)
         d = geo.geodesic(emb.slide, emb.text[HierarchyLevel.SLIDE], geom).data[0]
     z = -d - np.max(-d)
     p = np.exp(z)
@@ -36,13 +40,21 @@ def predict(bag, params, geom):
 
 
 def score_bags(bags, params, geom):
-    scores = np.stack([predict(bag, params, geom) for bag in bags])
+    """One `predict` row per bag, all sharing one text embedding."""
+    with ad.no_grad():
+        text = embed_text(params, geom)
+    scores = np.stack([predict(bag, params, geom, text) for bag in bags])
     labels = np.array([bag.label for bag in bags])
     return scores, labels
 
 
 def evaluate(bags, params, geom):
-    """(AUC, F1, scores, labels) over a list of bags."""
+    """(AUC, F1, scores, labels) over a list of bags.
+
+    The class text depends on the parameters alone, so it is embedded once
+    per call and shared by every bag; each bag still runs through its own
+    `predict` graph, so every row equals `predict` on that bag bit for bit.
+    """
     scores, labels = score_bags(bags, params, geom)
     return (
         auc(scores, labels),
@@ -264,7 +276,7 @@ def export_embeddings(bags, params, geom, path):
             emit("text", range(text[level].count), level.name.lower(),
                  text[level])
         for bag in bags:
-            emb = embed_slide(bag, params, geom)
+            emb = embed_slide(bag, params, geom, text)
             emit("slide", bag.label, bag.slide_id, emb.slide)
             emit("region", bag.label, bag.slide_id, emb.regions)
             emit("patch", bag.label, bag.slide_id, emb.patches)
@@ -285,7 +297,7 @@ def mean_origin_distances(bags, params, geom):
         for level in HierarchyLevel:
             sums["text"].append(_origin_distances(text[level], geom))
         for bag in bags:
-            emb = embed_slide(bag, params, geom)
+            emb = embed_slide(bag, params, geom, text)
             sums["slide"].append(_origin_distances(emb.slide, geom))
             sums["region"].append(_origin_distances(emb.regions, geom))
             sums["patch"].append(_origin_distances(emb.patches, geom))

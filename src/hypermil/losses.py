@@ -314,12 +314,14 @@ def shc_total(embeddings, label, selections, cfg, geom):
     regions = embeddings.regions
     parts.append(_ent_matrix(embeddings.slide, regions, cfg, geom).mean())
 
-    patch_parts = []
-    for r, (start, stop) in enumerate(embeddings.region_slices):
-        region = geo.select(regions, [r])
-        patches = geo.select(embeddings.patches, np.arange(start, stop))
-        patch_parts.append(_ent_matrix(region, patches, cfg, geom))
-    parts.append(ad.concat(patch_parts, axis=1).mean())
+    # each region entails its own patches: one [R x N_p] matrix over every
+    # (region, patch) pair, of which the in-region entries are kept
+    spans = embeddings.region_slices
+    region_ids = np.repeat(np.arange(len(spans)),
+                           [stop - start for start, stop in spans])
+    patch_ids = np.concatenate([np.arange(start, stop) for start, stop in spans])
+    region_patch = _ent_matrix(regions, embeddings.patches, cfg, geom)
+    parts.append(region_patch[region_ids, patch_ids].mean())
 
     n_classes = embeddings.text[HierarchyLevel.SLIDE].count
     diag = (np.arange(n_classes), np.arange(n_classes))

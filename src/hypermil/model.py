@@ -10,6 +10,12 @@ level), passed through their own adaptor and mapped the same way.
 
 Aggregation happens on tangent features because a weighted sum of manifold
 points does not stay on the manifold; only the per-level outputs are mapped.
+Both levels pool through one function, `aggregate`, over consecutive row
+segments: all regions of a slide are pooled at once by a segment softmax
+(one autodiff node giving the block-diagonal region-by-patch weight
+matrix) and one matmul, and the slide is the single segment of its
+regions. The class text depends on the parameters alone; a caller scoring
+many bags embeds it once and passes it to `embed_slide`.
 
 Checkpoints are a little-endian binary table of named float64 arrays
 (magic "HPCK1"), written atomically and read back bit-exactly.
@@ -27,6 +33,7 @@ from .errors import (
     BadMagicError,
     ConfigError,
     EmptyBagError,
+    FormatError,
     ShapeError,
     TruncatedPayloadError,
     VersionError,
@@ -74,6 +81,25 @@ class ModelDims:
     @property
     def hidden(self):
         return self.d_hidden if self.d_hidden else self.d_in
+
+    @property
+    def attention(self):
+        """Rows of an aggregator's w1: the width of its tanh layer."""
+        return max(1, self.k // 4)
+
+    def param_shapes(self):
+        """{parameter name: shape} of every array `ModelParams.named` holds."""
+        mlp = {"w1": (self.hidden, self.d_in), "b1": (1, self.hidden),
+               "w2": (self.k, self.hidden), "b2": (1, self.k)}
+        agg = {"w1": (self.attention, self.k), "w2": (self.attention, 1)}
+        owners = [("adaptor_i", mlp), ("adaptor_t", mlp), ("agg_region", agg)]
+        if not self.shared_aggregators:
+            owners.append(("agg_slide", agg))
+        shapes = {f"{owner}.{name}": shape
+                  for owner, table in owners for name, shape in table.items()}
+        shapes["semantics.base"] = (self.n_classes, self.d_in)
+        shapes["semantics.offsets"] = (self.n_classes, 3, self.d_in)
+        return shapes
 
 
 class Mlp:
@@ -181,10 +207,10 @@ def _init_mlp(rng, d_in, hidden, k):
     return Mlp(w1, b1, w2, _param(b2))
 
 
-def _init_aggregator(rng, k):
-    d4 = max(1, k // 4)
+def _init_aggregator(rng, dims):
+    d4 = dims.attention
     return AttentionAggregator(
-        _param(_xavier(rng, d4, k)), _param(_xavier(rng, d4, 1))
+        _param(_xavier(rng, d4, dims.k)), _param(_xavier(rng, d4, 1))
     )
 
 
@@ -193,8 +219,8 @@ def init_params(dims, seed, base_vectors=None):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     adaptor_i = _init_mlp(rng, dims.d_in, dims.hidden, dims.k)
     adaptor_t = _init_mlp(rng, dims.d_in, dims.hidden, dims.k)
-    agg_region = _init_aggregator(rng, dims.k)
-    agg_slide = agg_region if dims.shared_aggregators else _init_aggregator(rng, dims.k)
+    agg_region = _init_aggregator(rng, dims)
+    agg_slide = agg_region if dims.shared_aggregators else _init_aggregator(rng, dims)
     if base_vectors is None:
         base = rng.standard_normal((dims.n_classes, dims.d_in))
         base /= np.linalg.norm(base, axis=1, keepdims=True)
@@ -232,19 +258,65 @@ def params_from_arrays(arrays, dims):
 # -- forward pipeline ---------------------------------------------------------
 
 
-def attention_weights(features, agg):
-    """The gating distribution over rows; nonnegative, sums to one."""
-    if features.shape[0] == 0:
+def _segment_ids(counts, n_rows):
+    """Segment id of every row, segments being consecutive runs of rows."""
+    counts = np.asarray([n_rows] if counts is None else counts, dtype=np.intp)
+    if counts.size == 0 or (counts <= 0).any():
         raise EmptyBagError("cannot aggregate an empty set of features")
+    if counts.sum() != n_rows:
+        raise ShapeError(
+            f"segment sizes sum to {counts.sum()}, features have {n_rows} rows"
+        )
+    return np.repeat(np.arange(counts.size), counts), np.cumsum(counts) - counts
+
+
+def _segment_softmax(scores, counts):
+    """Softmax of a [1 x N] score row within each segment of consecutive
+    entries, as the block-diagonal [R x N] matrix whose row r holds segment
+    r's distribution and zeros elsewhere.
+
+    One fused node: per-segment max subtraction, exp and normalisation in
+    numpy, with the softmax backward p * (g - sum_segment(p * g)) on the
+    block entries; gradients on the zero entries are dropped.
+    """
+    s = scores.data[0]
+    seg, starts = _segment_ids(counts, s.size)
+    e = np.exp(s - np.maximum.reduceat(s, starts)[seg])
+    p = e / np.add.reduceat(e, starts)[seg]
+    cols = np.arange(s.size)
+    weights = np.zeros((starts.size, s.size))
+    weights[seg, cols] = p
+
+    def backward(g):
+        g_block = g[seg, cols]
+        return (p * (g_block - np.add.reduceat(p * g_block, starts)[seg]))[None],
+
+    return ad.fused("segment_softmax", weights, (scores,), backward)
+
+
+def attention_weights(features, agg, counts=None):
+    """Gated-attention weights softmax(w2' tanh(w1 f')) within each segment.
+
+    `counts` gives the sizes of consecutive row segments (None: one segment
+    of all rows). Returns the block-diagonal [R x N] matrix of the R
+    segments' distributions, each nonnegative and summing to one.
+    """
     scores = agg.w2.T @ ad.tanh(agg.w1 @ features.T)  # [1 x N]
-    m = scores.max(axis=1, keepdims=True)
-    e = ad.exp(scores - m)
-    return e / e.sum(axis=1, keepdims=True)
+    return _segment_softmax(scores, counts)
 
 
-def aggregate(features, agg):
-    """Attention-weighted sum of rows, a [1 x D] tangent feature."""
-    return attention_weights(features, agg) @ features
+def aggregate(features, agg, counts=None):
+    """Attention-weighted sum of the rows of each segment, an [R x D] tangent
+    feature with one row per segment.
+
+    The one pooling function of both levels: patches into regions (one
+    segment per region) and regions into the slide (one segment). Scores
+    for all rows come from one matmul-tanh-matmul, the per-segment softmax
+    is one node, and the pooling is one matmul of the block-diagonal
+    weights with `features`, so a slide's pooling costs the same few nodes
+    whatever its number of regions.
+    """
+    return attention_weights(features, agg, counts) @ features
 
 
 @dataclass
@@ -271,8 +343,13 @@ def embed_text(params, geom):
     }
 
 
-def embed_slide(bag, params, geom):
-    """Hyperbolic embeddings of one slide at all levels plus class text."""
+def embed_slide(bag, params, geom, text=None):
+    """Hyperbolic embeddings of one slide at all levels plus class text.
+
+    `text` is the result of `embed_text(params, geom)` when the caller
+    already holds it (it depends on the parameters alone); None embeds it
+    here.
+    """
     if not bag.regions:
         raise EmptyBagError(f"slide {bag.slide_id} has no regions")
     counts = []
@@ -289,23 +366,16 @@ def embed_slide(bag, params, geom):
     raw = ad.Tensor(np.concatenate([np.asarray(r, dtype=np.float64)
                                     for r in bag.regions], axis=0))
     patch_tan = params.adaptor_i(raw)
-
-    region_slices = []
-    start = 0
-    region_rows = []
-    for n in counts:
-        region_slices.append((start, start + n))
-        region_rows.append(aggregate(patch_tan[start:start + n], params.agg_region))
-        start += n
-    region_tan = ad.concat(region_rows, axis=0)
+    region_tan = aggregate(patch_tan, params.agg_region, counts)
     slide_tan = aggregate(region_tan, params.agg_slide)
 
+    bounds = np.cumsum([0] + counts).tolist()
     return EmbeddingSet(
         patches=geo.exp_map_origin(patch_tan, geom),
         regions=geo.exp_map_origin(region_tan, geom),
         slide=geo.exp_map_origin(slide_tan, geom),
-        text=embed_text(params, geom),
-        region_slices=region_slices,
+        text=embed_text(params, geom) if text is None else text,
+        region_slices=list(zip(bounds[:-1], bounds[1:])),
     )
 
 
@@ -372,19 +442,43 @@ def load_checkpoint(path):
     return records
 
 
+_DIMS_META = ("d_in", "k", "d_hidden", "n_classes", "shared_aggregators")
+
+
 def params_from_checkpoint(records):
-    """Rebuild ModelParams (and leftover meta scalars) from checkpoint records."""
+    """Rebuild ModelParams (and leftover meta scalars) from checkpoint records.
+
+    A missing record or a non-integral dimension raises FormatError, and a
+    parameter array whose shape does not match the recorded dimensions
+    raises ShapeError; each names the record.
+    """
+    meta = {}
+    for name, arr in records.items():
+        if name.startswith("meta."):
+            if arr.size != 1:
+                raise FormatError(f"checkpoint record {name} is not a scalar")
+            meta[name[len("meta."):]] = arr.item()
+    for key in _DIMS_META:
+        if key not in meta:
+            raise FormatError(f"checkpoint has no meta.{key} record")
+        if not float(meta[key]).is_integer():
+            raise FormatError(f"checkpoint record meta.{key} is {meta[key]}, "
+                              "not an integer")
     dims = ModelDims(
-        d_in=int(records["meta.d_in"].item()),
-        k=int(records["meta.k"].item()),
-        d_hidden=int(records["meta.d_hidden"].item()),
-        n_classes=int(records["meta.n_classes"].item()),
-        shared_aggregators=bool(records["meta.shared_aggregators"].item()),
+        d_in=int(meta["d_in"]),
+        k=int(meta["k"]),
+        d_hidden=int(meta["d_hidden"]),
+        n_classes=int(meta["n_classes"]),
+        shared_aggregators=bool(meta["shared_aggregators"]),
     )
-    meta = {
-        name[len("meta."):]: arr.item()
-        for name, arr in records.items()
-        if name.startswith("meta.")
-    }
-    arrays = {n: a for n, a in records.items() if not n.startswith("meta.")}
+    arrays = {}
+    for name, shape in dims.param_shapes().items():
+        if name not in records:
+            raise FormatError(f"checkpoint has no {name} record")
+        if records[name].shape != shape:
+            raise ShapeError(
+                f"checkpoint record {name} has shape {records[name].shape}, "
+                f"the recorded model dimensions need {shape}"
+            )
+        arrays[name] = records[name]
     return params_from_arrays(arrays, dims), meta

@@ -9,9 +9,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from hypermil import autodiff as ad
 from hypermil.cli import main
+from hypermil.model import ModelDims, init_params, save_checkpoint
 
 GEN_ARGS = [
     "gen", "--classes", "2", "--slides-per-class", "6", "--regions", "2",
@@ -131,6 +134,18 @@ def test_eval_missing_data_file(checkpoint_path, capsys):
                  "--params", str(checkpoint_path)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_eval_misshapen_checkpoint_is_an_error(workdir, bundle_path, capsys):
+    params = init_params(ModelDims(d_in=8, k=4, d_hidden=8, n_classes=2), 0)
+    params.adaptor_i.w1 = ad.Tensor(np.zeros((5, 8)))
+    path = workdir / "misshapen.ckpt"
+    save_checkpoint(params, path)
+    code = main(["eval", "--data", str(bundle_path), "--params", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "adaptor_i.w1" in err
 
 
 def test_protocol_writes_report(workdir, bundle_path, capsys):

@@ -8,6 +8,7 @@ from hypermil import data as dt
 from hypermil.errors import (
     BadMagicError,
     ConfigError,
+    FormatError,
     PayloadLengthError,
     SplitError,
     TruncatedPayloadError,
@@ -216,6 +217,67 @@ def test_read_bundle_manifest_version_mismatch(written):
     manifest["version"] = 99
     manifest_file.write_text(json.dumps(manifest))
     with pytest.raises(VersionError):
+        dt.read_bundle(written)
+
+
+def _rewrite_manifest(bundle_path, edit):
+    import json
+
+    manifest_file = bundle_path.parent / (bundle_path.name + ".manifest.json")
+    manifest = json.loads(manifest_file.read_text())
+    edit(manifest)
+    manifest_file.write_text(json.dumps(manifest))
+
+
+def test_read_bundle_truncated_manifest(written):
+    manifest_file = written.parent / (written.name + ".manifest.json")
+    text = manifest_file.read_text()
+    manifest_file.write_text(text[: len(text) // 2])
+    with pytest.raises(FormatError, match="not valid JSON"):
+        dt.read_bundle(written)
+
+
+@pytest.mark.parametrize("key", ["dim", "classes", "slides", "class_vectors"])
+def test_read_bundle_manifest_missing_key(written, key):
+    _rewrite_manifest(written, lambda m: m.pop(key))
+    with pytest.raises(FormatError, match=key):
+        dt.read_bundle(written)
+
+
+@pytest.mark.parametrize("key", ["id", "label", "site", "patch_counts", "offset"])
+def test_read_bundle_slide_entry_missing_key(written, key):
+    _rewrite_manifest(written, lambda m: m["slides"][3].pop(key))
+    with pytest.raises(FormatError, match=key):
+        dt.read_bundle(written)
+
+
+@pytest.mark.parametrize("count", [-3, 2.5])
+def test_read_bundle_bad_patch_count(written, count):
+    def edit(m):
+        m["slides"][0]["patch_counts"][0] = count
+
+    _rewrite_manifest(written, edit)
+    with pytest.raises(FormatError, match="patch count"):
+        dt.read_bundle(written)
+
+
+@pytest.mark.parametrize("dim", [0, -12, "12"])
+def test_read_bundle_bad_dimension(written, dim):
+    def edit(m):
+        m["dim"] = dim
+
+    _rewrite_manifest(written, edit)
+    with pytest.raises(FormatError, match="dimension"):
+        dt.read_bundle(written)
+
+
+@pytest.mark.parametrize("label", [-1, 2, 7, "1"])
+def test_read_bundle_label_out_of_range(written, label):
+    def edit(m):
+        m["slides"][0]["label"] = label
+
+    _rewrite_manifest(written, edit)
+    with pytest.raises(FormatError, match="label"):
         dt.read_bundle(written)
 
 

@@ -219,3 +219,16 @@ def test_predict_is_distribution():
     assert p.shape == (2,)
     assert np.all(p > 0)
     assert_allclose(p.sum(), 1.0, atol=1e-12)
+
+
+def test_evaluate_rows_equal_predict_bit_for_bit():
+    bundle = generate(TINY_SPEC)
+    params = init_params(
+        ModelDims(d_in=8, k=4, n_classes=2), 3, bundle.class_vectors
+    )
+    geom = TrainConfig(k=4).geometry()
+    _, _, scores, labels = ev.evaluate(bundle.bags, params, geom)
+    assert len(scores) == len(bundle.bags)
+    for bag, row, label in zip(bundle.bags, scores, labels):
+        assert np.array_equal(row, ev.predict(bag, params, geom))
+        assert label == bag.label

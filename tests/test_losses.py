@@ -244,6 +244,45 @@ def test_shc_total_single_class_has_no_contradiction():
     assert got.item() == 0.0
 
 
+def _looped_shc_total(emb, label, selections):
+    """shc_total with the region->patch term as one [1 x n_r] matrix per
+    region, the reference for the masked [R x N_p] form."""
+    parts = [ls._ent_matrix(emb.slide, emb.regions, CFG, GEOM).mean()]
+    per_region = [
+        ls._ent_matrix(geo.select(emb.regions, [r]),
+                       geo.select(emb.patches, np.arange(start, stop)), CFG, GEOM)
+        for r, (start, stop) in enumerate(emb.region_slices)
+    ]
+    parts.append(ad.concat(per_region, axis=1).mean())
+    n_classes = emb.text[HierarchyLevel.SLIDE].count
+    diag = (np.arange(n_classes), np.arange(n_classes))
+    for upper, lower in ((HierarchyLevel.SLIDE, HierarchyLevel.REGION),
+                         (HierarchyLevel.REGION, HierarchyLevel.PATCH)):
+        chain = ls._ent_matrix(emb.text[upper], emb.text[lower], CFG, GEOM)
+        parts.append(chain[diag].mean())
+    others = [c for c in range(n_classes) if c != label]
+    for level, image in ls._image_sets(emb, selections).items():
+        parts.append(ls._ent_matrix(geo.select(emb.text[level], [label]),
+                                    image, CFG, GEOM).mean())
+        if others:
+            parts.append(ls._con_matrix(geo.select(emb.text[level], others),
+                                        image, CFG, GEOM).mean())
+    return sum(p.item() for p in parts)
+
+
+def test_shc_total_masked_matches_region_loop():
+    rng = np.random.default_rng(35)
+    violated = _collinear_embeddings()
+    violated.slide = _pts([-2.5, 0.3])
+    uneven = _random_embeddings(rng)
+    uneven.region_slices = [(0, 1), (1, 4)]
+    for emb, label in ((_collinear_embeddings(), 0), (violated, 0),
+                       (_random_embeddings(rng), 1), (uneven, 2)):
+        got = ls.shc_total(emb, label, _full_selection(), CFG, GEOM).item()
+        want = _looped_shc_total(emb, label, _full_selection())
+        assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 def test_ama_total_empty_patch_level_contributes_zero():
     rng = np.random.default_rng(33)
     emb = _random_embeddings(rng)

@@ -12,6 +12,7 @@ from hypermil.errors import (
     BadMagicError,
     ConfigError,
     EmptyBagError,
+    FormatError,
     ShapeError,
     TruncatedPayloadError,
     VersionError,
@@ -151,6 +152,48 @@ def test_aggregate_is_weighted_mean():
     assert np.all(got[0] >= x.min(axis=0) - 1e-12)
 
 
+SEGMENTS = [1, 3, 7]
+
+
+def test_segmented_aggregate_matches_per_region_loop():
+    params = md.init_params(DIMS, 6)
+    x = ad.Tensor(np.random.default_rng(9).normal(size=(sum(SEGMENTS), 4)))
+    got = md.aggregate(x, params.agg_region, SEGMENTS).data
+    weights = md.attention_weights(x, params.agg_region, SEGMENTS).data
+    bounds = np.cumsum([0] + SEGMENTS)
+    assert got.shape == (len(SEGMENTS), 4)
+    for r, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        piece = ad.Tensor(x.data[start:stop])
+        want = md.aggregate(piece, params.agg_region).data[0]
+        assert_allclose(got[r], want, rtol=0, atol=1e-15)
+        want_w = md.attention_weights(piece, params.agg_region).data[0]
+        assert_allclose(weights[r, start:stop], want_w, rtol=0, atol=1e-15)
+        # block-diagonal: no weight outside the region's own rows
+        assert not np.delete(weights[r], np.arange(start, stop)).any()
+
+
+def test_segmented_aggregate_gradients_finite_difference():
+    params = md.init_params(DIMS, 7)
+    rng = np.random.default_rng(10)
+    x = ad.Tensor(rng.normal(size=(sum(SEGMENTS), 4)), requires_grad=True)
+    probe = ad.Tensor(rng.normal(size=(len(SEGMENTS), 4)))
+    agg = params.agg_region
+
+    def f():
+        return (md.aggregate(x, agg, SEGMENTS) * probe).sum()
+
+    assert ad.finite_difference_check(f, [x, agg.w1, agg.w2]) < 1e-6
+
+
+def test_segmented_aggregate_rejects_empty_and_mismatched_segments():
+    params = md.init_params(DIMS, 0)
+    x = ad.Tensor(np.zeros((5, 4)))
+    with pytest.raises(EmptyBagError):
+        md.aggregate(x, params.agg_region, [2, 0, 3])
+    with pytest.raises(ShapeError):
+        md.aggregate(x, params.agg_region, [2, 2])
+
+
 # -- embedding pipeline ---------------------------------------------------------
 
 
@@ -270,3 +313,31 @@ def test_checkpoint_truncated(tmp_path):
     path.write_bytes(blob[: len(blob) - 7])
     with pytest.raises(TruncatedPayloadError):
         md.load_checkpoint(path)
+
+
+def test_checkpoint_missing_records_are_format_errors(tmp_path):
+    params = md.init_params(DIMS, 16)
+    path = tmp_path / "model.ckpt"
+    md.save_checkpoint(params, path)
+    for name in ("meta.d_in", "meta.shared_aggregators", "adaptor_t.b2",
+                 "semantics.base"):
+        records = md.load_checkpoint(path)
+        del records[name]
+        with pytest.raises(FormatError, match=name):
+            md.params_from_checkpoint(records)
+    records = md.load_checkpoint(path)
+    records["meta.k"] = np.asarray(4.5)
+    with pytest.raises(FormatError, match="meta.k"):
+        md.params_from_checkpoint(records)
+
+
+def test_checkpoint_shapes_checked_against_dims(tmp_path):
+    params = md.init_params(DIMS, 17)
+    path = tmp_path / "model.ckpt"
+    md.save_checkpoint(params, path)
+    for name, shape in DIMS.param_shapes().items():
+        assert md.load_checkpoint(path)[name].shape == shape, name
+        records = md.load_checkpoint(path)
+        records[name] = np.zeros(shape[:-1] + (shape[-1] + 1,))
+        with pytest.raises(ShapeError, match=name):
+            md.params_from_checkpoint(records)
