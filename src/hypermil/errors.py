@@ -1,4 +1,9 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the field type check
+of the configuration dataclasses."""
+
+import dataclasses
+import math
+import numbers
 
 
 class HypermilError(Exception):
@@ -58,3 +63,24 @@ class MetricError(HypermilError):
 
 class TrainingError(HypermilError):
     """Training run violated a hard invariant (too many skipped steps)."""
+
+
+_FIELD_KINDS = {
+    float: (numbers.Real, "a finite number"),
+    int: (numbers.Integral, "an integer"),
+    bool: (bool, "true or false"),
+}
+
+
+def check_field_types(config):
+    """Raise ConfigError for a field of the dataclass `config` whose value
+    does not have the declared type: float fields take finite real numbers,
+    int fields integers, bool fields booleans (a boolean is never a number)
+    and a field declared as a class takes an instance of it."""
+    for f in dataclasses.fields(config):
+        kind, what = _FIELD_KINDS.get(f.type, (f.type, f"a {f.type.__name__}"))
+        value = getattr(config, f.name)
+        if (not isinstance(value, kind)
+                or isinstance(value, bool) != (f.type is bool)
+                or f.type is float and not math.isfinite(value)):
+            raise ConfigError(f"{f.name} must be {what}, got {value!r}")

@@ -16,22 +16,33 @@ The scalar cores (ama_nll, ent_penalty, con_penalty, cls_nll) take the
 already-computed angles/similarities so they can be checked against
 closed-form values; the wrappers compute those quantities from manifold
 points. Each scalar core is one fused autodiff node (`autodiff.fused`) with
-a hand-derived backward, checked by `test_losses_finite_difference`. Exponential arguments inside the cone penalties are clamped at 700
-so a badly violated pair yields a huge finite penalty instead of overflowing
-to infinity.
+a hand-derived backward, checked by `test_losses_finite_difference`.
+Exponential arguments inside the cone penalties are clamped at 700 so a
+badly violated pair yields a huge finite penalty instead of overflowing to
+infinity.
+
+The per-slide assemblies handle the three levels in one pass, not one per
+level. The selected image embeddings are stacked in the order slide,
+regions, patches, with the level of each row kept alongside, and the 3 C
+class-text rows in the same level order. `ama_total` computes one angle
+matrix between them and `shc_total` one exterior-angle matrix; each image
+row gathers the entries of its own level. Per-level means become one
+weighted sum with weight 1 / K_level on each row (1 / (K_level (C-1)) for
+the contradiction entries), which equals the sum over levels of the
+per-level means up to rounding. Because the stacked matrices also hold
+cross-level pairs, the coincidence guard of `geometry.angle_distance` and
+`geometry.exterior_angle` (GeometryError for coincident points) now sees
+(text, image) and (label text, other text) pairs of different levels too.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import geometry as geo
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_field_types
 from .model import HierarchyLevel
-
-log = logging.getLogger(__name__)
 
 _EXP_CLIP = 700.0
 
@@ -47,6 +58,7 @@ class LossConfig:
     top_k: int = 8
 
     def __post_init__(self):
+        check_field_types(self)
         if not self.tau > 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if not self.alpha > 0:
@@ -76,20 +88,24 @@ def _t(x):
     return x if isinstance(x, ad.Tensor) else ad.Tensor(np.asarray(x, dtype=float))
 
 
-def _nll(logits, target):
-    """Mean over rows of -log softmax(logits)[:, target], max-subtracted.
+def _nll(logits, target, weights=None):
+    """-log softmax(logits)[:, target] per row, max-subtracted, reduced to
+    the mean over rows or, given per-row `weights`, to their weighted sum.
 
     Returns the value and a function giving its gradient on the logits.
     """
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
     total = e.sum(axis=1, keepdims=True)
-    value = ((np.log(total) + m) - logits[:, target:target + 1]).mean()
+    rows = (np.log(total) + m) - logits[:, target:target + 1]
+    value = rows.mean() if weights is None else (rows[:, 0] * weights).sum()
 
     def grad(g):
         p = e / total
         p[:, target] -= 1.0
-        return p * (g / logits.shape[0])
+        if weights is None:
+            return p * (g / logits.shape[0])
+        return p * (g * weights[:, None])
 
     return value, grad
 
@@ -97,12 +113,12 @@ def _nll(logits, target):
 # -- scalar cores -------------------------------------------------------------
 
 
-def ama_nll(pos_similarity, negative_similarities, tau):
+def ama_nll(pos_similarity, negative_similarities, tau, weights=None):
     """-log softmax: pos/tau against |neg_j|/tau.
 
     Both arguments may be batched: a column of positive similarities and a
     matrix with one row of negative similarities per positive. Returns the
-    mean over rows.
+    mean over rows, or with `weights` (one per row) the weighted sum.
     """
     pos = _t(pos_similarity)
     negs = _t(negative_similarities)
@@ -113,8 +129,15 @@ def ama_nll(pos_similarity, negative_similarities, tau):
             f"ama_nll: {pos_col.shape[0]} positives but {neg_rows.shape[0]} "
             "negative rows"
         )
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+        if weights.shape[0] != pos_col.shape[0]:
+            raise ShapeError(
+                f"ama_nll: {pos_col.shape[0]} positives but "
+                f"{weights.shape[0]} weights"
+            )
     logits = np.concatenate([pos_col, np.abs(neg_rows)], axis=1) * (1.0 / tau)
-    value, grad = _nll(logits, 0)
+    value, grad = _nll(logits, 0, weights)
 
     def backward(g):
         g_logits = grad(g) * (1.0 / tau)
@@ -194,13 +217,6 @@ def cls_nll(distances, label):
 # -- point-level wrappers -----------------------------------------------------
 
 
-def semantic_similarity(u, v, reference_pair, geom):
-    """Angle distance of the reference pair minus the angle distance (u, v)."""
-    ref_pos, ref_neg = reference_pair
-    ref = geo.angle_distance(ref_pos, ref_neg, geom)
-    return (ref - geo.angle_distance(u, v, geom)).reshape(())
-
-
 def ama_loss(batch, cfg, geom):
     """Alignment loss for one query against one positive and J negatives.
 
@@ -243,16 +259,31 @@ def _con_matrix(u, v, cfg, geom):
 _LEVELS = (HierarchyLevel.SLIDE, HierarchyLevel.REGION, HierarchyLevel.PATCH)
 
 
-def _image_sets(embeddings, selections):
-    return {
-        HierarchyLevel.SLIDE: embeddings.slide,
-        HierarchyLevel.REGION: geo.select(
-            embeddings.regions, selections[HierarchyLevel.REGION]
-        ),
-        HierarchyLevel.PATCH: geo.select(
-            embeddings.patches, selections[HierarchyLevel.PATCH]
-        ),
-    }
+def _stacked_images(embeddings, selections):
+    """The selected image embeddings of all levels as one batch.
+
+    Rows come in `_LEVELS` order: the slide embedding, the selected regions,
+    the selected patches. Returns the batch, the level position (0, 1, 2)
+    of each row and each row's weight 1 / K_level, so a weighted sum over
+    rows is the sum over levels of the per-level means. A level without
+    selections has no rows.
+    """
+    regions = np.asarray(selections[HierarchyLevel.REGION], dtype=int)
+    patches = np.asarray(selections[HierarchyLevel.PATCH], dtype=int)
+    n_regions = embeddings.regions.count
+    rows = np.concatenate([[0], 1 + regions, 1 + n_regions + patches])
+    space = ad.concat([embeddings.slide.space, embeddings.regions.space,
+                       embeddings.patches.space])[rows]
+    counts = np.array([1, regions.size, patches.size])
+    levels = np.repeat(np.arange(len(_LEVELS)), counts)
+    return geo.Points(space, embeddings.slide.cfg), levels, 1.0 / counts[levels]
+
+
+def _stacked_text(embeddings):
+    """The class text of all levels as one batch of 3 C rows in `_LEVELS`
+    order: row level * C + c is class c's text at that level."""
+    text = [embeddings.text[level] for level in _LEVELS]
+    return geo.Points(ad.concat([t.space for t in text]), text[0].cfg)
 
 
 def ama_total(embeddings, label, selections, cfg, geom):
@@ -263,40 +294,48 @@ def ama_total(embeddings, label, selections, cfg, geom):
     terms use the label-class text as positive and the other classes' text
     as negatives; text-query terms use each selected image embedding as
     positive. Terms at a level average over the selected embeddings.
+
+    All levels are computed at once: the selected image rows of every level
+    are stacked (`_stacked_images`) against the 3 C text rows of every
+    level (`_stacked_text`), giving one [K x 3C] angle matrix and one
+    [3 x 3(C-1)] matrix between each level's label text and the other
+    classes' text. Each row gathers its own level's columns, and one
+    `ama_nll` per query direction weights row i by 1 / K_level(i), which
+    is the sum over levels of the per-level means. Both angle matrices also
+    hold cross-level pairs, so their coincidence guard
+    (`geometry.angle_distance`) sees those pairs too.
     """
     n_classes = embeddings.text[HierarchyLevel.SLIDE].count
-    others = [c for c in range(n_classes) if c != label]
-    if not others:
+    others = np.array([c for c in range(n_classes) if c != label], dtype=int)
+    if not others.size:
         return ad.Tensor(0.0)
-    image_sets = _image_sets(embeddings, selections)
-    total = ad.Tensor(0.0)
-    for level in _LEVELS:
-        image = image_sets[level]
-        if image.count == 0:
-            log.debug("no selected embeddings at %s, level skipped", level.name)
-            continue
-        text = embeddings.text[level]
-        text_pos = geo.select(text, [label])
-        text_neg = geo.select(text, others)
+    image, levels, weights = _stacked_images(embeddings, selections)
+    text = _stacked_text(embeddings)
+    n_levels, n_others = len(_LEVELS), others.size
+    rows = np.arange(image.count)[:, None]
+    first = levels[:, None] * n_classes
 
-        # one [K x C] angle matrix per level, split into the label column
-        # and the wrong-class columns; [1 x C-1] between the label text
-        # and the others
-        phi_img = geo.angle_distance(image, text, geom)
-        phi_img_pos = phi_img[:, [label]]
-        phi_img_neg = phi_img[:, others]
-        refs = geo.angle_distance(text_pos, text_neg, geom)
+    # each image row's label column and wrong-class columns at its own level
+    phi_img = geo.angle_distance(image, text, geom)
+    phi_img_pos = phi_img[rows, first + label]
+    phi_img_neg = phi_img[rows, first + others]
+    # label text against the other classes' text, [3 x 3(C-1)]; each image
+    # row takes the [1 x C-1] block of its own level
+    label_rows = np.arange(n_levels) * n_classes + label
+    other_rows = (np.arange(n_levels)[:, None] * n_classes + others).ravel()
+    refs_all = geo.angle_distance(geo.select(text, label_rows),
+                                  geo.select(text, other_rows), geom)
+    refs = refs_all[levels[:, None],
+                    levels[:, None] * n_others + np.arange(n_others)]
 
-        img_pos_sim = refs.mean() - phi_img_pos
-        img_neg_sims = refs - phi_img_neg
-        image_term = ama_nll(img_pos_sim, img_neg_sims, cfg.tau)
+    img_pos_sim = refs.mean(axis=1, keepdims=True) - phi_img_pos
+    img_neg_sims = refs - phi_img_neg
+    image_term = ama_nll(img_pos_sim, img_neg_sims, cfg.tau, weights)
 
-        txt_pos_sim = phi_img_neg.mean(axis=1, keepdims=True) - phi_img_pos
-        txt_neg_sims = phi_img_neg - refs
-        text_term = ama_nll(txt_pos_sim, txt_neg_sims, cfg.tau)
-
-        total = total + image_term + text_term
-    return total
+    txt_pos_sim = phi_img_neg.mean(axis=1, keepdims=True) - phi_img_pos
+    txt_neg_sims = phi_img_neg - refs
+    text_term = ama_nll(txt_pos_sim, txt_neg_sims, cfg.tau, weights)
+    return image_term + text_term
 
 
 def shc_total(embeddings, label, selections, cfg, geom):
@@ -308,6 +347,16 @@ def shc_total(embeddings, label, selections, cfg, geom):
     entails the selected image embeddings at every level. Contradiction
     terms: wrong-class text contradicts the same image embeddings. Each
     term is the mean over its pair set, terms are summed.
+
+    The text-to-image terms of all levels come from one [3C x K] exterior
+    angle matrix between the stacked text and the stacked selected images
+    (see `ama_total`) and one half-aperture column of the text. One
+    `ent_penalty` runs on the (label text, image) entries of each image
+    row's own level and one `con_penalty` on its (wrong-class text, image)
+    entries; their sums weighted by 1 / K_level and 1 / (K_level (C-1))
+    are the sums over levels of the per-level means.
+    The coincidence guard of `geometry.exterior_angle` also sees the
+    cross-level (text, image) pairs of that matrix.
     """
     parts = []
 
@@ -334,18 +383,22 @@ def shc_total(embeddings, label, selections, cfg, geom):
         )
         parts.append(chain[diag].mean())
 
-    image_sets = _image_sets(embeddings, selections)
-    others = [c for c in range(n_classes) if c != label]
-    for level in _LEVELS:
-        image = image_sets[level]
-        if image.count == 0:
-            log.debug("no selected embeddings at %s, level skipped", level.name)
-            continue
-        text_pos = geo.select(embeddings.text[level], [label])
-        parts.append(_ent_matrix(text_pos, image, cfg, geom).mean())
-        if others:
-            text_neg = geo.select(embeddings.text[level], others)
-            parts.append(_con_matrix(text_neg, image, cfg, geom).mean())
+    image, levels, weights = _stacked_images(embeddings, selections)
+    text = _stacked_text(embeddings)
+    theta = geo.exterior_angle(text, image, geom)
+    aperture = geo.half_aperture(text, geom, cfg.alpha)
+    cols = np.arange(image.count)
+    # the label text of each image row's level against that row
+    pos = levels * n_classes + label
+    ent = ent_penalty(theta[pos, cols], aperture[pos, 0], cfg.beta_ent)
+    parts.append((ent * weights).sum())
+    others = np.array([c for c in range(n_classes) if c != label], dtype=int)
+    if others.size:
+        # the wrong-class text of each image row's level, [C-1 x K]
+        neg = levels * n_classes + others[:, None]
+        con = con_penalty(theta[neg, cols], aperture[neg, 0], cfg.beta_con,
+                          geom.epsilon)
+        parts.append((con * (weights / others.size)).sum())
 
     total = ad.Tensor(0.0)
     for part in parts:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import FeatureBag
-from .errors import ConfigError, GeometryError, TrainingError
+from .errors import ConfigError, GeometryError, TrainingError, check_field_types
 from .geometry import GeometryConfig
 from .losses import (
     AlignmentBatch,
@@ -56,10 +56,13 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
+        check_field_types(self)
         if not self.lr > 0:
             raise ConfigError(f"learning rate must be positive, got {self.lr}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.val_every < 1 or self.accumulate < 1:
             raise ConfigError("val_every and accumulate must be at least 1")
 
@@ -83,7 +86,10 @@ def train_config_from_dict(raw):
 
 def load_train_config(path):
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path} must hold a single configuration object")
     return train_config_from_dict(raw)

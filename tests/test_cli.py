@@ -92,6 +92,16 @@ def test_train_rejects_unknown_config_key(workdir, bundle_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_train_rejects_mistyped_config_value(workdir, bundle_path, capsys):
+    for i, text in enumerate(('{"epochs": 1, "lr": "fast"}', '{"epochs": 1,')):
+        cfg = workdir / f"mistyped-{i}.json"
+        cfg.write_text(text)
+        code = main(["train", "--data", str(bundle_path), "--config", str(cfg),
+                     "--out", str(workdir / "never.ckpt")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
 def test_eval_full_bundle(bundle_path, checkpoint_path, capsys):
     code = main(["eval", "--data", str(bundle_path),
                  "--params", str(checkpoint_path)])

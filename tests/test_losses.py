@@ -72,6 +72,22 @@ def test_ama_nll_nonnegative_and_batched():
     assert_allclose(got.item(), np.mean(per_row), rtol=1e-12)
 
 
+def test_ama_nll_weights_give_weighted_row_sum():
+    rng = np.random.default_rng(36)
+    pos = rng.normal(size=5)
+    negs = rng.normal(size=(5, 2))
+    w = np.array([1.0, 0.5, 0.5, 0.25, 0.25])
+    got = ls.ama_nll(pos, negs, tau=0.05, weights=w)
+    per_row = [ls.ama_nll(pos[i], negs[i], tau=0.05).item() for i in range(5)]
+    assert_allclose(got.item(), np.dot(w, per_row), rtol=1e-12)
+    # uniform weights 1/n are the unweighted mean
+    mean = ls.ama_nll(pos, negs, tau=0.05).item()
+    uniform = ls.ama_nll(pos, negs, tau=0.05, weights=np.full(5, 0.2)).item()
+    assert_allclose(uniform, mean, rtol=1e-12)
+    with pytest.raises(ShapeError):
+        ls.ama_nll(pos, negs, tau=0.05, weights=np.ones(4))
+
+
 def test_ama_nll_row_mismatch():
     with pytest.raises(ShapeError):
         ls.ama_nll(np.zeros(3), np.zeros((2, 4)), tau=0.05)
@@ -148,21 +164,6 @@ def test_cls_nll_label_range():
 
 
 # -- point-level wrappers ---------------------------------------------------------
-
-
-def test_semantic_similarity_values():
-    v_pos = _pts([0.8, 0.1])
-    v_neg = _pts([-0.2, 0.9])
-    u_same = _pts([0.8, 0.1])
-    got = ls.semantic_similarity(u_same, v_neg, (v_pos, v_neg), GEOM)
-    assert abs(got.item()) < 1e-14
-
-    # reference minus pair angle distance, against direct computation
-    u = _pts([0.3, 0.5])
-    ref = geo.angle_distance(v_pos, v_neg, GEOM).item()
-    duv = geo.angle_distance(u, v_pos, GEOM).item()
-    got = ls.semantic_similarity(u, v_pos, (v_pos, v_neg), GEOM)
-    assert_allclose(got.item(), ref - duv, rtol=1e-12)
 
 
 def test_ama_loss_single_negative_matches_nll():
@@ -244,9 +245,43 @@ def test_shc_total_single_class_has_no_contradiction():
     assert got.item() == 0.0
 
 
+def _looped_image_sets(emb, selections):
+    return {
+        HierarchyLevel.SLIDE: emb.slide,
+        HierarchyLevel.REGION: geo.select(emb.regions,
+                                          selections[HierarchyLevel.REGION]),
+        HierarchyLevel.PATCH: geo.select(emb.patches,
+                                         selections[HierarchyLevel.PATCH]),
+    }
+
+
+def _looped_ama_total(emb, label, selections):
+    """ama_total with one [K x C] angle matrix and one pair of ama_nll
+    terms per level, the reference for the stacked form."""
+    n_classes = emb.text[HierarchyLevel.SLIDE].count
+    others = [c for c in range(n_classes) if c != label]
+    if not others:
+        return ad.Tensor(0.0)
+    total = ad.Tensor(0.0)
+    for level, image in _looped_image_sets(emb, selections).items():
+        if image.count == 0:
+            continue
+        text = emb.text[level]
+        phi = geo.angle_distance(image, text, GEOM)
+        phi_pos = phi[:, [label]]
+        phi_neg = phi[:, others]
+        refs = geo.angle_distance(geo.select(text, [label]),
+                                  geo.select(text, others), GEOM)
+        total = total + ls.ama_nll(refs.mean() - phi_pos, refs - phi_neg, CFG.tau)
+        total = total + ls.ama_nll(phi_neg.mean(axis=1, keepdims=True) - phi_pos,
+                                   phi_neg - refs, CFG.tau)
+    return total
+
+
 def _looped_shc_total(emb, label, selections):
     """shc_total with the region->patch term as one [1 x n_r] matrix per
-    region, the reference for the masked [R x N_p] form."""
+    region and the text->image terms as one pair of matrices per level,
+    the reference for the masked and stacked forms."""
     parts = [ls._ent_matrix(emb.slide, emb.regions, CFG, GEOM).mean()]
     per_region = [
         ls._ent_matrix(geo.select(emb.regions, [r]),
@@ -261,26 +296,122 @@ def _looped_shc_total(emb, label, selections):
         chain = ls._ent_matrix(emb.text[upper], emb.text[lower], CFG, GEOM)
         parts.append(chain[diag].mean())
     others = [c for c in range(n_classes) if c != label]
-    for level, image in ls._image_sets(emb, selections).items():
+    for level, image in _looped_image_sets(emb, selections).items():
+        if image.count == 0:
+            continue
         parts.append(ls._ent_matrix(geo.select(emb.text[level], [label]),
                                     image, CFG, GEOM).mean())
         if others:
             parts.append(ls._con_matrix(geo.select(emb.text[level], others),
                                         image, CFG, GEOM).mean())
-    return sum(p.item() for p in parts)
+    total = ad.Tensor(0.0)
+    for part in parts:
+        total = total + part
+    return total
 
 
-def test_shc_total_masked_matches_region_loop():
+def _equivalence_cases():
+    """(name, embeddings, label, selections) for the stacked-versus-looped
+    comparisons: collinear, violated, random, uneven regions, an empty
+    patch selection, two classes (once with an active contradiction term)
+    and one class."""
     rng = np.random.default_rng(35)
     violated = _collinear_embeddings()
     violated.slide = _pts([-2.5, 0.3])
+    # the slide sits near the wrong class's ray: contradiction is active
+    violated_two = _collinear_embeddings(n_classes=2)
+    violated_two.slide = _pts([-2.5, 0.3])
     uneven = _random_embeddings(rng)
     uneven.region_slices = [(0, 1), (1, 4)]
-    for emb, label in ((_collinear_embeddings(), 0), (violated, 0),
-                       (_random_embeddings(rng), 1), (uneven, 2)):
-        got = ls.shc_total(emb, label, _full_selection(), CFG, GEOM).item()
-        want = _looped_shc_total(emb, label, _full_selection())
-        assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    no_patch = dict(_full_selection())
+    no_patch[HierarchyLevel.PATCH] = np.array([], dtype=int)
+    partial = {
+        HierarchyLevel.SLIDE: np.array([0]),
+        HierarchyLevel.REGION: np.array([1]),
+        HierarchyLevel.PATCH: np.array([3, 0]),
+    }
+    return [
+        ("collinear", _collinear_embeddings(), 0, _full_selection()),
+        ("violated", violated, 0, _full_selection()),
+        ("random", _random_embeddings(rng), 1, _full_selection()),
+        ("uneven", uneven, 2, partial),
+        ("empty-patch", _random_embeddings(rng), 0, no_patch),
+        ("two-class", _random_embeddings(rng, n_classes=2), 1, partial),
+        ("two-class-violated", violated_two, 0, _full_selection()),
+        ("one-class", _collinear_embeddings(n_classes=1), 0, _full_selection()),
+    ]
+
+
+def test_shc_total_masked_matches_region_loop():
+    for name, emb, label, sel in _equivalence_cases():
+        got = ls.shc_total(emb, label, sel, CFG, GEOM).item()
+        want = _looped_shc_total(emb, label, sel).item()
+        assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
+
+
+def test_ama_total_stacked_matches_level_loop():
+    for name, emb, label, sel in _equivalence_cases():
+        got = ls.ama_total(emb, label, sel, CFG, GEOM).item()
+        want = _looped_ama_total(emb, label, sel).item()
+        assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
+
+
+def _with_leaves(emb):
+    """The same embeddings with every batch's space a leaf requiring grad."""
+    leaf = lambda p: geo.Points(ad.Tensor(p.space.data.copy(), requires_grad=True),
+                                p.cfg)
+    return EmbeddingSet(
+        patches=leaf(emb.patches), regions=leaf(emb.regions), slide=leaf(emb.slide),
+        text={level: leaf(t) for level, t in emb.text.items()},
+        region_slices=emb.region_slices,
+    )
+
+
+def _space_grads(fn, emb):
+    leaves = _with_leaves(emb)
+    out = fn(leaves)
+    if out.requires_grad:
+        out.backward()
+    batches = [leaves.patches, leaves.regions, leaves.slide,
+               *(leaves.text[level] for level in HierarchyLevel)]
+    return np.concatenate([
+        np.zeros(p.space.shape) if p.space.grad is None else p.space.grad
+        for p in batches
+    ])
+
+
+def test_stacked_assemblies_gradients_match_loops():
+    for name, emb, label, sel in _equivalence_cases():
+        for stacked, looped in ((ls.ama_total, _looped_ama_total),
+                                (ls.shc_total, _looped_shc_total)):
+            got = _space_grads(lambda e: stacked(e, label, sel, CFG, GEOM), emb)
+            want = _space_grads(lambda e: looped(e, label, sel), emb)
+            scale = np.abs(want).max()
+            assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale,
+                            err_msg=f"{name} {stacked.__name__}")
+
+
+def test_total_loss_primitive_calls_do_not_depend_on_levels(monkeypatch):
+    # one angle-distance pair for ama_total; five exterior-angle and
+    # half-aperture calls for shc_total (slide->region, region->patch, two
+    # text-chain links, stacked text->image), whichever levels have rows
+    counts = {}
+    for name in ("angle_distance", "exterior_angle", "half_aperture"):
+        def counted(*args, _name=name, _fn=getattr(geo, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(geo, name, counted)
+    full = _full_selection()
+    no_patch = dict(full)
+    no_patch[HierarchyLevel.PATCH] = np.array([], dtype=int)
+    slide_only = dict(no_patch)
+    slide_only[HierarchyLevel.REGION] = np.array([], dtype=int)
+    emb = _random_embeddings(np.random.default_rng(34))
+    for sel in (full, no_patch, slide_only):
+        counts.update(angle_distance=0, exterior_angle=0, half_aperture=0)
+        ls.total_loss(emb, 0, sel, CFG, GEOM)
+        assert counts == {"angle_distance": 2, "exterior_angle": 5,
+                          "half_aperture": 5}
 
 
 def test_ama_total_empty_patch_level_contributes_zero():
@@ -369,10 +500,14 @@ def test_losses_finite_difference():
             region_slices=[(0, 2), (2, 4)],
         )
 
+    no_patch = dict(sel)
+    no_patch[HierarchyLevel.PATCH] = np.array([], dtype=int)
     for fn in (
         lambda: ls.cls_loss(build(), 0, CFG, GEOM),
         lambda: ls.ama_total(build(), 0, sel, CFG, GEOM),
         lambda: ls.shc_total(build(), 0, sel, CFG, GEOM),
         lambda: ls.total_loss(build(), 0, sel, CFG, GEOM),
+        lambda: ls.ama_total(build(), 1, no_patch, CFG, GEOM),
+        lambda: ls.shc_total(build(), 1, no_patch, CFG, GEOM),
     ):
         assert ad.finite_difference_check(fn, [x]) < 1e-4

@@ -34,6 +34,28 @@ def test_train_config_from_dict_splits_keys():
         tr.train_config_from_dict({"lr": 1e-3, "bogus": 1})
 
 
+def test_train_config_rejects_wrong_types():
+    for bad in (
+        {"lr": "fast"},
+        {"epochs": "3"},
+        {"tau": "x"},
+        {"top_k": 2.5},
+        {"seed": "a"},
+        {"epochs": 3.0},
+        {"lr": True},
+        {"lambda_s": float("nan")},
+        {"shared_aggregators": 1},
+        {"seed": -1},
+    ):
+        with pytest.raises(ConfigError):
+            tr.train_config_from_dict(bad)
+    with pytest.raises(ConfigError):
+        tr.TrainConfig(loss={"tau": 0.1})
+    # ints are numbers, and numpy scalars are accepted like Python ones
+    cfg = tr.train_config_from_dict({"lr": 1, "seed": np.int64(3)})
+    assert cfg.lr == 1 and cfg.seed == 3
+
+
 def test_load_train_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"epochs": 3, "lambda_s": 5.0}))
@@ -41,6 +63,9 @@ def test_load_train_config(tmp_path):
     assert cfg.epochs == 3
     assert cfg.loss.lambda_s == 5.0
     path.write_text(json.dumps([1, 2]))
+    with pytest.raises(ConfigError):
+        tr.load_train_config(path)
+    path.write_text('{"epochs": 3,')
     with pytest.raises(ConfigError):
         tr.load_train_config(path)
 
