@@ -8,10 +8,14 @@ fan-out. All math is double precision.
 Elementwise forward kernels dispatch through `backend.active`, which is
 either the compiled core or the numpy fallback; reductions, matmul and
 shape ops stay in numpy in both cases. Fused nodes (`fused`) compute their
-forward and backward directly in numpy, not through `backend.active`: the
-hyperbolic primitives in `geometry`, the cone penalties in `losses` and the
-segment softmax of attention pooling in `model` are each one such node with
-a hand-derived backward.
+forward and backward directly in numpy, not through `backend.active`. Each
+of these is one such node with a hand-derived backward:
+  * the hyperbolic primitives in `geometry` (`exp_map_origin`,
+    `lorentz_inner`, `geodesic`, `exterior_angle`, `angle_distance`,
+    `half_aperture`),
+  * the two softmax NLLs and the two cone penalties in `losses`,
+  * the adaptor MLP and the gated-attention pooling (`aggregate`) in
+    `model`.
 
 Conventions:
   * gradients accumulate into `Tensor.grad` (None until touched); the first
@@ -219,9 +223,21 @@ def _accum(t, g):
 
 
 def _unbroadcast(g, shape):
+    """Sum a gradient broadcast against its operand back to `shape`.
+
+    `g` may have extra leading axes and may be wider than `shape` on the
+    operand's size-1 axes. Anything else, such as fewer axes than the
+    operand, is a wrong gradient and raises ShapeError instead of being
+    summed into the operand's shape.
+    """
     if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
+    if extra < 0 or any(n != 1 and m != n
+                        for n, m in zip(shape, g.shape[extra:])):
+        raise ShapeError(
+            f"gradient of shape {g.shape} does not reduce to operand shape {shape}"
+        )
     if extra:
         g = g.sum(axis=tuple(range(extra)))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
@@ -235,7 +251,8 @@ def fused(op, data, parents, backward):
 
     `backward(g)` maps the output gradient to one gradient per parent, in
     the order of `parents`; a gradient broadcast against its parent is
-    summed back to the parent's shape. Like every primitive, the node runs
+    summed back to the parent's shape, and a gradient of any other shape
+    raises ShapeError. Like every primitive, the node runs
     the NaN guard on `data` and records a backward only when a parent
     requires grad and recording is on.
     """

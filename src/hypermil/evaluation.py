@@ -29,7 +29,9 @@ def predict(bag, params, geom, text=None):
     """Class probabilities: softmax over negative slide-to-text geodesics.
 
     `text` is `embed_text(params, geom)` when the caller already holds it;
-    None embeds it here.
+    None embeds it here. Only the slide point is read, so the patch and
+    region levels are never mapped onto the manifold and the NaN guard
+    never runs on their maps.
     """
     with ad.no_grad():
         emb = embed_slide(bag, params, geom, text)

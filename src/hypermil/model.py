@@ -12,10 +12,17 @@ Aggregation happens on tangent features because a weighted sum of manifold
 points does not stay on the manifold; only the per-level outputs are mapped.
 Both levels pool through one function, `aggregate`, over consecutive row
 segments: all regions of a slide are pooled at once by a segment softmax
-(one autodiff node giving the block-diagonal region-by-patch weight
-matrix) and one matmul, and the slide is the single segment of its
-regions. The class text depends on the parameters alone; a caller scoring
-many bags embeds it once and passes it to `embed_slide`.
+and one matmul with the block-diagonal region-by-patch weights, and the
+slide is the single segment of its regions.
+
+Both learned stages are fused autodiff nodes (`autodiff.fused`) computed in
+numpy with a hand-derived backward: the adaptor MLP is one "adaptor" node
+per call and each `aggregate` call one "aggregate" node, so each runs the
+NaN guard once on its output. `embed_slide` maps the slide and the text
+onto the manifold at once and the patch and region levels on their first
+read, so scoring a slide maps only its slide point. The class text depends
+on the parameters alone; a caller scoring many bags embeds it once and
+passes it to `embed_slide`.
 
 Checkpoints are a little-endian binary table of named float64 arrays
 (magic "HPCK1"), written atomically and read back bit-exactly.
@@ -112,8 +119,27 @@ class Mlp:
         self.b2 = b2
 
     def __call__(self, x):
-        hidden = ad.tanh(x @ self.w1.T + self.b1)
-        return hidden @ self.w2.T + self.b2
+        """tanh(x w1' + b1) w2' + b2 as one fused node over (x, w1, b1, w2, b2).
+
+        The backward goes through the tanh layer by hand:
+        g_pre = (g w2) * (1 - hidden^2), then the two affine maps.
+        """
+        w1, b1, w2, b2 = self.w1.data, self.b1.data, self.w2.data, self.b2.data
+        xd = x.data
+        if xd.ndim != 2 or xd.shape[1] != w1.shape[1]:
+            raise ShapeError(
+                f"adaptor: input has shape {xd.shape}, expected rows of "
+                f"{w1.shape[1]} features"
+            )
+        hidden = np.tanh(xd @ w1.T + b1)
+
+        def backward(g):
+            g_pre = (g @ w2) * (1.0 - hidden * hidden)
+            return (g_pre @ w1, (xd.T @ g_pre).T, g_pre.sum(axis=0, keepdims=True),
+                    (hidden.T @ g).T, g.sum(axis=0, keepdims=True))
+
+        return ad.fused("adaptor", hidden @ w2.T + b2,
+                        (x, self.w1, self.b1, self.w2, self.b2), backward)
 
 
 class AttentionAggregator:
@@ -270,28 +296,32 @@ def _segment_ids(counts, n_rows):
     return np.repeat(np.arange(counts.size), counts), np.cumsum(counts) - counts
 
 
-def _segment_softmax(scores, counts):
-    """Softmax of a [1 x N] score row within each segment of consecutive
-    entries, as the block-diagonal [R x N] matrix whose row r holds segment
-    r's distribution and zeros elsewhere.
+def _attention(features, agg, counts):
+    """Numpy core of gated attention over row segments.
 
-    One fused node: per-segment max subtraction, exp and normalisation in
-    numpy, with the softmax backward p * (g - sum_segment(p * g)) on the
-    block entries; gradients on the zero entries are dropped.
+    Returns (hidden, seg, starts, p): the tanh layer tanh(w1 f') [A x N],
+    each row's segment id, each segment's first row, and each row's weight
+    p, the softmax of its score w2' hidden within its segment.
     """
-    s = scores.data[0]
-    seg, starts = _segment_ids(counts, s.size)
+    f = features.data
+    if f.ndim != 2 or f.shape[1] != agg.w1.data.shape[1]:
+        raise ShapeError(
+            f"aggregate: features have shape {f.shape}, expected rows of "
+            f"{agg.w1.data.shape[1]} features"
+        )
+    seg, starts = _segment_ids(counts, f.shape[0])
+    hidden = np.tanh(agg.w1.data @ f.T)
+    s = (agg.w2.data.T @ hidden)[0]
     e = np.exp(s - np.maximum.reduceat(s, starts)[seg])
-    p = e / np.add.reduceat(e, starts)[seg]
-    cols = np.arange(s.size)
-    weights = np.zeros((starts.size, s.size))
-    weights[seg, cols] = p
+    return hidden, seg, starts, e / np.add.reduceat(e, starts)[seg]
 
-    def backward(g):
-        g_block = g[seg, cols]
-        return (p * (g_block - np.add.reduceat(p * g_block, starts)[seg]))[None],
 
-    return ad.fused("segment_softmax", weights, (scores,), backward)
+def _block_weights(p, seg, n_segments):
+    """The block-diagonal [R x N] matrix whose row r holds segment r's
+    weights and zeros elsewhere."""
+    weights = np.zeros((n_segments, p.size))
+    weights[seg, np.arange(p.size)] = p
+    return weights
 
 
 def attention_weights(features, agg, counts=None):
@@ -299,10 +329,12 @@ def attention_weights(features, agg, counts=None):
 
     `counts` gives the sizes of consecutive row segments (None: one segment
     of all rows). Returns the block-diagonal [R x N] matrix of the R
-    segments' distributions, each nonnegative and summing to one.
+    segments' distributions, each nonnegative and summing to one, as a
+    constant tensor: it comes from the same numpy core as `aggregate` and
+    records no gradient (differentiate through `aggregate`).
     """
-    scores = agg.w2.T @ ad.tanh(agg.w1 @ features.T)  # [1 x N]
-    return _segment_softmax(scores, counts)
+    _, seg, starts, p = _attention(features, agg, counts)
+    return ad.Tensor(_block_weights(p, seg, starts.size))
 
 
 def aggregate(features, agg, counts=None):
@@ -310,22 +342,58 @@ def aggregate(features, agg, counts=None):
     feature with one row per segment.
 
     The one pooling function of both levels: patches into regions (one
-    segment per region) and regions into the slide (one segment). Scores
-    for all rows come from one matmul-tanh-matmul, the per-segment softmax
-    is one node, and the pooling is one matmul of the block-diagonal
-    weights with `features`, so a slide's pooling costs the same few nodes
-    whatever its number of regions.
+    segment per region) and regions into the slide (one segment). One fused
+    node over (features, w1, w2) computes the scores of all rows, the
+    segment softmax and the pooling matmul with the block-diagonal weights,
+    so a slide's pooling costs one node whatever its number of regions.
+    The backward takes each row's weight gradient g_block = rowsum(g[seg] * f),
+    the softmax backward g_s = p * (g_block - segsum(p * g_block)), and
+    through the tanh layer g_pre = (w2 g_s) * (1 - hidden^2); the features
+    get p * g[seg] + g_pre' w1.
     """
-    return attention_weights(features, agg, counts) @ features
+    f = features.data
+    hidden, seg, starts, p = _attention(features, agg, counts)
+    w1, w2 = agg.w1.data, agg.w2.data
+
+    def backward(g):
+        g_block = (g[seg] * f).sum(axis=1)
+        g_s = p * (g_block - np.add.reduceat(p * g_block, starts)[seg])
+        g_pre = (w2 * g_s) * (1.0 - hidden * hidden)
+        return (p[:, None] * g[seg] + g_pre.T @ w1, g_pre @ f,
+                (g_s[None] @ hidden.T).T)
+
+    return ad.fused("aggregate", _block_weights(p, seg, starts.size) @ f,
+                    (features, agg.w1, agg.w2), backward)
 
 
-@dataclass
 class EmbeddingSet:
-    patches: geo.Points            # [sum N_p]
-    regions: geo.Points            # [N_r]
-    slide: geo.Points              # [1]
-    text: dict                     # HierarchyLevel -> Points [N_C]
-    region_slices: list            # patch row range per region
+    """One slide's embeddings at every level plus the class text.
+
+    `patches` [sum N_p] and `regions` [N_r] are Points, or zero-argument
+    callables making them: a callable runs on the first read of its level,
+    under the autodiff mode in effect at that read, and its Points are kept
+    for later reads. `slide` [1] is Points, `text` maps HierarchyLevel to
+    Points [N_C], and `region_slices` holds each region's patch row range.
+    """
+
+    def __init__(self, patches, regions, slide, text, region_slices):
+        self._patches = patches
+        self._regions = regions
+        self.slide = slide
+        self.text = text
+        self.region_slices = region_slices
+
+    @property
+    def patches(self):
+        if callable(self._patches):
+            self._patches = self._patches()
+        return self._patches
+
+    @property
+    def regions(self):
+        if callable(self._regions):
+            self._regions = self._regions()
+        return self._regions
 
 
 def embed_text(params, geom):
@@ -348,7 +416,11 @@ def embed_slide(bag, params, geom, text=None):
 
     `text` is the result of `embed_text(params, geom)` when the caller
     already holds it (it depends on the parameters alone); None embeds it
-    here.
+    here. The slide and the text are mapped onto the manifold here; the
+    patch and region levels are mapped on their first read (see
+    `EmbeddingSet`), so a caller that reads only the slide, such as
+    `evaluation.predict`, neither maps them nor runs the NaN guard on their
+    maps.
     """
     if not bag.regions:
         raise EmptyBagError(f"slide {bag.slide_id} has no regions")
@@ -363,16 +435,15 @@ def embed_slide(bag, params, geom, text=None):
             )
         counts.append(region.shape[0])
 
-    raw = ad.Tensor(np.concatenate([np.asarray(r, dtype=np.float64)
-                                    for r in bag.regions], axis=0))
+    raw = ad.Tensor(np.concatenate(bag.regions, axis=0, dtype=np.float64))
     patch_tan = params.adaptor_i(raw)
     region_tan = aggregate(patch_tan, params.agg_region, counts)
     slide_tan = aggregate(region_tan, params.agg_slide)
 
     bounds = np.cumsum([0] + counts).tolist()
     return EmbeddingSet(
-        patches=geo.exp_map_origin(patch_tan, geom),
-        regions=geo.exp_map_origin(region_tan, geom),
+        patches=lambda: geo.exp_map_origin(patch_tan, geom),
+        regions=lambda: geo.exp_map_origin(region_tan, geom),
         slide=geo.exp_map_origin(slide_tan, geom),
         text=embed_text(params, geom) if text is None else text,
         region_slices=list(zip(bounds[:-1], bounds[1:])),

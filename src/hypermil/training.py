@@ -149,13 +149,13 @@ def select_top_k(bag, class_vectors, label, k):
     index. The slide level always selects the single slide embedding.
     """
     vector = np.asarray(class_vectors[label], dtype=np.float64)
-    patches = np.concatenate(
-        [np.asarray(r, dtype=np.float64) for r in bag.regions], axis=0
-    )
+    patches = np.concatenate(bag.regions, axis=0, dtype=np.float64)
     patch_sims = _cosine(patches, vector)
     patch_rows = np.argsort(-patch_sims, kind="stable")[:k]
+    bounds = np.cumsum([0] + [len(r) for r in bag.regions])
     region_means = np.stack(
-        [np.asarray(r, dtype=np.float64).mean(axis=0) for r in bag.regions]
+        [patches[start:stop].mean(axis=0)
+         for start, stop in zip(bounds[:-1], bounds[1:])]
     )
     region_sims = _cosine(region_means, vector)
     region_rows = np.argsort(-region_sims, kind="stable")[:k]

@@ -132,6 +132,19 @@ def test_broadcast_gradient_unbroadcasts():
     assert_allclose(b.grad, 2.0 * np.ones((1, 3)))
 
 
+def test_fused_gradient_with_missing_axis_raises():
+    # a (K,) gradient for a [1 x K] parent must not be summed and broadcast
+    a = _t(np.arange(3.0).reshape(1, 3))
+    out = ad.fused("bad_row", a.data * 2.0, (a,), lambda g: (2.0 * g[0],))
+    with pytest.raises(ShapeError):
+        out.sum().backward()
+    # a gradient broadcast against the parent's size-1 axis still sums back
+    b = _t(np.ones((1, 3)))
+    wide = ad.fused("wide", np.ones((4, 3)), (b,), lambda g: (g,))
+    wide.sum().backward()
+    assert_array_equal(b.grad, [[4.0, 4.0, 4.0]])
+
+
 def test_maximum_tie_goes_to_first():
     a, b = _t([1.0, 5.0, 2.0]), _t([1.0, 3.0, 7.0])
     ad.maximum(a, b).sum().backward()

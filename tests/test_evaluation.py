@@ -1,13 +1,16 @@
 """Metrics against brute-force oracles, the nested protocol, ablation, export."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from hypermil import evaluation as ev
+from hypermil import geometry as geo
 from hypermil.data import SyntheticSpec, generate
 from hypermil.errors import MetricError
-from hypermil.model import ModelDims, init_params
+from hypermil.model import ModelDims, embed_text, init_params
 from hypermil.training import TrainConfig
 
 
@@ -219,6 +222,27 @@ def test_predict_is_distribution():
     assert p.shape == (2,)
     assert np.all(p > 0)
     assert_allclose(p.sum(), 1.0, atol=1e-12)
+
+
+def test_predict_maps_only_the_slide(monkeypatch):
+    bundle = generate(replace(TINY_SPEC, n_regions=32))
+    params = init_params(
+        ModelDims(d_in=8, k=4, n_classes=2), 4, bundle.class_vectors
+    )
+    geom = TrainConfig(k=4).geometry()
+    text = embed_text(params, geom)
+    calls = []
+    exp_map = geo.exp_map_origin
+
+    def counted(x, cfg):
+        calls.append(x.shape)
+        return exp_map(x, cfg)
+
+    monkeypatch.setattr(geo, "exp_map_origin", counted)
+    bag = bundle.bags[0]
+    assert len(bag.regions) == 32
+    ev.predict(bag, params, geom, text)
+    assert calls == [(1, 4)]
 
 
 def test_evaluate_rows_equal_predict_bit_for_bit():

@@ -13,6 +13,7 @@ from hypermil.errors import (
     ConfigError,
     EmptyBagError,
     FormatError,
+    NumericalError,
     ShapeError,
     TruncatedPayloadError,
     VersionError,
@@ -107,6 +108,45 @@ def test_mlp_matches_manual():
     want = np.tanh(x @ m.w1.data.T + m.b1.data) @ m.w2.data.T + m.b2.data
     # compiled and numpy tanh may differ in the last couple of ulps
     assert_allclose(got, want, rtol=1e-12)
+
+
+def test_mlp_gradients_finite_difference():
+    params = md.init_params(DIMS, 12)
+    rng = np.random.default_rng(11)
+    x = ad.Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+    probe = ad.Tensor(rng.normal(size=(5, 4)))
+    m = params.adaptor_i
+
+    def f():
+        return (m(x) * probe).sum()
+
+    assert ad.finite_difference_check(f, [x, m.w1, m.b1, m.w2, m.b2]) < 1e-6
+
+
+def test_adaptor_and_aggregate_are_one_node_each():
+    params = md.init_params(DIMS, 13)
+    rng = np.random.default_rng(12)
+    x = ad.Tensor(rng.normal(size=(6, 8)), requires_grad=True)
+    m = params.adaptor_i
+    out = m(x)
+    assert out._op == "adaptor"
+    assert out._parents == (x, m.w1, m.b1, m.w2, m.b2)
+    agg = params.agg_region
+    pooled = md.aggregate(out, agg, [2, 4])
+    assert pooled._op == "aggregate"
+    assert pooled._parents == (out, agg.w1, agg.w2)
+
+
+def test_nan_input_names_adaptor_and_aggregate():
+    params = md.init_params(DIMS, 14)
+    x = np.ones((3, 8))
+    x[1, 2] = np.nan
+    with pytest.raises(NumericalError, match="adaptor"):
+        params.adaptor_i(ad.Tensor(x))
+    f = np.ones((3, 4))
+    f[2, 0] = np.nan
+    with pytest.raises(NumericalError, match="aggregate"):
+        md.aggregate(ad.Tensor(f), params.agg_region)
 
 
 def test_attention_weights_distribution():
@@ -226,6 +266,20 @@ def test_embed_slide_on_manifold():
     for pts in (emb.patches, emb.regions, emb.slide, *emb.text.values()):
         inner = (pts.space.data ** 2).sum(axis=1) - pts.time.data[:, 0] ** 2
         assert np.max(np.abs(inner + 1.0)) < 1e-9
+
+
+def test_embed_slide_maps_patches_and_regions_on_first_read():
+    params = md.init_params(DIMS, 15)
+    bag = _bag(np.random.default_rng(8), n_regions=3, n_patches=4)
+    emb = md.embed_slide(bag, params, GEOM)
+    raw = ad.Tensor(np.concatenate(bag.regions, axis=0, dtype=np.float64))
+    patch_tan = params.adaptor_i(raw)
+    region_tan = md.aggregate(patch_tan, params.agg_region, [4, 4, 4])
+    for got, tangent in ((emb.patches, patch_tan), (emb.regions, region_tan)):
+        want = geo.exp_map_origin(tangent, GEOM)
+        assert np.array_equal(got.space.data, want.space.data)
+    assert emb.patches is emb.patches
+    assert emb.regions is emb.regions
 
 
 def test_embed_slide_errors():
