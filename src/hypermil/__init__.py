@@ -8,8 +8,7 @@ concepts sit inside the entailment cones of finer ones. Classification
 is a softmax over negative slide-to-anchor geodesic distances.
 
 Everything runs on a small reverse-mode autodiff engine over numpy
-arrays, with an optional compiled kernel backend (see
-``hypermil.backend``).
+arrays.
 """
 
 from . import autodiff, backend, geometry

@@ -3,13 +3,12 @@
 A dynamic (define-by-run) graph: every operation on `Tensor` records a
 backward closure, and `Tensor.backward()` on a scalar root walks the graph
 in reverse topological order, accumulating gradients additively across
-fan-out. All math is double precision.
+fan-out. All math is double precision and runs in numpy.
 
-Elementwise forward kernels dispatch through `backend.active`, which is
-either the compiled core or the numpy fallback; reductions, matmul and
-shape ops stay in numpy in both cases. Fused nodes (`fused`) compute their
-forward and backward directly in numpy, not through `backend.active`. Each
-of these is one such node with a hand-derived backward:
+The generic primitives are the glue the library needs: broadcasting
+`add`, `sub` and `mul`, `scalar_mul`, `tensor_sum`, `tensor_mean`,
+`reshape`, `concat` and `getitem`. The math itself lives in fused nodes
+(`fused`), each computing its forward and hand-derived backward in numpy:
   * the hyperbolic primitives in `geometry` (`exp_map_origin`,
     `lorentz_inner`, `geodesic`, `exterior_angle`, `angle_distance`,
     `half_aperture`),
@@ -20,19 +19,15 @@ of these is one such node with a hand-derived backward:
 Conventions:
   * gradients accumulate into `Tensor.grad` (None until touched); the first
     contribution is copied so upstream buffers are never aliased,
-  * `max`/`maximum` route the gradient to the first maximal operand on
-    exact ties,
-  * `clip` and the inverse-trig ops have zero gradient outside the closed
-    domain, so clamped values never poison gradients with inf * 0,
   * any primitive, fused or not, whose forward value contains NaN raises
-    NumericalError naming the primitive.
+    NumericalError naming the primitive (`backend.has_nan`).
 """
 
 import threading
 
 import numpy as np
 
-from . import backend
+from .backend import has_nan
 from .errors import NumericalError, ShapeError
 
 _state = threading.local()
@@ -123,20 +118,14 @@ class Tensor:
     # -- operator sugar -----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_add(self, float(other))
         return add(self, _wrap(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_sub(self, float(other))
         return sub(self, _wrap(other))
 
     def __rsub__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_rsub(self, float(other))
         return sub(_wrap(other), self)
 
     def __mul__(self, other):
@@ -145,22 +134,6 @@ class Tensor:
         return mul(self, _wrap(other))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_div(self, float(other))
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_rdiv(self, float(other))
-        return div(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -173,20 +146,10 @@ class Tensor:
     def mean(self, axis=None, keepdims=False):
         return tensor_mean(self, axis=axis, keepdims=keepdims)
 
-    def max(self, axis=None, keepdims=False):
-        return tensor_max(self, axis=axis, keepdims=keepdims)
-
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    @property
-    def T(self):
-        return transpose(self, None)
 
 
 def _wrap(x):
@@ -195,7 +158,7 @@ def _wrap(x):
 
 def _node(data, parents, op):
     data = _as_array(data)
-    if backend.active.has_nan(data):
+    if has_nan(data):
         raise NumericalError(f"{op} produced NaN in the forward pass")
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -265,9 +228,7 @@ def fused(op, data, parents, backward):
     return out
 
 
-def _broadcast_forward(op, a, b, kernel_name, npf):
-    if a.shape == b.shape:
-        return getattr(backend.active, kernel_name)(a, b)
+def _broadcast_forward(op, a, b, npf):
     try:
         return npf(a, b)
     except ValueError:
@@ -276,11 +237,11 @@ def _broadcast_forward(op, a, b, kernel_name, npf):
         ) from None
 
 
-# -- elementwise binary ops ---------------------------------------------------
+# -- elementwise ops ----------------------------------------------------------
 
 
 def add(a, b):
-    data = _broadcast_forward("add", a.data, b.data, "add", np.add)
+    data = _broadcast_forward("add", a.data, b.data, np.add)
     out = _node(data, (a, b), "add")
     if out.requires_grad:
         def bwd(g):
@@ -291,7 +252,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    data = _broadcast_forward("sub", a.data, b.data, "sub", np.subtract)
+    data = _broadcast_forward("sub", a.data, b.data, np.subtract)
     out = _node(data, (a, b), "sub")
     if out.requires_grad:
         def bwd(g):
@@ -302,7 +263,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    data = _broadcast_forward("mul", a.data, b.data, "mul", np.multiply)
+    data = _broadcast_forward("mul", a.data, b.data, np.multiply)
     out = _node(data, (a, b), "mul")
     if out.requires_grad:
         def bwd(g):
@@ -312,227 +273,25 @@ def mul(a, b):
     return out
 
 
-def div(a, b):
-    data = _broadcast_forward("div", a.data, b.data, "div", np.divide)
-    out = _node(data, (a, b), "div")
-    if out.requires_grad:
-        od = data
-        def bwd(g):
-            _accum(a, _unbroadcast(g / b.data, a.data.shape))
-            _accum(b, _unbroadcast(-g * od / b.data, b.data.shape))
-        out._backward = bwd
-    return out
-
-
-def maximum(a, b):
-    data = _broadcast_forward("maximum", a.data, b.data, "maximum", np.maximum)
-    out = _node(data, (a, b), "maximum")
-    if out.requires_grad:
-        # ties route to the first operand
-        take_a = a.data >= b.data
-        def bwd(g):
-            _accum(a, _unbroadcast(g * take_a, a.data.shape))
-            _accum(b, _unbroadcast(g * ~take_a, b.data.shape))
-        out._backward = bwd
-    return out
-
-
-# -- scalar ops ---------------------------------------------------------------
-
-
-def scalar_add(a, s):
-    out = _node(backend.active.adds(a.data, s), (a,), "scalar_add")
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, g)
-    return out
-
-
-def scalar_sub(a, s):
-    out = _node(backend.active.subs(a.data, s), (a,), "scalar_sub")
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, g)
-    return out
-
-
-def scalar_rsub(a, s):
-    out = _node(backend.active.rsubs(a.data, s), (a,), "scalar_rsub")
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, -g)
-    return out
-
-
 def scalar_mul(a, s):
-    out = _node(backend.active.muls(a.data, s), (a,), "scalar_mul")
+    out = _node(a.data * s, (a,), "scalar_mul")
     if out.requires_grad:
         out._backward = lambda g: _accum(a, g * s)
-    return out
-
-
-def scalar_div(a, s):
-    out = _node(backend.active.divs(a.data, s), (a,), "scalar_div")
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, g / s)
-    return out
-
-
-def scalar_rdiv(a, s):
-    out = _node(backend.active.rdivs(a.data, s), (a,), "scalar_rdiv")
-    if out.requires_grad:
-        x = a.data
-        out._backward = lambda g: _accum(a, -s * g / (x * x))
-    return out
-
-
-def scalar_maximum(a, s):
-    out = _node(backend.active.maxs(a.data, s), (a,), "scalar_maximum")
-    if out.requires_grad:
-        take = a.data >= s
-        out._backward = lambda g: _accum(a, g * take)
-    return out
-
-
-def clip(a, lo, hi):
-    """Clamp to [lo, hi]; gradient is zero strictly outside the interval."""
-    lo_v = -np.inf if lo is None else float(lo)
-    hi_v = np.inf if hi is None else float(hi)
-    out = _node(backend.active.clip(a.data, lo_v, hi_v), (a,), "clip")
-    if out.requires_grad:
-        inside = (a.data >= lo_v) & (a.data <= hi_v)
-        out._backward = lambda g: _accum(a, g * inside)
-    return out
-
-
-# -- elementwise unary ops ----------------------------------------------------
-
-
-def neg(a):
-    out = _node(backend.active.neg(a.data), (a,), "neg")
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, -g)
-    return out
-
-
-def exp(a):
-    out = _node(backend.active.exp(a.data), (a,), "exp")
-    if out.requires_grad:
-        od = out.data
-        out._backward = lambda g: _accum(a, g * od)
-    return out
-
-
-def log(a):
-    out = _node(backend.active.log(a.data), (a,), "log")
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, g / a.data)
-    return out
-
-
-def sqrt(a):
-    out = _node(backend.active.sqrt(a.data), (a,), "sqrt")
-    if out.requires_grad:
-        od = out.data
-        out._backward = lambda g: _accum(a, g / (2.0 * od))
-    return out
-
-
-def tanh(a):
-    out = _node(backend.active.tanh(a.data), (a,), "tanh")
-    if out.requires_grad:
-        od = out.data
-        out._backward = lambda g: _accum(a, g * (1.0 - od * od))
-    return out
-
-
-def sinh(a):
-    out = _node(backend.active.sinh(a.data), (a,), "sinh")
-    if out.requires_grad:
-        x = a.data
-        out._backward = lambda g: _accum(a, g * np.cosh(x))
-    return out
-
-
-def cosh(a):
-    out = _node(backend.active.cosh(a.data), (a,), "cosh")
-    if out.requires_grad:
-        x = a.data
-        out._backward = lambda g: _accum(a, g * np.sinh(x))
     return out
 
 
 def guarded_rsqrt(mask, denom_sq):
     """1/sqrt(denom_sq) where mask holds, 0 elsewhere.
 
-    The derivative factor of acos/asin/acosh: it never evaluates the sqrt
-    on non-positive values, so no inf * 0 can reach a gradient.
+    The derivative factor of acos/asin/acosh in the fused backwards: it
+    never evaluates the sqrt on non-positive values, so no inf * 0 can
+    reach a gradient.
     """
     safe = np.where(mask, denom_sq, 1.0)
     return np.where(mask, 1.0 / np.sqrt(safe), 0.0)
 
 
-def acos(a):
-    out = _node(backend.active.acos(a.data), (a,), "acos")
-    if out.requires_grad:
-        x = a.data
-        def bwd(g):
-            d2 = 1.0 - x * x
-            _accum(a, -g * guarded_rsqrt(d2 > 0.0, d2))
-        out._backward = bwd
-    return out
-
-
-def asin(a):
-    out = _node(backend.active.asin(a.data), (a,), "asin")
-    if out.requires_grad:
-        x = a.data
-        def bwd(g):
-            d2 = 1.0 - x * x
-            _accum(a, g * guarded_rsqrt(d2 > 0.0, d2))
-        out._backward = bwd
-    return out
-
-
-def acosh(a):
-    out = _node(backend.active.acosh(a.data), (a,), "acosh")
-    if out.requires_grad:
-        x = a.data
-        def bwd(g):
-            d2 = x * x - 1.0
-            _accum(a, g * guarded_rsqrt(d2 > 0.0, d2))
-        out._backward = bwd
-    return out
-
-
-def absolute(a):
-    out = _node(np.abs(a.data), (a,), "abs")
-    if out.requires_grad:
-        sgn = np.sign(a.data)
-        out._backward = lambda g: _accum(a, g * sgn)
-    return out
-
-
 # -- shape / reduction ops ------------------------------------------------
-
-
-def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(
-            f"matmul: incompatible operand shapes {a.data.shape} and {b.data.shape}"
-        )
-    out = _node(a.data @ b.data, (a, b), "matmul")
-    if out.requires_grad:
-        def bwd(g):
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
-        out._backward = bwd
-    return out
-
-
-def transpose(a, axes=None):
-    out = _node(np.transpose(a.data, axes), (a,), "transpose")
-    if out.requires_grad:
-        inv = None if axes is None else tuple(np.argsort(axes))
-        out._backward = lambda g: _accum(a, np.transpose(g, inv))
-    return out
 
 
 def reshape(a, shape):
@@ -546,20 +305,6 @@ def reshape(a, shape):
     if out.requires_grad:
         src = a.data.shape
         out._backward = lambda g: _accum(a, g.reshape(src))
-    return out
-
-
-def broadcast_to(a, shape):
-    try:
-        data = np.broadcast_to(a.data, shape)
-    except ValueError:
-        raise ShapeError(
-            f"broadcast: cannot broadcast {a.data.shape} to {tuple(shape)}"
-        ) from None
-    out = _node(np.ascontiguousarray(data), (a,), "broadcast")
-    if out.requires_grad:
-        src = a.data.shape
-        out._backward = lambda g: _accum(a, _unbroadcast(g, src))
     return out
 
 
@@ -608,24 +353,6 @@ def tensor_mean(a, axis=None, keepdims=False):
     return out
 
 
-def tensor_max(a, axis=None, keepdims=False):
-    out = _node(np.asarray(a.data.max(axis=axis, keepdims=keepdims)), (a,), "max")
-    if out.requires_grad:
-        x = a.data
-        def bwd(g):
-            buf = np.zeros_like(x)
-            if axis is None:
-                # first maximal entry wins ties
-                buf[np.unravel_index(np.argmax(x), x.shape)] = float(g)
-            else:
-                idx = np.expand_dims(np.argmax(x, axis=axis), axis)
-                gg = g if keepdims else np.expand_dims(g, axis)
-                np.put_along_axis(buf, idx, gg, axis)
-            _accum(a, buf)
-        out._backward = bwd
-    return out
-
-
 def concat(tensors, axis=0):
     tensors = [_wrap(t) for t in tensors]
     try:
@@ -644,16 +371,6 @@ def concat(tensors, axis=0):
     return out
 
 
-def stack(tensors, axis=0):
-    return concat([reshape(_wrap(t), _stacked_shape(t, axis)) for t in tensors], axis)
-
-
-def _stacked_shape(t, axis):
-    shape = list(_wrap(t).data.shape)
-    shape.insert(axis % (len(shape) + 1), 1)
-    return tuple(shape)
-
-
 def getitem(a, idx):
     out = _node(np.asarray(a.data[idx]), (a,), "index")
     if out.requires_grad:
@@ -662,26 +379,6 @@ def getitem(a, idx):
             buf = np.zeros_like(src)
             np.add.at(buf, idx, g)
             _accum(a, buf)
-        out._backward = bwd
-    return out
-
-
-def where(cond, a, b):
-    """Select by a boolean numpy mask; the mask itself is not differentiated."""
-    cond = np.asarray(cond, dtype=bool)
-    a, b = _wrap(a), _wrap(b)
-    try:
-        data = np.where(cond, a.data, b.data)
-    except ValueError:
-        raise ShapeError(
-            f"where: incompatible operand shapes {cond.shape}, "
-            f"{a.data.shape} and {b.data.shape}"
-        ) from None
-    out = _node(data, (a, b), "where")
-    if out.requires_grad:
-        def bwd(g):
-            _accum(a, _unbroadcast(g * cond, a.data.shape))
-            _accum(b, _unbroadcast(g * ~cond, b.data.shape))
         out._backward = bwd
     return out
 

@@ -1,63 +1,27 @@
-"""Kernel backend selection.
+"""The NaN guard every autodiff node runs on its forward value.
 
-Two interchangeable kernel modules exist: the compiled core
-(``hypermil._core``, Cython) and the pure-numpy fallback
-(``hypermil._kernels_numpy``). One is picked at import time:
-
-* ``HYPERMIL_BACKEND=compiled`` forces the compiled core (error if missing),
-* ``HYPERMIL_BACKEND=python``  forces the numpy fallback,
-* unset / ``auto``             uses the compiled core when importable.
-
-``use()`` swaps the active backend at runtime; it exists for tests and the
-backend benchmark, not for switching mid-computation.
+`has_nan` is the only kernel. `active` (this module) and `name()` remain
+because the benchmark harness in `hyperbench/` reads them: it wraps the
+public callables of `backend.active` to count and time guard calls, and
+records `backend.name()` in its environment record.
 """
 
-import os
+import sys
 
-from . import _kernels_numpy
-
-from .errors import ConfigError
+import numpy as np
 
 
-def _load_compiled():
-    from . import _core  # noqa: PLC0415
-
-    return _core
-
-
-def _select(name):
-    if name in ("", "auto"):
-        try:
-            return _load_compiled()
-        except ImportError:
-            return _kernels_numpy
-    if name == "compiled":
-        return _load_compiled()
-    if name == "python":
-        return _kernels_numpy
-    raise ConfigError(f"unknown HYPERMIL_BACKEND value: {name!r}")
+def has_nan(a):
+    # one reduction that propagates NaN; skips numpy's Python-level any()
+    # wrapper, and +-inf never compare unequal to themselves
+    if a.size == 0:
+        return False
+    m = np.minimum.reduce(a, axis=None)
+    return bool(m != m)
 
 
-active = _select(os.environ.get("HYPERMIL_BACKEND", "auto").strip().lower())
+active = sys.modules[__name__]
 
 
 def name():
-    return active.NAME
-
-
-def available():
-    """Names of the backends importable in this environment."""
-    names = ["python"]
-    try:
-        _load_compiled()
-        names.insert(0, "compiled")
-    except ImportError:
-        pass
-    return names
-
-
-def use(backend_name):
-    """Swap the active kernel backend ('compiled' or 'python')."""
-    global active
-    active = _select(backend_name)
-    return active
+    return "python"

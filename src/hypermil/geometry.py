@@ -19,8 +19,8 @@ raise GeometryError instead of being silently patched.
 Fused primitives: `exp_map_origin` (both branches), `lorentz_inner`,
 `geodesic`, `exterior_angle`, `angle_distance` and `half_aperture` are each
 one autodiff node (`autodiff.fused`) whose forward and hand-derived backward
-run in numpy. `time_from_space` and `Points.sumsq` stay compositions of
-elementary nodes. The fused backwards are checked against
+run in numpy. `Points.time` is a constant tensor, not a graph node: nothing
+differentiates through it. The fused backwards are checked against
 central differences by `tests/test_geometry.py`
 (`test_geometry_gradients_finite_difference` at rho 0.5, 1 and 2 with a
 point inside the half-aperture clamp, `test_exp_map_gradient_near_zero` on
@@ -61,19 +61,15 @@ class GeometryConfig:
 class Points:
     """A batch of manifold points; row i of `space` is point i.
 
-    The time part and the squared space norms are graph nodes derived from
-    `space` on first use and cached. The fused primitives below read only
-    `space` and recompute both in numpy, so a batch that only feeds them
-    adds no node for either.
+    The fused primitives below read only `space` and recompute the time
+    parts in numpy. `time` gives those time parts as a constant tensor.
     """
 
-    __slots__ = ("space", "cfg", "_time", "_sumsq")
+    __slots__ = ("space", "cfg")
 
     def __init__(self, space, cfg):
         self.space = space
         self.cfg = cfg
-        self._time = None
-        self._sumsq = None
 
     @property
     def count(self):
@@ -85,14 +81,8 @@ class Points:
 
     @property
     def time(self):
-        if self._time is None:
-            self._time = time_from_space(self.space, self.cfg)
-        return self._time
-
-    def sumsq(self):
-        if self._sumsq is None:
-            self._sumsq = space_sumsq(self.space)
-        return self._sumsq
+        """u_t = sqrt(1/rho + |u_s|^2), one value per row."""
+        return ad.Tensor(_rows(self, self.cfg)[1])
 
 
 def _as_matrix(x):
@@ -102,16 +92,6 @@ def _as_matrix(x):
     if x.ndim != 2:
         raise ShapeError(f"expected points as rows of a matrix, got shape {x.shape}")
     return x
-
-
-def space_sumsq(space):
-    return (space * space).sum(axis=1, keepdims=True)
-
-
-def time_from_space(space, cfg):
-    """u_t = sqrt(1/rho + |u_s|^2), one value per row."""
-    space = _as_matrix(space)
-    return ad.sqrt(space_sumsq(space) + 1.0 / cfg.curvature)
 
 
 def from_space(space, cfg):

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from hypermil import autodiff as ad
+from hypermil.backend import has_nan
 from hypermil.errors import NumericalError, ShapeError
 
 
@@ -42,60 +43,25 @@ def test_backward_requires_scalar_root():
 # -- forward values match numpy ----------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "fn,npf,lo,hi",
-    [
-        (ad.exp, np.exp, -3.0, 3.0),
-        (ad.log, np.log, 0.1, 5.0),
-        (ad.sqrt, np.sqrt, 0.1, 5.0),
-        (ad.tanh, np.tanh, -3.0, 3.0),
-        (ad.sinh, np.sinh, -3.0, 3.0),
-        (ad.cosh, np.cosh, -3.0, 3.0),
-        (ad.acos, np.arccos, -0.99, 0.99),
-        (ad.asin, np.arcsin, -0.99, 0.99),
-        (ad.acosh, np.arccosh, 1.01, 5.0),
-        (ad.neg, np.negative, -3.0, 3.0),
-        (ad.absolute, np.abs, -3.0, 3.0),
-    ],
-)
-def test_unary_forward(fn, npf, lo, hi):
-    rng = np.random.default_rng(0)
-    x = rng.uniform(lo, hi, size=(3, 4))
-    out = fn(_t(x))
-    assert_allclose(out.data, npf(x), rtol=1e-14, atol=0)
-
-
 def test_binary_forward_and_operator_sugar():
     rng = np.random.default_rng(1)
     a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 3)) + 2.0
     ta, tb = _t(a), _t(b)
-    assert_allclose((ta + tb).data, a + b, rtol=1e-15)
-    assert_allclose((ta - tb).data, a - b, rtol=1e-15)
-    assert_allclose((ta * tb).data, a * b, rtol=1e-15)
-    assert_allclose((ta / tb).data, a / b, rtol=1e-15)
-    assert_allclose(ad.maximum(ta, tb).data, np.maximum(a, b), rtol=1e-15)
-    assert_allclose((2.0 + ta).data, 2.0 + a, rtol=1e-15)
-    assert_allclose((ta - 1.5).data, a - 1.5, rtol=1e-15)
-    assert_allclose((3.0 - ta).data, 3.0 - a, rtol=1e-15)
-    assert_allclose((ta * 2.5).data, a * 2.5, rtol=1e-15)
-    assert_allclose((ta / 2.0).data, a / 2.0, rtol=1e-15)
-    assert_allclose((1.0 / tb).data, 1.0 / b, rtol=1e-15)
-    assert_allclose((-ta).data, -a, rtol=1e-15)
-
-
-def test_matmul_forward_and_shape_error():
-    rng = np.random.default_rng(2)
-    a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
-    assert_allclose((_t(a) @ _t(b)).data, a @ b, rtol=1e-14)
-    with pytest.raises(ShapeError):
-        _t(a) @ _t(rng.normal(size=(3, 2)))
-    with pytest.raises(ShapeError):
-        _t(rng.normal(size=3)) @ _t(rng.normal(size=(3, 2)))
+    assert_array_equal((ta + tb).data, a + b)
+    assert_array_equal((ta - tb).data, a - b)
+    assert_array_equal((ta * tb).data, a * b)
+    assert_array_equal((2.0 + ta).data, 2.0 + a)
+    assert_array_equal((ta - 1.5).data, a - 1.5)
+    assert_array_equal((3.0 - ta).data, 3.0 - a)
+    assert_array_equal((ta * 2.5).data, a * 2.5)
+    assert (ta + 1.0)._op == "add" and (3.0 - ta)._op == "sub"
+    assert (ta * 2.5)._op == "scalar_mul"
 
 
 def test_incompatible_broadcast_raises():
-    with pytest.raises(ShapeError):
-        ad.add(_t(np.ones((2, 3))), _t(np.ones((4, 5))))
+    for op in (ad.add, ad.sub, ad.mul):
+        with pytest.raises(ShapeError, match=op.__name__):
+            op(_t(np.ones((2, 3))), _t(np.ones((4, 5))))
 
 
 # -- hand-checked gradients ----------------------------------------------------
@@ -107,13 +73,6 @@ def test_add_mul_chain_gradients():
     ((a + b) * a).sum().backward()
     assert_allclose(a.grad, 2 * a.data + b.data, rtol=1e-15)
     assert_allclose(b.grad, a.data, rtol=1e-15)
-
-
-def test_div_gradients():
-    a, b = _t([1.0, 4.0]), _t([2.0, 8.0])
-    (a / b).sum().backward()
-    assert_allclose(a.grad, 1.0 / b.data, rtol=1e-15)
-    assert_allclose(b.grad, -a.data / b.data**2, rtol=1e-15)
 
 
 def test_fanout_accumulates():
@@ -145,44 +104,14 @@ def test_fused_gradient_with_missing_axis_raises():
     assert_array_equal(b.grad, [[4.0, 4.0, 4.0]])
 
 
-def test_maximum_tie_goes_to_first():
-    a, b = _t([1.0, 5.0, 2.0]), _t([1.0, 3.0, 7.0])
-    ad.maximum(a, b).sum().backward()
-    assert_array_equal(a.grad, [1.0, 1.0, 0.0])
-    assert_array_equal(b.grad, [0.0, 0.0, 1.0])
-
-
-def test_scalar_maximum_gradient():
-    a = _t([-1.0, 0.5, 2.0])
-    ad.scalar_maximum(a, 0.5).sum().backward()
-    assert_array_equal(a.grad, [0.0, 1.0, 1.0])
-
-
-def test_clip_zero_gradient_outside():
-    a = _t([-2.0, 0.0, 2.0])
-    ad.clip(a, -1.0, 1.0).sum().backward()
-    assert_array_equal(a.grad, [0.0, 1.0, 0.0])
-    assert_allclose(ad.clip(a, None, 1.0).data, [-2.0, 0.0, 1.0])
-    assert_allclose(ad.clip(a, -1.0, None).data, [-1.0, 0.0, 2.0])
-
-
 def test_clamped_acos_has_zero_not_nan_gradient():
-    a = _t([1.0, 0.0])
-    ad.acos(ad.clip(a, -1.0, 1.0)).sum().backward()
-    assert np.all(np.isfinite(a.grad))
-    assert a.grad[0] == 0.0
-
-
-def test_tensor_max_tie_first_entry_wins():
-    a = _t([[2.0, 7.0], [7.0, 1.0]])
-    a.max().backward()
-    assert_array_equal(a.grad, [[0.0, 1.0], [0.0, 0.0]])
-
-
-def test_tensor_max_axis_gradient():
-    a = _t([[1.0, 3.0], [5.0, 2.0]])
-    a.max(axis=1).sum().backward()
-    assert_array_equal(a.grad, [[0.0, 1.0], [1.0, 0.0]])
+    # the acos/asin/acosh derivative factor at and beyond the clamp: zero,
+    # with no sqrt or division evaluated on a non-positive value
+    x = np.array([1.0, 1.5, -1.0, 0.6])
+    d2 = 1.0 - x * x
+    with np.errstate(all="raise"):
+        factor = ad.guarded_rsqrt(d2 > 0.0, d2)
+    assert_array_equal(factor, [0.0, 0.0, 0.0, 1.25])
 
 
 def test_sum_mean_axis_keepdims():
@@ -197,11 +126,11 @@ def test_sum_mean_axis_keepdims():
     assert_allclose(b.grad, np.full((2, 3), 1.0 / 3.0))
 
 
-def test_reshape_transpose_getitem():
+def test_reshape_getitem():
     x = np.arange(6.0).reshape(2, 3)
     a = _t(x)
-    a.reshape(3, 2).T[0].sum().backward()
-    # row 0 of the transposed (2,3)->(3,2) reshape = flat elements 0, 2, 4
+    a.reshape(3, 2)[:, 0].sum().backward()
+    # column 0 of the (2,3)->(3,2) reshape = flat elements 0, 2, 4
     g = np.zeros(6)
     g[[0, 2, 4]] = 1.0
     assert_array_equal(a.grad, g.reshape(2, 3))
@@ -215,30 +144,16 @@ def test_getitem_repeated_indices_accumulate():
     assert_array_equal(a.grad, [2.0, 0.0, 1.0])
 
 
-def test_concat_stack_where():
+def test_concat():
     a, b = _t([1.0, 2.0]), _t([3.0])
-    ad.concat([a, b]).sum().backward()
-    assert_array_equal(a.grad, [1.0, 1.0])
-    assert_array_equal(b.grad, [1.0])
-
-    c, d = _t([1.0, 2.0]), _t([3.0, 4.0])
-    out = ad.stack([c, d], axis=0)
-    assert out.shape == (2, 2)
-
-    e, f = _t([1.0, 2.0]), _t([10.0, 20.0])
-    ad.where(np.array([True, False]), e, f).sum().backward()
-    assert_array_equal(e.grad, [1.0, 0.0])
-    assert_array_equal(f.grad, [0.0, 1.0])
+    (ad.concat([a, b]) * _t([1.0, 2.0, 3.0])).sum().backward()
+    assert_array_equal(a.grad, [1.0, 2.0])
+    assert_array_equal(b.grad, [3.0])
+    c, d = _t(np.ones((2, 2))), _t(np.ones((2, 1)))
+    ad.concat([c, d], axis=1).sum().backward()
+    assert_array_equal(d.grad, np.ones((2, 1)))
     with pytest.raises(ShapeError):
         ad.concat([_t(np.ones((2, 2))), _t(np.ones((2, 3)))], axis=0)
-
-
-def test_broadcast_to_gradient_sums():
-    a = _t([1.0, 2.0])
-    ad.broadcast_to(a, (3, 2)).sum().backward()
-    assert_array_equal(a.grad, [3.0, 3.0])
-    with pytest.raises(ShapeError):
-        ad.broadcast_to(_t(np.ones(3)), (2, 2))
 
 
 def test_no_grad_blocks_graph():
@@ -253,12 +168,30 @@ def test_no_grad_blocks_graph():
 
 
 def test_nan_forward_raises_numerical_error():
-    with pytest.raises(NumericalError):
-        ad.log(_t([-1.0]))
-    with pytest.raises(NumericalError):
-        ad.sqrt(_t([-4.0]))
-    with pytest.raises(NumericalError):
-        ad.div(_t([0.0]), _t([0.0]))
+    inf = _t([np.inf])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalError, match="^sub produced NaN"):
+            inf - inf
+        with pytest.raises(NumericalError, match="^mul produced NaN"):
+            _t([0.0]) * inf
+        with pytest.raises(NumericalError, match="^scalar_mul produced NaN"):
+            inf * 0.0
+    with pytest.raises(NumericalError, match="^bad_log produced NaN"):
+        ad.fused("bad_log", np.array([0.0, np.nan]), (inf,), lambda g: (g,))
+
+
+def test_has_nan_edge_cases():
+    assert not has_nan(np.array([np.inf, -np.inf]))
+    assert not has_nan(np.ones(5))
+    assert not has_nan(np.empty((0, 3)))
+    assert has_nan(np.array([1.0, np.nan]))
+    assert has_nan(np.array([[np.inf, 0.0], [np.nan, -np.inf]]))
+
+
+def test_infinite_forward_does_not_raise():
+    out = _t([1.0, -1.0]) * _t([np.inf, np.inf])
+    assert_array_equal(out.data, [np.inf, -np.inf])
+    assert_array_equal((_t([-np.inf]) + 1.0).data, [-np.inf])
 
 
 def test_gradients_do_not_alias_upstream():
@@ -275,14 +208,21 @@ def test_gradients_do_not_alias_upstream():
 # -- finite-difference harness agreement -------------------------------------
 
 
+def _tanh(a):
+    """A fused nonlinear node with its own backward, for the FD harness."""
+    y = np.tanh(a.data)
+    return ad.fused("tanh", y, (a,), lambda g: (g * (1.0 - y * y),))
+
+
 def test_fd_check_on_composite():
     rng = np.random.default_rng(3)
     w = _t(rng.normal(size=(3, 3)))
     x = _t(rng.normal(size=(3, 2)))
 
     def f():
-        h = ad.tanh(w @ x)
-        return (h * h).mean() + ad.exp(h).sum() * 0.01
+        # w @ x as a broadcast product summed over the inner axis
+        h = _tanh((w.reshape(3, 3, 1) * x.reshape(1, 3, 2)).sum(axis=1))
+        return (h * h).mean() + _tanh(h).sum() * 0.01
 
     err = ad.finite_difference_check(f, [w, x])
     assert err < 1e-7
@@ -293,12 +233,11 @@ def test_fd_check_transcendental_chain():
     p = _t(rng.uniform(0.2, 0.8, size=5))
 
     def f():
+        t = _tanh(p)
         return (
-            ad.asin(p).sum()
-            + ad.acos(p).sum()
-            + ad.acosh(p + 1.5).sum()
-            + ad.log(ad.cosh(p)).sum()
-            + ad.sqrt(ad.sinh(p) + 2.0).sum()
+            _tanh(p * t - 0.5).sum()
+            + (_tanh(1.5 - t * t)[::2] * 3.0).mean()
+            + ad.concat([_tanh(_tanh(p)), t]).sum()
         )
 
     assert ad.finite_difference_check(f, [p]) < 1e-8
@@ -309,7 +248,7 @@ def test_fd_check_several_roots_match_single_roots():
     w = _t(rng.normal(size=(3, 3)))
 
     def roots():
-        return (ad.tanh(w).sum(), (w * w).mean(), ad.exp(w).sum() * 0.1)
+        return (_tanh(w).sum(), (w * w).mean(), _tanh(w * w).sum() * 0.1)
 
     errs = ad.finite_difference_check(roots, [w])
     assert isinstance(errs, tuple) and len(errs) == 3
