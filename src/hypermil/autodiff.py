@@ -12,9 +12,10 @@ The generic primitives are the glue the library needs: broadcasting
   * the hyperbolic primitives in `geometry` (`exp_map_origin`,
     `lorentz_inner`, `geodesic`, `exterior_angle`, `angle_distance`,
     `half_aperture`),
-  * the two softmax NLLs and the two cone penalties in `losses`,
-  * the adaptor MLP and the gated-attention pooling (`aggregate`) in
-    `model`.
+  * the two softmax NLLs, the two cone penalties and the two per-slide
+    loss assemblies (`ama_total`, `shc_total`) in `losses`,
+  * the class-text features, the adaptor MLP and the gated-attention
+    pooling (`aggregate`) in `model`.
 
 Conventions:
   * gradients accumulate into `Tensor.grad` (None until touched); the first

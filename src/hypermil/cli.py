@@ -15,7 +15,7 @@ import sys
 
 from . import evaluation, training
 from .data import SyntheticSpec, generate, make_splits, read_bundle, write_bundle
-from .errors import HypermilError
+from .errors import HypermilError, SplitError
 from .fileio import atomic_write_text
 from .geometry import GeometryConfig
 from .model import load_checkpoint, params_from_checkpoint, save_checkpoint
@@ -148,20 +148,28 @@ def _cmd_train(args):
     return 0
 
 
+def _split_bags(path, bundle):
+    """The bags a split file names: a non-empty JSON list of slide ids."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            wanted = json.load(fh)
+        except ValueError as exc:
+            raise SplitError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(wanted, list) or not all(isinstance(i, str) for i in wanted):
+        raise SplitError(f"{path} must hold a JSON list of slide ids")
+    if not wanted:
+        raise SplitError(f"{path} names no slides")
+    by_id = {bag.slide_id: bag for bag in bundle.bags}
+    missing = [i for i in wanted if i not in by_id]
+    if missing:
+        raise SplitError(f"{path}: slide ids not in bundle: {', '.join(missing)}")
+    return [by_id[i] for i in wanted]
+
+
 def _cmd_eval(args):
     bundle = read_bundle(args.data)
     params, geom, _ = _checkpoint_setup(args.params)
-    bags = bundle.bags
-    if args.split:
-        with open(args.split, "r", encoding="utf-8") as fh:
-            wanted = json.load(fh)
-        if not isinstance(wanted, list):
-            raise HypermilError(f"{args.split} must hold a JSON list of slide ids")
-        by_id = {bag.slide_id: bag for bag in bundle.bags}
-        missing = [i for i in wanted if i not in by_id]
-        if missing:
-            raise HypermilError(f"slide ids not in bundle: {', '.join(missing)}")
-        bags = [by_id[i] for i in wanted]
+    bags = _split_bags(args.split, bundle) if args.split else bundle.bags
     auc, f1 = evaluation.evaluate(bags, params, geom)[:2]
     print(f"RESULT eval slides={len(bags)} auc={auc:.6f} f1={f1:.6f}")
     return 0

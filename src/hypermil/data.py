@@ -88,6 +88,8 @@ class SyntheticSpec:
             raise ConfigError(f"purity must be in (0, 1], got {self.purity}")
         if min(self.sigma_class, self.sigma_region, self.sigma_patch) <= 0:
             raise ConfigError("sigma_class/sigma_region/sigma_patch must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.sigma_site < 0:
             raise ConfigError(f"sigma_site must be nonnegative, got {self.sigma_site}")
         if self.d_in <= self.n_classes:
@@ -363,6 +365,8 @@ def make_splits(bags, n_outer, n_inner, ratios=(0.6, 0.2, 0.2), seed=0):
     """
     if n_outer < 1 or n_inner < 1:
         raise ConfigError("n_outer and n_inner must be at least 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     if len(ratios) != 3 or min(ratios) <= 0 or not math.isclose(sum(ratios), 1.0):
         raise ConfigError(f"ratios must be three positive values summing to 1: {ratios}")
     by_id = {}

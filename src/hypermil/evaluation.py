@@ -42,7 +42,10 @@ def predict(bag, params, geom, text=None):
 
 
 def score_bags(bags, params, geom):
-    """One `predict` row per bag, all sharing one text embedding."""
+    """One `predict` row per bag, all sharing one text embedding; no bags
+    is a MetricError."""
+    if not bags:
+        raise MetricError("no bags to score")
     with ad.no_grad():
         text = embed_text(params, geom)
     scores = np.stack([predict(bag, params, geom, text) for bag in bags])

@@ -19,7 +19,10 @@ raise GeometryError instead of being silently patched.
 Fused primitives: `exp_map_origin` (both branches), `lorentz_inner`,
 `geodesic`, `exterior_angle`, `angle_distance` and `half_aperture` are each
 one autodiff node (`autodiff.fused`) whose forward and hand-derived backward
-run in numpy. `Points.time` is a constant tensor, not a graph node: nothing
+run in numpy. The numpy halves of `exterior_angle`, `angle_distance` and
+`half_aperture` are exposed as `*_core` functions over space arrays, which
+the loss assemblies in `losses` compose inside their own fused nodes.
+`Points.time` is a constant tensor, not a graph node: nothing
 differentiates through it. The fused backwards are checked against
 central differences by `tests/test_geometry.py`
 (`test_geometry_gradients_finite_difference` at rho 0.5, 1 and 2 with a
@@ -82,7 +85,7 @@ class Points:
     @property
     def time(self):
         """u_t = sqrt(1/rho + |u_s|^2), one value per row."""
-        return ad.Tensor(_rows(self, self.cfg)[1])
+        return ad.Tensor(_rows(self.space.data, self.cfg)[0])
 
 
 def _as_matrix(x):
@@ -147,14 +150,17 @@ def _check_dims(u, v, caller):
 #
 # Each fused primitive reads the space parts, recomputes time parts (and
 # norms) in numpy, and pushes its gradient back into the space parts alone:
-# d u_t / d u_s = u_s / u_t and d |u_s| / d u_s = u_s / |u_s|.
+# d u_t / d u_s = u_s / u_t and d |u_s| / d u_s = u_s / |u_s|. The cores of
+# the primitives the loss assemblies reuse (`exterior_angle_core`,
+# `angle_distance_core`, `half_aperture_core`) take space arrays and return
+# the value with a backward mapping its gradient to the space gradients; the
+# public primitive wraps its core in one `autodiff.fused` node.
 
 
-def _rows(u, cfg):
-    """Space part, time part and squared space norm of each row."""
-    s = u.space.data
+def _rows(s, cfg):
+    """Time part and squared space norm of each row of the space array s."""
     sumsq = (s * s).sum(axis=1, keepdims=True)
-    return s, np.sqrt(sumsq + 1.0 / cfg.curvature), sumsq
+    return np.sqrt(sumsq + 1.0 / cfg.curvature), sumsq
 
 
 def _norms(sumsq, cfg, caller):
@@ -205,6 +211,62 @@ def _rho_inner(cfg, su, tu, sv, tv):
     return rho_inner
 
 
+def exterior_angle_core(su, sv, cfg):
+    """Numpy core of `exterior_angle` over space arrays: (theta, backward),
+    backward(g) giving the gradients of sum(g * theta) on (su, sv)."""
+    tu, sumsq_u = _rows(su, cfg)
+    nu = _norms(sumsq_u, cfg, "exterior angle")
+    tv, _ = _rows(sv, cfg)
+    rho_inner = _rho_inner(cfg, su, tu, sv, tv)
+    theta, saved = _exterior_forward(rho_inner, tu, nu, tv)
+
+    def backward(g):
+        g_ri, g_tu, g_nu, g_tv = _exterior_backward(g, saved)
+        g_su, g_sv = _inner_backward(_scale(g_ri, cfg.curvature), g_tu, g_tv,
+                                     su, tu, sv, tv)
+        return g_su + g_nu * (su / nu), g_sv
+
+    return theta, backward
+
+
+def angle_distance_core(su, sv, cfg):
+    """Numpy core of `angle_distance` over space arrays: (phi, backward),
+    backward(g) giving the gradients of sum(g * phi) on (su, sv)."""
+    tu, sumsq_u = _rows(su, cfg)
+    tv, sumsq_v = _rows(sv, cfg)
+    nu = _norms(sumsq_u, cfg, "angle distance")
+    nv = _norms(sumsq_v, cfg, "angle distance")
+    rho_inner = _rho_inner(cfg, su, tu, sv, tv)
+    t_uv, saved_uv = _exterior_forward(rho_inner, tu, nu, tv)
+    t_vu, saved_vu = _exterior_forward(rho_inner.T, tv, nv, tu)
+
+    def backward(g):
+        g_ri, g_tu, g_nu, g_tv = _exterior_backward(g, saved_uv)
+        g_ri_t, g_tv_t, g_nv, g_tu_t = _exterior_backward(g.T, saved_vu)
+        g_su, g_sv = _inner_backward(_scale(g_ri + g_ri_t.T, cfg.curvature),
+                                     g_tu + g_tu_t, g_tv + g_tv_t,
+                                     su, tu, sv, tv)
+        return g_su + g_nu * (su / nu), g_sv + g_nv * (sv / nv)
+
+    return t_uv + t_vu.T - np.pi, backward
+
+
+def half_aperture_core(s, cfg, alpha):
+    """Numpy core of `half_aperture` over a space array: (column of
+    apertures, backward), backward(g) giving the gradient on s."""
+    _, sumsq = _rows(s, cfg)
+    n = _norms(sumsq, cfg, "half aperture")
+    ratio = (2.0 * alpha / cfg.sqrt_curvature) / n
+    arg = np.minimum(ratio, 1.0)
+    d2 = 1.0 - arg * arg
+
+    def backward(g):
+        g_n = -g * ad.guarded_rsqrt(d2 > 0.0, d2) * ratio / n
+        return g_n * (s / n)
+
+    return np.arcsin(arg), backward
+
+
 # -- fused primitives ---------------------------------------------------------
 
 
@@ -214,8 +276,9 @@ def lorentz_inner(u, v):
     Each batch's time part follows its own configuration.
     """
     _check_dims(u, v, "lorentz_inner")
-    su, tu, _ = _rows(u, u.cfg)
-    sv, tv, _ = _rows(v, v.cfg)
+    su, sv = u.space.data, v.space.data
+    tu, _ = _rows(su, u.cfg)
+    tv, _ = _rows(sv, v.cfg)
 
     def backward(g):
         return _inner_backward(g, 0.0, 0.0, su, tu, sv, tv)
@@ -230,8 +293,9 @@ def geodesic(u, v, cfg):
     The acosh argument is clamped to >= 1, with zero gradient at the clamp.
     """
     _check_dims(u, v, "geodesic")
-    su, tu, _ = _rows(u, cfg)
-    sv, tv, _ = _rows(v, cfg)
+    su, sv = u.space.data, v.space.data
+    tu, _ = _rows(su, cfg)
+    tv, _ = _rows(sv, cfg)
     arg = np.maximum(_scale(_inner(su, tu, sv, tv), -cfg.curvature), 1.0)
     d2 = arg * arg - 1.0
 
@@ -253,18 +317,7 @@ def exterior_angle(u, v, cfg):
     origin. Undefined (GeometryError) when u sits at the origin or u == v.
     """
     _check_dims(u, v, "exterior angle")
-    su, tu, sumsq_u = _rows(u, cfg)
-    nu = _norms(sumsq_u, cfg, "exterior angle")
-    sv, tv, _ = _rows(v, cfg)
-    rho_inner = _rho_inner(cfg, su, tu, sv, tv)
-    theta, saved = _exterior_forward(rho_inner, tu, nu, tv)
-
-    def backward(g):
-        g_ri, g_tu, g_nu, g_tv = _exterior_backward(g, saved)
-        g_su, g_sv = _inner_backward(_scale(g_ri, cfg.curvature), g_tu, g_tv,
-                                     su, tu, sv, tv)
-        return g_su + g_nu * (su / nu), g_sv
-
+    theta, backward = exterior_angle_core(u.space.data, v.space.data, cfg)
     return ad.fused("exterior_angle", theta, (u.space, v.space), backward)
 
 
@@ -275,24 +328,8 @@ def angle_distance(u, v, cfg):
     its transpose, so angle_distance(v, u) is exactly angle_distance(u, v).T.
     """
     _check_dims(u, v, "angle distance")
-    su, tu, sumsq_u = _rows(u, cfg)
-    sv, tv, sumsq_v = _rows(v, cfg)
-    nu = _norms(sumsq_u, cfg, "angle distance")
-    nv = _norms(sumsq_v, cfg, "angle distance")
-    rho_inner = _rho_inner(cfg, su, tu, sv, tv)
-    t_uv, saved_uv = _exterior_forward(rho_inner, tu, nu, tv)
-    t_vu, saved_vu = _exterior_forward(rho_inner.T, tv, nv, tu)
-
-    def backward(g):
-        g_ri, g_tu, g_nu, g_tv = _exterior_backward(g, saved_uv)
-        g_ri_t, g_tv_t, g_nv, g_tu_t = _exterior_backward(g.T, saved_vu)
-        g_su, g_sv = _inner_backward(_scale(g_ri + g_ri_t.T, cfg.curvature),
-                                     g_tu + g_tu_t, g_tv + g_tv_t,
-                                     su, tu, sv, tv)
-        return g_su + g_nu * (su / nu), g_sv + g_nv * (sv / nv)
-
-    data = t_uv + t_vu.T - np.pi
-    return ad.fused("angle_distance", data, (u.space, v.space), backward)
+    phi, backward = angle_distance_core(u.space.data, v.space.data, cfg)
+    return ad.fused("angle_distance", phi, (u.space, v.space), backward)
 
 
 def half_aperture(u, cfg, alpha=0.1):
@@ -302,17 +339,9 @@ def half_aperture(u, cfg, alpha=0.1):
     2 alpha / sqrt(rho) get the maximal aperture pi/2 (argument clamped
     to 1, zero gradient); a point at the origin itself is an error.
     """
-    s, _, sumsq = _rows(u, cfg)
-    n = _norms(sumsq, cfg, "half aperture")
-    ratio = (2.0 * alpha / cfg.sqrt_curvature) / n
-    arg = np.minimum(ratio, 1.0)
-    d2 = 1.0 - arg * arg
-
-    def backward(g):
-        g_n = -g * ad.guarded_rsqrt(d2 > 0.0, d2) * ratio / n
-        return (g_n * (s / n),)
-
-    return ad.fused("half_aperture", np.arcsin(arg), (u.space,), backward)
+    aperture, backward = half_aperture_core(u.space.data, cfg, alpha)
+    return ad.fused("half_aperture", aperture, (u.space,),
+                    lambda g: (backward(g),))
 
 
 def to_poincare_disk(u, cfg):

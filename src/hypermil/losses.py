@@ -21,18 +21,27 @@ Exponential arguments inside the cone penalties are clamped at 700 so a
 badly violated pair yields a huge finite penalty instead of overflowing to
 infinity.
 
-The per-slide assemblies handle the three levels in one pass, not one per
-level. The selected image embeddings are stacked in the order slide,
-regions, patches, with the level of each row kept alongside, and the 3 C
-class-text rows in the same level order. `ama_total` computes one angle
-matrix between them and `shc_total` one exterior-angle matrix; each image
-row gathers the entries of its own level. Per-level means become one
-weighted sum with weight 1 / K_level on each row (1 / (K_level (C-1)) for
-the contradiction entries), which equals the sum over levels of the
-per-level means up to rounding. Because the stacked matrices also hold
-cross-level pairs, the coincidence guard of `geometry.angle_distance` and
-`geometry.exterior_angle` (GeometryError for coincident points) now sees
-(text, image) and (label text, other text) pairs of different levels too.
+The per-slide assemblies `ama_total` and `shc_total` are one fused node
+each, whose parents are the six level spaces: slide, regions, patches and
+the text of each level. Their forward and backward run in numpy and compose
+the numpy cores of the geometry primitives (`geometry.*_core`) and of the
+scalar cores above (`_ama`, `_ent`, `_con`), so each concept keeps one code
+path. All three levels are handled in one pass: `_Stacked` stacks the
+selected image rows in the order slide, regions, patches, with the level of
+each row kept alongside, and the 3 C class-text rows in the same level
+order. `total_loss` builds it once per step and hands it to both
+assemblies. `ama_total` computes one angle matrix between them and
+`shc_total` one exterior-angle matrix; each image row gathers the entries
+of its own level. Per-level means become one weighted sum with weight
+1 / K_level on each row (1 / (K_level (C-1)) for the contradiction
+entries), which equals the sum over levels of the per-level means up to
+rounding. Each forward sums in the order a graph of the public primitives
+and scalar cores would, so its value equals that composition bit for bit
+(`tests/test_losses.py` keeps such looped references). Because
+the stacked matrices also hold cross-level pairs, the coincidence guard of
+`geometry.angle_distance` and `geometry.exterior_angle` (GeometryError for
+coincident points) sees (text, image) and (label text, other text) pairs of
+different levels too. The NaN guard runs once, on each assembly's value.
 """
 
 from dataclasses import dataclass
@@ -111,6 +120,22 @@ def _nll(logits, target, weights=None):
 
 
 # -- scalar cores -------------------------------------------------------------
+#
+# Each core has a numpy half, `_ama`, `_ent` or `_con`, returning the value
+# and a backward that maps the output gradient to the gradients of its
+# inputs; the public function wraps it in one fused node, and the per-slide
+# assemblies call it inside theirs.
+
+
+def _ama(pos_col, neg_rows, tau, weights=None):
+    logits = np.concatenate([pos_col, np.abs(neg_rows)], axis=1) * (1.0 / tau)
+    value, grad = _nll(logits, 0, weights)
+
+    def backward(g):
+        g_logits = grad(g) * (1.0 / tau)
+        return g_logits[:, :1], g_logits[:, 1:] * np.sign(neg_rows)
+
+    return value, backward
 
 
 def ama_nll(pos_similarity, negative_similarities, tau, weights=None):
@@ -136,26 +161,16 @@ def ama_nll(pos_similarity, negative_similarities, tau, weights=None):
                 f"ama_nll: {pos_col.shape[0]} positives but "
                 f"{weights.shape[0]} weights"
             )
-    logits = np.concatenate([pos_col, np.abs(neg_rows)], axis=1) * (1.0 / tau)
-    value, grad = _nll(logits, 0, weights)
+    value, core_backward = _ama(pos_col, neg_rows, tau, weights)
 
     def backward(g):
-        g_logits = grad(g) * (1.0 / tau)
-        return (g_logits[:, :1].reshape(pos.shape),
-                (g_logits[:, 1:] * np.sign(neg_rows)).reshape(negs.shape))
+        g_pos, g_negs = core_backward(g)
+        return g_pos.reshape(pos.shape), g_negs.reshape(negs.shape)
 
     return ad.fused("ama_nll", value, (pos, negs), backward)
 
 
-def ent_penalty(theta, aperture, beta):
-    """exp(theta/aperture - 1) * max(theta - beta * aperture, 0), elementwise.
-
-    One fused node; `aperture` may be a column broadcast along the rows of
-    `theta`.
-    """
-    theta = _t(theta)
-    aperture = _t(aperture)
-    th, ap = theta.data, aperture.data
+def _ent(th, ap, beta):
     ratio = th / ap
     z = ratio - 1.0
     scale = np.exp(np.minimum(z, _EXP_CLIP))
@@ -166,19 +181,22 @@ def ent_penalty(theta, aperture, beta):
         g_z, g_hinge = _penalty_grads(g, z, scale, out, hinge)
         return g_z / ap + g_hinge, -g_z * ratio / ap - g_hinge * beta
 
-    return ad.fused("ent_penalty", out, (theta, aperture), backward)
+    return out, backward
 
 
-def con_penalty(theta, aperture, beta, epsilon=1e-8):
-    """exp(aperture/theta - 1) * max(aperture - beta * theta, 0), elementwise.
+def ent_penalty(theta, aperture, beta):
+    """exp(theta/aperture - 1) * max(theta - beta * aperture, 0), elementwise.
 
-    theta is clamped to >= epsilon (zero gradient through the clamp) so a
-    coincident-direction pair produces a large finite penalty. One fused
-    node, broadcasting `aperture` as `ent_penalty` does.
+    One fused node; `aperture` may be a column broadcast along the rows of
+    `theta`.
     """
     theta = _t(theta)
     aperture = _t(aperture)
-    raw, ap = theta.data, aperture.data
+    out, backward = _ent(theta.data, aperture.data, beta)
+    return ad.fused("ent_penalty", out, (theta, aperture), backward)
+
+
+def _con(raw, ap, beta, epsilon):
     th = np.maximum(raw, epsilon)
     ratio = ap / th
     z = ratio - 1.0
@@ -191,6 +209,19 @@ def con_penalty(theta, aperture, beta, epsilon=1e-8):
         g_theta = np.where(raw >= epsilon, -g_z * ratio / th - g_hinge * beta, 0.0)
         return g_theta, g_z / th + g_hinge
 
+    return out, backward
+
+
+def con_penalty(theta, aperture, beta, epsilon=1e-8):
+    """exp(aperture/theta - 1) * max(aperture - beta * theta, 0), elementwise.
+
+    theta is clamped to >= epsilon (zero gradient through the clamp) so a
+    coincident-direction pair produces a large finite penalty. One fused
+    node, broadcasting `aperture` as `ent_penalty` does.
+    """
+    theta = _t(theta)
+    aperture = _t(aperture)
+    out, backward = _con(theta.data, aperture.data, beta, epsilon)
     return ad.fused("con_penalty", out, (theta, aperture), backward)
 
 
@@ -204,7 +235,7 @@ def _penalty_grads(g, z, scale, out, hinge):
 
 
 def cls_nll(distances, label):
-    """-log softmax(-d)[label] over a vector of distances."""
+    """-log softmax(-d)[label] over a vector (or one row) of distances."""
     d = _t(distances)
     row = d.data.reshape(1, -1)
     if not 0 <= label < row.shape[1]:
@@ -259,34 +290,55 @@ def _con_matrix(u, v, cfg, geom):
 _LEVELS = (HierarchyLevel.SLIDE, HierarchyLevel.REGION, HierarchyLevel.PATCH)
 
 
-def _stacked_images(embeddings, selections):
-    """The selected image embeddings of all levels as one batch.
+class _Stacked:
+    """One slide step's image and text rows, stacked once in numpy.
 
-    Rows come in `_LEVELS` order: the slide embedding, the selected regions,
-    the selected patches. Returns the batch, the level position (0, 1, 2)
-    of each row and each row's weight 1 / K_level, so a weighted sum over
-    rows is the sum over levels of the per-level means. A level without
-    selections has no rows.
+    `space` holds the space parts of the slide, the regions and the patches,
+    in that order, and `text` the 3 C class-text rows in `_LEVELS` order:
+    row level * C + c is class c's text at that level. `rows` picks the
+    selected image rows of `space` (the slide, the selected regions, the
+    selected patches), `levels` gives each one's level position (0, 1, 2)
+    and `weights` its 1 / K_level, so a weighted sum over the rows is the
+    sum over levels of the per-level means. A level without selections has
+    no rows. `parents` are the six space tensors `space` and `text` stack.
     """
-    regions = np.asarray(selections[HierarchyLevel.REGION], dtype=int)
-    patches = np.asarray(selections[HierarchyLevel.PATCH], dtype=int)
-    n_regions = embeddings.regions.count
-    rows = np.concatenate([[0], 1 + regions, 1 + n_regions + patches])
-    space = ad.concat([embeddings.slide.space, embeddings.regions.space,
-                       embeddings.patches.space])[rows]
-    counts = np.array([1, regions.size, patches.size])
-    levels = np.repeat(np.arange(len(_LEVELS)), counts)
-    return geo.Points(space, embeddings.slide.cfg), levels, 1.0 / counts[levels]
+
+    def __init__(self, embeddings, selections):
+        image = (embeddings.slide, embeddings.regions, embeddings.patches)
+        text = tuple(embeddings.text[level] for level in _LEVELS)
+        self.parents = tuple(p.space for p in image + text)
+        widths = {t.data.shape[1] for t in self.parents}
+        if len(widths) != 1:
+            raise ShapeError(
+                f"embeddings of one slide have different dimensions {sorted(widths)}"
+            )
+        self.space = np.concatenate([t.data for t in self.parents[:3]])
+        self.text = np.concatenate([t.data for t in self.parents[3:]])
+        self.n_regions = image[1].count
+        self.n_classes = text[0].count
+        regions = np.asarray(selections[HierarchyLevel.REGION], dtype=int)
+        patches = np.asarray(selections[HierarchyLevel.PATCH], dtype=int)
+        self.rows = np.concatenate([[0], 1 + regions, 1 + self.n_regions + patches])
+        counts = np.array([1, regions.size, patches.size])
+        self.levels = np.repeat(np.arange(len(_LEVELS)), counts)
+        self.weights = 1.0 / counts[self.levels]
+
+    def image_levels(self, a):
+        """Views of the slide, region and patch rows of a `space`-shaped array."""
+        stop = 1 + self.n_regions
+        return [a[:1], a[1:stop], a[stop:]]
+
+    def text_levels(self, a):
+        """Views of each level's rows of a `text`-shaped array."""
+        n = self.n_classes
+        return [a[i * n:(i + 1) * n] for i in range(len(_LEVELS))]
+
+    def gradients(self, g_space, g_text):
+        """One gradient per parent from gradients on `space` and `text`."""
+        return self.image_levels(g_space) + self.text_levels(g_text)
 
 
-def _stacked_text(embeddings):
-    """The class text of all levels as one batch of 3 C rows in `_LEVELS`
-    order: row level * C + c is class c's text at that level."""
-    text = [embeddings.text[level] for level in _LEVELS]
-    return geo.Points(ad.concat([t.space for t in text]), text[0].cfg)
-
-
-def ama_total(embeddings, label, selections, cfg, geom):
+def ama_total(embeddings, label, selections, cfg, geom, *, stacked=None):
     """Bidirectional alignment loss summed over the three levels.
 
     At each level the image side is the top-K selected embeddings of the
@@ -295,50 +347,89 @@ def ama_total(embeddings, label, selections, cfg, geom):
     as negatives; text-query terms use each selected image embedding as
     positive. Terms at a level average over the selected embeddings.
 
-    All levels are computed at once: the selected image rows of every level
-    are stacked (`_stacked_images`) against the 3 C text rows of every
-    level (`_stacked_text`), giving one [K x 3C] angle matrix and one
-    [3 x 3(C-1)] matrix between each level's label text and the other
-    classes' text. Each row gathers its own level's columns, and one
-    `ama_nll` per query direction weights row i by 1 / K_level(i), which
-    is the sum over levels of the per-level means. Both angle matrices also
-    hold cross-level pairs, so their coincidence guard
-    (`geometry.angle_distance`) sees those pairs too.
+    All levels are computed at once, in one fused node over the six level
+    spaces: the selected image rows of every level (see `_Stacked`;
+    `stacked` passes the rows `total_loss` built for the step) against the
+    3 C text rows of every level give one [K x 3C] angle matrix, and the
+    label text against the other classes' text one [3 x 3(C-1)] matrix.
+    Each row gathers its own level's columns, and one `ama_nll` core per
+    query direction weights row i by 1 / K_level(i), which is the sum over
+    levels of the per-level means. Both angle matrices also hold
+    cross-level pairs, so their coincidence guard (`geometry.angle_distance`)
+    sees those pairs too.
     """
     n_classes = embeddings.text[HierarchyLevel.SLIDE].count
     others = np.array([c for c in range(n_classes) if c != label], dtype=int)
     if not others.size:
         return ad.Tensor(0.0)
-    image, levels, weights = _stacked_images(embeddings, selections)
-    text = _stacked_text(embeddings)
-    n_levels, n_others = len(_LEVELS), others.size
-    rows = np.arange(image.count)[:, None]
-    first = levels[:, None] * n_classes
+    st = stacked or _Stacked(embeddings, selections)
+    n_others = others.size
+    rows = np.arange(st.rows.size)[:, None]
+    level = st.levels[:, None]
+    pos_cols = level * n_classes + label
+    neg_cols = level * n_classes + others
+    ref_cols = level * n_others + np.arange(n_others)
+    label_rows = np.arange(len(_LEVELS)) * n_classes + label
+    other_rows = (np.arange(len(_LEVELS))[:, None] * n_classes + others).ravel()
 
     # each image row's label column and wrong-class columns at its own level
-    phi_img = geo.angle_distance(image, text, geom)
-    phi_img_pos = phi_img[rows, first + label]
-    phi_img_neg = phi_img[rows, first + others]
-    # label text against the other classes' text, [3 x 3(C-1)]; each image
-    # row takes the [1 x C-1] block of its own level
-    label_rows = np.arange(n_levels) * n_classes + label
-    other_rows = (np.arange(n_levels)[:, None] * n_classes + others).ravel()
-    refs_all = geo.angle_distance(geo.select(text, label_rows),
-                                  geo.select(text, other_rows), geom)
-    refs = refs_all[levels[:, None],
-                    levels[:, None] * n_others + np.arange(n_others)]
+    phi, phi_backward = geo.angle_distance_core(st.space[st.rows], st.text, geom)
+    phi_pos = phi[rows, pos_cols]
+    phi_neg = phi[rows, neg_cols]
+    # label text against the other classes' text; each image row takes the
+    # [1 x C-1] block of its own level
+    refs_all, refs_backward = geo.angle_distance_core(
+        st.text[label_rows], st.text[other_rows], geom)
+    refs = refs_all[level, ref_cols]
 
-    img_pos_sim = refs.mean(axis=1, keepdims=True) - phi_img_pos
-    img_neg_sims = refs - phi_img_neg
-    image_term = ama_nll(img_pos_sim, img_neg_sims, cfg.tau, weights)
+    image_term, image_backward = _ama(
+        refs.mean(axis=1, keepdims=True) - phi_pos, refs - phi_neg, cfg.tau,
+        st.weights)
+    text_term, text_backward = _ama(
+        phi_neg.mean(axis=1, keepdims=True) - phi_pos, phi_neg - refs, cfg.tau,
+        st.weights)
 
-    txt_pos_sim = phi_img_neg.mean(axis=1, keepdims=True) - phi_img_pos
-    txt_neg_sims = phi_img_neg - refs
-    text_term = ama_nll(txt_pos_sim, txt_neg_sims, cfg.tau, weights)
-    return image_term + text_term
+    def backward(g):
+        g_img_pos, g_img_neg = image_backward(g)
+        g_txt_pos, g_txt_neg = text_backward(g)
+        g_phi = np.zeros_like(phi)
+        g_phi[rows, pos_cols] = -(g_img_pos + g_txt_pos)
+        g_phi[rows, neg_cols] = g_txt_pos / n_others + g_txt_neg - g_img_neg
+        g_refs = np.zeros_like(refs_all)
+        np.add.at(g_refs, (level, ref_cols),
+                  g_img_pos / n_others + g_img_neg - g_txt_neg)
+        g_image, g_text = phi_backward(g_phi)
+        g_label, g_other = refs_backward(g_refs)
+        g_text[label_rows] += g_label
+        g_text[other_rows] += g_other
+        g_space = np.zeros_like(st.space)
+        np.add.at(g_space, st.rows, g_image)
+        return st.gradients(g_space, g_text)
+
+    return ad.fused("ama_total", image_term + text_term, st.parents, backward)
 
 
-def shc_total(embeddings, label, selections, cfg, geom):
+def _entailment(su, sv, pairs, cfg, geom):
+    """Mean entailment penalty of u_i over v_j across the (i, j) index
+    arrays `pairs` of the [N_u x N_v] exterior-angle matrix, as (value,
+    backward) with backward(g) giving the gradients on (su, sv)."""
+    i, j = pairs
+    theta, theta_backward = geo.exterior_angle_core(su, sv, geom)
+    aperture, aperture_backward = geo.half_aperture_core(su, geom, cfg.alpha)
+    pen, pen_backward = _ent(theta[i, j], aperture[i, 0], cfg.beta_ent)
+
+    def backward(g):
+        g_theta_ij, g_aperture = pen_backward(np.full(pen.shape, g / pen.size))
+        g_theta = np.zeros_like(theta)
+        g_theta[i, j] = g_theta_ij
+        g_su, g_sv = theta_backward(g_theta)
+        g_aperture = np.bincount(i, g_aperture, minlength=su.shape[0])[:, None]
+        return g_su + aperture_backward(g_aperture), g_sv
+
+    return pen.mean(), backward
+
+
+def shc_total(embeddings, label, selections, cfg, geom, *, stacked=None):
     """Hierarchy consistency: entailment plus contradiction penalties.
 
     Entailment terms: the slide embedding entails its regions, each region
@@ -348,62 +439,89 @@ def shc_total(embeddings, label, selections, cfg, geom):
     terms: wrong-class text contradicts the same image embeddings. Each
     term is the mean over its pair set, terms are summed.
 
-    The text-to-image terms of all levels come from one [3C x K] exterior
-    angle matrix between the stacked text and the stacked selected images
-    (see `ama_total`) and one half-aperture column of the text. One
-    `ent_penalty` runs on the (label text, image) entries of each image
-    row's own level and one `con_penalty` on its (wrong-class text, image)
-    entries; their sums weighted by 1 / K_level and 1 / (K_level (C-1))
-    are the sums over levels of the per-level means.
-    The coincidence guard of `geometry.exterior_angle` also sees the
-    cross-level (text, image) pairs of that matrix.
+    All terms form one fused node over the six level spaces. The
+    region-to-patch term keeps the in-region entries of one [R x N_p]
+    exterior-angle matrix, and each text-chain term the diagonal of one
+    [C x C] matrix. The text-to-image terms of all levels come from one
+    [3C x K] exterior-angle matrix between the stacked text and the stacked
+    selected images (see `_Stacked` and `ama_total`) and one half-aperture
+    column of the text. The entailment penalty runs on the (label text,
+    image) entries of each image row's own level and the contradiction
+    penalty on its (wrong-class text, image) entries; their sums weighted by
+    1 / K_level and 1 / (K_level (C-1)) are the sums over levels of the
+    per-level means. The coincidence guard of `geometry.exterior_angle`
+    also sees the cross-level (text, image) pairs of that matrix.
     """
-    parts = []
-
-    regions = embeddings.regions
-    parts.append(_ent_matrix(embeddings.slide, regions, cfg, geom).mean())
-
-    # each region entails its own patches: one [R x N_p] matrix over every
-    # (region, patch) pair, of which the in-region entries are kept
+    st = stacked or _Stacked(embeddings, selections)
+    slide, regions, patches = st.image_levels(st.space)
+    text_levels = st.text_levels(st.text)
+    n_classes = st.n_classes
     spans = embeddings.region_slices
-    region_ids = np.repeat(np.arange(len(spans)),
-                           [stop - start for start, stop in spans])
-    patch_ids = np.concatenate([np.arange(start, stop) for start, stop in spans])
-    region_patch = _ent_matrix(regions, embeddings.patches, cfg, geom)
-    parts.append(region_patch[region_ids, patch_ids].mean())
-
-    n_classes = embeddings.text[HierarchyLevel.SLIDE].count
+    in_region = (
+        np.repeat(np.arange(len(spans)), [stop - start for start, stop in spans]),
+        np.concatenate([np.arange(start, stop) for start, stop in spans]),
+    )
     diag = (np.arange(n_classes), np.arange(n_classes))
-    for upper, lower in (
-        (HierarchyLevel.SLIDE, HierarchyLevel.REGION),
-        (HierarchyLevel.REGION, HierarchyLevel.PATCH),
-    ):
-        chain = _ent_matrix(
-            embeddings.text[upper], embeddings.text[lower], cfg, geom
-        )
-        parts.append(chain[diag].mean())
+    # ((value, backward), u, v) with u and v positions in `st.parents`: the
+    # slide entails its regions, each region its own patches, and each
+    # class's text its own text one level down
+    entailments = [
+        (_entailment(slide, regions, (np.zeros(st.n_regions, dtype=int),
+                                      np.arange(st.n_regions)), cfg, geom), 0, 1),
+        (_entailment(regions, patches, in_region, cfg, geom), 1, 2),
+    ] + [
+        (_entailment(text_levels[i], text_levels[i + 1], diag, cfg, geom),
+         3 + i, 4 + i)
+        for i in range(len(_LEVELS) - 1)
+    ]
+    values = [value for (value, _), _, _ in entailments]
 
-    image, levels, weights = _stacked_images(embeddings, selections)
-    text = _stacked_text(embeddings)
-    theta = geo.exterior_angle(text, image, geom)
-    aperture = geo.half_aperture(text, geom, cfg.alpha)
-    cols = np.arange(image.count)
-    # the label text of each image row's level against that row
-    pos = levels * n_classes + label
-    ent = ent_penalty(theta[pos, cols], aperture[pos, 0], cfg.beta_ent)
-    parts.append((ent * weights).sum())
+    # the label text of each image row's level entails that row, and the
+    # wrong-class text of its level contradicts it
+    theta, theta_backward = geo.exterior_angle_core(st.text, st.space[st.rows],
+                                                    geom)
+    aperture, aperture_backward = geo.half_aperture_core(st.text, geom, cfg.alpha)
+    cols = np.arange(st.rows.size)
+    pos = st.levels * n_classes + label
+    ent, ent_backward = _ent(theta[pos, cols], aperture[pos, 0], cfg.beta_ent)
+    values.append((ent * st.weights).sum())
     others = np.array([c for c in range(n_classes) if c != label], dtype=int)
     if others.size:
-        # the wrong-class text of each image row's level, [C-1 x K]
-        neg = levels * n_classes + others[:, None]
-        con = con_penalty(theta[neg, cols], aperture[neg, 0], cfg.beta_con,
-                          geom.epsilon)
-        parts.append((con * (weights / others.size)).sum())
+        neg = st.levels * n_classes + others[:, None]
+        con_weights = st.weights / others.size
+        con, con_backward = _con(theta[neg, cols], aperture[neg, 0],
+                                 cfg.beta_con, geom.epsilon)
+        values.append((con * con_weights).sum())
 
-    total = ad.Tensor(0.0)
-    for part in parts:
-        total = total + part
-    return total
+    total = 0.0
+    for value in values:
+        total = total + value
+
+    def backward(g):
+        g_space = np.zeros_like(st.space)
+        g_text = np.zeros_like(st.text)
+        grads = st.gradients(g_space, g_text)  # views into the two buffers
+        for (_, term_backward), u, v in entailments:
+            g_u, g_v = term_backward(g)
+            grads[u] += g_u
+            grads[v] += g_v
+
+        g_theta = np.zeros_like(theta)
+        g_pos_theta, g_pos = ent_backward(g * st.weights)
+        g_theta[pos, cols] = g_pos_theta
+        g_aperture = np.bincount(pos, g_pos, minlength=theta.shape[0])
+        if others.size:
+            g_neg_theta, g_neg = con_backward(
+                np.broadcast_to(g * con_weights, con.shape))
+            g_theta[neg, cols] = g_neg_theta
+            g_aperture += np.bincount(neg.ravel(), g_neg.ravel(),
+                                      minlength=theta.shape[0])
+        g_text_rows, g_image = theta_backward(g_theta)
+        g_text += g_text_rows + aperture_backward(g_aperture[:, None])
+        np.add.at(g_space, st.rows, g_image)
+        return grads
+
+    return ad.fused("shc_total", total, st.parents, backward)
 
 
 def cls_loss(embeddings, label, cfg, geom):
@@ -411,14 +529,24 @@ def cls_loss(embeddings, label, cfg, geom):
     distances = geo.geodesic(
         embeddings.slide, embeddings.text[HierarchyLevel.SLIDE], geom
     )
-    return cls_nll(distances.reshape(-1), label)
+    return cls_nll(distances, label)
 
 
 def total_loss(embeddings, label, selections, cfg, geom):
-    """L_cls + lambda_a * L_ama + lambda_s * L_shc for one slide."""
+    """L_cls + lambda_a * L_ama + lambda_s * L_shc for one slide.
+
+    The stacked image and text rows are built once and shared by both
+    assemblies; with both weights zero the patch and region levels are
+    never read, so they are never mapped.
+    """
     total = cls_loss(embeddings, label, cfg, geom)
+    if cfg.lambda_a == 0.0 and cfg.lambda_s == 0.0:
+        return total
+    stacked = _Stacked(embeddings, selections)
     if cfg.lambda_a != 0.0:
-        total = total + ama_total(embeddings, label, selections, cfg, geom) * cfg.lambda_a
+        total = total + ama_total(embeddings, label, selections, cfg, geom,
+                                  stacked=stacked) * cfg.lambda_a
     if cfg.lambda_s != 0.0:
-        total = total + shc_total(embeddings, label, selections, cfg, geom) * cfg.lambda_s
+        total = total + shc_total(embeddings, label, selections, cfg, geom,
+                                  stacked=stacked) * cfg.lambda_s
     return total

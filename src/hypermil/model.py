@@ -18,16 +18,23 @@ slide is the single segment of its regions.
 Both learned stages are fused autodiff nodes (`autodiff.fused`) computed in
 numpy with a hand-derived backward: the adaptor MLP is one "adaptor" node
 per call and each `aggregate` call one "aggregate" node, so each runs the
-NaN guard once on its output. `embed_slide` maps the slide and the text
+NaN guard once on its output. The class-text features of all levels are
+one "text_features" node as well. `embed_slide` maps the slide and the text
 onto the manifold at once and the patch and region levels on their first
 read, so scoring a slide maps only its slide point. The class text depends
 on the parameters alone; a caller scoring many bags embeds it once and
 passes it to `embed_slide`.
 
-Checkpoints are a little-endian binary table of named float64 arrays
-(magic "HPCK1"), written atomically and read back bit-exactly.
+Every parameter array of a `ModelParams` is a view into one float64
+buffer, trainable arrays first, so the optimizer updates them in one
+vectorized step and a copy is one array copy. The layout lives in memory
+only: checkpoints are a little-endian binary table of named float64 arrays
+(magic "HPCK1"), one record per parameter name, written atomically and
+read back bit-exactly, whatever the buffer order.
 """
 
+import functools
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -157,18 +164,37 @@ class ClassSemanticsTable:
         self.base = base        # [C x D_in], never receives gradient
         self.offsets = offsets  # [C x 3 x D_in]
 
-    def level_features(self, level):
-        return self.base + self.offsets[:, level.value]
+    def features(self):
+        """base + offsets[:, level] for every level in `HierarchyLevel` order,
+        stacked level by level into one [3C x D_in] fused node over the
+        offsets (the base is a constant)."""
+        base, offsets = self.base.data, self.offsets.data
+        feats = (base + offsets.transpose(1, 0, 2)).reshape(-1, base.shape[1])
+
+        def backward(g):
+            return (g.reshape(offsets.shape[1], *base.shape).transpose(1, 0, 2),)
+
+        return ad.fused("text_features", feats, (self.offsets,), backward)
 
 
 @dataclass
 class ModelParams:
+    """The model's parameter tensors, each a view into one float64 vector.
+
+    `buffer` holds every array of `named()`: the trainable ones first, in
+    `trainable()` order, then the frozen base vectors (`_layout`). Adam
+    updates the trainable head `flat` in one vectorized step, and `copy`
+    copies the buffer once. Nothing may rebind a parameter's `data`; in-place
+    updates of it are updates of the buffer.
+    """
+
     adaptor_i: Mlp
     adaptor_t: Mlp
     agg_region: AttentionAggregator  # patches -> region
     agg_slide: AttentionAggregator   # regions -> slide
     semantics: ClassSemanticsTable
     dims: ModelDims
+    buffer: np.ndarray
 
     def named(self):
         """All parameter tensors, including the frozen base vectors."""
@@ -198,13 +224,42 @@ class ModelParams:
     def trainable(self):
         return [(n, t) for n, t in self.named() if t.requires_grad]
 
+    @property
+    def flat(self):
+        """Every trainable array, in `trainable()` order, as one vector view."""
+        return self.buffer[:self.buffer.size - self.semantics.base.data.size]
+
+    def gradient(self):
+        """(g, has_grad): the trainable gradients laid out like `flat`, zero
+        for a parameter without one, and the mask of the entries with one."""
+        tensors = [t for _, t in self.trainable()]
+        g = np.concatenate([np.zeros(t.data.size) if t.grad is None
+                            else t.grad.reshape(-1) for t in tensors])
+        has_grad = np.repeat([t.grad is not None for t in tensors],
+                             [t.data.size for t in tensors])
+        return g, has_grad
+
     def zero_grads(self):
         for _, t in self.named():
             t.grad = None
 
     def copy(self):
-        arrays = {n: t.data.copy() for n, t in self.named()}
-        return params_from_arrays(arrays, self.dims)
+        return _from_buffer(self.buffer.copy(), self.dims)
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(dims):
+    """(name, shape, start, stop) of every parameter array in the buffer:
+    the trainable arrays in `ModelParams.trainable()` order, then the base."""
+    shapes = dims.param_shapes()
+    names = [n for n in shapes if n != "semantics.base"] + ["semantics.base"]
+    out = []
+    start = 0
+    for name in names:
+        stop = start + math.prod(shapes[name])
+        out.append((name, shapes[name], start, stop))
+        start = stop
+    return tuple(out)
 
 
 def _xavier(rng, fan_out, fan_in):
@@ -222,31 +277,33 @@ def _param(arr):
 _INIT_RADIUS = 0.1
 
 
-def _init_mlp(rng, d_in, hidden, k):
-    w1 = _param(_xavier(rng, hidden, d_in))
-    b1 = _param(np.zeros((1, hidden)))
-    w2 = _param(_INIT_RADIUS * _xavier(rng, k, hidden))
+def _init_mlp(rng, owner, d_in, hidden, k):
+    w1 = _xavier(rng, hidden, d_in)
+    w2 = _INIT_RADIUS * _xavier(rng, k, hidden)
     # a constant bias in one output coordinate keeps the initial embeddings
     # strictly off the origin, where the exterior angle is undefined
     b2 = np.zeros((1, k))
     b2[0, 0] = _INIT_RADIUS
-    return Mlp(w1, b1, w2, _param(b2))
+    return {f"{owner}.w1": w1, f"{owner}.b1": np.zeros((1, hidden)),
+            f"{owner}.w2": w2, f"{owner}.b2": b2}
 
 
-def _init_aggregator(rng, dims):
+def _init_aggregator(rng, owner, dims):
     d4 = dims.attention
-    return AttentionAggregator(
-        _param(_xavier(rng, d4, dims.k)), _param(_xavier(rng, d4, 1))
-    )
+    return {f"{owner}.w1": _xavier(rng, d4, dims.k),
+            f"{owner}.w2": _xavier(rng, d4, 1)}
 
 
 def init_params(dims, seed, base_vectors=None):
     """Fresh parameters, deterministic in (dims, seed, base_vectors)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    adaptor_i = _init_mlp(rng, dims.d_in, dims.hidden, dims.k)
-    adaptor_t = _init_mlp(rng, dims.d_in, dims.hidden, dims.k)
-    agg_region = _init_aggregator(rng, dims)
-    agg_slide = agg_region if dims.shared_aggregators else _init_aggregator(rng, dims)
+    arrays = {
+        **_init_mlp(rng, "adaptor_i", dims.d_in, dims.hidden, dims.k),
+        **_init_mlp(rng, "adaptor_t", dims.d_in, dims.hidden, dims.k),
+        **_init_aggregator(rng, "agg_region", dims),
+    }
+    if not dims.shared_aggregators:
+        arrays.update(_init_aggregator(rng, "agg_slide", dims))
     if base_vectors is None:
         base = rng.standard_normal((dims.n_classes, dims.d_in))
         base /= np.linalg.norm(base, axis=1, keepdims=True)
@@ -257,14 +314,33 @@ def init_params(dims, seed, base_vectors=None):
                 f"base vectors have shape {base.shape}, "
                 f"expected {(dims.n_classes, dims.d_in)}"
             )
-    offsets = _param(0.1 * rng.standard_normal((dims.n_classes, 3, dims.d_in)))
-    semantics = ClassSemanticsTable(ad.Tensor(base), offsets)
-    return ModelParams(adaptor_i, adaptor_t, agg_region, agg_slide, semantics, dims)
+    arrays["semantics.base"] = base
+    arrays["semantics.offsets"] = 0.1 * rng.standard_normal(
+        (dims.n_classes, 3, dims.d_in))
+    return params_from_arrays(arrays, dims)
 
 
 def params_from_arrays(arrays, dims):
+    """ModelParams holding copies of `arrays` ({name: array} for every name
+    of `dims.param_shapes()`) in one flat buffer."""
+    layout = _layout(dims)
+    buffer = np.empty(layout[-1][3])
+    for name, shape, start, stop in layout:
+        arr = np.asarray(arrays[name], dtype=np.float64)
+        if arr.shape != shape:
+            raise ShapeError(f"parameter {name} has shape {arr.shape}, "
+                             f"the model dimensions need {shape}")
+        buffer[start:stop] = arr.reshape(-1)
+    return _from_buffer(buffer, dims)
+
+
+def _from_buffer(buffer, dims):
+    """ModelParams whose tensors are views into `buffer`, laid out by `_layout`."""
+    views = {name: buffer[start:stop].reshape(shape)
+             for name, shape, start, stop in _layout(dims)}
+
     def p(name):
-        return _param(arrays[name])
+        return _param(views[name])
 
     adaptor_i = Mlp(p("adaptor_i.w1"), p("adaptor_i.b1"),
                     p("adaptor_i.w2"), p("adaptor_i.b2"))
@@ -276,9 +352,10 @@ def params_from_arrays(arrays, dims):
     else:
         agg_slide = AttentionAggregator(p("agg_slide.w1"), p("agg_slide.w2"))
     semantics = ClassSemanticsTable(
-        ad.Tensor(arrays["semantics.base"]), p("semantics.offsets")
+        ad.Tensor(views["semantics.base"]), p("semantics.offsets")
     )
-    return ModelParams(adaptor_i, adaptor_t, agg_region, agg_slide, semantics, dims)
+    return ModelParams(adaptor_i, adaptor_t, agg_region, agg_slide, semantics,
+                       dims, buffer)
 
 
 # -- forward pipeline ---------------------------------------------------------
@@ -399,11 +476,8 @@ class EmbeddingSet:
 def embed_text(params, geom):
     """Per-class text embeddings at each level, independent of any bag."""
     # all (level, class) rows share one adaptor pass and one map
-    feats = ad.concat(
-        [params.semantics.level_features(level) for level in HierarchyLevel],
-        axis=0,
-    )
-    points = geo.exp_map_origin(params.adaptor_t(feats), geom)
+    points = geo.exp_map_origin(params.adaptor_t(params.semantics.features()),
+                                geom)
     n = params.dims.n_classes
     return {
         level: geo.select(points, np.arange(i * n, (i + 1) * n))

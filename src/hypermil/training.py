@@ -99,35 +99,44 @@ def load_train_config(path):
 
 
 class AdamState:
+    """Step count and first and second moments, laid out like `params.flat`."""
+
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
 
     def __init__(self, params):
         self.step = 0
-        self.m = {n: np.zeros_like(t.data) for n, t in params.trainable()}
-        self.v = {n: np.zeros_like(t.data) for n, t in params.trainable()}
+        self.m = np.zeros(params.flat.size)
+        self.v = np.zeros(params.flat.size)
 
 
 def adam_step(params, state, lr):
-    """Bias-corrected Adam update in place; parameters without a gradient
-    this step are left untouched."""
+    """Bias-corrected Adam update in place, one vectorized step over the flat
+    trainable vector `params.flat`.
+
+    The step is elementwise, so each entry gets exactly the update of a
+    per-parameter loop. Entries of a parameter without a gradient this step
+    are masked out: their value and moments are left untouched. A
+    non-finite gradient raises TrainingError before anything is updated.
+    """
     state.step += 1
     c1 = 1.0 - AdamState.beta1 ** state.step
     c2 = 1.0 - AdamState.beta2 ** state.step
-    for name, p in params.trainable():
-        g = p.grad
-        if g is None:
-            continue
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient in {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= AdamState.beta1
-        m += (1.0 - AdamState.beta1) * g
-        v *= AdamState.beta2
-        v += (1.0 - AdamState.beta2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + AdamState.eps)
+    g, has_grad = params.gradient()
+    finite = np.isfinite(g)
+    if not finite.all():
+        ends = np.cumsum([t.data.size for _, t in params.trainable()])
+        name = params.trainable()[np.searchsorted(ends, np.argmin(finite),
+                                                  side="right")][0]
+        raise TrainingError(f"non-finite gradient in {name}")
+    m, v, x = state.m, state.v, params.flat
+    np.add(m * AdamState.beta1, (1.0 - AdamState.beta1) * g, out=m,
+           where=has_grad)
+    np.add(v * AdamState.beta2, (1.0 - AdamState.beta2) * g * g, out=v,
+           where=has_grad)
+    np.subtract(x, lr * (m / c1) / (np.sqrt(v / c2) + AdamState.eps), out=x,
+                where=has_grad)
 
 
 # -- top-K selection ------------------------------------------------------------
@@ -241,9 +250,9 @@ def train(bundle, split, cfg):
                                   cfg.loss, geom)
                 loss.backward()
             except GeometryError as exc:
+                # raised in the forward pass only: the slide added no
+                # gradient, and the window's earlier slides keep theirs
                 skipped += 1
-                params.zero_grads()
-                pending = 0
                 log.warning("skipping slide %s: %s", bag.slide_id, exc)
                 continue
             epoch_losses.append(float(loss.data))
@@ -307,6 +316,7 @@ def gradient_check_suite(trials=20, seed=0, h=1e-5):
     """Finite-difference checks of every loss family over a tiny model.
 
     Returns {check name: max relative error across trials}. Raises
+    ConfigError for fewer than one trial or a negative seed, and
     NumericalError if any forward pass produces NaN.
 
     The five whole-model checks (cls, ama, ent, con, total) perturb the same
@@ -317,6 +327,10 @@ def gradient_check_suite(trials=20, seed=0, h=1e-5):
     """
     from . import geometry as geo
 
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     names = ("aggregation", "cls_loss", "ama_loss", "ent_loss", "con_loss",
              "total_loss")
     worst = {name: 0.0 for name in names}

@@ -139,6 +139,19 @@ def test_eval_split_must_be_list(workdir, bundle_path, checkpoint_path, capsys):
     assert "list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["not json", "[1, 2]", '[["x"]]', "[]"])
+def test_eval_malformed_split_is_a_split_error(workdir, bundle_path,
+                                               checkpoint_path, capsys, text):
+    split = workdir / "malformed.json"
+    split.write_text(text)
+    code = main(["eval", "--data", str(bundle_path),
+                 "--params", str(checkpoint_path), "--split", str(split)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(split) in err
+
+
 def test_eval_missing_data_file(checkpoint_path, capsys):
     code = main(["eval", "--data", "/nonexistent.bundle",
                  "--params", str(checkpoint_path)])
@@ -214,6 +227,30 @@ def test_gradcheck_ok_line(capsys):
     assert code == 0
     assert "RESULT gradcheck trials=1 seed=0" in out
     assert "ok=yes" in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_gradcheck_rejects_no_trials(capsys, trials):
+    code = main(["gradcheck", "--trials", trials, "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "RESULT" not in captured.out
+    assert "trials" in captured.err
+
+
+def test_negative_seed_is_an_error(workdir, bundle_path, capsys):
+    commands = [
+        GEN_ARGS[:-1] + ["-1", "--out", str(workdir / "never.bundle")],
+        ["splits", "--data", str(bundle_path), "--outer", "2", "--inner", "2",
+         "--seed", "-1", "--out", str(workdir / "never-plan.json")],
+        ["gradcheck", "--trials", "1", "--seed", "-1"],
+    ]
+    for argv in commands:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1, argv[0]
+        assert "seed" in captured.err, argv[0]
+        assert "RESULT" not in captured.out, argv[0]
 
 
 def test_unknown_command_is_usage_error():

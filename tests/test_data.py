@@ -46,6 +46,7 @@ def test_spec_validation():
         dict(purity=1.1),
         dict(sigma_patch=0.0),
         dict(sigma_site=-0.1),
+        dict(seed=-1),
     ):
         with pytest.raises(ConfigError):
             dt.SyntheticSpec(**bad)
@@ -290,6 +291,8 @@ def test_make_splits_validation():
         dt.make_splits(bags, 0, 3)
     with pytest.raises(ConfigError):
         dt.make_splits(bags, 2, 2, ratios=(0.5, 0.2, 0.2))
+    with pytest.raises(ConfigError):
+        dt.make_splits(bags, 2, 2, seed=-1)
     with pytest.raises(SplitError):
         dt.make_splits(bags, 5, 2)  # only 4 sites
     with pytest.raises(SplitError):

@@ -256,3 +256,9 @@ def test_evaluate_rows_equal_predict_bit_for_bit():
     for bag, row, label in zip(bundle.bags, scores, labels):
         assert np.array_equal(row, ev.predict(bag, params, geom))
         assert label == bag.label
+
+
+def test_evaluate_without_bags_is_a_metric_error():
+    params = init_params(ModelDims(d_in=8, k=4, n_classes=2), 3)
+    with pytest.raises(MetricError):
+        ev.evaluate([], params, TrainConfig(k=4).geometry())

@@ -391,27 +391,30 @@ def test_stacked_assemblies_gradients_match_loops():
                             err_msg=f"{name} {stacked.__name__}")
 
 
-def test_total_loss_primitive_calls_do_not_depend_on_levels(monkeypatch):
-    # one angle-distance pair for ama_total; five exterior-angle and
-    # half-aperture calls for shc_total (slide->region, region->patch, two
-    # text-chain links, stacked text->image), whichever levels have rows
-    counts = {}
-    for name in ("angle_distance", "exterior_angle", "half_aperture"):
-        def counted(*args, _name=name, _fn=getattr(geo, name), **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(geo, name, counted)
+def _graph_size(root):
+    seen = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_total_loss_graph_size_does_not_depend_on_levels():
+    # 6 level-space leaves, geodesic and cls_nll, one fused node per loss
+    # family, and a scaled sum per family: the same whichever levels have
+    # selected rows
     full = _full_selection()
     no_patch = dict(full)
     no_patch[HierarchyLevel.PATCH] = np.array([], dtype=int)
     slide_only = dict(no_patch)
     slide_only[HierarchyLevel.REGION] = np.array([], dtype=int)
-    emb = _random_embeddings(np.random.default_rng(34))
-    for sel in (full, no_patch, slide_only):
-        counts.update(angle_distance=0, exterior_angle=0, half_aperture=0)
-        ls.total_loss(emb, 0, sel, CFG, GEOM)
-        assert counts == {"angle_distance": 2, "exterior_angle": 5,
-                          "half_aperture": 5}
+    emb = _with_leaves(_random_embeddings(np.random.default_rng(34)))
+    sizes = [_graph_size(ls.total_loss(emb, 0, sel, CFG, GEOM))
+             for sel in (full, no_patch, slide_only)]
+    assert sizes == [14, 14, 14]
 
 
 def test_ama_total_empty_patch_level_contributes_zero():

@@ -90,6 +90,21 @@ def test_shared_aggregators():
     assert "agg_region.w1" in names
 
 
+def test_params_are_views_into_one_buffer():
+    params = md.init_params(DIMS, 0)
+    trainable = params.trainable()
+    assert params.flat.size == sum(t.data.size for _, t in trainable)
+    for name, t in params.named():
+        assert np.shares_memory(t.data, params.buffer), name
+    params.flat[:] = 0.0
+    assert all(not t.data.any() for _, t in trainable)
+    assert params.semantics.base.data.any()
+    arrays = {n: t.data for n, t in params.named()}
+    arrays["adaptor_i.b1"] = np.zeros((2, 1))
+    with pytest.raises(ShapeError):
+        md.params_from_arrays(arrays, DIMS)
+
+
 def test_params_copy_is_independent():
     params = md.init_params(DIMS, 0)
     clone = params.copy()
@@ -243,7 +258,8 @@ def test_embed_text_structure():
     for level, pts in text.items():
         assert pts.count == 3
         # matches a standalone pass over that level's features
-        feats = params.semantics.level_features(level)
+        feats = ad.Tensor(params.semantics.base.data
+                          + params.semantics.offsets.data[:, level.value])
         want = geo.exp_map_origin(params.adaptor_t(feats), GEOM)
         assert_allclose(pts.space.data, want.space.data, rtol=1e-12)
 

@@ -9,8 +9,9 @@ from numpy.testing import assert_allclose
 from hypermil import autodiff as ad
 from hypermil import training as tr
 from hypermil.data import Bundle, FeatureBag, InnerSplit, SyntheticSpec, generate, make_splits
-from hypermil.errors import ConfigError, TrainingError
-from hypermil.model import HierarchyLevel, ModelDims, init_params
+from hypermil.errors import ConfigError, GeometryError, TrainingError
+from hypermil.losses import total_loss
+from hypermil.model import HierarchyLevel, ModelDims, embed_slide, init_params
 
 
 # -- config ---------------------------------------------------------------------
@@ -132,6 +133,41 @@ def test_adam_rejects_non_finite_gradient():
     p.grad = np.full_like(p.data, np.nan)
     with pytest.raises(TrainingError):
         tr.adam_step(params, state, lr=0.1)
+    # the error names the parameter, and no parameter moves, also those
+    # laid out before it
+    before = params.buffer.copy()
+    for _, t in params.trainable():
+        t.grad = np.ones_like(t.data)
+    name, p = params.trainable()[3]
+    p.grad.reshape(-1)[-1] = np.inf
+    with pytest.raises(TrainingError, match=name):
+        tr.adam_step(params, state, lr=0.1)
+    assert np.array_equal(params.buffer, before)
+    assert not state.m.any() and not state.v.any()
+
+
+def test_adam_flat_step_matches_per_parameter_loop():
+    params = _toy_params()
+    reference = {n: t.data.copy() for n, t in params.trainable()}
+    moments = {n: (np.zeros_like(t.data), np.zeros_like(t.data))
+               for n, t in params.trainable()}
+    state = tr.AdamState(params)
+    rng = np.random.default_rng(4)
+    for step in range(1, 4):
+        c1 = 1.0 - tr.AdamState.beta1 ** step
+        c2 = 1.0 - tr.AdamState.beta2 ** step
+        for name, t in params.trainable():
+            t.grad = rng.normal(size=t.data.shape)
+            m, v = moments[name]
+            m *= tr.AdamState.beta1
+            m += (1.0 - tr.AdamState.beta1) * t.grad
+            v *= tr.AdamState.beta2
+            v += (1.0 - tr.AdamState.beta2) * t.grad * t.grad
+            reference[name] -= 0.01 * (m / c1) / (np.sqrt(v / c2)
+                                                  + tr.AdamState.eps)
+        tr.adam_step(params, state, lr=0.01)
+    for name, t in params.trainable():
+        assert np.array_equal(t.data, reference[name]), name
 
 
 # -- top-K selection --------------------------------------------------------------
@@ -261,6 +297,82 @@ def test_train_fails_when_too_many_slides_skip():
         tr.train(bundle, split, cfg)
 
 
+def _graph_size(root):
+    seen = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_default_train_step_graph_has_34_nodes(monkeypatch):
+    # one node per loss family and per model stage: 14 leaves (the input
+    # and 13 trainable arrays), the two adaptors, two aggregates, the text
+    # features, four exp maps, three text-level selects, geodesic, cls_nll,
+    # ama_total, shc_total, and the scaling and sum of each of the last two
+    bundle = generate(SyntheticSpec())
+    split = make_splits(bundle.bags, 1, 1, seed=0).folds[0].inner[0]
+    split = InnerSplit(split.train_ids[:6], split.val_ids, split.test_ids)
+    sizes = []
+    backward = ad.Tensor.backward
+
+    def sized(root):
+        sizes.append(_graph_size(root))
+        return backward(root)
+
+    monkeypatch.setattr(ad.Tensor, "backward", sized)
+    tr.train(bundle, split, tr.TrainConfig(epochs=1))
+    assert sizes == [34] * 6
+
+
+def _grads(params):
+    return {n: None if t.grad is None else t.grad.copy()
+            for n, t in params.trainable()}
+
+
+def test_skipped_slide_keeps_the_accumulation_window(monkeypatch):
+    bundle, split, cfg = _tiny_setup()
+    cfg = tr.TrainConfig(epochs=1, k=6, seed=3, accumulate=2)
+    embedded, steps, losses = [], [], []
+
+    def recording_embed(bag, params, geom, text=None):
+        embedded.append(bag)
+        return embed_slide(bag, params, geom, text)
+
+    def failing_second(*args):
+        losses.append(None)
+        if len(losses) == 2:
+            raise GeometryError("exterior angle is undefined for coincident points")
+        return total_loss(*args)
+
+    def recording_step(params, state, lr):
+        steps.append(_grads(params))
+
+    monkeypatch.setattr(tr, "embed_slide", recording_embed)
+    monkeypatch.setattr(tr, "total_loss", failing_second)
+    monkeypatch.setattr(tr, "adam_step", recording_step)
+    with pytest.raises(TrainingError):  # one skip is above 1% of the steps
+        tr.train(bundle, split, cfg)
+
+    # the first step carries the first and third slides; the second, which
+    # failed in its forward pass, adds nothing and removes nothing
+    dims = ModelDims(d_in=bundle.dim, k=cfg.k, n_classes=2)
+    params = init_params(dims, cfg.seed, bundle.class_vectors)
+    geom = cfg.geometry()
+    for bag in (embedded[0], embedded[2]):
+        sel = tr.select_top_k(bag, bundle.class_vectors, bag.label,
+                              cfg.loss.top_k)
+        total_loss(embed_slide(bag, params, geom), bag.label, sel, cfg.loss,
+                   geom).backward()
+    want = _grads(params)
+    assert steps[0].keys() == want.keys()
+    for name, g in want.items():
+        assert np.array_equal(steps[0][name], g), name
+
+
 # -- gradient-check harness --------------------------------------------------------
 
 
@@ -272,3 +384,9 @@ def test_gradient_check_suite_smoke():
     }
     for name, err in worst.items():
         assert err < 1e-4, (name, err)
+
+
+def test_gradient_check_suite_rejects_bad_arguments():
+    for bad in (dict(trials=0), dict(trials=-1), dict(seed=-1)):
+        with pytest.raises(ConfigError):
+            tr.gradient_check_suite(**bad)
