@@ -12,6 +12,7 @@ import dataclasses
 import json
 import logging
 import sys
+from collections import Counter
 
 from . import evaluation, training
 from .data import SyntheticSpec, generate, make_splits, read_bundle, write_bundle
@@ -149,7 +150,8 @@ def _cmd_train(args):
 
 
 def _split_bags(path, bundle):
-    """The bags a split file names: a non-empty JSON list of slide ids."""
+    """The bags a split file names: a non-empty JSON list of distinct slide
+    ids."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             wanted = json.load(fh)
@@ -159,6 +161,10 @@ def _split_bags(path, bundle):
         raise SplitError(f"{path} must hold a JSON list of slide ids")
     if not wanted:
         raise SplitError(f"{path} names no slides")
+    repeated = [i for i, n in Counter(wanted).items() if n > 1]
+    if repeated:
+        raise SplitError(f"{path} names slide ids more than once: "
+                         f"{', '.join(repeated)}")
     by_id = {bag.slide_id: bag for bag in bundle.bags}
     missing = [i for i in wanted if i not in by_id]
     if missing:

@@ -22,7 +22,10 @@ per region, byte offset into the data section}. Bad magic, a version
 mismatch, a payload shorter than its own header declares, and a
 manifest/payload length disagreement raise four distinct errors; a manifest
 that is not valid JSON, lacks a key, or holds a dimension, label or patch
-count that is not an integer in range raises FormatError.
+count that is not an integer in range raises FormatError. So does a
+manifest whose classes, slides or patch counts are not lists, whose slide
+ids or sites are not strings, or whose class_vectors are not a finite
+numeric [len(classes) x dim] matrix; each error names the field.
 """
 
 import json
@@ -268,27 +271,35 @@ def read_bundle(path):
         raise VersionError(
             f"{where} does not match payload version {version}"
         )
-    dim = _field(manifest, "dim", where)
+    dim = _field(manifest, "dim", where, object)
     if not isinstance(dim, int) or dim < 1:
         raise FormatError(f"{where} has dimension {dim!r}")
-    n_classes = len(_field(manifest, "classes", where))
+    n_classes = len(_field(manifest, "classes", where, list))
+    try:
+        class_vectors = np.asarray(_field(manifest, "class_vectors", where, list))
+    except ValueError:  # a ragged matrix
+        class_vectors = np.asarray(None)
+    if (class_vectors.dtype.kind not in "iuf" or not np.isfinite(class_vectors).all()
+            or class_vectors.shape != (n_classes, dim)):
+        raise FormatError(f"{where} has class_vectors that are not a finite "
+                          f"[{n_classes} x {dim}] matrix of numbers")
     bags = []
     offset = 0
-    for entry in _field(manifest, "slides", where):
-        slide_id = _field(entry, "id", f"{where} slide entry")
+    for entry in _field(manifest, "slides", where, list):
+        slide_id = _field(entry, "id", f"{where} slide entry", str)
         context = f"{where} slide {slide_id}"
-        label = _field(entry, "label", context)
-        if not isinstance(label, int) or not 0 <= label < n_classes:
+        label = _field(entry, "label", context, int)
+        if not 0 <= label < n_classes:
             raise FormatError(
                 f"{context} has label {label!r}, expected 0 to {n_classes - 1}"
             )
-        if _field(entry, "offset", context) != offset:
+        if _field(entry, "offset", context, object) != offset:
             raise PayloadLengthError(
                 f"{path}: slide {slide_id} declares offset {entry['offset']}, "
                 f"expected {offset}"
             )
         regions = []
-        for count in _field(entry, "patch_counts", context):
+        for count in _field(entry, "patch_counts", context, list):
             if not isinstance(count, int) or count < 0:
                 raise FormatError(f"{context} has patch count {count!r}")
             nbytes = count * dim * 4
@@ -307,7 +318,7 @@ def read_bundle(path):
             FeatureBag(
                 slide_id=slide_id,
                 label=label,
-                site=_field(entry, "site", context),
+                site=_field(entry, "site", context, str),
                 regions=regions,
             )
         )
@@ -315,20 +326,20 @@ def read_bundle(path):
         raise PayloadLengthError(
             f"{path}: manifest accounts for {offset} bytes, payload holds {declared}"
         )
-    return Bundle(
-        bags=bags,
-        class_vectors=np.asarray(_field(manifest, "class_vectors", where),
-                                 dtype=np.float64),
-        class_names=list(manifest["classes"]),
-        dim=dim,
-    )
+    return Bundle(bags=bags, class_vectors=class_vectors.astype(np.float64),
+                  class_names=list(manifest["classes"]), dim=dim)
 
 
-def _field(entry, key, where):
-    """entry[key] of a manifest object; FormatError when it is missing."""
+def _field(entry, key, where, kind):
+    """entry[key] of a manifest object, which must be an instance of `kind`;
+    FormatError naming the key when it is missing or of another type."""
     if not isinstance(entry, dict) or key not in entry:
         raise FormatError(f"{where} has no '{key}' key")
-    return entry[key]
+    value = entry[key]
+    if not isinstance(value, kind):
+        raise FormatError(f"{where} has {key} of type {type(value).__name__}, "
+                          f"expected {kind.__name__}")
+    return value
 
 
 # -- nested site-based splits -------------------------------------------------

@@ -22,7 +22,7 @@ from . import training
 from .data import make_splits
 from .errors import MetricError
 from .fileio import atomic_write_text
-from .model import HierarchyLevel, embed_slide, embed_text
+from .model import HierarchyLevel, embed_slide, embed_text, text_level
 
 
 def predict(bag, params, geom, text=None):
@@ -35,17 +35,23 @@ def predict(bag, params, geom, text=None):
     """
     with ad.no_grad():
         emb = embed_slide(bag, params, geom, text)
-        d = geo.geodesic(emb.slide, emb.text[HierarchyLevel.SLIDE], geom).data[0]
+        slide_text = text_level(emb.text, HierarchyLevel.SLIDE)
+        d = geo.geodesic(emb.slide, slide_text, geom).data[0]
     z = -d - np.max(-d)
     p = np.exp(z)
     return p / p.sum()
 
 
 def score_bags(bags, params, geom):
-    """One `predict` row per bag, all sharing one text embedding; no bags
-    is a MetricError."""
+    """One `predict` row per bag, all sharing one text embedding. No bags,
+    or a bag whose label is not one of the model's classes, is a
+    MetricError."""
     if not bags:
         raise MetricError("no bags to score")
+    for bag in bags:
+        if not 0 <= bag.label < params.dims.n_classes:
+            raise MetricError(f"slide {bag.slide_id} has label {bag.label}, the "
+                              f"model has {params.dims.n_classes} classes")
     with ad.no_grad():
         text = embed_text(params, geom)
     scores = np.stack([predict(bag, params, geom, text) for bag in bags])
@@ -276,10 +282,9 @@ def export_embeddings(bags, params, geom, path):
 
     with ad.no_grad():
         text = embed_text(params, geom)
-        for level in (HierarchyLevel.SLIDE, HierarchyLevel.REGION,
-                      HierarchyLevel.PATCH):
-            emit("text", range(text[level].count), level.name.lower(),
-                 text[level])
+        for level in reversed(HierarchyLevel):
+            points = text_level(text, level)
+            emit("text", range(points.count), level.name.lower(), points)
         for bag in bags:
             emb = embed_slide(bag, params, geom, text)
             emit("slide", bag.label, bag.slide_id, emb.slide)
@@ -300,7 +305,7 @@ def mean_origin_distances(bags, params, geom):
     with ad.no_grad():
         text = embed_text(params, geom)
         for level in HierarchyLevel:
-            sums["text"].append(_origin_distances(text[level], geom))
+            sums["text"].append(_origin_distances(text_level(text, level), geom))
         for bag in bags:
             emb = embed_slide(bag, params, geom, text)
             sums["slide"].append(_origin_distances(emb.slide, geom))

@@ -22,26 +22,28 @@ badly violated pair yields a huge finite penalty instead of overflowing to
 infinity.
 
 The per-slide assemblies `ama_total` and `shc_total` are one fused node
-each, whose parents are the six level spaces: slide, regions, patches and
-the text of each level. Their forward and backward run in numpy and compose
-the numpy cores of the geometry primitives (`geometry.*_core`) and of the
-scalar cores above (`_ama`, `_ent`, `_con`), so each concept keeps one code
-path. All three levels are handled in one pass: `_Stacked` stacks the
-selected image rows in the order slide, regions, patches, with the level of
-each row kept alongside, and the 3 C class-text rows in the same level
-order. `total_loss` builds it once per step and hands it to both
-assemblies. `ama_total` computes one angle matrix between them and
-`shc_total` one exterior-angle matrix; each image row gathers the entries
-of its own level. Per-level means become one weighted sum with weight
-1 / K_level on each row (1 / (K_level (C-1)) for the contradiction
-entries), which equals the sum over levels of the per-level means up to
-rounding. Each forward sums in the order a graph of the public primitives
-and scalar cores would, so its value equals that composition bit for bit
-(`tests/test_losses.py` keeps such looped references). Because
-the stacked matrices also hold cross-level pairs, the coincidence guard of
-`geometry.angle_distance` and `geometry.exterior_angle` (GeometryError for
-coincident points) sees (text, image) and (label text, other text) pairs of
-different levels too. The NaN guard runs once, on each assembly's value.
+each, whose four parents are the spaces of the slide, the regions, the
+patches and the class text. Their forward and backward run in numpy and
+compose the numpy cores of the geometry primitives (`geometry.*_core`) and
+of the scalar cores above (`_ama`, `_ent`, `_con`), so each concept keeps
+one code path. All three levels are handled in one pass: `_Stacked` stacks
+the selected image rows in the order slide, regions, patches, with the
+level of each row kept alongside, and takes the 3 C class-text rows as
+`model.embed_text` lays them out, in `HierarchyLevel` order, so row
+level.value * C + c is class c at that level. `total_loss` builds it once
+per step and hands it to both assemblies. `ama_total` computes one angle
+matrix between them and `shc_total` one exterior-angle matrix; each image
+row gathers the entries of its own level. Per-level means become one
+weighted sum with weight 1 / K_level on each row (1 / (K_level (C-1)) for
+the contradiction entries), which equals the sum over levels of the
+per-level means up to rounding. Each forward sums in the order a graph of
+the public primitives and scalar cores would, so its value equals that
+composition bit for bit (`tests/test_losses.py` keeps such looped
+references). Because the stacked matrices also hold cross-level pairs, the
+coincidence guard of `geometry.angle_distance` and `geometry.exterior_angle`
+(GeometryError for coincident points) sees (text, image) and (label text,
+other text) pairs of different levels too. The NaN guard runs once, on each
+assembly's value.
 """
 
 from dataclasses import dataclass
@@ -51,7 +53,7 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry as geo
 from .errors import ConfigError, ShapeError, check_field_types
-from .model import HierarchyLevel
+from .model import HierarchyLevel, text_level
 
 _EXP_CLIP = 700.0
 
@@ -287,41 +289,46 @@ def _con_matrix(u, v, cfg, geom):
 
 # -- per-slide assemblies -----------------------------------------------------
 
+# the stacking order of the image rows of `_Stacked.space`
 _LEVELS = (HierarchyLevel.SLIDE, HierarchyLevel.REGION, HierarchyLevel.PATCH)
 
 
 class _Stacked:
     """One slide step's image and text rows, stacked once in numpy.
 
-    `space` holds the space parts of the slide, the regions and the patches,
-    in that order, and `text` the 3 C class-text rows in `_LEVELS` order:
-    row level * C + c is class c's text at that level. `rows` picks the
-    selected image rows of `space` (the slide, the selected regions, the
-    selected patches), `levels` gives each one's level position (0, 1, 2)
-    and `weights` its 1 / K_level, so a weighted sum over the rows is the
-    sum over levels of the per-level means. A level without selections has
-    no rows. `parents` are the six space tensors `space` and `text` stack.
+    `parents` are the four space tensors of the slide, the regions, the
+    patches and the class text. `space` stacks the first three, in that
+    order (`_LEVELS`); `text` is the text's array itself, in
+    `HierarchyLevel` order: row level.value * C + c is class c at that
+    level (see `model.embed_text`). `rows` picks the selected image rows of
+    `space` (the slide, the selected regions, the selected patches),
+    `levels` gives each one's `level.value`, so its own level's text block
+    starts at row levels * C, and `weights` its 1 / K_level, so a weighted
+    sum over the rows is the sum over levels of the per-level means. A
+    level without selections has no rows.
     """
 
     def __init__(self, embeddings, selections):
         image = (embeddings.slide, embeddings.regions, embeddings.patches)
-        text = tuple(embeddings.text[level] for level in _LEVELS)
-        self.parents = tuple(p.space for p in image + text)
+        self.parents = tuple(p.space for p in image + (embeddings.text,))
         widths = {t.data.shape[1] for t in self.parents}
         if len(widths) != 1:
             raise ShapeError(
                 f"embeddings of one slide have different dimensions {sorted(widths)}"
             )
         self.space = np.concatenate([t.data for t in self.parents[:3]])
-        self.text = np.concatenate([t.data for t in self.parents[3:]])
+        self.text = self.parents[3].data
         self.n_regions = image[1].count
-        self.n_classes = text[0].count
+        self.n_classes = embeddings.text.count // len(HierarchyLevel)
         regions = np.asarray(selections[HierarchyLevel.REGION], dtype=int)
         patches = np.asarray(selections[HierarchyLevel.PATCH], dtype=int)
         self.rows = np.concatenate([[0], 1 + regions, 1 + self.n_regions + patches])
+        # the weights go by stacking position: the counts are in `_LEVELS`
+        # order, not in `level.value` order
         counts = np.array([1, regions.size, patches.size])
-        self.levels = np.repeat(np.arange(len(_LEVELS)), counts)
-        self.weights = 1.0 / counts[self.levels]
+        position = np.repeat(np.arange(len(_LEVELS)), counts)
+        self.levels = np.array([level.value for level in _LEVELS])[position]
+        self.weights = 1.0 / counts[position]
 
     def image_levels(self, a):
         """Views of the slide, region and patch rows of a `space`-shaped array."""
@@ -329,13 +336,10 @@ class _Stacked:
         return [a[:1], a[1:stop], a[stop:]]
 
     def text_levels(self, a):
-        """Views of each level's rows of a `text`-shaped array."""
+        """Views of each level's rows of a `text`-shaped array, indexed by
+        `level.value`."""
         n = self.n_classes
-        return [a[i * n:(i + 1) * n] for i in range(len(_LEVELS))]
-
-    def gradients(self, g_space, g_text):
-        """One gradient per parent from gradients on `space` and `text`."""
-        return self.image_levels(g_space) + self.text_levels(g_text)
+        return [a[i * n:(i + 1) * n] for i in range(len(HierarchyLevel))]
 
 
 def ama_total(embeddings, label, selections, cfg, geom, *, stacked=None):
@@ -347,30 +351,31 @@ def ama_total(embeddings, label, selections, cfg, geom, *, stacked=None):
     as negatives; text-query terms use each selected image embedding as
     positive. Terms at a level average over the selected embeddings.
 
-    All levels are computed at once, in one fused node over the six level
-    spaces: the selected image rows of every level (see `_Stacked`;
-    `stacked` passes the rows `total_loss` built for the step) against the
-    3 C text rows of every level give one [K x 3C] angle matrix, and the
-    label text against the other classes' text one [3 x 3(C-1)] matrix.
+    All levels are computed at once, in one fused node over the slide, the
+    regions, the patches and the class text: the selected image rows of
+    every level (see `_Stacked`; `stacked` passes the rows `total_loss`
+    built for the step) against the 3 C text rows give one [K x 3C] angle
+    matrix, and the label text against the other classes' text one
+    [3 x 3(C-1)] matrix.
     Each row gathers its own level's columns, and one `ama_nll` core per
     query direction weights row i by 1 / K_level(i), which is the sum over
     levels of the per-level means. Both angle matrices also hold
     cross-level pairs, so their coincidence guard (`geometry.angle_distance`)
     sees those pairs too.
     """
-    n_classes = embeddings.text[HierarchyLevel.SLIDE].count
-    others = np.array([c for c in range(n_classes) if c != label], dtype=int)
+    st = stacked or _Stacked(embeddings, selections)
+    others = np.array([c for c in range(st.n_classes) if c != label], dtype=int)
     if not others.size:
         return ad.Tensor(0.0)
-    st = stacked or _Stacked(embeddings, selections)
     n_others = others.size
     rows = np.arange(st.rows.size)[:, None]
     level = st.levels[:, None]
-    pos_cols = level * n_classes + label
-    neg_cols = level * n_classes + others
+    pos_cols = level * st.n_classes + label
+    neg_cols = level * st.n_classes + others
     ref_cols = level * n_others + np.arange(n_others)
-    label_rows = np.arange(len(_LEVELS)) * n_classes + label
-    other_rows = (np.arange(len(_LEVELS))[:, None] * n_classes + others).ravel()
+    # each level's label text row, and the other classes' rows of its block
+    label_rows = np.arange(label, st.text.shape[0], st.n_classes)
+    other_rows = (label_rows[:, None] + (others - label)).ravel()
 
     # each image row's label column and wrong-class columns at its own level
     phi, phi_backward = geo.angle_distance_core(st.space[st.rows], st.text, geom)
@@ -404,7 +409,7 @@ def ama_total(embeddings, label, selections, cfg, geom, *, stacked=None):
         g_text[other_rows] += g_other
         g_space = np.zeros_like(st.space)
         np.add.at(g_space, st.rows, g_image)
-        return st.gradients(g_space, g_text)
+        return st.image_levels(g_space) + [g_text]
 
     return ad.fused("ama_total", image_term + text_term, st.parents, backward)
 
@@ -439,7 +444,8 @@ def shc_total(embeddings, label, selections, cfg, geom, *, stacked=None):
     terms: wrong-class text contradicts the same image embeddings. Each
     term is the mean over its pair set, terms are summed.
 
-    All terms form one fused node over the six level spaces. The
+    All terms form one fused node over the slide, the regions, the patches
+    and the class text. The
     region-to-patch term keeps the in-region entries of one [R x N_p]
     exterior-angle matrix, and each text-chain term the diagonal of one
     [C x C] matrix. The text-to-image terms of all levels come from one
@@ -454,7 +460,7 @@ def shc_total(embeddings, label, selections, cfg, geom, *, stacked=None):
     """
     st = stacked or _Stacked(embeddings, selections)
     slide, regions, patches = st.image_levels(st.space)
-    text_levels = st.text_levels(st.text)
+    text = st.text_levels(st.text)
     n_classes = st.n_classes
     spans = embeddings.region_slices
     in_region = (
@@ -462,17 +468,19 @@ def shc_total(embeddings, label, selections, cfg, geom, *, stacked=None):
         np.concatenate([np.arange(start, stop) for start, stop in spans]),
     )
     diag = (np.arange(n_classes), np.arange(n_classes))
-    # ((value, backward), u, v) with u and v positions in `st.parents`: the
-    # slide entails its regions, each region its own patches, and each
-    # class's text its own text one level down
+    # ((value, backward), u, v) with u and v positions in the list of the
+    # image levels followed by the text levels (3 + level.value): the slide
+    # entails its regions, each region its own patches, and each class's
+    # text its own text one level down
     entailments = [
         (_entailment(slide, regions, (np.zeros(st.n_regions, dtype=int),
                                       np.arange(st.n_regions)), cfg, geom), 0, 1),
         (_entailment(regions, patches, in_region, cfg, geom), 1, 2),
     ] + [
-        (_entailment(text_levels[i], text_levels[i + 1], diag, cfg, geom),
-         3 + i, 4 + i)
-        for i in range(len(_LEVELS) - 1)
+        (_entailment(text[upper.value], text[lower.value], diag, cfg, geom),
+         3 + upper.value, 3 + lower.value)
+        for upper, lower in ((HierarchyLevel.SLIDE, HierarchyLevel.REGION),
+                             (HierarchyLevel.REGION, HierarchyLevel.PATCH))
     ]
     values = [value for (value, _), _, _ in entailments]
 
@@ -500,7 +508,8 @@ def shc_total(embeddings, label, selections, cfg, geom, *, stacked=None):
     def backward(g):
         g_space = np.zeros_like(st.space)
         g_text = np.zeros_like(st.text)
-        grads = st.gradients(g_space, g_text)  # views into the two buffers
+        # views into the two buffers
+        grads = st.image_levels(g_space) + st.text_levels(g_text)
         for (_, term_backward), u, v in entailments:
             g_u, g_v = term_backward(g)
             grads[u] += g_u
@@ -519,7 +528,7 @@ def shc_total(embeddings, label, selections, cfg, geom, *, stacked=None):
         g_text_rows, g_image = theta_backward(g_theta)
         g_text += g_text_rows + aperture_backward(g_aperture[:, None])
         np.add.at(g_space, st.rows, g_image)
-        return grads
+        return st.image_levels(g_space) + [g_text]
 
     return ad.fused("shc_total", total, st.parents, backward)
 
@@ -527,7 +536,7 @@ def shc_total(embeddings, label, selections, cfg, geom, *, stacked=None):
 def cls_loss(embeddings, label, cfg, geom):
     """Cross-entropy over softmax of negative slide-to-text geodesics."""
     distances = geo.geodesic(
-        embeddings.slide, embeddings.text[HierarchyLevel.SLIDE], geom
+        embeddings.slide, text_level(embeddings.text, HierarchyLevel.SLIDE), geom
     )
     return cls_nll(distances, label)
 

@@ -25,6 +25,11 @@ read, so scoring a slide maps only its slide point. The class text depends
 on the parameters alone; a caller scoring many bags embeds it once and
 passes it to `embed_slide`.
 
+The class text of all levels stays one stacked Points from `embed_text` to
+the loss assemblies, in `HierarchyLevel` order (row level.value * N_C + c
+is class c at that level). This module owns that layout: a caller that
+needs one level reads it through `text_level`.
+
 Every parameter array of a `ModelParams` is a view into one float64
 buffer, trainable arrays first, so the optimizer updates them in one
 vectorized step and a copy is one array copy. The layout lives in memory
@@ -62,22 +67,6 @@ class HierarchyLevel(Enum):
     PATCH = 0
     REGION = 1
     SLIDE = 2
-
-    @property
-    def subordinate(self):
-        return {
-            HierarchyLevel.SLIDE: HierarchyLevel.REGION,
-            HierarchyLevel.REGION: HierarchyLevel.PATCH,
-            HierarchyLevel.PATCH: None,
-        }[self]
-
-    @property
-    def superordinate(self):
-        return {
-            HierarchyLevel.SLIDE: None,
-            HierarchyLevel.REGION: HierarchyLevel.SLIDE,
-            HierarchyLevel.PATCH: HierarchyLevel.REGION,
-        }[self]
 
 
 @dataclass(frozen=True)
@@ -449,8 +438,9 @@ class EmbeddingSet:
     `patches` [sum N_p] and `regions` [N_r] are Points, or zero-argument
     callables making them: a callable runs on the first read of its level,
     under the autodiff mode in effect at that read, and its Points are kept
-    for later reads. `slide` [1] is Points, `text` maps HierarchyLevel to
-    Points [N_C], and `region_slices` holds each region's patch row range.
+    for later reads. `slide` [1] is Points, `text` the [3 N_C] Points of
+    `embed_text` (read one level with `text_level`), and `region_slices`
+    holds each region's patch row range.
     """
 
     def __init__(self, patches, regions, slide, text, region_slices):
@@ -474,15 +464,22 @@ class EmbeddingSet:
 
 
 def embed_text(params, geom):
-    """Per-class text embeddings at each level, independent of any bag."""
-    # all (level, class) rows share one adaptor pass and one map
-    points = geo.exp_map_origin(params.adaptor_t(params.semantics.features()),
-                                geom)
-    n = params.dims.n_classes
-    return {
-        level: geo.select(points, np.arange(i * n, (i + 1) * n))
-        for i, level in enumerate(HierarchyLevel)
-    }
+    """Class-text embeddings of every level, independent of any bag.
+
+    One Points of 3 N_C rows in `HierarchyLevel` order: row
+    level.value * N_C + c is class c at that level, the order of
+    `ClassSemanticsTable.features`. All rows share one adaptor pass and one
+    map; `text_level` reads the rows of one level.
+    """
+    return geo.exp_map_origin(params.adaptor_t(params.semantics.features()),
+                              geom)
+
+
+def text_level(text, level):
+    """The N_C rows of `level` in the stacked class text of `embed_text`, as
+    one basic-slice index node (a view, cheaper than a `geo.select` copy)."""
+    n = text.count // len(HierarchyLevel)
+    return geo.Points(text.space[level.value * n:(level.value + 1) * n], text.cfg)
 
 
 def embed_slide(bag, params, geom, text=None):

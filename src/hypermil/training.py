@@ -37,6 +37,7 @@ from .model import (
     aggregate,
     embed_slide,
     init_params,
+    text_level,
 )
 
 log = logging.getLogger(__name__)
@@ -357,7 +358,7 @@ def gradient_check_suite(trials=20, seed=0, h=1e-5):
             return (out * ad.Tensor(probe)).sum()
 
         def f_ama(emb):
-            text = emb.text[HierarchyLevel.SLIDE]
+            text = text_level(emb.text, HierarchyLevel.SLIDE)
             batch = AlignmentBatch(
                 query=emb.slide,
                 positive=geo.select(text, [label]),
@@ -366,7 +367,7 @@ def gradient_check_suite(trials=20, seed=0, h=1e-5):
             return ama_loss(batch, loss_cfg, geom)
 
         def f_con(emb):
-            text = emb.text[HierarchyLevel.SLIDE]
+            text = text_level(emb.text, HierarchyLevel.SLIDE)
             return con_loss(geo.select(text, others), emb.patches, loss_cfg, geom)
 
         def f_model():

@@ -139,7 +139,8 @@ def test_eval_split_must_be_list(workdir, bundle_path, checkpoint_path, capsys):
     assert "list" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["not json", "[1, 2]", '[["x"]]', "[]"])
+@pytest.mark.parametrize("text", ["not json", "[1, 2]", '[["x"]]', "[]",
+                                  '["slide-0000", "slide-0000", "slide-0004"]'])
 def test_eval_malformed_split_is_a_split_error(workdir, bundle_path,
                                                checkpoint_path, capsys, text):
     split = workdir / "malformed.json"
@@ -150,6 +151,19 @@ def test_eval_malformed_split_is_a_split_error(workdir, bundle_path,
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert str(split) in err
+
+
+def test_eval_labels_beyond_the_model_classes(workdir, checkpoint_path, capsys):
+    path = workdir / "three-class.bundle"
+    args = GEN_ARGS[:]
+    args[args.index("--classes") + 1] = "3"
+    assert main(args + ["--out", str(path)]) == 0
+    capsys.readouterr()
+    code = main(["eval", "--data", str(path), "--params", str(checkpoint_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "slide-0012" in err
 
 
 def test_eval_missing_data_file(checkpoint_path, capsys):

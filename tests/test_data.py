@@ -262,6 +262,26 @@ def test_read_bundle_bad_patch_count(written, count):
         dt.read_bundle(written)
 
 
+@pytest.mark.parametrize("field, edit", [
+    ("patch_counts", lambda m: m["slides"][0].update(patch_counts=16)),
+    ("classes", lambda m: m.update(classes=3)),
+    ("slides", lambda m: m.update(slides={"id": "slide-0000"})),
+    ("class_vectors", lambda m: m.update(class_vectors="abc")),
+    ("class_vectors", lambda m: m["class_vectors"][1].pop()),
+    ("class_vectors", lambda m: m["class_vectors"].pop()),
+    ("class_vectors", lambda m: m["class_vectors"][0].__setitem__(0, "0.5")),
+    ("class_vectors", lambda m: m["class_vectors"][0].__setitem__(0, float("nan"))),
+    ("id", lambda m: m["slides"][0].update(id=["slide-0000"])),
+    ("site", lambda m: m["slides"][2].update(site=["site-0"])),
+])
+def test_read_bundle_mistyped_field(written, field, edit):
+    # wrong types, a ragged or short class_vectors matrix (fewer rows than
+    # classes) and a non-finite or non-numeric class vector entry
+    _rewrite_manifest(written, edit)
+    with pytest.raises(FormatError, match=rf"\b{field} (of type|that)"):
+        dt.read_bundle(written)
+
+
 @pytest.mark.parametrize("dim", [0, -12, "12"])
 def test_read_bundle_bad_dimension(written, dim):
     def edit(m):

@@ -262,3 +262,11 @@ def test_evaluate_without_bags_is_a_metric_error():
     params = init_params(ModelDims(d_in=8, k=4, n_classes=2), 3)
     with pytest.raises(MetricError):
         ev.evaluate([], params, TrainConfig(k=4).geometry())
+
+
+def test_scoring_a_label_beyond_the_model_classes_is_a_metric_error():
+    bags = generate(replace(TINY_SPEC, n_classes=3)).bags
+    params = init_params(ModelDims(d_in=8, k=4, n_classes=2), 3)
+    first = next(bag for bag in bags if bag.label == 2)
+    with pytest.raises(MetricError, match=first.slide_id):
+        ev.evaluate(bags, params, TrainConfig(k=4).geometry())

@@ -8,7 +8,7 @@ from hypermil import autodiff as ad
 from hypermil import geometry as geo
 from hypermil import losses as ls
 from hypermil.errors import ConfigError, ShapeError
-from hypermil.model import EmbeddingSet, HierarchyLevel
+from hypermil.model import EmbeddingSet, HierarchyLevel, text_level
 
 CFG = ls.LossConfig()
 GEOM = geo.GeometryConfig(curvature=1.0, dim=2)
@@ -202,11 +202,8 @@ def _collinear_embeddings(n_classes=3):
     angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     label_dir = dirs[0]
-    text = {
-        HierarchyLevel.SLIDE: _pts(1.0 * dirs),
-        HierarchyLevel.REGION: _pts(1.5 * dirs),
-        HierarchyLevel.PATCH: _pts(2.0 * dirs),
-    }
+    # the patch, region and slide levels, in HierarchyLevel order
+    text = _pts(np.concatenate([2.0 * dirs, 1.5 * dirs, 1.0 * dirs]))
     return EmbeddingSet(
         patches=_pts(np.stack([4.0 * label_dir, 4.5 * label_dir,
                                5.0 * label_dir, 5.5 * label_dir])),
@@ -258,7 +255,7 @@ def _looped_image_sets(emb, selections):
 def _looped_ama_total(emb, label, selections):
     """ama_total with one [K x C] angle matrix and one pair of ama_nll
     terms per level, the reference for the stacked form."""
-    n_classes = emb.text[HierarchyLevel.SLIDE].count
+    n_classes = text_level(emb.text, HierarchyLevel.SLIDE).count
     others = [c for c in range(n_classes) if c != label]
     if not others:
         return ad.Tensor(0.0)
@@ -266,7 +263,7 @@ def _looped_ama_total(emb, label, selections):
     for level, image in _looped_image_sets(emb, selections).items():
         if image.count == 0:
             continue
-        text = emb.text[level]
+        text = text_level(emb.text, level)
         phi = geo.angle_distance(image, text, GEOM)
         phi_pos = phi[:, [label]]
         phi_neg = phi[:, others]
@@ -289,20 +286,22 @@ def _looped_shc_total(emb, label, selections):
         for r, (start, stop) in enumerate(emb.region_slices)
     ]
     parts.append(ad.concat(per_region, axis=1).mean())
-    n_classes = emb.text[HierarchyLevel.SLIDE].count
+    n_classes = text_level(emb.text, HierarchyLevel.SLIDE).count
     diag = (np.arange(n_classes), np.arange(n_classes))
     for upper, lower in ((HierarchyLevel.SLIDE, HierarchyLevel.REGION),
                          (HierarchyLevel.REGION, HierarchyLevel.PATCH)):
-        chain = ls._ent_matrix(emb.text[upper], emb.text[lower], CFG, GEOM)
+        chain = ls._ent_matrix(text_level(emb.text, upper),
+                               text_level(emb.text, lower), CFG, GEOM)
         parts.append(chain[diag].mean())
     others = [c for c in range(n_classes) if c != label]
     for level, image in _looped_image_sets(emb, selections).items():
         if image.count == 0:
             continue
-        parts.append(ls._ent_matrix(geo.select(emb.text[level], [label]),
+        text = text_level(emb.text, level)
+        parts.append(ls._ent_matrix(geo.select(text, [label]),
                                     image, CFG, GEOM).mean())
         if others:
-            parts.append(ls._con_matrix(geo.select(emb.text[level], others),
+            parts.append(ls._con_matrix(geo.select(text, others),
                                         image, CFG, GEOM).mean())
     total = ad.Tensor(0.0)
     for part in parts:
@@ -362,7 +361,7 @@ def _with_leaves(emb):
                                 p.cfg)
     return EmbeddingSet(
         patches=leaf(emb.patches), regions=leaf(emb.regions), slide=leaf(emb.slide),
-        text={level: leaf(t) for level, t in emb.text.items()},
+        text=leaf(emb.text),
         region_slices=emb.region_slices,
     )
 
@@ -372,8 +371,7 @@ def _space_grads(fn, emb):
     out = fn(leaves)
     if out.requires_grad:
         out.backward()
-    batches = [leaves.patches, leaves.regions, leaves.slide,
-               *(leaves.text[level] for level in HierarchyLevel)]
+    batches = [leaves.patches, leaves.regions, leaves.slide, leaves.text]
     return np.concatenate([
         np.zeros(p.space.shape) if p.space.grad is None else p.space.grad
         for p in batches
@@ -403,9 +401,9 @@ def _graph_size(root):
 
 
 def test_total_loss_graph_size_does_not_depend_on_levels():
-    # 6 level-space leaves, geodesic and cls_nll, one fused node per loss
-    # family, and a scaled sum per family: the same whichever levels have
-    # selected rows
+    # 4 space leaves (slide, regions, patches, text), the slide-text select,
+    # geodesic and cls_nll, one fused node per loss family, and a scaled sum
+    # per family: the same whichever levels have selected rows
     full = _full_selection()
     no_patch = dict(full)
     no_patch[HierarchyLevel.PATCH] = np.array([], dtype=int)
@@ -414,7 +412,7 @@ def test_total_loss_graph_size_does_not_depend_on_levels():
     emb = _with_leaves(_random_embeddings(np.random.default_rng(34)))
     sizes = [_graph_size(ls.total_loss(emb, 0, sel, CFG, GEOM))
              for sel in (full, no_patch, slide_only)]
-    assert sizes == [14, 14, 14]
+    assert sizes == [13, 13, 13]
 
 
 def test_ama_total_empty_patch_level_contributes_zero():
@@ -429,7 +427,7 @@ def test_ama_total_empty_patch_level_contributes_zero():
     assert reduced > 0.0
     # the removed amount equals the standalone patch-level terms
     img = geo.select(emb.patches, sel_full[HierarchyLevel.PATCH])
-    text = emb.text[HierarchyLevel.PATCH]
+    text = text_level(emb.text, HierarchyLevel.PATCH)
     phi = geo.angle_distance(img, text, GEOM)
     refs = geo.angle_distance(
         geo.select(text, [0]), geo.select(text, [1, 2]), GEOM
@@ -452,7 +450,7 @@ def _random_embeddings(rng, n_classes=3):
         patches=sp(4, 0.8),
         regions=sp(2, 0.6),
         slide=sp(1, 0.5),
-        text={level: sp(n_classes, 0.4) for level in HierarchyLevel},
+        text=sp(3 * n_classes, 0.4),
         region_slices=[(0, 2), (2, 4)],
     )
 
@@ -495,11 +493,8 @@ def test_losses_finite_difference():
             patches=geo.select(pts, [0, 1, 2, 3]),
             regions=geo.select(pts, [4, 5]),
             slide=geo.select(pts, [6]),
-            text={
-                HierarchyLevel.SLIDE: geo.select(pts, [7, 8, 9]),
-                HierarchyLevel.REGION: geo.select(pts, [10, 11, 12]),
-                HierarchyLevel.PATCH: geo.select(pts, [13, 14, 15]),
-            },
+            # patch, region and slide text, in HierarchyLevel order
+            text=geo.select(pts, [13, 14, 15, 10, 11, 12, 7, 8, 9]),
             region_slices=[(0, 2), (2, 4)],
         )
 

@@ -34,14 +34,6 @@ def _bag(rng, n_regions=2, n_patches=3, d_in=8, label=0):
 # -- levels and dims ------------------------------------------------------------
 
 
-def test_hierarchy_level_chain():
-    assert md.HierarchyLevel.SLIDE.subordinate is md.HierarchyLevel.REGION
-    assert md.HierarchyLevel.REGION.subordinate is md.HierarchyLevel.PATCH
-    assert md.HierarchyLevel.PATCH.subordinate is None
-    assert md.HierarchyLevel.PATCH.superordinate is md.HierarchyLevel.REGION
-    assert md.HierarchyLevel.SLIDE.superordinate is None
-
-
 def test_model_dims_validation():
     for bad in (dict(d_in=0), dict(k=1), dict(n_classes=0), dict(d_hidden=-1)):
         with pytest.raises(ConfigError):
@@ -254,10 +246,15 @@ def test_segmented_aggregate_rejects_empty_and_mismatched_segments():
 def test_embed_text_structure():
     params = md.init_params(DIMS, 7)
     text = md.embed_text(params, GEOM)
-    assert set(text) == set(md.HierarchyLevel)
-    for level, pts in text.items():
+    assert isinstance(text, geo.Points)
+    assert text.count == 3 * len(md.HierarchyLevel)
+    for level in md.HierarchyLevel:
+        pts = md.text_level(text, level)
         assert pts.count == 3
-        # matches a standalone pass over that level's features
+        # rows level.value * C + c, and they match a standalone pass over
+        # that level's features
+        assert np.array_equal(pts.space.data,
+                              text.space.data[3 * level.value:3 * level.value + 3])
         feats = ad.Tensor(params.semantics.base.data
                           + params.semantics.offsets.data[:, level.value])
         want = geo.exp_map_origin(params.adaptor_t(feats), GEOM)
@@ -278,7 +275,7 @@ def test_embed_slide_on_manifold():
     params = md.init_params(DIMS, 9)
     bag = _bag(np.random.default_rng(6))
     emb = md.embed_slide(bag, params, GEOM)
-    for pts in (emb.patches, emb.regions, emb.slide, *emb.text.values()):
+    for pts in (emb.patches, emb.regions, emb.slide, emb.text):
         inner = (pts.space.data ** 2).sum(axis=1) - pts.time.data[:, 0] ** 2
         assert np.max(np.abs(inner + 1.0)) < 1e-9
 
@@ -315,9 +312,8 @@ def test_embed_slide_gradients_reach_all_trainables():
     params = md.init_params(DIMS, 11)
     bag = _bag(np.random.default_rng(7))
     emb = md.embed_slide(bag, params, GEOM)
-    loss = (emb.slide.space * emb.slide.space).sum()
-    for pts in emb.text.values():
-        loss = loss + (pts.space * pts.space).sum()
+    loss = ((emb.slide.space * emb.slide.space).sum()
+            + (emb.text.space * emb.text.space).sum())
     loss.backward()
     for name, t in params.trainable():
         assert t.grad is not None, name

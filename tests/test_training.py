@@ -308,11 +308,12 @@ def _graph_size(root):
     return len(seen)
 
 
-def test_default_train_step_graph_has_34_nodes(monkeypatch):
+def test_default_train_step_graph_has_32_nodes(monkeypatch):
     # one node per loss family and per model stage: 14 leaves (the input
     # and 13 trainable arrays), the two adaptors, two aggregates, the text
-    # features, four exp maps, three text-level selects, geodesic, cls_nll,
-    # ama_total, shc_total, and the scaling and sum of each of the last two
+    # features, four exp maps, the slide-text select of cls_loss, geodesic,
+    # cls_nll, ama_total, shc_total, and the scaling and sum of each of the
+    # last two
     bundle = generate(SyntheticSpec())
     split = make_splits(bundle.bags, 1, 1, seed=0).folds[0].inner[0]
     split = InnerSplit(split.train_ids[:6], split.val_ids, split.test_ids)
@@ -325,7 +326,7 @@ def test_default_train_step_graph_has_34_nodes(monkeypatch):
 
     monkeypatch.setattr(ad.Tensor, "backward", sized)
     tr.train(bundle, split, tr.TrainConfig(epochs=1))
-    assert sizes == [34] * 6
+    assert sizes == [32] * 6
 
 
 def _grads(params):
