@@ -12,8 +12,9 @@ The generic primitives are the glue the library needs: broadcasting
   * the hyperbolic primitives in `geometry` (`exp_map_origin`,
     `lorentz_inner`, `geodesic`, `exterior_angle`, `angle_distance`,
     `half_aperture`),
-  * the two softmax NLLs, the two cone penalties and the two per-slide
-    loss assemblies (`ama_total`, `shc_total`) in `losses`,
+  * the two softmax NLLs, the two cone penalties and the per-slide node
+    of the alignment and hierarchy terms (`cone_losses`, which `ama_total`,
+    `shc_total` and `total_loss` build) in `losses`,
   * the class-text features, the adaptor MLP and the gated-attention
     pooling (`aggregate`) in `model`.
 

@@ -272,8 +272,9 @@ def read_bundle(path):
             f"{where} does not match payload version {version}"
         )
     dim = _field(manifest, "dim", where, object)
-    if not isinstance(dim, int) or dim < 1:
-        raise FormatError(f"{where} has dimension {dim!r}")
+    if not _is_integer(dim) or dim < 1:
+        raise FormatError(
+            f"{where} has dim that is not a positive integer dimension: {dim!r}")
     n_classes = len(_field(manifest, "classes", where, list))
     try:
         class_vectors = np.asarray(_field(manifest, "class_vectors", where, list))
@@ -293,15 +294,16 @@ def read_bundle(path):
             raise FormatError(
                 f"{context} has label {label!r}, expected 0 to {n_classes - 1}"
             )
-        if _field(entry, "offset", context, object) != offset:
+        if _field(entry, "offset", context, int) != offset:
             raise PayloadLengthError(
                 f"{path}: slide {slide_id} declares offset {entry['offset']}, "
                 f"expected {offset}"
             )
         regions = []
         for count in _field(entry, "patch_counts", context, list):
-            if not isinstance(count, int) or count < 0:
-                raise FormatError(f"{context} has patch count {count!r}")
+            if not _is_integer(count) or count < 0:
+                raise FormatError(f"{context} has patch_counts that are not all "
+                                  f"integers of 0 or more: patch count {count!r}")
             nbytes = count * dim * 4
             if offset + nbytes > declared:
                 raise PayloadLengthError(
@@ -330,13 +332,19 @@ def read_bundle(path):
                   class_names=list(manifest["classes"]), dim=dim)
 
 
+def _is_integer(value):
+    # JSON true and false read as bool, which is a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _field(entry, key, where, kind):
-    """entry[key] of a manifest object, which must be an instance of `kind`;
-    FormatError naming the key when it is missing or of another type."""
+    """entry[key] of a manifest object, which must be an instance of `kind`
+    (for int, not a bool); FormatError naming the key when it is missing or
+    of another type."""
     if not isinstance(entry, dict) or key not in entry:
         raise FormatError(f"{where} has no '{key}' key")
     value = entry[key]
-    if not isinstance(value, kind):
+    if not (_is_integer(value) if kind is int else isinstance(value, kind)):
         raise FormatError(f"{where} has {key} of type {type(value).__name__}, "
                           f"expected {kind.__name__}")
     return value

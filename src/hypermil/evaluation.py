@@ -20,7 +20,7 @@ from . import autodiff as ad
 from . import geometry as geo
 from . import training
 from .data import make_splits
-from .errors import MetricError
+from .errors import ConfigError, MetricError
 from .fileio import atomic_write_text
 from .model import HierarchyLevel, embed_slide, embed_text, text_level
 
@@ -182,7 +182,10 @@ class MetricReport:
 
 
 def run_protocol(bundle, n_outer, n_inner, cfg, jobs=1):
-    """Train and evaluate one model per (outer, inner) pair."""
+    """Train and evaluate one model per (outer, inner) pair, on up to `jobs`
+    threads; ConfigError for a negative `jobs`."""
+    if jobs < 0:
+        raise ConfigError(f"jobs must not be negative, got {jobs}")
     plan = make_splits(bundle.bags, n_outer, n_inner, seed=cfg.seed)
     by_id = {bag.slide_id: bag for bag in bundle.bags}
     geom = cfg.geometry()
@@ -223,6 +226,8 @@ def ablate(bundle, cfg, n_outer=3, n_inner=3, jobs=1):
 
     Returns [(name, lambda_a, lambda_s, MetricReport)] for
     (0, 0), (lambda_a, 0), (0, lambda_s), (lambda_a, lambda_s).
+    A negative `jobs` is a ConfigError from the first `run_protocol` call,
+    before any training.
     """
     weights = {
         "cls-only": (0.0, 0.0),

@@ -19,9 +19,12 @@ raise GeometryError instead of being silently patched.
 Fused primitives: `exp_map_origin` (both branches), `lorentz_inner`,
 `geodesic`, `exterior_angle`, `angle_distance` and `half_aperture` are each
 one autodiff node (`autodiff.fused`) whose forward and hand-derived backward
-run in numpy. The numpy halves of `exterior_angle`, `angle_distance` and
-`half_aperture` are exposed as `*_core` functions over space arrays, which
-the loss assemblies in `losses` compose inside their own fused nodes.
+run in numpy. One numpy core is exposed over space arrays,
+`masked_exterior_angle_core`: the exterior angles of chosen (apex, row)
+pairs of one stacked array together with the apex rows' half-apertures, in
+one pass. Its only caller is the fused loss node of `losses`; the public
+primitives and it share the private numpy helpers below, so the
+exterior-angle formula and its backward have one code path.
 `Points.time` is a constant tensor, not a graph node: nothing
 differentiates through it. The fused backwards are checked against
 central differences by `tests/test_geometry.py`
@@ -150,11 +153,7 @@ def _check_dims(u, v, caller):
 #
 # Each fused primitive reads the space parts, recomputes time parts (and
 # norms) in numpy, and pushes its gradient back into the space parts alone:
-# d u_t / d u_s = u_s / u_t and d |u_s| / d u_s = u_s / |u_s|. The cores of
-# the primitives the loss assemblies reuse (`exterior_angle_core`,
-# `angle_distance_core`, `half_aperture_core`) take space arrays and return
-# the value with a backward mapping its gradient to the space gradients; the
-# public primitive wraps its core in one `autodiff.fused` node.
+# d u_t / d u_s = u_s / u_t and d |u_s| / d u_s = u_s / |u_s|.
 
 
 def _rows(s, cfg):
@@ -203,68 +202,66 @@ def _exterior_backward(g, saved):
     return g_rho_inner, g_tu, g_nu, g_tv
 
 
-def _rho_inner(cfg, su, tu, sv, tv):
-    rho_inner = _scale(_inner(su, tu, sv, tv), cfg.curvature)
+def _check_coincident(rho_inner, cfg):
     # rho * <u_i, v_j>_H is always <= -1 on the manifold
     if (-rho_inner - 1.0 < cfg.epsilon).any():
         raise GeometryError("exterior angle is undefined for coincident points")
-    return rho_inner
 
 
-def exterior_angle_core(su, sv, cfg):
-    """Numpy core of `exterior_angle` over space arrays: (theta, backward),
-    backward(g) giving the gradients of sum(g * theta) on (su, sv)."""
-    tu, sumsq_u = _rows(su, cfg)
-    nu = _norms(sumsq_u, cfg, "exterior angle")
-    tv, _ = _rows(sv, cfg)
-    rho_inner = _rho_inner(cfg, su, tu, sv, tv)
-    theta, saved = _exterior_forward(rho_inner, tu, nu, tv)
-
-    def backward(g):
-        g_ri, g_tu, g_nu, g_tv = _exterior_backward(g, saved)
-        g_su, g_sv = _inner_backward(_scale(g_ri, cfg.curvature), g_tu, g_tv,
-                                     su, tu, sv, tv)
-        return g_su + g_nu * (su / nu), g_sv
-
-    return theta, backward
-
-
-def angle_distance_core(su, sv, cfg):
-    """Numpy core of `angle_distance` over space arrays: (phi, backward),
-    backward(g) giving the gradients of sum(g * phi) on (su, sv)."""
-    tu, sumsq_u = _rows(su, cfg)
-    tv, sumsq_v = _rows(sv, cfg)
-    nu = _norms(sumsq_u, cfg, "angle distance")
-    nv = _norms(sumsq_v, cfg, "angle distance")
-    rho_inner = _rho_inner(cfg, su, tu, sv, tv)
-    t_uv, saved_uv = _exterior_forward(rho_inner, tu, nu, tv)
-    t_vu, saved_vu = _exterior_forward(rho_inner.T, tv, nv, tu)
-
-    def backward(g):
-        g_ri, g_tu, g_nu, g_tv = _exterior_backward(g, saved_uv)
-        g_ri_t, g_tv_t, g_nv, g_tu_t = _exterior_backward(g.T, saved_vu)
-        g_su, g_sv = _inner_backward(_scale(g_ri + g_ri_t.T, cfg.curvature),
-                                     g_tu + g_tu_t, g_tv + g_tv_t,
-                                     su, tu, sv, tv)
-        return g_su + g_nu * (su / nu), g_sv + g_nv * (sv / nv)
-
-    return t_uv + t_vu.T - np.pi, backward
-
-
-def half_aperture_core(s, cfg, alpha):
-    """Numpy core of `half_aperture` over a space array: (column of
-    apertures, backward), backward(g) giving the gradient on s."""
-    _, sumsq = _rows(s, cfg)
-    n = _norms(sumsq, cfg, "half aperture")
+def _aperture(n, cfg, alpha):
+    """asin(min(2 alpha / (sqrt(rho) n), 1)) of a column of space norms, with
+    a backward giving the gradient on the norms."""
     ratio = (2.0 * alpha / cfg.sqrt_curvature) / n
     arg = np.minimum(ratio, 1.0)
     d2 = 1.0 - arg * arg
 
     def backward(g):
-        g_n = -g * ad.guarded_rsqrt(d2 > 0.0, d2) * ratio / n
-        return g_n * (s / n)
+        return -g * ad.guarded_rsqrt(d2 > 0.0, d2) * ratio / n
 
     return np.arcsin(arg), backward
+
+
+# the rho<u,v>_H placed in the entries outside the mask of
+# `masked_exterior_angle_core`: far enough below -1 that the square root and
+# the arc cosine stay finite
+_PLACEHOLDER_INNER = -2.0
+
+
+def masked_exterior_angle_core(space, apex, mask, cfg, alpha):
+    """Exterior angles theta(space[apex_a], space_j) on the pairs that the
+    boolean [A x N] `mask` marks, and the half-aperture of every apex row,
+    in one pass over the rows of the space array `space`.
+
+    `apex` holds A distinct row indices. Time parts and norms are computed
+    once for all N rows, and one exterior-angle matrix covers every
+    (apex, row) pair. Entries outside the mask get a placeholder
+    rho<u,v>_H before the square root and the arc cosine, so they hold a
+    finite angle that means nothing; the caller must read only masked
+    entries, and give the others zero gradient. GeometryError when an apex
+    row sits at the origin, or when a masked pair is coincident; unmasked
+    pairs are not checked.
+
+    Returns (theta, aperture column, backward), backward(g_theta,
+    g_aperture) giving the gradient on `space`.
+    """
+    t, sumsq = _rows(space, cfg)
+    su, tu = space[apex], t[apex]
+    nu = _norms(sumsq[apex], cfg, "exterior angle")
+    rho_inner = _scale(_inner(su, tu, space, t), cfg.curvature)
+    _check_coincident(rho_inner[mask], cfg)
+    theta, saved = _exterior_forward(np.where(mask, rho_inner, _PLACEHOLDER_INNER),
+                                     tu, nu, t)
+    aperture, aperture_backward = _aperture(nu, cfg, alpha)
+
+    def backward(g_theta, g_aperture):
+        g_ri, g_tu, g_nu, g_tv = _exterior_backward(g_theta, saved)
+        g_su, g_space = _inner_backward(_scale(g_ri, cfg.curvature), g_tu, g_tv,
+                                        su, tu, space, t)
+        g_nu = g_nu + aperture_backward(g_aperture)
+        g_space[apex] += g_su + g_nu * (su / nu)
+        return g_space
+
+    return theta, aperture, backward
 
 
 # -- fused primitives ---------------------------------------------------------
@@ -317,7 +314,20 @@ def exterior_angle(u, v, cfg):
     origin. Undefined (GeometryError) when u sits at the origin or u == v.
     """
     _check_dims(u, v, "exterior angle")
-    theta, backward = exterior_angle_core(u.space.data, v.space.data, cfg)
+    su, sv = u.space.data, v.space.data
+    tu, sumsq_u = _rows(su, cfg)
+    nu = _norms(sumsq_u, cfg, "exterior angle")
+    tv, _ = _rows(sv, cfg)
+    rho_inner = _scale(_inner(su, tu, sv, tv), cfg.curvature)
+    _check_coincident(rho_inner, cfg)
+    theta, saved = _exterior_forward(rho_inner, tu, nu, tv)
+
+    def backward(g):
+        g_ri, g_tu, g_nu, g_tv = _exterior_backward(g, saved)
+        g_su, g_sv = _inner_backward(_scale(g_ri, cfg.curvature), g_tu, g_tv,
+                                     su, tu, sv, tv)
+        return g_su + g_nu * (su / nu), g_sv
+
     return ad.fused("exterior_angle", theta, (u.space, v.space), backward)
 
 
@@ -328,8 +338,26 @@ def angle_distance(u, v, cfg):
     its transpose, so angle_distance(v, u) is exactly angle_distance(u, v).T.
     """
     _check_dims(u, v, "angle distance")
-    phi, backward = angle_distance_core(u.space.data, v.space.data, cfg)
-    return ad.fused("angle_distance", phi, (u.space, v.space), backward)
+    su, sv = u.space.data, v.space.data
+    tu, sumsq_u = _rows(su, cfg)
+    tv, sumsq_v = _rows(sv, cfg)
+    nu = _norms(sumsq_u, cfg, "angle distance")
+    nv = _norms(sumsq_v, cfg, "angle distance")
+    rho_inner = _scale(_inner(su, tu, sv, tv), cfg.curvature)
+    _check_coincident(rho_inner, cfg)
+    t_uv, saved_uv = _exterior_forward(rho_inner, tu, nu, tv)
+    t_vu, saved_vu = _exterior_forward(rho_inner.T, tv, nv, tu)
+
+    def backward(g):
+        g_ri, g_tu, g_nu, g_tv = _exterior_backward(g, saved_uv)
+        g_ri_t, g_tv_t, g_nv, g_tu_t = _exterior_backward(g.T, saved_vu)
+        g_su, g_sv = _inner_backward(_scale(g_ri + g_ri_t.T, cfg.curvature),
+                                     g_tu + g_tu_t, g_tv + g_tv_t,
+                                     su, tu, sv, tv)
+        return g_su + g_nu * (su / nu), g_sv + g_nv * (sv / nv)
+
+    return ad.fused("angle_distance", t_uv + t_vu.T - np.pi, (u.space, v.space),
+                    backward)
 
 
 def half_aperture(u, cfg, alpha=0.1):
@@ -339,9 +367,11 @@ def half_aperture(u, cfg, alpha=0.1):
     2 alpha / sqrt(rho) get the maximal aperture pi/2 (argument clamped
     to 1, zero gradient); a point at the origin itself is an error.
     """
-    aperture, backward = half_aperture_core(u.space.data, cfg, alpha)
+    s = u.space.data
+    n = _norms(_rows(s, cfg)[1], cfg, "half aperture")
+    aperture, backward = _aperture(n, cfg, alpha)
     return ad.fused("half_aperture", aperture, (u.space,),
-                    lambda g: (backward(g),))
+                    lambda g: (backward(g) * (s / n),))
 
 
 def to_poincare_disk(u, cfg):

@@ -21,29 +21,35 @@ Exponential arguments inside the cone penalties are clamped at 700 so a
 badly violated pair yields a huge finite penalty instead of overflowing to
 infinity.
 
-The per-slide assemblies `ama_total` and `shc_total` are one fused node
-each, whose four parents are the spaces of the slide, the regions, the
-patches and the class text. Their forward and backward run in numpy and
-compose the numpy cores of the geometry primitives (`geometry.*_core`) and
-of the scalar cores above (`_ama`, `_ent`, `_con`), so each concept keeps
-one code path. All three levels are handled in one pass: `_Stacked` stacks
-the selected image rows in the order slide, regions, patches, with the
-level of each row kept alongside, and takes the 3 C class-text rows as
-`model.embed_text` lays them out, in `HierarchyLevel` order, so row
-level.value * C + c is class c at that level. `total_loss` builds it once
-per step and hands it to both assemblies. `ama_total` computes one angle
-matrix between them and `shc_total` one exterior-angle matrix; each image
-row gathers the entries of its own level. Per-level means become one
-weighted sum with weight 1 / K_level on each row (1 / (K_level (C-1)) for
-the contradiction entries), which equals the sum over levels of the
-per-level means up to rounding. Each forward sums in the order a graph of
-the public primitives and scalar cores would, so its value equals that
-composition bit for bit (`tests/test_losses.py` keeps such looped
-references). Because the stacked matrices also hold cross-level pairs, the
-coincidence guard of `geometry.angle_distance` and `geometry.exterior_angle`
-(GeometryError for coincident points) sees (text, image) and (label text,
-other text) pairs of different levels too. The NaN guard runs once, on each
-assembly's value.
+The alignment and hierarchy terms of one slide are one fused node
+(`_cone_losses`), whose four parents are the spaces of the slide, the
+regions, the patches and the class text, and which takes lambda_a and
+lambda_s as weights: `total_loss` builds it once per step with both,
+`ama_total` is the same node with weights (1, 0) and `shc_total` with
+(0, 1). Its forward and backward run in numpy. `_Stacked` stacks the four
+batches into one space array, the class text in `HierarchyLevel` order as
+`model.embed_text` lays it out (row level.value * C + c is class c at that
+level), and keeps the selected image rows with their levels. Every angle
+the terms read is an exterior angle theta(u, v), and all of them come from
+one masked exterior-angle matrix (`geometry.masked_exterior_angle_core`),
+whose rows are the apex rows (the slide, the regions, the text and, with
+the alignment term on, the selected image rows) and whose columns are all
+stacked rows; an angle distance reads theta(u, v) and theta(v, u). One
+`_ent` call covers every entailment pair and one `_con` call every
+contradiction pair, and the two `_ama` calls cover every selected image
+row, so each concept keeps one code path. Per-term means become one
+weighted sum with weight 1 / (pairs in the term) on each pair (1 / K_level
+on each image row, 1 / (K_level (C-1)) on each contradiction entry), which
+equals the sum of the per-term means up to rounding; `tests/test_losses.py`
+keeps looped references composed of the public primitives and scalar
+cores as the oracle for values and gradients.
+
+Guards: the origin guard covers the apex rows, and the coincidence guard
+(GeometryError for coincident points) exactly the pairs some term reads.
+Pairs that no term reads, such as a region against a patch of another
+region, or a text row against an image row of another level, are not
+checked: their entries of the matrix hold a placeholder angle that nothing
+reads. The NaN guard runs once, on the node's value.
 """
 
 from dataclasses import dataclass
@@ -297,29 +303,31 @@ class _Stacked:
     """One slide step's image and text rows, stacked once in numpy.
 
     `parents` are the four space tensors of the slide, the regions, the
-    patches and the class text. `space` stacks the first three, in that
-    order (`_LEVELS`); `text` is the text's array itself, in
-    `HierarchyLevel` order: row level.value * C + c is class c at that
-    level (see `model.embed_text`). `rows` picks the selected image rows of
-    `space` (the slide, the selected regions, the selected patches),
-    `levels` gives each one's `level.value`, so its own level's text block
-    starts at row levels * C, and `weights` its 1 / K_level, so a weighted
-    sum over the rows is the sum over levels of the per-level means. A
-    level without selections has no rows.
+    patches and the class text, and `space` stacks them in that order
+    (`_LEVELS`, then the text). The text keeps the `HierarchyLevel` order of
+    `model.embed_text`: row text0 + level.value * C + c of `space` is the
+    text of class c at that level. `rows` picks the selected
+    image rows of `space` (the slide, the selected regions, the selected
+    patches), `levels` gives each one's `level.value`, so its own level's
+    text block starts at row text0 + levels * C, and `weights` its
+    1 / K_level, so a weighted sum over the rows is the sum over levels of
+    the per-level means. A level without selections has no rows.
     """
 
     def __init__(self, embeddings, selections):
-        image = (embeddings.slide, embeddings.regions, embeddings.patches)
-        self.parents = tuple(p.space for p in image + (embeddings.text,))
+        points = (embeddings.slide, embeddings.regions, embeddings.patches,
+                  embeddings.text)
+        self.parents = tuple(p.space for p in points)
         widths = {t.data.shape[1] for t in self.parents}
         if len(widths) != 1:
             raise ShapeError(
                 f"embeddings of one slide have different dimensions {sorted(widths)}"
             )
-        self.space = np.concatenate([t.data for t in self.parents[:3]])
-        self.text = self.parents[3].data
-        self.n_regions = image[1].count
-        self.n_classes = embeddings.text.count // len(HierarchyLevel)
+        self.space = np.concatenate([t.data for t in self.parents])
+        self.stops = np.cumsum([p.count for p in points[:3]])
+        self.n_regions = points[1].count
+        self.text0 = self.stops[2]
+        self.n_classes = points[3].count // len(HierarchyLevel)
         regions = np.asarray(selections[HierarchyLevel.REGION], dtype=int)
         patches = np.asarray(selections[HierarchyLevel.PATCH], dtype=int)
         self.rows = np.concatenate([[0], 1 + regions, 1 + self.n_regions + patches])
@@ -330,19 +338,153 @@ class _Stacked:
         self.levels = np.array([level.value for level in _LEVELS])[position]
         self.weights = 1.0 / counts[position]
 
-    def image_levels(self, a):
-        """Views of the slide, region and patch rows of a `space`-shaped array."""
-        stop = 1 + self.n_regions
-        return [a[:1], a[1:stop], a[stop:]]
-
-    def text_levels(self, a):
-        """Views of each level's rows of a `text`-shaped array, indexed by
-        `level.value`."""
-        n = self.n_classes
-        return [a[i * n:(i + 1) * n] for i in range(len(HierarchyLevel))]
+    def split(self, a):
+        """Views of the slide, region, patch and text rows of a
+        `space`-shaped array, in the order of `parents`."""
+        return np.split(a, self.stops)
 
 
-def ama_total(embeddings, label, selections, cfg, geom, *, stacked=None):
+def _cone_losses(embeddings, label, selections, cfg, geom, lambda_a, lambda_s):
+    """lambda_a * L_ama + lambda_s * L_shc of one slide, as one fused node
+    over the slide, the regions, the patches and the class text.
+
+    Every angle these terms read is an exterior angle theta(u, v) of one
+    matrix (`geometry.masked_exterior_angle_core`) over the stacked rows
+    (`_Stacked`). Its rows are the apex rows: the slide, the regions, the
+    text and, when the alignment term is on, the selected image rows; its
+    columns are all stacked rows. A mask keeps the pairs some term reads:
+
+    * entailment (lambda_s): the slide over its regions, each region over
+      its own patches, each class's text over its text one level down, and
+      the label text of each selected image row's level over that row;
+    * contradiction (lambda_s): the wrong-class text of that level against
+      the row;
+    * alignment (lambda_a): both directions of each (selected image row,
+      text of its level) pair and of each (label text, wrong-class text)
+      pair of that level, so that phi(u, v) = theta(u, v) + theta(v, u) - pi.
+
+    One `_ent` call covers every entailment pair and one `_con` call every
+    contradiction pair. Each pair is weighted by lambda_s / (pairs in its
+    term), except that the pairs of image row i weigh lambda_s / K_level(i)
+    (lambda_s / (K_level(i) (C-1)) for the contradiction entries), and the
+    two `_ama` calls weight image row i by lambda_a / K_level(i); so the
+    value is the weighted sum of the per-term means up to rounding. The backward
+    scatters into one dense gradient of the angle matrix. The coincidence
+    guard covers exactly the masked pairs; pairs no term reads, such as a
+    region against a patch of another region, are not checked.
+    """
+    st = _Stacked(embeddings, selections)
+    n_rows, n_classes, n_regions = st.space.shape[0], st.n_classes, st.n_regions
+    others = np.array([c for c in range(n_classes) if c != label], dtype=int)
+    ama = lambda_a != 0.0 and others.size > 0
+    shc = lambda_s != 0.0
+    if not (ama or shc):
+        return ad.Tensor(0.0)
+    # each selected image row, as a column, and the rows of its level's label
+    # text and wrong-class text
+    image = st.rows[:, None]
+    block = st.text0 + st.levels[:, None] * n_classes
+    pos = block + label
+    neg = block + others
+
+    # the apex rows, in stacking order: the slide, the regions, the selected
+    # patches when the alignment term is on, and the text
+    is_apex = np.zeros(n_rows, dtype=bool)
+    is_apex[:1 + n_regions] = True
+    is_apex[st.text0:] = True
+    if ama:
+        is_apex[st.rows] = True
+    apex = np.flatnonzero(is_apex)
+    at = np.cumsum(is_apex) - 1
+
+    def pairs(u, v):
+        # flat positions of theta(u, v) in the [apex x rows] matrix
+        return at[u] * n_rows + v
+
+    # (flat positions, apex positions, weights, penalty core) of the
+    # entailment pairs and of the contradiction pairs
+    cones = []
+    if shc:
+        # the slide over its regions, each region over its own patches, and
+        # each class's text over its text one level down; one weight per pair
+        # gives each term's mean
+        spans = embeddings.region_slices
+        sizes = [stop - start for start, stop in spans]
+        chain = st.text0 + np.arange(n_classes)
+        slide_text, region_text, patch_text = (
+            chain + level.value * n_classes
+            for level in (HierarchyLevel.SLIDE, HierarchyLevel.REGION,
+                          HierarchyLevel.PATCH))
+        u = np.concatenate([np.zeros(n_regions, dtype=int),
+                            1 + np.repeat(np.arange(len(spans)), sizes),
+                            slide_text, region_text, pos[:, 0]])
+        v = np.concatenate([1 + np.arange(n_regions),
+                            1 + n_regions + np.concatenate(
+                                [np.arange(start, stop) for start, stop in spans]),
+                            region_text, patch_text, st.rows])
+        counts = np.array([n_regions, sum(sizes), n_classes, n_classes])
+        w = np.concatenate([np.repeat(lambda_s / counts, counts),
+                            lambda_s * st.weights])
+        cones.append((pairs(u, v), at[u], w,
+                      lambda th, ap: _ent(th, ap, cfg.beta_ent)))
+        if others.size:
+            cones.append((pairs(neg, image).ravel(), at[neg].ravel(),
+                          np.repeat(lambda_s / others.size * st.weights, others.size),
+                          lambda th, ap: _con(th, ap, cfg.beta_con, geom.epsilon)))
+    # phi(u, v) reads theta(u, v) and theta(v, u): each image row against its
+    # level's label text and wrong-class text, and that label text against
+    # that wrong-class text
+    phi_pairs = [(pairs(a, b), pairs(b, a))
+                 for a, b in ((image, pos), (image, neg), (pos, neg))] if ama else []
+
+    flats = [flat for flat, *_ in cones] + [f.ravel() for uv in phi_pairs for f in uv]
+    mask = np.zeros(apex.size * n_rows, dtype=bool)
+    mask[np.concatenate(flats)] = True
+    theta, aperture, geo_backward = geo.masked_exterior_angle_core(
+        st.space, apex, mask.reshape(apex.size, n_rows), geom, cfg.alpha)
+    theta = theta.ravel()
+    aperture = aperture[:, 0]
+
+    value = 0.0
+    backwards = []
+    if ama:
+        phi_pos, phi_neg, refs = [theta[uv] + theta[vu] - np.pi for uv, vu in phi_pairs]
+        weights = lambda_a * st.weights
+        image_term, image_backward = _ama(
+            refs.mean(axis=1, keepdims=True) - phi_pos, refs - phi_neg, cfg.tau,
+            weights)
+        text_term, text_backward = _ama(
+            phi_neg.mean(axis=1, keepdims=True) - phi_pos, phi_neg - refs, cfg.tau,
+            weights)
+        value = image_term + text_term
+    for flat, apex_at, w, core in cones:
+        out, core_backward = core(theta[flat], aperture[apex_at])
+        value = value + (out * w).sum()
+        backwards.append(core_backward)
+
+    def backward(g):
+        g_flat = []
+        g_aperture = np.zeros(apex.size)
+        for (_, apex_at, w, _), core_backward in zip(cones, backwards):
+            g_theta, g_ap = core_backward(g * w)
+            g_flat.append(g_theta)
+            g_aperture += np.bincount(apex_at, g_ap, minlength=apex.size)
+        if ama:
+            g_img_pos, g_img_neg = image_backward(g)
+            g_txt_pos, g_txt_neg = text_backward(g)
+            g_phi = (-(g_img_pos + g_txt_pos),
+                     g_txt_pos / others.size + g_txt_neg - g_img_neg,
+                     g_img_pos / others.size + g_img_neg - g_txt_neg)
+            # each phi gradient goes to both of its angles
+            g_flat += [g_p.ravel() for g_p in g_phi for _ in range(2)]
+        g_theta = np.bincount(np.concatenate(flats), np.concatenate(g_flat),
+                              minlength=theta.size).reshape(apex.size, n_rows)
+        return st.split(geo_backward(g_theta, g_aperture[:, None]))
+
+    return ad.fused("cone_losses", value, st.parents, backward)
+
+
+def ama_total(embeddings, label, selections, cfg, geom):
     """Bidirectional alignment loss summed over the three levels.
 
     At each level the image side is the top-K selected embeddings of the
@@ -351,90 +493,17 @@ def ama_total(embeddings, label, selections, cfg, geom, *, stacked=None):
     as negatives; text-query terms use each selected image embedding as
     positive. Terms at a level average over the selected embeddings.
 
-    All levels are computed at once, in one fused node over the slide, the
-    regions, the patches and the class text: the selected image rows of
-    every level (see `_Stacked`; `stacked` passes the rows `total_loss`
-    built for the step) against the 3 C text rows give one [K x 3C] angle
-    matrix, and the label text against the other classes' text one
-    [3 x 3(C-1)] matrix.
-    Each row gathers its own level's columns, and one `ama_nll` core per
-    query direction weights row i by 1 / K_level(i), which is the sum over
-    levels of the per-level means. Both angle matrices also hold
-    cross-level pairs, so their coincidence guard (`geometry.angle_distance`)
-    sees those pairs too.
+    This is the node of `total_loss` with weights (1, 0) (see
+    `_cone_losses`): all levels come from one masked exterior-angle matrix,
+    and each image row reads its own level's text, weighted by
+    1 / K_level. Angle distances between a text row and an image row, or
+    between label and wrong-class text, of different levels are not read,
+    so they are not guarded either.
     """
-    st = stacked or _Stacked(embeddings, selections)
-    others = np.array([c for c in range(st.n_classes) if c != label], dtype=int)
-    if not others.size:
-        return ad.Tensor(0.0)
-    n_others = others.size
-    rows = np.arange(st.rows.size)[:, None]
-    level = st.levels[:, None]
-    pos_cols = level * st.n_classes + label
-    neg_cols = level * st.n_classes + others
-    ref_cols = level * n_others + np.arange(n_others)
-    # each level's label text row, and the other classes' rows of its block
-    label_rows = np.arange(label, st.text.shape[0], st.n_classes)
-    other_rows = (label_rows[:, None] + (others - label)).ravel()
-
-    # each image row's label column and wrong-class columns at its own level
-    phi, phi_backward = geo.angle_distance_core(st.space[st.rows], st.text, geom)
-    phi_pos = phi[rows, pos_cols]
-    phi_neg = phi[rows, neg_cols]
-    # label text against the other classes' text; each image row takes the
-    # [1 x C-1] block of its own level
-    refs_all, refs_backward = geo.angle_distance_core(
-        st.text[label_rows], st.text[other_rows], geom)
-    refs = refs_all[level, ref_cols]
-
-    image_term, image_backward = _ama(
-        refs.mean(axis=1, keepdims=True) - phi_pos, refs - phi_neg, cfg.tau,
-        st.weights)
-    text_term, text_backward = _ama(
-        phi_neg.mean(axis=1, keepdims=True) - phi_pos, phi_neg - refs, cfg.tau,
-        st.weights)
-
-    def backward(g):
-        g_img_pos, g_img_neg = image_backward(g)
-        g_txt_pos, g_txt_neg = text_backward(g)
-        g_phi = np.zeros_like(phi)
-        g_phi[rows, pos_cols] = -(g_img_pos + g_txt_pos)
-        g_phi[rows, neg_cols] = g_txt_pos / n_others + g_txt_neg - g_img_neg
-        g_refs = np.zeros_like(refs_all)
-        np.add.at(g_refs, (level, ref_cols),
-                  g_img_pos / n_others + g_img_neg - g_txt_neg)
-        g_image, g_text = phi_backward(g_phi)
-        g_label, g_other = refs_backward(g_refs)
-        g_text[label_rows] += g_label
-        g_text[other_rows] += g_other
-        g_space = np.zeros_like(st.space)
-        np.add.at(g_space, st.rows, g_image)
-        return st.image_levels(g_space) + [g_text]
-
-    return ad.fused("ama_total", image_term + text_term, st.parents, backward)
+    return _cone_losses(embeddings, label, selections, cfg, geom, 1.0, 0.0)
 
 
-def _entailment(su, sv, pairs, cfg, geom):
-    """Mean entailment penalty of u_i over v_j across the (i, j) index
-    arrays `pairs` of the [N_u x N_v] exterior-angle matrix, as (value,
-    backward) with backward(g) giving the gradients on (su, sv)."""
-    i, j = pairs
-    theta, theta_backward = geo.exterior_angle_core(su, sv, geom)
-    aperture, aperture_backward = geo.half_aperture_core(su, geom, cfg.alpha)
-    pen, pen_backward = _ent(theta[i, j], aperture[i, 0], cfg.beta_ent)
-
-    def backward(g):
-        g_theta_ij, g_aperture = pen_backward(np.full(pen.shape, g / pen.size))
-        g_theta = np.zeros_like(theta)
-        g_theta[i, j] = g_theta_ij
-        g_su, g_sv = theta_backward(g_theta)
-        g_aperture = np.bincount(i, g_aperture, minlength=su.shape[0])[:, None]
-        return g_su + aperture_backward(g_aperture), g_sv
-
-    return pen.mean(), backward
-
-
-def shc_total(embeddings, label, selections, cfg, geom, *, stacked=None):
+def shc_total(embeddings, label, selections, cfg, geom):
     """Hierarchy consistency: entailment plus contradiction penalties.
 
     Entailment terms: the slide embedding entails its regions, each region
@@ -444,93 +513,15 @@ def shc_total(embeddings, label, selections, cfg, geom, *, stacked=None):
     terms: wrong-class text contradicts the same image embeddings. Each
     term is the mean over its pair set, terms are summed.
 
-    All terms form one fused node over the slide, the regions, the patches
-    and the class text. The
-    region-to-patch term keeps the in-region entries of one [R x N_p]
-    exterior-angle matrix, and each text-chain term the diagonal of one
-    [C x C] matrix. The text-to-image terms of all levels come from one
-    [3C x K] exterior-angle matrix between the stacked text and the stacked
-    selected images (see `_Stacked` and `ama_total`) and one half-aperture
-    column of the text. The entailment penalty runs on the (label text,
-    image) entries of each image row's own level and the contradiction
-    penalty on its (wrong-class text, image) entries; their sums weighted by
-    1 / K_level and 1 / (K_level (C-1)) are the sums over levels of the
-    per-level means. The coincidence guard of `geometry.exterior_angle`
-    also sees the cross-level (text, image) pairs of that matrix.
+    This is the node of `total_loss` with weights (0, 1) (see
+    `_cone_losses`): one masked exterior-angle matrix holds every pair of
+    every term, and the text-to-image terms of all levels weight each
+    image row by 1 / K_level (1 / (K_level (C-1)) per contradiction entry),
+    which is the sum over levels of the per-level means. Pairs no term
+    reads, such as a region against a patch of another region, are not
+    checked for coincidence.
     """
-    st = stacked or _Stacked(embeddings, selections)
-    slide, regions, patches = st.image_levels(st.space)
-    text = st.text_levels(st.text)
-    n_classes = st.n_classes
-    spans = embeddings.region_slices
-    in_region = (
-        np.repeat(np.arange(len(spans)), [stop - start for start, stop in spans]),
-        np.concatenate([np.arange(start, stop) for start, stop in spans]),
-    )
-    diag = (np.arange(n_classes), np.arange(n_classes))
-    # ((value, backward), u, v) with u and v positions in the list of the
-    # image levels followed by the text levels (3 + level.value): the slide
-    # entails its regions, each region its own patches, and each class's
-    # text its own text one level down
-    entailments = [
-        (_entailment(slide, regions, (np.zeros(st.n_regions, dtype=int),
-                                      np.arange(st.n_regions)), cfg, geom), 0, 1),
-        (_entailment(regions, patches, in_region, cfg, geom), 1, 2),
-    ] + [
-        (_entailment(text[upper.value], text[lower.value], diag, cfg, geom),
-         3 + upper.value, 3 + lower.value)
-        for upper, lower in ((HierarchyLevel.SLIDE, HierarchyLevel.REGION),
-                             (HierarchyLevel.REGION, HierarchyLevel.PATCH))
-    ]
-    values = [value for (value, _), _, _ in entailments]
-
-    # the label text of each image row's level entails that row, and the
-    # wrong-class text of its level contradicts it
-    theta, theta_backward = geo.exterior_angle_core(st.text, st.space[st.rows],
-                                                    geom)
-    aperture, aperture_backward = geo.half_aperture_core(st.text, geom, cfg.alpha)
-    cols = np.arange(st.rows.size)
-    pos = st.levels * n_classes + label
-    ent, ent_backward = _ent(theta[pos, cols], aperture[pos, 0], cfg.beta_ent)
-    values.append((ent * st.weights).sum())
-    others = np.array([c for c in range(n_classes) if c != label], dtype=int)
-    if others.size:
-        neg = st.levels * n_classes + others[:, None]
-        con_weights = st.weights / others.size
-        con, con_backward = _con(theta[neg, cols], aperture[neg, 0],
-                                 cfg.beta_con, geom.epsilon)
-        values.append((con * con_weights).sum())
-
-    total = 0.0
-    for value in values:
-        total = total + value
-
-    def backward(g):
-        g_space = np.zeros_like(st.space)
-        g_text = np.zeros_like(st.text)
-        # views into the two buffers
-        grads = st.image_levels(g_space) + st.text_levels(g_text)
-        for (_, term_backward), u, v in entailments:
-            g_u, g_v = term_backward(g)
-            grads[u] += g_u
-            grads[v] += g_v
-
-        g_theta = np.zeros_like(theta)
-        g_pos_theta, g_pos = ent_backward(g * st.weights)
-        g_theta[pos, cols] = g_pos_theta
-        g_aperture = np.bincount(pos, g_pos, minlength=theta.shape[0])
-        if others.size:
-            g_neg_theta, g_neg = con_backward(
-                np.broadcast_to(g * con_weights, con.shape))
-            g_theta[neg, cols] = g_neg_theta
-            g_aperture += np.bincount(neg.ravel(), g_neg.ravel(),
-                                      minlength=theta.shape[0])
-        g_text_rows, g_image = theta_backward(g_theta)
-        g_text += g_text_rows + aperture_backward(g_aperture[:, None])
-        np.add.at(g_space, st.rows, g_image)
-        return st.image_levels(g_space) + [g_text]
-
-    return ad.fused("shc_total", total, st.parents, backward)
+    return _cone_losses(embeddings, label, selections, cfg, geom, 0.0, 1.0)
 
 
 def cls_loss(embeddings, label, cfg, geom):
@@ -544,18 +535,12 @@ def cls_loss(embeddings, label, cfg, geom):
 def total_loss(embeddings, label, selections, cfg, geom):
     """L_cls + lambda_a * L_ama + lambda_s * L_shc for one slide.
 
-    The stacked image and text rows are built once and shared by both
-    assemblies; with both weights zero the patch and region levels are
-    never read, so they are never mapped.
+    The alignment and hierarchy terms are one fused node, with both weights
+    folded in (`_cone_losses`); with both weights zero the patch and region
+    levels are never read, so they are never mapped.
     """
     total = cls_loss(embeddings, label, cfg, geom)
     if cfg.lambda_a == 0.0 and cfg.lambda_s == 0.0:
         return total
-    stacked = _Stacked(embeddings, selections)
-    if cfg.lambda_a != 0.0:
-        total = total + ama_total(embeddings, label, selections, cfg, geom,
-                                  stacked=stacked) * cfg.lambda_a
-    if cfg.lambda_s != 0.0:
-        total = total + shc_total(embeddings, label, selections, cfg, geom,
-                                  stacked=stacked) * cfg.lambda_s
-    return total
+    return total + _cone_losses(embeddings, label, selections, cfg, geom,
+                                cfg.lambda_a, cfg.lambda_s)

@@ -200,6 +200,33 @@ def test_protocol_writes_report(workdir, bundle_path, capsys):
     assert "summary" in text
 
 
+def test_protocol_and_ablate_reject_negative_jobs(workdir, bundle_path, capsys):
+    cfg = workdir / "jobs.json"
+    cfg.write_text(json.dumps(TRAIN_CONFIG))
+    for command in ("protocol", "ablate"):
+        code = main([command, "--data", str(bundle_path), "--config", str(cfg),
+                     "--jobs", "-2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "jobs" in err
+
+
+def test_train_rejects_a_boolean_label(workdir, bundle_path, capsys):
+    manifest = bundle_path.with_name(bundle_path.name + ".manifest.json")
+    doc = json.loads(manifest.read_text())
+    doc["slides"][0]["label"] = True
+    bad = workdir / "bool-label.bundle"
+    bad.write_bytes(bundle_path.read_bytes())
+    bad.with_name(bad.name + ".manifest.json").write_text(json.dumps(doc))
+    cfg = workdir / "bool-label.json"
+    cfg.write_text(json.dumps(TRAIN_CONFIG))
+    code = main(["train", "--data", str(bad), "--config", str(cfg),
+                 "--out", str(workdir / "never.ckpt")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "label of type bool" in err
+
+
 def test_splits_plan_roundtrips(workdir, bundle_path, capsys):
     out = workdir / "plan.json"
     code = main(["splits", "--data", str(bundle_path), "--outer", "2",

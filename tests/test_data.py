@@ -273,6 +273,11 @@ def test_read_bundle_bad_patch_count(written, count):
     ("class_vectors", lambda m: m["class_vectors"][0].__setitem__(0, float("nan"))),
     ("id", lambda m: m["slides"][0].update(id=["slide-0000"])),
     ("site", lambda m: m["slides"][2].update(site=["site-0"])),
+    # JSON booleans are not integers
+    ("label", lambda m: m["slides"][0].update(label=True)),
+    ("dim", lambda m: m.update(dim=True)),
+    ("offset", lambda m: m["slides"][0].update(offset=False)),
+    ("patch_counts", lambda m: m["slides"][0]["patch_counts"].__setitem__(0, True)),
 ])
 def test_read_bundle_mistyped_field(written, field, edit):
     # wrong types, a ragged or short class_vectors matrix (fewer rows than

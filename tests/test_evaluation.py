@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from hypermil import evaluation as ev
 from hypermil import geometry as geo
 from hypermil.data import SyntheticSpec, generate
-from hypermil.errors import MetricError
+from hypermil.errors import ConfigError, MetricError
 from hypermil.model import ModelDims, embed_text, init_params
 from hypermil.training import TrainConfig
 
@@ -152,6 +152,14 @@ def test_run_protocol_threaded_matches_serial():
     serial = ev.run_protocol(bundle, 2, 1, TINY_CFG)
     threaded = ev.run_protocol(bundle, 2, 1, TINY_CFG, jobs=2)
     assert serial == threaded
+
+
+def test_negative_jobs_is_a_config_error():
+    bundle = generate(TINY_SPEC)
+    with pytest.raises(ConfigError, match="jobs"):
+        ev.run_protocol(bundle, 2, 1, TINY_CFG, jobs=-2)
+    with pytest.raises(ConfigError, match="jobs"):
+        ev.ablate(bundle, TINY_CFG, n_outer=2, n_inner=1, jobs=-1)
 
 
 def test_run_protocol_single_fold_has_no_ood():

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from hypermil import autodiff as ad
 from hypermil import geometry as geo
 from hypermil import losses as ls
-from hypermil.errors import ConfigError, ShapeError
+from hypermil.errors import ConfigError, GeometryError, ShapeError
 from hypermil.model import EmbeddingSet, HierarchyLevel, text_level
 
 CFG = ls.LossConfig()
@@ -355,6 +355,60 @@ def test_ama_total_stacked_matches_level_loop():
         assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
 
 
+def _with_row(emb, level, row, space):
+    """A copy of `emb` whose `level` batch ("patches", "regions", "slide" or
+    "text") has row `row` replaced by the space part `space`."""
+    batches = {name: getattr(emb, name).space.data.copy()
+               for name in ("patches", "regions", "slide", "text")}
+    batches[level][row] = space
+    return EmbeddingSet(**{name: _pts(data) for name, data in batches.items()},
+                        region_slices=emb.region_slices)
+
+
+def test_assemblies_guard_the_coincident_pairs_they_read():
+    rng = np.random.default_rng(37)
+    sel = _full_selection()
+    # region 0 on its own patch 1: read by the region-to-patch entailment
+    emb = _random_embeddings(rng)
+    emb = _with_row(emb, "regions", 0, emb.patches.space.data[1])
+    for fn in (ls.shc_total, ls.total_loss):
+        with pytest.raises(GeometryError, match="coincident"):
+            fn(emb, 0, sel, CFG, GEOM)
+    # the alignment terms read no (region, patch) pair
+    assert_allclose(ls.ama_total(emb, 0, sel, CFG, GEOM).item(),
+                    _looped_ama_total(emb, 0, sel).item(), rtol=1e-12, atol=0.0)
+    # the slide-level label text on the slide: read by both families
+    emb = _random_embeddings(rng)
+    emb = _with_row(emb, "text", HierarchyLevel.SLIDE.value * 3 + 1,
+                    emb.slide.space.data[0])
+    for fn in (ls.ama_total, ls.shc_total, ls.total_loss):
+        with pytest.raises(GeometryError, match="coincident"):
+            fn(emb, 1, sel, CFG, GEOM)
+    # an apex row at the origin
+    emb = _with_row(_random_embeddings(rng), "slide", 0, 0.0)
+    for fn in (ls.ama_total, ls.shc_total, ls.total_loss):
+        with pytest.raises(GeometryError, match="origin"):
+            fn(emb, 0, sel, CFG, GEOM)
+
+
+def test_assemblies_skip_coincident_pairs_no_term_reads():
+    # region 0 on patch 2, which belongs to region 1: no term reads that
+    # pair, so it is neither guarded nor changes a value
+    emb = _random_embeddings(np.random.default_rng(38))
+    emb = _with_row(emb, "regions", 0, emb.patches.space.data[2])
+    sel = _full_selection()
+    with pytest.raises(GeometryError):
+        geo.exterior_angle(emb.regions, emb.patches, GEOM)
+    for fn, looped in ((ls.ama_total, _looped_ama_total),
+                       (ls.shc_total, _looped_shc_total)):
+        assert_allclose(fn(emb, 0, sel, CFG, GEOM).item(),
+                        looped(emb, 0, sel).item(), rtol=1e-12, atol=0.0)
+    want = (ls.cls_loss(emb, 0, CFG, GEOM).item()
+            + CFG.lambda_a * _looped_ama_total(emb, 0, sel).item()
+            + CFG.lambda_s * _looped_shc_total(emb, 0, sel).item())
+    assert_allclose(ls.total_loss(emb, 0, sel, CFG, GEOM).item(), want, rtol=1e-12)
+
+
 def _with_leaves(emb):
     """The same embeddings with every batch's space a leaf requiring grad."""
     leaf = lambda p: geo.Points(ad.Tensor(p.space.data.copy(), requires_grad=True),
@@ -402,8 +456,8 @@ def _graph_size(root):
 
 def test_total_loss_graph_size_does_not_depend_on_levels():
     # 4 space leaves (slide, regions, patches, text), the slide-text select,
-    # geodesic and cls_nll, one fused node per loss family, and a scaled sum
-    # per family: the same whichever levels have selected rows
+    # geodesic and cls_nll, one fused node for the alignment and hierarchy
+    # terms and the sum: the same whichever levels have selected rows
     full = _full_selection()
     no_patch = dict(full)
     no_patch[HierarchyLevel.PATCH] = np.array([], dtype=int)
@@ -412,7 +466,7 @@ def test_total_loss_graph_size_does_not_depend_on_levels():
     emb = _with_leaves(_random_embeddings(np.random.default_rng(34)))
     sizes = [_graph_size(ls.total_loss(emb, 0, sel, CFG, GEOM))
              for sel in (full, no_patch, slide_only)]
-    assert sizes == [13, 13, 13]
+    assert sizes == [9, 9, 9]
 
 
 def test_ama_total_empty_patch_level_contributes_zero():

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hypermil import autodiff as ad
+from hypermil import geometry as geo
 from hypermil import training as tr
 from hypermil.data import Bundle, FeatureBag, InnerSplit, SyntheticSpec, generate, make_splits
 from hypermil.errors import ConfigError, GeometryError, TrainingError
@@ -308,25 +309,41 @@ def _graph_size(root):
     return len(seen)
 
 
-def test_default_train_step_graph_has_32_nodes(monkeypatch):
-    # one node per loss family and per model stage: 14 leaves (the input
-    # and 13 trainable arrays), the two adaptors, two aggregates, the text
-    # features, four exp maps, the slide-text select of cls_loss, geodesic,
-    # cls_nll, ama_total, shc_total, and the scaling and sum of each of the
-    # last two
+def _default_steps(monkeypatch, wraps):
+    """Run one epoch of `train` on 6 default slides with each owner.name of
+    `wraps`, a list of (owner, name, record), wrapped so that every call
+    first passes its arguments to `record`."""
     bundle = generate(SyntheticSpec())
     split = make_splits(bundle.bags, 1, 1, seed=0).folds[0].inner[0]
     split = InnerSplit(split.train_ids[:6], split.val_ids, split.test_ids)
-    sizes = []
-    backward = ad.Tensor.backward
+    for owner, name, record in wraps:
+        def recording(*args, wrapped=getattr(owner, name), record=record):
+            record(*args)
+            return wrapped(*args)
 
-    def sized(root):
-        sizes.append(_graph_size(root))
-        return backward(root)
-
-    monkeypatch.setattr(ad.Tensor, "backward", sized)
+        monkeypatch.setattr(owner, name, recording)
     tr.train(bundle, split, tr.TrainConfig(epochs=1))
-    assert sizes == [32] * 6
+
+
+def test_default_train_step_graph_has_28_nodes(monkeypatch):
+    # one node per model stage: 14 leaves (the input and 13 trainable
+    # arrays), the two adaptors, two aggregates, the text features, four exp
+    # maps, the slide-text select of cls_loss, geodesic and cls_nll; then one
+    # node for the alignment and hierarchy terms with their weights folded
+    # in, and the sum
+    sizes = []
+    _default_steps(monkeypatch, [
+        (ad.Tensor, "backward", lambda root: sizes.append(_graph_size(root)))])
+    assert sizes == [28] * 6
+
+
+def test_default_train_step_computes_one_exterior_angle_matrix(monkeypatch):
+    calls = []
+    _default_steps(monkeypatch, [
+        (geo, name, lambda *args, name=name: calls.append(name))
+        for name in ("_exterior_forward", "_exterior_backward")])
+    # one exterior-angle matrix per step, in the forward and in the backward
+    assert calls == ["_exterior_forward", "_exterior_backward"] * 6
 
 
 def _grads(params):
