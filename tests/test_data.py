@@ -252,7 +252,7 @@ def test_read_bundle_slide_entry_missing_key(written, key):
         dt.read_bundle(written)
 
 
-@pytest.mark.parametrize("count", [-3, 2.5])
+@pytest.mark.parametrize("count", [-3, 2.5, True])  # a JSON boolean is no count
 def test_read_bundle_bad_patch_count(written, count):
     def edit(m):
         m["slides"][0]["patch_counts"][0] = count
@@ -277,7 +277,6 @@ def test_read_bundle_bad_patch_count(written, count):
     ("label", lambda m: m["slides"][0].update(label=True)),
     ("dim", lambda m: m.update(dim=True)),
     ("offset", lambda m: m["slides"][0].update(offset=False)),
-    ("patch_counts", lambda m: m["slides"][0]["patch_counts"].__setitem__(0, True)),
 ])
 def test_read_bundle_mistyped_field(written, field, edit):
     # wrong types, a ragged or short class_vectors matrix (fewer rows than
