@@ -25,7 +25,8 @@ that is not valid JSON, lacks a key, or holds a dimension, label or patch
 count that is not an integer in range raises FormatError. So does a
 manifest whose classes, slides or patch counts are not lists, whose slide
 ids or sites are not strings, or whose class_vectors are not a finite
-numeric [len(classes) x dim] matrix; each error names the field.
+numeric [len(classes) x dim] matrix (a boolean is not a number); each
+error names the field.
 """
 
 import json
@@ -276,12 +277,15 @@ def read_bundle(path):
         raise FormatError(
             f"{where} has dim that is not a positive integer dimension: {dim!r}")
     n_classes = len(_field(manifest, "classes", where, list))
+    rows = _field(manifest, "class_vectors", where, list)
     try:
-        class_vectors = np.asarray(_field(manifest, "class_vectors", where, list))
+        class_vectors = np.asarray(rows)
     except ValueError:  # a ragged matrix
         class_vectors = np.asarray(None)
     if (class_vectors.dtype.kind not in "iuf" or not np.isfinite(class_vectors).all()
-            or class_vectors.shape != (n_classes, dim)):
+            or class_vectors.shape != (n_classes, dim)
+            # numpy reads JSON true among numbers as 1.0
+            or any(isinstance(x, bool) for row in rows for x in row)):
         raise FormatError(f"{where} has class_vectors that are not a finite "
                           f"[{n_classes} x {dim}] matrix of numbers")
     bags = []

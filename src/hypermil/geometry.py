@@ -19,12 +19,15 @@ raise GeometryError instead of being silently patched.
 Fused primitives: `exp_map_origin` (both branches), `lorentz_inner`,
 `geodesic`, `exterior_angle`, `angle_distance` and `half_aperture` are each
 one autodiff node (`autodiff.fused`) whose forward and hand-derived backward
-run in numpy. One numpy core is exposed over space arrays,
-`masked_exterior_angle_core`: the exterior angles of chosen (apex, row)
-pairs of one stacked array together with the apex rows' half-apertures, in
-one pass. Its only caller is the fused loss node of `losses`; the public
-primitives and it share the private numpy helpers below, so the
-exterior-angle formula and its backward have one code path.
+run in numpy. Two numpy cores over space arrays are public:
+`exterior_angle_core`, the exterior angles theta(u_i, v_j) of two space
+arrays, optionally on a mask of pairs, with the origin and coincidence
+guards and a backward; and `half_aperture_core`, the half-aperture of a
+column of space norms. `exterior_angle` is one call of the first,
+`angle_distance` two, theta(u, v) and theta(v, u), and the fused loss node
+of `losses` one masked call over its stacked rows, whose returned norms go
+to `half_aperture_core` as `half_aperture`'s do. So the exterior-angle
+formula, its guards and its backward have one code path.
 `Points.time` is a constant tensor, not a graph node: nothing
 differentiates through it. The fused backwards are checked against
 central differences by `tests/test_geometry.py`
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, GeometryError, ShapeError
+from .errors import ConfigError, GeometryError, ShapeError, check_field_types
 
 # sinh(t)/t switches to its Taylor expansion below this threshold
 _TAYLOR_T = 1e-4
@@ -52,6 +55,7 @@ class GeometryConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
+        check_field_types(self)
         if not self.curvature > 0:
             raise ConfigError(f"curvature must be positive, got {self.curvature}")
         if self.dim < 2:
@@ -202,13 +206,49 @@ def _exterior_backward(g, saved):
     return g_rho_inner, g_tu, g_nu, g_tv
 
 
-def _check_coincident(rho_inner, cfg):
+# the rho<u,v>_H placed in the entries outside the mask of
+# `exterior_angle_core`: far enough below -1 that the square root and the
+# arc cosine stay finite
+_PLACEHOLDER_INNER = -2.0
+
+
+def exterior_angle_core(su, sv, cfg, mask=None):
+    """Exterior angles theta(su_i, sv_j) of the rows of two space arrays.
+
+    Returns (theta, norms, backward): the [N x M] angle matrix, the column
+    of norms |su_i|, and backward(g_theta, g_norms=None) giving the
+    gradients (g_su, g_sv) of sum(g_theta * theta) + sum(g_norms * norms).
+    GeometryError when a row of su sits at the origin, or when a pair is
+    coincident. Given a boolean [N x M] `mask`, only the masked pairs are
+    checked for coincidence, and the other entries get a placeholder
+    rho<u,v>_H before the square root and the arc cosine, so they hold a
+    finite angle that means nothing: the caller must read only masked
+    entries, and give the others zero gradient.
+    """
+    tu, sumsq_u = _rows(su, cfg)
+    nu = _norms(sumsq_u, cfg, "exterior angle")
+    tv, _ = _rows(sv, cfg)
+    rho_inner = _scale(_inner(su, tu, sv, tv), cfg.curvature)
+    checked = rho_inner if mask is None else rho_inner[mask]
     # rho * <u_i, v_j>_H is always <= -1 on the manifold
-    if (-rho_inner - 1.0 < cfg.epsilon).any():
+    if (-checked - 1.0 < cfg.epsilon).any():
         raise GeometryError("exterior angle is undefined for coincident points")
+    if mask is not None:
+        rho_inner = np.where(mask, rho_inner, _PLACEHOLDER_INNER)
+    theta, saved = _exterior_forward(rho_inner, tu, nu, tv)
+
+    def backward(g_theta, g_norms=None):
+        g_ri, g_tu, g_nu, g_tv = _exterior_backward(g_theta, saved)
+        g_su, g_sv = _inner_backward(_scale(g_ri, cfg.curvature), g_tu, g_tv,
+                                     su, tu, sv, tv)
+        if g_norms is not None:
+            g_nu = g_nu + g_norms
+        return g_su + g_nu * (su / nu), g_sv
+
+    return theta, nu, backward
 
 
-def _aperture(n, cfg, alpha):
+def half_aperture_core(n, cfg, alpha):
     """asin(min(2 alpha / (sqrt(rho) n), 1)) of a column of space norms, with
     a backward giving the gradient on the norms."""
     ratio = (2.0 * alpha / cfg.sqrt_curvature) / n
@@ -219,49 +259,6 @@ def _aperture(n, cfg, alpha):
         return -g * ad.guarded_rsqrt(d2 > 0.0, d2) * ratio / n
 
     return np.arcsin(arg), backward
-
-
-# the rho<u,v>_H placed in the entries outside the mask of
-# `masked_exterior_angle_core`: far enough below -1 that the square root and
-# the arc cosine stay finite
-_PLACEHOLDER_INNER = -2.0
-
-
-def masked_exterior_angle_core(space, apex, mask, cfg, alpha):
-    """Exterior angles theta(space[apex_a], space_j) on the pairs that the
-    boolean [A x N] `mask` marks, and the half-aperture of every apex row,
-    in one pass over the rows of the space array `space`.
-
-    `apex` holds A distinct row indices. Time parts and norms are computed
-    once for all N rows, and one exterior-angle matrix covers every
-    (apex, row) pair. Entries outside the mask get a placeholder
-    rho<u,v>_H before the square root and the arc cosine, so they hold a
-    finite angle that means nothing; the caller must read only masked
-    entries, and give the others zero gradient. GeometryError when an apex
-    row sits at the origin, or when a masked pair is coincident; unmasked
-    pairs are not checked.
-
-    Returns (theta, aperture column, backward), backward(g_theta,
-    g_aperture) giving the gradient on `space`.
-    """
-    t, sumsq = _rows(space, cfg)
-    su, tu = space[apex], t[apex]
-    nu = _norms(sumsq[apex], cfg, "exterior angle")
-    rho_inner = _scale(_inner(su, tu, space, t), cfg.curvature)
-    _check_coincident(rho_inner[mask], cfg)
-    theta, saved = _exterior_forward(np.where(mask, rho_inner, _PLACEHOLDER_INNER),
-                                     tu, nu, t)
-    aperture, aperture_backward = _aperture(nu, cfg, alpha)
-
-    def backward(g_theta, g_aperture):
-        g_ri, g_tu, g_nu, g_tv = _exterior_backward(g_theta, saved)
-        g_su, g_space = _inner_backward(_scale(g_ri, cfg.curvature), g_tu, g_tv,
-                                        su, tu, space, t)
-        g_nu = g_nu + aperture_backward(g_aperture)
-        g_space[apex] += g_su + g_nu * (su / nu)
-        return g_space
-
-    return theta, aperture, backward
 
 
 # -- fused primitives ---------------------------------------------------------
@@ -314,47 +311,26 @@ def exterior_angle(u, v, cfg):
     origin. Undefined (GeometryError) when u sits at the origin or u == v.
     """
     _check_dims(u, v, "exterior angle")
-    su, sv = u.space.data, v.space.data
-    tu, sumsq_u = _rows(su, cfg)
-    nu = _norms(sumsq_u, cfg, "exterior angle")
-    tv, _ = _rows(sv, cfg)
-    rho_inner = _scale(_inner(su, tu, sv, tv), cfg.curvature)
-    _check_coincident(rho_inner, cfg)
-    theta, saved = _exterior_forward(rho_inner, tu, nu, tv)
-
-    def backward(g):
-        g_ri, g_tu, g_nu, g_tv = _exterior_backward(g, saved)
-        g_su, g_sv = _inner_backward(_scale(g_ri, cfg.curvature), g_tu, g_tv,
-                                     su, tu, sv, tv)
-        return g_su + g_nu * (su / nu), g_sv
-
+    theta, _, backward = exterior_angle_core(u.space.data, v.space.data, cfg)
     return ad.fused("exterior_angle", theta, (u.space, v.space), backward)
 
 
 def angle_distance(u, v, cfg):
     """Pairwise angle distances theta(u_i,v_j) + theta(v_j,u_i) - pi.
 
-    Both angle matrices come from one rho<u,v>_H matrix, the second through
-    its transpose, so angle_distance(v, u) is exactly angle_distance(u, v).T.
+    The two angle matrices are two `exterior_angle_core` calls, and IEEE
+    addition commutes, so angle_distance(v, u) is exactly
+    angle_distance(u, v).T.
     """
     _check_dims(u, v, "angle distance")
     su, sv = u.space.data, v.space.data
-    tu, sumsq_u = _rows(su, cfg)
-    tv, sumsq_v = _rows(sv, cfg)
-    nu = _norms(sumsq_u, cfg, "angle distance")
-    nv = _norms(sumsq_v, cfg, "angle distance")
-    rho_inner = _scale(_inner(su, tu, sv, tv), cfg.curvature)
-    _check_coincident(rho_inner, cfg)
-    t_uv, saved_uv = _exterior_forward(rho_inner, tu, nu, tv)
-    t_vu, saved_vu = _exterior_forward(rho_inner.T, tv, nv, tu)
+    t_uv, _, uv_backward = exterior_angle_core(su, sv, cfg)
+    t_vu, _, vu_backward = exterior_angle_core(sv, su, cfg)
 
     def backward(g):
-        g_ri, g_tu, g_nu, g_tv = _exterior_backward(g, saved_uv)
-        g_ri_t, g_tv_t, g_nv, g_tu_t = _exterior_backward(g.T, saved_vu)
-        g_su, g_sv = _inner_backward(_scale(g_ri + g_ri_t.T, cfg.curvature),
-                                     g_tu + g_tu_t, g_tv + g_tv_t,
-                                     su, tu, sv, tv)
-        return g_su + g_nu * (su / nu), g_sv + g_nv * (sv / nv)
+        g_su, g_sv = uv_backward(g)
+        g_sv_vu, g_su_vu = vu_backward(g.T)
+        return g_su + g_su_vu, g_sv + g_sv_vu
 
     return ad.fused("angle_distance", t_uv + t_vu.T - np.pi, (u.space, v.space),
                     backward)
@@ -369,7 +345,7 @@ def half_aperture(u, cfg, alpha=0.1):
     """
     s = u.space.data
     n = _norms(_rows(s, cfg)[1], cfg, "half aperture")
-    aperture, backward = _aperture(n, cfg, alpha)
+    aperture, backward = half_aperture_core(n, cfg, alpha)
     return ad.fused("half_aperture", aperture, (u.space,),
                     lambda g: (backward(g) * (s / n),))
 

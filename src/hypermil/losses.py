@@ -31,10 +31,13 @@ batches into one space array, the class text in `HierarchyLevel` order as
 `model.embed_text` lays it out (row level.value * C + c is class c at that
 level), and keeps the selected image rows with their levels. Every angle
 the terms read is an exterior angle theta(u, v), and all of them come from
-one masked exterior-angle matrix (`geometry.masked_exterior_angle_core`),
-whose rows are the apex rows (the slide, the regions, the text and, with
-the alignment term on, the selected image rows) and whose columns are all
-stacked rows; an angle distance reads theta(u, v) and theta(v, u). One
+one masked call of `geometry.exterior_angle_core`, the core behind
+`geometry.exterior_angle` and `geometry.angle_distance` too, whose rows
+are the apex rows (the slide, the regions, the text and, with the
+alignment term on, the selected image rows) and whose columns are all
+stacked rows; an angle distance reads theta(u, v) and theta(v, u). The
+half-apertures come from the norms that call returns, through
+`geometry.half_aperture_core`, as in `geometry.half_aperture`. One
 `_ent` call covers every entailment pair and one `_con` call every
 contradiction pair, and the two `_ama` calls cover every selected image
 row, so each concept keeps one code path. Per-term means become one
@@ -146,12 +149,12 @@ def _ama(pos_col, neg_rows, tau, weights=None):
     return value, backward
 
 
-def ama_nll(pos_similarity, negative_similarities, tau, weights=None):
+def ama_nll(pos_similarity, negative_similarities, tau):
     """-log softmax: pos/tau against |neg_j|/tau.
 
     Both arguments may be batched: a column of positive similarities and a
     matrix with one row of negative similarities per positive. Returns the
-    mean over rows, or with `weights` (one per row) the weighted sum.
+    mean over rows.
     """
     pos = _t(pos_similarity)
     negs = _t(negative_similarities)
@@ -162,14 +165,7 @@ def ama_nll(pos_similarity, negative_similarities, tau, weights=None):
             f"ama_nll: {pos_col.shape[0]} positives but {neg_rows.shape[0]} "
             "negative rows"
         )
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64).reshape(-1)
-        if weights.shape[0] != pos_col.shape[0]:
-            raise ShapeError(
-                f"ama_nll: {pos_col.shape[0]} positives but "
-                f"{weights.shape[0]} weights"
-            )
-    value, core_backward = _ama(pos_col, neg_rows, tau, weights)
+    value, core_backward = _ama(pos_col, neg_rows, tau)
 
     def backward(g):
         g_pos, g_negs = core_backward(g)
@@ -349,10 +345,11 @@ def _cone_losses(embeddings, label, selections, cfg, geom, lambda_a, lambda_s):
     over the slide, the regions, the patches and the class text.
 
     Every angle these terms read is an exterior angle theta(u, v) of one
-    matrix (`geometry.masked_exterior_angle_core`) over the stacked rows
-    (`_Stacked`). Its rows are the apex rows: the slide, the regions, the
-    text and, when the alignment term is on, the selected image rows; its
-    columns are all stacked rows. A mask keeps the pairs some term reads:
+    masked `geometry.exterior_angle_core` call over the stacked rows
+    (`_Stacked`), and the half-apertures come from the norms it returns.
+    Its rows are the apex rows: the slide, the regions, the text and, when
+    the alignment term is on, the selected image rows; its columns are all
+    stacked rows. A mask keeps the pairs some term reads:
 
     * entailment (lambda_s): the slide over its regions, each region over
       its own patches, each class's text over its text one level down, and
@@ -440,8 +437,9 @@ def _cone_losses(embeddings, label, selections, cfg, geom, lambda_a, lambda_s):
     flats = [flat for flat, *_ in cones] + [f.ravel() for uv in phi_pairs for f in uv]
     mask = np.zeros(apex.size * n_rows, dtype=bool)
     mask[np.concatenate(flats)] = True
-    theta, aperture, geo_backward = geo.masked_exterior_angle_core(
-        st.space, apex, mask.reshape(apex.size, n_rows), geom, cfg.alpha)
+    theta, norms, geo_backward = geo.exterior_angle_core(
+        st.space[apex], st.space, geom, mask.reshape(apex.size, n_rows))
+    aperture, aperture_backward = geo.half_aperture_core(norms, geom, cfg.alpha)
     theta = theta.ravel()
     aperture = aperture[:, 0]
 
@@ -479,7 +477,9 @@ def _cone_losses(embeddings, label, selections, cfg, geom, lambda_a, lambda_s):
             g_flat += [g_p.ravel() for g_p in g_phi for _ in range(2)]
         g_theta = np.bincount(np.concatenate(flats), np.concatenate(g_flat),
                               minlength=theta.size).reshape(apex.size, n_rows)
-        return st.split(geo_backward(g_theta, g_aperture[:, None]))
+        g_apex, g_space = geo_backward(g_theta, aperture_backward(g_aperture[:, None]))
+        g_space[apex] += g_apex
+        return st.split(g_space)
 
     return ad.fused("cone_losses", value, st.parents, backward)
 

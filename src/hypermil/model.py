@@ -572,8 +572,13 @@ def load_checkpoint(path):
         )
     records = {}
     while pos < len(blob):
+        start = pos
         (name_len,) = struct.unpack("<I", take(4, "a record header"))
-        name = take(name_len, "a record name").decode("utf-8")
+        try:
+            name = take(name_len, "a record name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: the record at byte {start} has a name "
+                              "that is not UTF-8") from None
         (rank,) = struct.unpack("<I", take(4, "a record rank"))
         shape = struct.unpack(f"<{rank}Q", take(8 * rank, "record extents"))
         count = 1

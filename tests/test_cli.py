@@ -185,6 +185,28 @@ def test_eval_misshapen_checkpoint_is_an_error(workdir, bundle_path, capsys):
     assert "adaptor_i.w1" in err
 
 
+def test_eval_checkpoint_name_not_utf8_is_an_error(workdir, bundle_path,
+                                                  checkpoint_path, capsys):
+    blob = bytearray(checkpoint_path.read_bytes())
+    blob[13] = 0xFF  # the first byte of the first record name
+    path = workdir / "bad-name.ckpt"
+    path.write_bytes(bytes(blob))
+    code = main(["eval", "--data", str(bundle_path), "--params", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "UTF-8" in err
+
+
+def test_eval_infinite_curvature_is_an_error(workdir, bundle_path, capsys):
+    params = init_params(ModelDims(d_in=8, k=4, d_hidden=8, n_classes=2), 0)
+    path = workdir / "inf-curvature.ckpt"
+    save_checkpoint(params, path, {"curvature": float("inf")})
+    code = main(["eval", "--data", str(bundle_path), "--params", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "curvature" in err
+
+
 def test_protocol_writes_report(workdir, bundle_path, capsys):
     cfg = workdir / "proto.json"
     cfg.write_text(json.dumps(TRAIN_CONFIG))

@@ -271,6 +271,10 @@ def test_read_bundle_bad_patch_count(written, count):
     ("class_vectors", lambda m: m["class_vectors"].pop()),
     ("class_vectors", lambda m: m["class_vectors"][0].__setitem__(0, "0.5")),
     ("class_vectors", lambda m: m["class_vectors"][0].__setitem__(0, float("nan"))),
+    # JSON booleans are not numbers, even among numbers or as a whole row
+    ("class_vectors", lambda m: m["class_vectors"][1].__setitem__(0, True)),
+    ("class_vectors", lambda m: m["class_vectors"].__setitem__(
+        0, [True] * len(m["class_vectors"][0]))),
     ("id", lambda m: m["slides"][0].update(id=["slide-0000"])),
     ("site", lambda m: m["slides"][2].update(site=["site-0"])),
     # JSON booleans are not integers

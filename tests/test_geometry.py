@@ -62,6 +62,8 @@ def test_config_validation():
         geo.GeometryConfig(dim=1)
     with pytest.raises(ConfigError):
         geo.GeometryConfig(epsilon=0.0)
+    with pytest.raises(ConfigError, match="curvature"):
+        geo.GeometryConfig(curvature=float("inf"))
 
 
 # -- closed-form values ----------------------------------------------------------
@@ -218,6 +220,51 @@ def test_exterior_angle_degenerate_inputs():
         geo.half_aperture(geo.origin(cfg, 1), cfg)
 
 
+def test_exterior_angle_core_mask_keeps_the_masked_entries():
+    cfg = _cfg(2.0, 4)
+    rng = np.random.default_rng(29)
+    su = rng.normal(size=(5, 4))
+    sv = rng.normal(size=(9, 4))
+    mask = rng.random((5, 9)) < 0.4
+    full, full_norms, full_backward = geo.exterior_angle_core(su, sv, cfg)
+    part, part_norms, part_backward = geo.exterior_angle_core(su, sv, cfg, mask)
+    assert np.array_equal(part[mask], full[mask])
+    assert np.array_equal(part_norms, full_norms)
+    assert np.isfinite(part).all()
+    # a gradient on the masked entries and the norms only
+    g = np.where(mask, rng.normal(size=mask.shape), 0.0)
+    g_norms = rng.normal(size=(5, 1))
+    for got, want in zip(part_backward(g, g_norms), full_backward(g, g_norms)):
+        assert np.array_equal(got, want)
+    # only the masked pairs are checked for coincidence
+    sv[2] = su[1]
+    mask[1, 2] = False
+    geo.exterior_angle_core(su, sv, cfg, mask)
+    mask[1, 2] = True
+    with pytest.raises(GeometryError, match="coincident"):
+        geo.exterior_angle_core(su, sv, cfg, mask)
+
+
+def test_primitives_run_the_exterior_angle_core(monkeypatch):
+    # exterior_angle computes one angle matrix, angle_distance two: theta(u, v)
+    # and theta(v, u)
+    calls = []
+    for name in ("_exterior_forward", "_exterior_backward"):
+        def counted(*args, name=name, wrapped=getattr(geo, name)):
+            calls.append(name)
+            return wrapped(*args)
+
+        monkeypatch.setattr(geo, name, counted)
+    cfg = _cfg(1.0, 3)
+    rng = np.random.default_rng(30)
+    u = geo.exp_map_origin(ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True), cfg)
+    v = geo.exp_map_origin(ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True), cfg)
+    for fn, n in ((geo.exterior_angle, 1), (geo.angle_distance, 2)):
+        calls.clear()
+        fn(u, v, cfg).sum().backward()
+        assert calls == ["_exterior_forward"] * n + ["_exterior_backward"] * n
+
+
 # -- angle distance ----------------------------------------------------------------
 
 
@@ -228,7 +275,7 @@ def test_angle_distance_properties():
     v = geo.exp_map_origin(rng.normal(size=(7, 4)), cfg)
     phi_uv = geo.angle_distance(u, v, cfg).data
     phi_vu = geo.angle_distance(v, u, cfg).data
-    assert np.abs(phi_uv - phi_vu.T).max() < 1e-12
+    assert np.array_equal(phi_uv, phi_vu.T)
     assert phi_uv.min() > -1e-9
 
 

@@ -380,6 +380,17 @@ def test_checkpoint_truncated(tmp_path):
         md.load_checkpoint(path)
 
 
+def test_checkpoint_record_name_not_utf8(tmp_path):
+    params = md.init_params(DIMS, 18)
+    path = tmp_path / "name.ckpt"
+    md.save_checkpoint(params, path)
+    blob = bytearray(path.read_bytes())
+    blob[13] = 0xFF  # the first byte of the first record name
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="record at byte 9 "):
+        md.load_checkpoint(path)
+
+
 def test_checkpoint_missing_records_are_format_errors(tmp_path):
     params = md.init_params(DIMS, 16)
     path = tmp_path / "model.ckpt"
