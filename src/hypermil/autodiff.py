@@ -7,11 +7,11 @@ fan-out. All math is double precision and runs in numpy.
 
 The generic primitives are the glue the library needs: broadcasting
 `add`, `sub` and `mul`, `scalar_mul`, `tensor_sum`, `tensor_mean`,
-`reshape`, `concat` and `getitem`. The math itself lives in fused nodes
-(`fused`), each computing its forward and hand-derived backward in numpy:
-  * the hyperbolic primitives in `geometry` (`exp_map_origin`,
-    `lorentz_inner`, `geodesic`, `exterior_angle`, `angle_distance`,
-    `half_aperture`),
+`reshape` and `getitem`; `as_tensor` turns any other value into a constant
+leaf. The math itself lives in fused nodes (`fused`), each computing its
+forward and hand-derived backward in numpy:
+  * the hyperbolic primitives in `geometry` (`exp_map_origin`, `geodesic`,
+    `exterior_angle`, `angle_distance`, `half_aperture`),
   * the two softmax NLLs, the two cone penalties and the per-slide node
     of the alignment and hierarchy terms (`cone_losses`, which `ama_total`,
     `shc_total` and `total_loss` build) in `losses`,
@@ -84,9 +84,6 @@ class Tensor:
     def item(self):
         return float(np.asarray(self.data).item())
 
-    def detach(self):
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, grad={self.requires_grad})"
 
@@ -120,20 +117,17 @@ class Tensor:
     # -- operator sugar -----------------------------------------------------
 
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, as_tensor(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
+        return sub(self, as_tensor(other))
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scalar_mul(self, float(other))
-        return mul(self, _wrap(other))
+        return mul(self, as_tensor(other))
 
     __rmul__ = __mul__
 
@@ -154,7 +148,8 @@ class Tensor:
         return reshape(self, shape)
 
 
-def _wrap(x):
+def as_tensor(x):
+    """`x` itself when it is a Tensor, else a constant float64 leaf of it."""
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
@@ -352,24 +347,6 @@ def tensor_mean(a, axis=None, keepdims=False):
         out._backward = lambda g: _accum(
             a, _expand_reduced(g, src, axes, keepdims) / count
         )
-    return out
-
-
-def concat(tensors, axis=0):
-    tensors = [_wrap(t) for t in tensors]
-    try:
-        data = np.concatenate([t.data for t in tensors], axis=axis)
-    except ValueError:
-        shapes = [t.data.shape for t in tensors]
-        raise ShapeError(f"concat: incompatible operand shapes {shapes}") from None
-    out = _node(data, tuple(tensors), "concat")
-    if out.requires_grad:
-        sizes = [t.data.shape[axis] for t in tensors]
-        bounds = np.cumsum(sizes)[:-1]
-        def bwd(g):
-            for t, piece in zip(tensors, np.split(g, bounds, axis=axis)):
-                _accum(t, piece)
-        out._backward = bwd
     return out
 
 

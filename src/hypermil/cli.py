@@ -232,26 +232,8 @@ def _cmd_gradcheck(args):
 def _cmd_splits(args):
     bundle = read_bundle(args.data)
     plan = make_splits(bundle.bags, args.outer, args.inner, seed=args.seed)
-    doc = {
-        "seed": plan.seed,
-        "folds": [
-            {
-                "ind_sites": list(fold.ind_sites),
-                "ood_sites": list(fold.ood_sites),
-                "ood_ids": list(fold.ood_ids),
-                "inner": [
-                    {
-                        "train_ids": list(s.train_ids),
-                        "val_ids": list(s.val_ids),
-                        "test_ids": list(s.test_ids),
-                    }
-                    for s in fold.inner
-                ],
-            }
-            for fold in plan.folds
-        ],
-    }
-    atomic_write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    doc = json.dumps(dataclasses.asdict(plan), indent=2, sort_keys=True)
+    atomic_write_text(args.out, doc + "\n")
     print(
         f"RESULT splits outer={args.outer} inner={args.inner} "
         f"seed={args.seed} out={args.out}"

@@ -10,8 +10,13 @@ The protocol trains one model per (outer fold, inner split) pair on the
 fold's in-domain sites and reports AUC/F1 on the in-domain test slides and
 on the fold's held-out out-of-domain sites, using each run's best
 validation checkpoint.
+
+`export_embeddings` and `mean_origin_distances` read the same walk over
+the embeddings (`_embeddings`): the class text level by level, then each
+bag's slide, regions and patches.
 """
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -262,8 +267,24 @@ def ablation_table(results):
 
 
 def _origin_distances(points, geom):
-    with ad.no_grad():
-        return geo.geodesic(geo.origin(geom, 1), points, geom).data[0]
+    return geo.geodesic(geo.origin(geom, 1), points, geom).data[0]
+
+
+def _embeddings(bags, params, geom):
+    """(kind, classes, slide id, Points) of the class text, one level at a
+    time from the slide level down, then of each bag's slide, regions and
+    patches. `classes` gives each row's class; a text level has the level
+    name as its slide id. The caller runs it under `autodiff.no_grad`."""
+    text = embed_text(params, geom)
+    for level in reversed(HierarchyLevel):
+        points = text_level(text, level)
+        yield "text", range(points.count), level.name.lower(), points
+    for bag in bags:
+        emb = embed_slide(bag, params, geom, text)
+        label = itertools.repeat(bag.label)
+        yield "slide", label, bag.slide_id, emb.slide
+        yield "region", label, bag.slide_id, emb.regions
+        yield "patch", label, bag.slide_id, emb.patches
 
 
 def export_embeddings(bags, params, geom, path):
@@ -274,29 +295,16 @@ def export_embeddings(bags, params, geom, path):
     slide id column.
     """
     lines = ["level,class,slide_id,dist_origin,p1,p2"]
-
-    def emit(level, cls, slide_id, points):
-        dists = _origin_distances(points, geom)
-        disk = geo.to_poincare_disk(points, geom)
-        for i in range(points.count):
-            c = cls[i] if hasattr(cls, "__len__") else cls
-            lines.append(
-                f"{level},{c},{slide_id},{dists[i]:.12g},"
-                f"{disk[i, 0]:.12g},{disk[i, 1]:.12g}"
-            )
-
     with ad.no_grad():
-        text = embed_text(params, geom)
-        for level in reversed(HierarchyLevel):
-            points = text_level(text, level)
-            emit("text", range(points.count), level.name.lower(), points)
-        for bag in bags:
-            emb = embed_slide(bag, params, geom, text)
-            emit("slide", bag.label, bag.slide_id, emb.slide)
-            emit("region", bag.label, bag.slide_id, emb.regions)
-            emit("patch", bag.label, bag.slide_id, emb.patches)
-    text_out = "\n".join(lines) + "\n"
-    atomic_write_text(path, text_out)
+        for kind, classes, slide_id, points in _embeddings(bags, params, geom):
+            dists = _origin_distances(points, geom)
+            disk = geo.to_poincare_disk(points, geom)
+            for i, c in zip(range(points.count), classes):
+                lines.append(
+                    f"{kind},{c},{slide_id},{dists[i]:.12g},"
+                    f"{disk[i, 0]:.12g},{disk[i, 1]:.12g}"
+                )
+    atomic_write_text(path, "\n".join(lines) + "\n")
     return len(lines) - 1
 
 
@@ -306,14 +314,8 @@ def mean_origin_distances(bags, params, geom):
     Text embeddings (all classes and levels pooled) plus the per-bag
     slide/region/patch embeddings pooled over the given bags.
     """
-    sums = {"text": [], "slide": [], "region": [], "patch": []}
+    dists = {"text": [], "slide": [], "region": [], "patch": []}
     with ad.no_grad():
-        text = embed_text(params, geom)
-        for level in HierarchyLevel:
-            sums["text"].append(_origin_distances(text_level(text, level), geom))
-        for bag in bags:
-            emb = embed_slide(bag, params, geom, text)
-            sums["slide"].append(_origin_distances(emb.slide, geom))
-            sums["region"].append(_origin_distances(emb.regions, geom))
-            sums["patch"].append(_origin_distances(emb.patches, geom))
-    return {k: float(np.concatenate(v).mean()) for k, v in sums.items()}
+        for kind, _, _, points in _embeddings(bags, params, geom):
+            dists[kind].append(_origin_distances(points, geom))
+    return {k: float(np.concatenate(v).mean()) for k, v in dists.items()}

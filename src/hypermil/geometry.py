@@ -7,18 +7,18 @@ time part is always recomputed from the space part, never stored as a free
 parameter, so the manifold constraint holds by construction.
 
 Every function is differentiable through the autodiff engine and operates on
-batches: `Points` holds N points as rows, and pair functions (inner product,
-geodesic, exterior angle, angle distance) return the full N x M matrix over
-two batches.
+batches: `Points` holds N points as rows, and pair functions (geodesic,
+exterior angle, angle distance) return the full N x M matrix over two
+batches.
 
 Numerical guards: acos/asin arguments are clamped to [-1, 1] and acosh
 arguments to >= 1 (zero gradient outside the domain); genuinely undefined
 configurations (exterior angle at the origin or between coincident points)
 raise GeometryError instead of being silently patched.
 
-Fused primitives: `exp_map_origin` (both branches), `lorentz_inner`,
-`geodesic`, `exterior_angle`, `angle_distance` and `half_aperture` are each
-one autodiff node (`autodiff.fused`) whose forward and hand-derived backward
+Fused primitives: `exp_map_origin` (both branches), `geodesic`,
+`exterior_angle`, `angle_distance` and `half_aperture` are each one
+autodiff node (`autodiff.fused`) whose forward and hand-derived backward
 run in numpy. Two numpy cores over space arrays are public:
 `exterior_angle_core`, the exterior angles theta(u_i, v_j) of two space
 arrays, optionally on a mask of pairs, with the origin and coincidence
@@ -96,7 +96,7 @@ class Points:
 
 
 def _as_matrix(x):
-    x = x if isinstance(x, ad.Tensor) else ad.Tensor(x)
+    x = ad.as_tensor(x)
     if x.ndim == 1:
         x = x.reshape(1, x.shape[0])
     if x.ndim != 2:
@@ -262,23 +262,6 @@ def half_aperture_core(n, cfg, alpha):
 
 
 # -- fused primitives ---------------------------------------------------------
-
-
-def lorentz_inner(u, v):
-    """Pairwise Lorentzian inner products <u_i, v_j>_H as an N x M matrix.
-
-    Each batch's time part follows its own configuration.
-    """
-    _check_dims(u, v, "lorentz_inner")
-    su, sv = u.space.data, v.space.data
-    tu, _ = _rows(su, u.cfg)
-    tv, _ = _rows(sv, v.cfg)
-
-    def backward(g):
-        return _inner_backward(g, 0.0, 0.0, su, tu, sv, tv)
-
-    return ad.fused("lorentz_inner", _inner(su, tu, sv, tv), (u.space, v.space),
-                    backward)
 
 
 def geodesic(u, v, cfg):

@@ -104,10 +104,6 @@ class AlignmentBatch:
             raise ShapeError("alignment batch needs at least one negative")
 
 
-def _t(x):
-    return x if isinstance(x, ad.Tensor) else ad.Tensor(np.asarray(x, dtype=float))
-
-
 def _nll(logits, target, weights=None):
     """-log softmax(logits)[:, target] per row, max-subtracted, reduced to
     the mean over rows or, given per-row `weights`, to their weighted sum.
@@ -156,8 +152,8 @@ def ama_nll(pos_similarity, negative_similarities, tau):
     matrix with one row of negative similarities per positive. Returns the
     mean over rows.
     """
-    pos = _t(pos_similarity)
-    negs = _t(negative_similarities)
+    pos = ad.as_tensor(pos_similarity)
+    negs = ad.as_tensor(negative_similarities)
     pos_col = pos.data.reshape(-1, 1)
     neg_rows = negs.data.reshape(1, -1) if negs.ndim == 1 else negs.data
     if neg_rows.shape[0] != pos_col.shape[0]:
@@ -194,8 +190,8 @@ def ent_penalty(theta, aperture, beta):
     One fused node; `aperture` may be a column broadcast along the rows of
     `theta`.
     """
-    theta = _t(theta)
-    aperture = _t(aperture)
+    theta = ad.as_tensor(theta)
+    aperture = ad.as_tensor(aperture)
     out, backward = _ent(theta.data, aperture.data, beta)
     return ad.fused("ent_penalty", out, (theta, aperture), backward)
 
@@ -223,8 +219,8 @@ def con_penalty(theta, aperture, beta, epsilon=1e-8):
     coincident-direction pair produces a large finite penalty. One fused
     node, broadcasting `aperture` as `ent_penalty` does.
     """
-    theta = _t(theta)
-    aperture = _t(aperture)
+    theta = ad.as_tensor(theta)
+    aperture = ad.as_tensor(aperture)
     out, backward = _con(theta.data, aperture.data, beta, epsilon)
     return ad.fused("con_penalty", out, (theta, aperture), backward)
 
@@ -240,7 +236,7 @@ def _penalty_grads(g, z, scale, out, hinge):
 
 def cls_nll(distances, label):
     """-log softmax(-d)[label] over a vector (or one row) of distances."""
-    d = _t(distances)
+    d = ad.as_tensor(distances)
     row = d.data.reshape(1, -1)
     if not 0 <= label < row.shape[1]:
         raise ShapeError(f"label {label} out of range for {row.shape[1]} classes")

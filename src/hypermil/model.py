@@ -32,14 +32,17 @@ needs one level reads it through `text_level`.
 
 Every parameter array of a `ModelParams` is a view into one float64
 buffer, trainable arrays first, so the optimizer updates them in one
-vectorized step and a copy is one array copy. The layout lives in memory
-only: checkpoints are a little-endian binary table of named float64 arrays
-(magic "HPCK1"), one record per parameter name, written atomically and
-read back bit-exactly, whatever the buffer order.
+vectorized step and a copy is one array copy. That layout (`_layout`) is
+the one list of parameter names: `ModelParams.named` and `trainable` follow
+it. It lives in memory only: checkpoints are a little-endian binary table
+of named float64 arrays (magic "HPCK1"), one record per parameter name and
+per model dimension, written atomically and read back bit-exactly, whatever
+the buffer order.
 """
 
 import functools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -186,29 +189,10 @@ class ModelParams:
     buffer: np.ndarray
 
     def named(self):
-        """All parameter tensors, including the frozen base vectors."""
-        pairs = [
-            ("adaptor_i.w1", self.adaptor_i.w1),
-            ("adaptor_i.b1", self.adaptor_i.b1),
-            ("adaptor_i.w2", self.adaptor_i.w2),
-            ("adaptor_i.b2", self.adaptor_i.b2),
-            ("adaptor_t.w1", self.adaptor_t.w1),
-            ("adaptor_t.b1", self.adaptor_t.b1),
-            ("adaptor_t.w2", self.adaptor_t.w2),
-            ("adaptor_t.b2", self.adaptor_t.b2),
-            ("agg_region.w1", self.agg_region.w1),
-            ("agg_region.w2", self.agg_region.w2),
-        ]
-        if not self.dims.shared_aggregators:
-            pairs += [
-                ("agg_slide.w1", self.agg_slide.w1),
-                ("agg_slide.w2", self.agg_slide.w2),
-            ]
-        pairs += [
-            ("semantics.base", self.semantics.base),
-            ("semantics.offsets", self.semantics.offsets),
-        ]
-        return pairs
+        """(name, tensor) of every parameter array, including the frozen base
+        vectors, in the buffer order of `_layout`."""
+        names, tensors = _accessors(self.dims)
+        return list(zip(names, tensors(self)))
 
     def trainable(self):
         return [(n, t) for n, t in self.named() if t.requires_grad]
@@ -239,7 +223,8 @@ class ModelParams:
 @functools.lru_cache(maxsize=16)
 def _layout(dims):
     """(name, shape, start, stop) of every parameter array in the buffer:
-    the trainable arrays in `ModelParams.trainable()` order, then the base."""
+    the trainable arrays in `param_shapes` order, then the frozen base. The
+    one list of parameter names: `ModelParams.named` follows it."""
     shapes = dims.param_shapes()
     names = [n for n in shapes if n != "semantics.base"] + ["semantics.base"]
     out = []
@@ -249,6 +234,14 @@ def _layout(dims):
         out.append((name, shapes[name], start, stop))
         start = stop
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=16)
+def _accessors(dims):
+    """The names of `_layout(dims)` and one getter of their tensors from a
+    ModelParams: the name "adaptor_i.w1" reads `params.adaptor_i.w1`."""
+    names = tuple(name for name, *_ in _layout(dims))
+    return names, operator.attrgetter(*names)
 
 
 def _xavier(rng, fan_out, fan_in):
@@ -390,19 +383,6 @@ def _block_weights(p, seg, n_segments):
     return weights
 
 
-def attention_weights(features, agg, counts=None):
-    """Gated-attention weights softmax(w2' tanh(w1 f')) within each segment.
-
-    `counts` gives the sizes of consecutive row segments (None: one segment
-    of all rows). Returns the block-diagonal [R x N] matrix of the R
-    segments' distributions, each nonnegative and summing to one, as a
-    constant tensor: it comes from the same numpy core as `aggregate` and
-    records no gradient (differentiate through `aggregate`).
-    """
-    _, seg, starts, p = _attention(features, agg, counts)
-    return ad.Tensor(_block_weights(p, seg, starts.size))
-
-
 def aggregate(features, agg, counts=None):
     """Attention-weighted sum of the rows of each segment, an [R x D] tangent
     feature with one row per segment.
@@ -524,16 +504,18 @@ def embed_slide(bag, params, geom, text=None):
 # -- checkpoints --------------------------------------------------------------
 
 
+_DIMS_META = ("d_in", "k", "d_hidden", "n_classes", "shared_aggregators")
+
+# the highest record rank `save_checkpoint` writes: semantics.offsets is
+# [C x 3 x D_in]
+_MAX_RANK = 3
+
+
 def save_checkpoint(params, path, meta=None):
     """Write named parameter arrays plus meta.* scalars; atomic and bit-exact."""
     records = {name: t.data for name, t in params.named()}
-    records["meta.d_in"] = np.asarray(float(params.dims.d_in))
-    records["meta.k"] = np.asarray(float(params.dims.k))
-    records["meta.d_hidden"] = np.asarray(float(params.dims.d_hidden))
-    records["meta.n_classes"] = np.asarray(float(params.dims.n_classes))
-    records["meta.shared_aggregators"] = np.asarray(
-        float(params.dims.shared_aggregators)
-    )
+    for key in _DIMS_META:
+        records[f"meta.{key}"] = np.asarray(float(getattr(params.dims, key)))
     for key, value in (meta or {}).items():
         records[f"meta.{key}"] = np.asarray(float(value))
     chunks = [_CHECKPOINT_MAGIC, struct.pack("<I", _CHECKPOINT_VERSION)]
@@ -549,7 +531,12 @@ def save_checkpoint(params, path, meta=None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into {name: array}."""
+    """Read a checkpoint back into {name: array}.
+
+    A record whose name is not UTF-8, repeats an earlier record's name or
+    whose rank is above any `save_checkpoint` writes raises FormatError
+    naming the record's byte offset.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(_CHECKPOINT_MAGIC) or not blob.startswith(_CHECKPOINT_MAGIC):
@@ -579,7 +566,13 @@ def load_checkpoint(path):
         except UnicodeDecodeError:
             raise FormatError(f"{path}: the record at byte {start} has a name "
                               "that is not UTF-8") from None
+        if name in records:
+            raise FormatError(f"{path}: the record at byte {start} repeats "
+                              f"the record {name}")
         (rank,) = struct.unpack("<I", take(4, "a record rank"))
+        if rank > _MAX_RANK:
+            raise FormatError(f"{path}: the record {name} at byte {start} has "
+                              f"rank {rank}, above {_MAX_RANK}")
         shape = struct.unpack(f"<{rank}Q", take(8 * rank, "record extents"))
         count = 1
         for extent in shape:
@@ -587,9 +580,6 @@ def load_checkpoint(path):
         data = take(8 * count, f"the payload of {name}")
         records[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
     return records
-
-
-_DIMS_META = ("d_in", "k", "d_hidden", "n_classes", "shared_aggregators")
 
 
 def params_from_checkpoint(records):

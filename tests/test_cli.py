@@ -6,6 +6,7 @@ test covers the installed entry point.
 """
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ import pytest
 
 from hypermil import autodiff as ad
 from hypermil.cli import main
+from hypermil.data import make_splits, read_bundle
 from hypermil.model import ModelDims, init_params, save_checkpoint
 
 GEN_ARGS = [
@@ -197,6 +199,20 @@ def test_eval_checkpoint_name_not_utf8_is_an_error(workdir, bundle_path,
     assert err.startswith("error:") and "UTF-8" in err
 
 
+def test_eval_repeated_checkpoint_record_is_an_error(workdir, bundle_path,
+                                                   checkpoint_path, capsys):
+    # a second agg_region.w2 record of the right shape, [1 x 1] at k = 4
+    name = b"agg_region.w2"
+    record = (struct.pack("<I", len(name)) + name + struct.pack("<I2Q", 2, 1, 1)
+              + struct.pack("<d", 5.0))
+    path = workdir / "repeated.ckpt"
+    path.write_bytes(checkpoint_path.read_bytes() + record)
+    code = main(["eval", "--data", str(bundle_path), "--params", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "repeats the record agg_region.w2" in err
+
+
 def test_eval_infinite_curvature_is_an_error(workdir, bundle_path, capsys):
     params = init_params(ModelDims(d_in=8, k=4, d_hidden=8, n_classes=2), 0)
     path = workdir / "inf-curvature.ckpt"
@@ -258,9 +274,15 @@ def test_splits_plan_roundtrips(workdir, bundle_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["seed"] == 3
     assert len(doc["folds"]) == 2
-    for fold in doc["folds"]:
+    plan = make_splits(read_bundle(bundle_path).bags, 2, 2, seed=3)
+    for fold, want in zip(doc["folds"], plan.folds, strict=True):
         assert not set(fold["ind_sites"]) & set(fold["ood_sites"])
         assert len(fold["inner"]) == 2
+        for key in ("ind_sites", "ood_sites", "ood_ids"):
+            assert fold[key] == list(getattr(want, key)), key
+        for split, want_split in zip(fold["inner"], want.inner, strict=True):
+            for key in ("train_ids", "val_ids", "test_ids"):
+                assert split[key] == list(getattr(want_split, key)), key
 
 
 def test_embed_exports_rows(workdir, bundle_path, checkpoint_path, capsys):

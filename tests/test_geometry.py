@@ -76,19 +76,24 @@ def test_time_from_space_values():
     assert_allclose(got, 5.0990195135927845, rtol=0, atol=1e-15)
 
 
-def test_lorentz_inner_values():
+def test_geodesic_closed_forms():
     o = geo.origin(_cfg(1.0, 2))
-    assert_allclose(geo.lorentz_inner(o, o).data, -1.0, atol=1e-15)
+    assert_allclose(geo.geodesic(o, o, _cfg(1.0, 2)).data, 0.0, atol=1e-15)
+    # <u, v>_H = -2 for the two unit points
     u = _pts([1.0, 0.0])
     v = _pts([0.0, 1.0])
-    assert_allclose(geo.lorentz_inner(u, v).data, -2.0, atol=1e-14)
+    assert_allclose(geo.geodesic(u, v, _cfg(1.0, 2)).data, np.arccosh(2.0),
+                    rtol=1e-14)
+    # from the origin: asinh(sqrt(rho) |w_s|) / sqrt(rho)
     w = _pts([[0.3, -0.2, 0.5]], rho=2.0)
-    assert_allclose(geo.lorentz_inner(w, w).data, -0.5, atol=1e-15)
+    got = geo.geodesic(geo.origin(_cfg(2.0, 3)), w, _cfg(2.0, 3)).data
+    assert_allclose(got, np.arcsinh(np.sqrt(2.0 * 0.38)) / np.sqrt(2.0),
+                    rtol=1e-14)
 
 
-def test_lorentz_inner_dim_mismatch():
+def test_geodesic_dim_mismatch():
     with pytest.raises(ShapeError):
-        geo.lorentz_inner(_pts([1.0, 0.0]), _pts([1.0, 0.0, 0.0]))
+        geo.geodesic(_pts([1.0, 0.0]), _pts([1.0, 0.0, 0.0]), _cfg(1.0, 2))
 
 
 def test_exp_map_zero_is_origin():
@@ -353,8 +358,7 @@ def test_geometry_gradients_finite_difference():
             u = geo.exp_map_origin(xu, cfg)
             v = geo.exp_map_origin(xv, cfg)
             return (
-                geo.lorentz_inner(u, v).sum()
-                + geo.geodesic(u, v, cfg).sum()
+                geo.geodesic(u, v, cfg).sum()
                 + geo.exterior_angle(u, v, cfg).sum()
                 + geo.angle_distance(u, v, cfg).sum()
                 + geo.half_aperture(u, cfg).sum()

@@ -274,6 +274,13 @@ def _looped_ama_total(emb, label, selections):
     return total
 
 
+def _concat(tensors, axis):
+    """A concatenation node, the glue of the looped references."""
+    bounds = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    return ad.fused("concat", np.concatenate([t.data for t in tensors], axis=axis),
+                    tuple(tensors), lambda g: np.split(g, bounds, axis=axis))
+
+
 def _looped_shc_total(emb, label, selections):
     """shc_total with the region->patch term as one [1 x n_r] matrix per
     region and the text->image terms as one pair of matrices per level,
@@ -284,7 +291,7 @@ def _looped_shc_total(emb, label, selections):
                        geo.select(emb.patches, np.arange(start, stop)), CFG, GEOM)
         for r, (start, stop) in enumerate(emb.region_slices)
     ]
-    parts.append(ad.concat(per_region, axis=1).mean())
+    parts.append(_concat(per_region, axis=1).mean())
     n_classes = text_level(emb.text, HierarchyLevel.SLIDE).count
     diag = (np.arange(n_classes), np.arange(n_classes))
     for upper, lower in ((HierarchyLevel.SLIDE, HierarchyLevel.REGION),

@@ -1,5 +1,7 @@
 """Model components: init, attention pooling, embedding pipeline, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -86,6 +88,8 @@ def test_params_are_views_into_one_buffer():
     params = md.init_params(DIMS, 0)
     trainable = params.trainable()
     assert params.flat.size == sum(t.data.size for _, t in trainable)
+    assert np.array_equal(
+        np.concatenate([t.data.reshape(-1) for _, t in trainable]), params.flat)
     for name, t in params.named():
         assert np.shares_memory(t.data, params.buffer), name
     params.flat[:] = 0.0
@@ -155,10 +159,17 @@ def test_nan_input_names_adaptor_and_aggregate():
         md.aggregate(ad.Tensor(f), params.agg_region)
 
 
+def _attention_weights(features, agg, counts=None):
+    """The block-diagonal segment weights `aggregate` pools with, from the
+    same numpy core."""
+    _, seg, starts, p = md._attention(features, agg, counts)
+    return md._block_weights(p, seg, starts.size)
+
+
 def test_attention_weights_distribution():
     params = md.init_params(DIMS, 4)
     feats = ad.Tensor(np.random.default_rng(1).normal(size=(6, 4)))
-    w = md.attention_weights(feats, params.agg_region).data
+    w = _attention_weights(feats, params.agg_region)
     assert w.shape == (1, 6)
     assert np.all(w > 0)
     assert_allclose(w.sum(), 1.0, atol=1e-12)
@@ -168,15 +179,15 @@ def test_attention_weights_permutation_equivariant():
     params = md.init_params(DIMS, 4)
     x = np.random.default_rng(2).normal(size=(5, 4))
     perm = np.array([3, 0, 4, 1, 2])
-    w = md.attention_weights(ad.Tensor(x), params.agg_region).data
-    wp = md.attention_weights(ad.Tensor(x[perm]), params.agg_region).data
+    w = _attention_weights(ad.Tensor(x), params.agg_region)
+    wp = _attention_weights(ad.Tensor(x[perm]), params.agg_region)
     assert_allclose(wp[0], w[0][perm], rtol=1e-12)
 
 
 def test_attention_empty_raises():
     params = md.init_params(DIMS, 0)
     with pytest.raises(EmptyBagError):
-        md.attention_weights(ad.Tensor(np.zeros((0, 4))), params.agg_region)
+        md.aggregate(ad.Tensor(np.zeros((0, 4))), params.agg_region)
 
 
 def test_aggregate_single_row_identity():
@@ -189,7 +200,7 @@ def test_aggregate_single_row_identity():
 def test_aggregate_is_weighted_mean():
     params = md.init_params(DIMS, 6)
     x = np.random.default_rng(4).normal(size=(7, 4))
-    w = md.attention_weights(ad.Tensor(x), params.agg_region).data
+    w = _attention_weights(ad.Tensor(x), params.agg_region)
     got = md.aggregate(ad.Tensor(x), params.agg_region).data
     assert got.shape == (1, 4)
     assert_allclose(got, w @ x, rtol=1e-12)
@@ -205,14 +216,14 @@ def test_segmented_aggregate_matches_per_region_loop():
     params = md.init_params(DIMS, 6)
     x = ad.Tensor(np.random.default_rng(9).normal(size=(sum(SEGMENTS), 4)))
     got = md.aggregate(x, params.agg_region, SEGMENTS).data
-    weights = md.attention_weights(x, params.agg_region, SEGMENTS).data
+    weights = _attention_weights(x, params.agg_region, SEGMENTS)
     bounds = np.cumsum([0] + SEGMENTS)
     assert got.shape == (len(SEGMENTS), 4)
     for r, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
         piece = ad.Tensor(x.data[start:stop])
         want = md.aggregate(piece, params.agg_region).data[0]
         assert_allclose(got[r], want, rtol=0, atol=1e-15)
-        want_w = md.attention_weights(piece, params.agg_region).data[0]
+        want_w = _attention_weights(piece, params.agg_region)[0]
         assert_allclose(weights[r, start:stop], want_w, rtol=0, atol=1e-15)
         # block-diagonal: no weight outside the region's own rows
         assert not np.delete(weights[r], np.arange(start, stop)).any()
@@ -389,6 +400,41 @@ def test_checkpoint_record_name_not_utf8(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match="record at byte 9 "):
         md.load_checkpoint(path)
+
+
+def _record(name, shape, payload=b""):
+    """One checkpoint record: name, rank, extents and payload."""
+    encoded = name.encode("utf-8")
+    return (struct.pack("<I", len(encoded)) + encoded
+            + struct.pack(f"<I{len(shape)}Q", len(shape), *shape) + payload)
+
+
+def test_checkpoint_repeated_record(tmp_path):
+    params = md.init_params(DIMS, 19)
+    path = tmp_path / "repeated.ckpt"
+    md.save_checkpoint(params, path)
+    end = path.stat().st_size
+    # agg_region.w2 is [1 x 1] at k = 4, so the second record fits the model
+    with open(path, "ab") as fh:
+        fh.write(_record("agg_region.w2", (1, 1), struct.pack("<d", 5.0)))
+    with pytest.raises(FormatError, match=f"record at byte {end} repeats "
+                                          "the record agg_region.w2"):
+        md.load_checkpoint(path)
+
+
+def test_checkpoint_record_rank_above_three(tmp_path):
+    params = md.init_params(DIMS, 20)
+    path = tmp_path / "rank.ckpt"
+    md.save_checkpoint(params, path)
+    blob = path.read_bytes()
+    # rank 4 with a full payload; rank 65, beyond numpy's 64 axes, with one
+    # zero extent, so its empty payload checks out
+    for shape, payload in (((1, 1, 1, 1), struct.pack("<d", 1.0)),
+                           ((1,) * 64 + (0,), b"")):
+        path.write_bytes(blob + _record("meta.extra", shape, payload))
+        with pytest.raises(FormatError, match=f"record meta.extra at byte "
+                                              f"{len(blob)} has rank {len(shape)}"):
+            md.load_checkpoint(path)
 
 
 def test_checkpoint_missing_records_are_format_errors(tmp_path):
