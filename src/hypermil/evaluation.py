@@ -11,6 +11,12 @@ fold's in-domain sites and reports AUC/F1 on the in-domain test slides and
 on the fold's held-out out-of-domain sites, using each run's best
 validation checkpoint.
 
+Scoring has one path, `_scores`, which `predict` runs on one bag and
+`evaluate` on all of its bags: the class text is embedded once per call,
+each bag runs its own adaptor and pooling graph, and the slide level of all
+bags is mapped and scored in one pass. So an `evaluate` row equals
+`predict` on its bag bit for bit.
+
 `export_embeddings` and `mean_origin_distances` read the same walk over
 the embeddings (`_embeddings`): the class text level by level, then each
 bag's slide, regions and patches.
@@ -30,36 +36,58 @@ from .fileio import atomic_write_text
 from .model import HierarchyLevel, embed_slide, embed_text, text_level
 
 
-def predict(bag, params, geom, text=None):
-    """Class probabilities: softmax over negative slide-to-text geodesics.
+def _scores(bags, params, geom, text=None):
+    """[B x C] class probabilities of B bags: each row the softmax over the
+    negative geodesics from the bag's slide point to the slide-level class
+    text.
 
-    `text` is `embed_text(params, geom)` when the caller already holds it;
-    None embeds it here. Only the slide point is read, so the patch and
-    region levels are never mapped onto the manifold and the NaN guard
-    never runs on their maps.
+    The one scoring path, of `predict` (B = 1) and `score_bags`. Each bag
+    runs its own `embed_slide` graph (the adaptor and the two `aggregate`
+    calls) and only its slide tangent is read, so no per-bag level is
+    mapped. The B tangents are stacked and mapped in one `exp_map_origin`
+    call, and the softmax runs over the rows of the distance matrix at once.
+    The distances are one `geometry.geodesic_core` call per slide row: a
+    [1 x k] by [k x C] product whatever B is, since BLAS may round a
+    several-row product differently from a one-row one in the last bit, and
+    a row of `evaluate` must equal `predict` on its bag bit for bit.
     """
     with ad.no_grad():
-        emb = embed_slide(bag, params, geom, text)
-        slide_text = text_level(emb.text, HierarchyLevel.SLIDE)
-        d = geo.geodesic(emb.slide, slide_text, geom).data[0]
-    z = -d - np.max(-d)
+        if text is None:
+            text = embed_text(params, geom)
+        tangents = np.concatenate([embed_slide(bag, params, geom, text)
+                                   .slide_tangent.data for bag in bags])
+        slides = geo.exp_map_origin(tangents, geom).space.data
+        anchors = text_level(text, HierarchyLevel.SLIDE).space.data
+    d = np.concatenate([geo.geodesic_core(slides[i:i + 1], anchors, geom)[0]
+                        for i in range(len(bags))])
+    z = -d - np.max(-d, axis=1, keepdims=True)
     p = np.exp(z)
-    return p / p.sum()
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def predict(bag, params, geom, text=None):
+    """Class probabilities of one bag: softmax over negative slide-to-text
+    geodesics, the one-bag case of the scoring that `evaluate` runs.
+
+    `text` is `embed_text(params, geom)` when the caller already holds it;
+    None embeds it here. Only the slide point is mapped onto the manifold:
+    the patch and region levels are never mapped and the NaN guard never
+    runs on their maps.
+    """
+    return _scores([bag], params, geom, text)[0]
 
 
 def score_bags(bags, params, geom):
-    """One `predict` row per bag, all sharing one text embedding. No bags,
-    or a bag whose label is not one of the model's classes, is a
-    MetricError."""
+    """One `predict` row per bag, all bags scored in one pass that shares one
+    text embedding and one `exp_map_origin` call. No bags, or a bag whose
+    label is not one of the model's classes, is a MetricError."""
     if not bags:
         raise MetricError("no bags to score")
     for bag in bags:
         if not 0 <= bag.label < params.dims.n_classes:
             raise MetricError(f"slide {bag.slide_id} has label {bag.label}, the "
                               f"model has {params.dims.n_classes} classes")
-    with ad.no_grad():
-        text = embed_text(params, geom)
-    scores = np.stack([predict(bag, params, geom, text) for bag in bags])
+    scores = _scores(bags, params, geom)
     labels = np.array([bag.label for bag in bags])
     return scores, labels
 
@@ -68,8 +96,10 @@ def evaluate(bags, params, geom):
     """(AUC, F1, scores, labels) over a list of bags.
 
     The class text depends on the parameters alone, so it is embedded once
-    per call and shared by every bag; each bag still runs through its own
-    `predict` graph, so every row equals `predict` on that bag bit for bit.
+    per call. Each bag's adaptor and pooling run per bag, and the slide
+    level of all bags is mapped and scored in one pass (`score_bags`); a
+    one-bag pass is `predict`, so every row equals `predict` on that bag
+    bit for bit.
     """
     scores, labels = score_bags(bags, params, geom)
     return (
@@ -128,13 +158,17 @@ def f1(predictions, labels, n_classes=None):
     labels = np.asarray(labels)
     if n_classes is None:
         n_classes = int(max(predictions.max(), labels.max())) + 1
+    # row c: which samples are predicted as, and which are labelled, class c
+    classes = np.arange(n_classes)[:, None]
+    predicted = predictions == classes
+    actual = labels == classes
+    counts = zip(np.count_nonzero(predicted & actual, axis=1).tolist(),
+                 np.count_nonzero(predicted, axis=1).tolist(),
+                 np.count_nonzero(actual, axis=1).tolist())
     scores = []
-    for c in range(n_classes):
-        tp = int(np.sum((predictions == c) & (labels == c)))
-        fp = int(np.sum((predictions == c) & (labels != c)))
-        fn = int(np.sum((predictions != c) & (labels == c)))
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
+    for tp, n_predicted, n_actual in counts:
+        precision = tp / n_predicted if n_predicted else 0.0
+        recall = tp / n_actual if n_actual else 0.0
         scores.append(
             2 * precision * recall / (precision + recall) if precision + recall else 0.0
         )
@@ -312,8 +346,11 @@ def mean_origin_distances(bags, params, geom):
     """Mean geodesic distance from the origin per hierarchy level.
 
     Text embeddings (all classes and levels pooled) plus the per-bag
-    slide/region/patch embeddings pooled over the given bags.
+    slide/region/patch embeddings pooled over the given bags. No bags is a
+    MetricError.
     """
+    if not bags:
+        raise MetricError("no bags to measure distances over")
     dists = {"text": [], "slide": [], "region": [], "patch": []}
     with ad.no_grad():
         for kind, _, _, points in _embeddings(bags, params, geom):

@@ -19,11 +19,14 @@ raise GeometryError instead of being silently patched.
 Fused primitives: `exp_map_origin` (both branches), `geodesic`,
 `exterior_angle`, `angle_distance` and `half_aperture` are each one
 autodiff node (`autodiff.fused`) whose forward and hand-derived backward
-run in numpy. Two numpy cores over space arrays are public:
-`exterior_angle_core`, the exterior angles theta(u_i, v_j) of two space
-arrays, optionally on a mask of pairs, with the origin and coincidence
-guards and a backward; and `half_aperture_core`, the half-aperture of a
-column of space norms. `exterior_angle` is one call of the first,
+run in numpy. Three numpy cores over space arrays are public:
+`geodesic_core`, the geodesic distances of two space arrays with a
+backward, which `geodesic` wraps and `evaluation` calls once per scored
+slide; `exterior_angle_core`, the exterior angles theta(u_i, v_j) of two
+space arrays, optionally on a mask of pairs, with the origin and
+coincidence guards and a backward; and `half_aperture_core`, the
+half-aperture of a column of space norms. `exterior_angle` is one call of
+`exterior_angle_core`,
 `angle_distance` two, theta(u, v) and theta(v, u), and the fused loss node
 of `losses` one masked call over its stacked rows, whose returned norms go
 to `half_aperture_core` as `half_aperture`'s do. So the exterior-angle
@@ -261,27 +264,38 @@ def half_aperture_core(n, cfg, alpha):
     return np.arcsin(arg), backward
 
 
+def geodesic_core(su, sv, cfg):
+    """Geodesic distances sqrt(1/rho) * acosh(-rho <u_i,v_j>_H) of the rows
+    of two space arrays.
+
+    Returns (distances, backward): the [N x M] matrix, and backward(g)
+    giving the gradients (g_su, g_sv) of sum(g * distances). The acosh
+    argument is clamped to >= 1, with zero gradient at the clamp.
+    """
+    tu, _ = _rows(su, cfg)
+    tv, _ = _rows(sv, cfg)
+    arg = np.maximum(_scale(_inner(su, tu, sv, tv), -cfg.curvature), 1.0)
+
+    def backward(g):
+        d2 = arg * arg - 1.0
+        g_inner = (g * ad.guarded_rsqrt(d2 > 0.0, d2)) * (
+            -cfg.curvature / cfg.sqrt_curvature)
+        return _inner_backward(g_inner, 0.0, 0.0, su, tu, sv, tv)
+
+    return _scale(np.arccosh(arg), 1.0 / cfg.sqrt_curvature), backward
+
+
 # -- fused primitives ---------------------------------------------------------
 
 
 def geodesic(u, v, cfg):
     """Pairwise geodesic distances sqrt(1/rho) * acosh(-rho <u,v>_H).
 
-    The acosh argument is clamped to >= 1, with zero gradient at the clamp.
+    One call of `geodesic_core`; the acosh argument is clamped to >= 1, with
+    zero gradient at the clamp.
     """
     _check_dims(u, v, "geodesic")
-    su, sv = u.space.data, v.space.data
-    tu, _ = _rows(su, cfg)
-    tv, _ = _rows(sv, cfg)
-    arg = np.maximum(_scale(_inner(su, tu, sv, tv), -cfg.curvature), 1.0)
-    d2 = arg * arg - 1.0
-
-    def backward(g):
-        g_inner = (g * ad.guarded_rsqrt(d2 > 0.0, d2)) * (
-            -cfg.curvature / cfg.sqrt_curvature)
-        return _inner_backward(g_inner, 0.0, 0.0, su, tu, sv, tv)
-
-    data = _scale(np.arccosh(arg), 1.0 / cfg.sqrt_curvature)
+    data, backward = geodesic_core(u.space.data, v.space.data, cfg)
     return ad.fused("geodesic", data, (u.space, v.space), backward)
 
 

@@ -19,11 +19,12 @@ Both learned stages are fused autodiff nodes (`autodiff.fused`) computed in
 numpy with a hand-derived backward: the adaptor MLP is one "adaptor" node
 per call and each `aggregate` call one "aggregate" node, so each runs the
 NaN guard once on its output. The class-text features of all levels are
-one "text_features" node as well. `embed_slide` maps the slide and the text
-onto the manifold at once and the patch and region levels on their first
-read, so scoring a slide maps only its slide point. The class text depends
-on the parameters alone; a caller scoring many bags embeds it once and
-passes it to `embed_slide`.
+one "text_features" node as well. `embed_slide` maps the text onto the
+manifold at once and each image level (patches, regions, slide) on its
+first read, so a caller maps only the levels it reads: training reads all
+three, and scoring reads none, mapping the slide tangents of all its bags
+in one call instead. The class text depends on the parameters alone; a
+caller scoring many bags embeds it once and passes it to `embed_slide`.
 
 The class text of all levels stays one stacked Points from `embed_text` to
 the loss assemblies, in `HierarchyLevel` order (row level.value * N_C + c
@@ -412,35 +413,50 @@ def aggregate(features, agg, counts=None):
                     (features, agg.w1, agg.w2), backward)
 
 
+class _Level:
+    """An image level of `EmbeddingSet`: it holds Points, or a zero-argument
+    callable that makes them on the first read and is replaced by them."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, emb, owner=None):
+        if emb is None:
+            return self
+        points = getattr(emb, self.slot)
+        if callable(points):
+            points = points()
+            setattr(emb, self.slot, points)
+        return points
+
+    def __set__(self, emb, points):
+        setattr(emb, self.slot, points)
+
+
 class EmbeddingSet:
     """One slide's embeddings at every level plus the class text.
 
-    `patches` [sum N_p] and `regions` [N_r] are Points, or zero-argument
-    callables making them: a callable runs on the first read of its level,
-    under the autodiff mode in effect at that read, and its Points are kept
-    for later reads. `slide` [1] is Points, `text` the [3 N_C] Points of
-    `embed_text` (read one level with `text_level`), and `region_slices`
-    holds each region's patch row range.
+    `patches` [sum N_p], `regions` [N_r] and `slide` [1] are Points, or
+    zero-argument callables making them: a callable runs on the first read
+    of its level, under the autodiff mode in effect at that read, and its
+    Points are kept for later reads. `text` is the [3 N_C] Points of
+    `embed_text` (read one level with `text_level`), `region_slices` holds
+    each region's patch row range, and `slide_tangent`, when given, is the
+    [1 x k] tangent feature the slide point is the map of.
     """
 
-    def __init__(self, patches, regions, slide, text, region_slices):
-        self._patches = patches
-        self._regions = regions
+    patches = _Level()
+    regions = _Level()
+    slide = _Level()
+
+    def __init__(self, patches, regions, slide, text, region_slices,
+                 slide_tangent=None):
+        self.patches = patches
+        self.regions = regions
         self.slide = slide
         self.text = text
         self.region_slices = region_slices
-
-    @property
-    def patches(self):
-        if callable(self._patches):
-            self._patches = self._patches()
-        return self._patches
-
-    @property
-    def regions(self):
-        if callable(self._regions):
-            self._regions = self._regions()
-        return self._regions
+        self.slide_tangent = slide_tangent
 
 
 def embed_text(params, geom):
@@ -467,11 +483,12 @@ def embed_slide(bag, params, geom, text=None):
 
     `text` is the result of `embed_text(params, geom)` when the caller
     already holds it (it depends on the parameters alone); None embeds it
-    here. The slide and the text are mapped onto the manifold here; the
-    patch and region levels are mapped on their first read (see
-    `EmbeddingSet`), so a caller that reads only the slide, such as
-    `evaluation.predict`, neither maps them nor runs the NaN guard on their
-    maps.
+    here. The text is mapped onto the manifold here; each of the patch,
+    region and slide levels is mapped on its first read (see
+    `EmbeddingSet`), so a caller maps only the levels it reads. The
+    unmapped slide tangent is `slide_tangent`: `evaluation` reads it from
+    every bag it scores and maps all of them in one `exp_map_origin` call,
+    so it never reads `slide` and no per-bag map runs.
     """
     if not bag.regions:
         raise EmptyBagError(f"slide {bag.slide_id} has no regions")
@@ -495,9 +512,10 @@ def embed_slide(bag, params, geom, text=None):
     return EmbeddingSet(
         patches=lambda: geo.exp_map_origin(patch_tan, geom),
         regions=lambda: geo.exp_map_origin(region_tan, geom),
-        slide=geo.exp_map_origin(slide_tan, geom),
+        slide=lambda: geo.exp_map_origin(slide_tan, geom),
         text=embed_text(params, geom) if text is None else text,
         region_slices=list(zip(bounds[:-1], bounds[1:])),
+        slide_tangent=slide_tan,
     )
 
 

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from hypermil import evaluation as ev
 from hypermil import geometry as geo
-from hypermil.data import SyntheticSpec, generate
+from hypermil.data import FeatureBag, SyntheticSpec, generate
 from hypermil.errors import ConfigError, MetricError
 from hypermil.model import ModelDims, embed_text, init_params
 from hypermil.training import TrainConfig
@@ -96,6 +96,33 @@ def test_f1_macro_hand_example():
 
 def test_f1_degenerate_class_scores_zero():
     assert ev.f1(np.array([0, 0]), np.array([1, 1]), n_classes=2) == 0.0
+
+
+def _looped_f1(predictions, labels, n_classes):
+    """F1 with each class's counts taken by its own masks, the reference
+    the vectorized counts of `ev.f1` must equal."""
+    scores = []
+    for c in range(n_classes):
+        tp = int(np.sum((predictions == c) & (labels == c)))
+        fp = int(np.sum((predictions == c) & (labels != c)))
+        fn = int(np.sum((predictions != c) & (labels == c)))
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        scores.append(
+            2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        )
+    return float(scores[1]) if n_classes == 2 else float(np.mean(scores))
+
+
+def test_f1_equals_per_class_loop():
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        n_classes = int(rng.integers(2, 6))
+        n = int(rng.integers(1, 15))
+        preds = rng.integers(0, n_classes, n)
+        labels = rng.integers(0, n_classes, n)
+        for c in (n_classes, n_classes + 1):
+            assert ev.f1(preds, labels, n_classes=c) == _looped_f1(preds, labels, c)
 
 
 # -- report shapes ----------------------------------------------------------------
@@ -221,6 +248,12 @@ def test_mean_origin_distances_keys():
     assert all(np.isfinite(v) and v > 0 for v in out.values())
 
 
+def test_mean_origin_distances_without_bags_is_a_metric_error():
+    params = init_params(ModelDims(d_in=8, k=4, n_classes=2), 3)
+    with pytest.raises(MetricError, match="no bags"):
+        ev.mean_origin_distances([], params, TrainConfig(k=4).geometry())
+
+
 def test_predict_is_distribution():
     bundle = generate(TINY_SPEC)
     params = init_params(
@@ -252,6 +285,24 @@ def test_predict_maps_only_the_slide(monkeypatch):
     ev.predict(bag, params, geom, text)
     assert calls == [(1, 4)]
 
+    # evaluate over N bags: one text embedding, N per-bag graphs, and one map
+    # of the class text of all three levels, then one of every slide at once
+    embedded = {"embed_text": 0, "embed_slide": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            embedded[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in embedded:
+        monkeypatch.setattr(ev, name, counting(name, getattr(ev, name)))
+    calls.clear()
+    n = len(bundle.bags)
+    ev.evaluate(bundle.bags, params, geom)
+    assert embedded == {"embed_text": 1, "embed_slide": n}
+    assert calls == [(3 * 2, 4), (n, 4)]
+
 
 def test_evaluate_rows_equal_predict_bit_for_bit():
     bundle = generate(TINY_SPEC)
@@ -264,6 +315,40 @@ def test_evaluate_rows_equal_predict_bit_for_bit():
     for bag, row, label in zip(bundle.bags, scores, labels):
         assert np.array_equal(row, ev.predict(bag, params, geom))
         assert label == bag.label
+
+
+def _assert_rows_equal_predict(bags, params, geom):
+    scores, _ = ev.score_bags(bags, params, geom)
+    assert len(scores) == len(bags)
+    for bag, row in zip(bags, scores):
+        assert np.array_equal(row, ev.predict(bag, params, geom)), bag.slide_id
+
+
+# the bundle of the benchmark's eval-wide workload: 102 bags of 32 regions x
+# 16 patches, d_in 32, k 16, three classes, scored in parts of 6 bags
+WIDE_SPEC = SyntheticSpec(slides_per_class=34, n_regions=32, seed=7919)
+WIDE_DIMS = ModelDims(d_in=32, k=16, n_classes=3)
+
+
+def test_evaluate_rows_equal_predict_at_the_wide_shape():
+    # a several-row BLAS product may round one row differently from the
+    # one-row product of `predict`; which rows it hits depends on the values,
+    # so every part of the workload is checked
+    bundle = generate(WIDE_SPEC)
+    params = init_params(WIDE_DIMS, 7919, bundle.class_vectors)
+    geom = TrainConfig().geometry()
+    for start in range(0, len(bundle.bags), 6):
+        _assert_rows_equal_predict(bundle.bags[start:start + 6], params, geom)
+
+
+def test_evaluate_rows_equal_predict_with_one_patch_and_one_region_bags():
+    bundle = generate(replace(WIDE_SPEC, slides_per_class=2, n_regions=4))
+    rng = np.random.default_rng(5)
+    one_patch = FeatureBag("one-patch", 0, "x", [rng.standard_normal((1, 32))])
+    one_region = FeatureBag("one-region", 1, "x", [rng.standard_normal((16, 32))])
+    bags = [one_patch, *bundle.bags[:2], one_region, *bundle.bags[2:]]
+    params = init_params(WIDE_DIMS, 3, bundle.class_vectors)
+    _assert_rows_equal_predict(bags, params, TrainConfig().geometry())
 
 
 def test_evaluate_without_bags_is_a_metric_error():
