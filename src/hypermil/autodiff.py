@@ -5,11 +5,18 @@ backward closure, and `Tensor.backward()` on a scalar root walks the graph
 in reverse topological order, accumulating gradients additively across
 fan-out. All math is double precision and runs in numpy.
 
-The generic primitives are the glue the library needs: broadcasting
-`add`, `sub` and `mul`, `scalar_mul`, `tensor_sum`, `tensor_mean`,
-`reshape` and `getitem`; `as_tensor` turns any other value into a constant
-leaf. The math itself lives in fused nodes (`fused`), each computing its
-forward and hand-derived backward in numpy:
+Every graph node, generic or fused, is one `fused(op, data, parents,
+backward)` call: the caller computes the forward value in numpy and gives
+a backward that returns one gradient per parent, and `fused` guards,
+records and accumulates. The generic primitives are glue: broadcasting
+`add`, `sub` and `mul`, `scalar_mul`, `reshape`, `tensor_sum`,
+`tensor_mean` and `getitem`. The library composes them where no fused
+node is worth writing, and so do the reference oracles that the tests and
+`training.gradient_check_suite` check the fused nodes against (the
+single-pair `losses.ama_loss`, `ent_loss` and `con_loss`); `as_tensor`
+turns any other value into a constant leaf. The math itself lives in
+named fused nodes, each computing its forward and hand-derived backward
+in numpy:
   * the hyperbolic primitives in `geometry` (`exp_map_origin`, `geodesic`,
     `exterior_angle`, `angle_distance`, `half_aperture`),
   * the two softmax NLLs, the two cone penalties and the per-slide node
@@ -21,10 +28,11 @@ forward and hand-derived backward in numpy:
 Conventions:
   * gradients accumulate into `Tensor.grad` (None until touched); the first
     contribution is copied so upstream buffers are never aliased,
-  * any primitive, fused or not, whose forward value contains NaN raises
-    NumericalError naming the primitive (`backend.has_nan`).
+  * any node whose forward value contains NaN raises NumericalError naming
+    its op (`backend.has_nan`).
 """
 
+import math
 import threading
 
 import numpy as np
@@ -153,35 +161,6 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(data, parents, op):
-    data = _as_array(data)
-    if has_nan(data):
-        raise NumericalError(f"{op} produced NaN in the forward pass")
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.grad = None
-    req = False
-    if getattr(_state, "grad_enabled", True):
-        for p in parents:
-            if p.requires_grad:
-                req = True
-                break
-    out.requires_grad = req
-    out._backward = None
-    out._parents = parents if req else ()
-    out._op = op
-    return out
-
-
-def _accum(t, g):
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, copy=True)
-    else:
-        t.grad += g
-
-
 def _unbroadcast(g, shape):
     """Sum a gradient broadcast against its operand back to `shape`.
 
@@ -207,74 +186,74 @@ def _unbroadcast(g, shape):
 
 
 def fused(op, data, parents, backward):
-    """One graph node for a forward the caller computed in numpy.
+    """One graph node for a forward `data` the caller computed in numpy.
 
-    `backward(g)` maps the output gradient to one gradient per parent, in
-    the order of `parents`; a gradient broadcast against its parent is
-    summed back to the parent's shape, and a gradient of any other shape
-    raises ShapeError. Like every primitive, the node runs
-    the NaN guard on `data` and records a backward only when a parent
-    requires grad and recording is on.
+    Every node, generic or fused, is built here. The node runs the NaN
+    guard on `data` and records a backward only when a parent requires
+    grad and recording is on. `backward(g)` maps the output gradient to one
+    gradient per parent, in the order of `parents`. A gradient broadcast
+    against its parent is summed back to the parent's shape, and a
+    gradient of any other shape raises ShapeError. Each gradient is then
+    added to its parent's `grad`; the first contribution is copied, so no
+    buffer is shared between nodes.
     """
-    out = _node(data, parents, op)
-    if out.requires_grad:
+    data = _as_array(data)
+    if has_nan(data):
+        raise NumericalError(f"{op} produced NaN in the forward pass")
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.grad = None
+    req = False
+    if getattr(_state, "grad_enabled", True):
+        for p in parents:
+            if p.requires_grad:
+                req = True
+                break
+    out.requires_grad = req
+    out._backward = None
+    out._parents = parents if req else ()
+    out._op = op
+    if req:
         def bwd(g):
             for p, gp in zip(parents, backward(g)):
-                _accum(p, _unbroadcast(gp, p.data.shape))
+                gp = _unbroadcast(gp, p.data.shape)
+                if not p.requires_grad:
+                    continue
+                if p.grad is None:
+                    p.grad = np.array(gp, dtype=np.float64, copy=True)
+                else:
+                    p.grad += gp
         out._backward = bwd
     return out
-
-
-def _broadcast_forward(op, a, b, npf):
-    try:
-        return npf(a, b)
-    except ValueError:
-        raise ShapeError(
-            f"{op}: incompatible operand shapes {a.shape} and {b.shape}"
-        ) from None
 
 
 # -- elementwise ops ----------------------------------------------------------
 
 
+def _broadcast(op, a, b, npf, backward):
+    try:
+        data = npf(a.data, b.data)
+    except ValueError:
+        raise ShapeError(f"{op}: incompatible operand shapes {a.data.shape} "
+                         f"and {b.data.shape}") from None
+    return fused(op, data, (a, b), backward)
+
+
 def add(a, b):
-    data = _broadcast_forward("add", a.data, b.data, np.add)
-    out = _node(data, (a, b), "add")
-    if out.requires_grad:
-        def bwd(g):
-            _accum(a, _unbroadcast(g, a.data.shape))
-            _accum(b, _unbroadcast(g, b.data.shape))
-        out._backward = bwd
-    return out
+    return _broadcast("add", a, b, np.add, lambda g: (g, g))
 
 
 def sub(a, b):
-    data = _broadcast_forward("sub", a.data, b.data, np.subtract)
-    out = _node(data, (a, b), "sub")
-    if out.requires_grad:
-        def bwd(g):
-            _accum(a, _unbroadcast(g, a.data.shape))
-            _accum(b, _unbroadcast(-g, b.data.shape))
-        out._backward = bwd
-    return out
+    return _broadcast("sub", a, b, np.subtract, lambda g: (g, -g))
 
 
 def mul(a, b):
-    data = _broadcast_forward("mul", a.data, b.data, np.multiply)
-    out = _node(data, (a, b), "mul")
-    if out.requires_grad:
-        def bwd(g):
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
-        out._backward = bwd
-    return out
+    return _broadcast("mul", a, b, np.multiply,
+                      lambda g: (g * b.data, g * a.data))
 
 
 def scalar_mul(a, s):
-    out = _node(a.data * s, (a,), "scalar_mul")
-    if out.requires_grad:
-        out._backward = lambda g: _accum(a, g * s)
-    return out
+    return fused("scalar_mul", a.data * s, (a,), lambda g: (g * s,))
 
 
 def guarded_rsqrt(mask, denom_sq):
@@ -298,68 +277,43 @@ def reshape(a, shape):
         raise ShapeError(
             f"reshape: cannot reshape {a.data.shape} into {tuple(shape)}"
         ) from None
-    out = _node(data, (a,), "reshape")
-    if out.requires_grad:
-        src = a.data.shape
-        out._backward = lambda g: _accum(a, g.reshape(src))
-    return out
+    src = a.data.shape
+    return fused("reshape", data, (a,), lambda g: (g.reshape(src),))
 
 
-def _normalize_axes(axis, ndim):
-    if axis is None:
-        return None
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(ax % ndim for ax in axis)
+def _reduce(op, a, axis, keepdims):
+    """`a.sum` or `a.mean` (`op`) over `axis`, which numpy checks.
 
-
-def _expand_reduced(g, in_shape, axes, keepdims):
-    if axes is None:
-        return np.broadcast_to(g, in_shape)
-    if not keepdims:
-        shape = list(in_shape)
-        for ax in axes:
-            shape[ax] = 1
-        g = g.reshape(shape)
-    return np.broadcast_to(g, in_shape)
+    The backward spreads `g` back over the reduced axes and divides it by
+    the count of elements each output averages (1 for the sum).
+    """
+    src = a.data.shape
+    try:
+        data = getattr(a.data, op)(axis=axis, keepdims=keepdims)
+    except ValueError:
+        raise ShapeError(f"{op}: bad axis {axis} for shape {src}") from None
+    axes = (range(len(src)) if axis is None
+            else (np.atleast_1d(axis) % len(src)).tolist())
+    kept = tuple(1 if i in axes else n for i, n in enumerate(src))
+    count = math.prod(src[i] for i in axes) if op == "mean" else 1
+    return fused(op, data, (a,),
+                 lambda g: (np.broadcast_to(g.reshape(kept), src) / count,))
 
 
 def tensor_sum(a, axis=None, keepdims=False):
-    axes = _normalize_axes(axis, a.data.ndim)
-    out = _node(np.asarray(a.data.sum(axis=axes, keepdims=keepdims)), (a,), "sum")
-    if out.requires_grad:
-        src = a.data.shape
-        out._backward = lambda g: _accum(a, _expand_reduced(g, src, axes, keepdims))
-    return out
+    return _reduce("sum", a, axis, keepdims)
 
 
 def tensor_mean(a, axis=None, keepdims=False):
-    axes = _normalize_axes(axis, a.data.ndim)
-    out = _node(np.asarray(a.data.mean(axis=axes, keepdims=keepdims)), (a,), "mean")
-    if out.requires_grad:
-        src = a.data.shape
-        if axes is None:
-            count = a.data.size
-        else:
-            count = 1
-            for ax in axes:
-                count *= src[ax]
-        out._backward = lambda g: _accum(
-            a, _expand_reduced(g, src, axes, keepdims) / count
-        )
-    return out
+    return _reduce("mean", a, axis, keepdims)
 
 
 def getitem(a, idx):
-    out = _node(np.asarray(a.data[idx]), (a,), "index")
-    if out.requires_grad:
-        src = a.data
-        def bwd(g):
-            buf = np.zeros_like(src)
-            np.add.at(buf, idx, g)
-            _accum(a, buf)
-        out._backward = bwd
-    return out
+    def backward(g):
+        buf = np.zeros_like(a.data)
+        np.add.at(buf, idx, g)
+        return (buf,)
+    return fused("index", a.data[idx], (a,), backward)
 
 
 # -- verification harness ---------------------------------------------------

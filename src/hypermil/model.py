@@ -494,14 +494,13 @@ def embed_slide(bag, params, geom, text=None):
         raise EmptyBagError(f"slide {bag.slide_id} has no regions")
     counts = []
     for r, region in enumerate(bag.regions):
-        if region.shape[0] == 0:
+        shape = getattr(region, "shape", ())
+        if len(shape) == 2 and shape[0] == 0:
             raise EmptyBagError(f"slide {bag.slide_id} region {r} has no patches")
-        if region.shape[1] != params.dims.d_in:
-            raise ShapeError(
-                f"slide {bag.slide_id} features have dimension "
-                f"{region.shape[1]}, model expects {params.dims.d_in}"
-            )
-        counts.append(region.shape[0])
+        if len(shape) != 2 or shape[1] != params.dims.d_in:
+            raise ShapeError(f"slide {bag.slide_id} region {r} is not a [patches x "
+                             f"{params.dims.d_in}] array: shape {shape}")
+        counts.append(shape[0])
 
     raw = ad.Tensor(np.concatenate(bag.regions, axis=0, dtype=np.float64))
     patch_tan = params.adaptor_i(raw)

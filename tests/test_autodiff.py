@@ -123,6 +123,11 @@ def test_sum_mean_axis_keepdims():
     b = _t(x)
     b.mean(axis=1).sum().backward()
     assert_allclose(b.grad, np.full((2, 3), 1.0 / 3.0))
+    # an axis the array lacks, or one named twice, is not wrapped around
+    for bad in (2, -3, (0, -2)):
+        for reduce in (a.sum, a.mean):
+            with pytest.raises(ShapeError, match=reduce.__name__):
+                reduce(axis=bad)
 
 
 def test_reshape_getitem():
@@ -154,17 +159,25 @@ def test_no_grad_blocks_graph():
     assert out2.requires_grad
 
 
+_NAN_CASES = (
+    ("add", lambda: _t([np.inf]) + _t([-np.inf])),
+    ("sub", lambda: _t([np.inf]) - _t([np.inf])),
+    ("mul", lambda: _t([0.0]) * _t([np.inf])),
+    ("scalar_mul", lambda: _t([np.inf]) * 0.0),
+    ("reshape", lambda: _t([np.nan, 1.0]).reshape(2, 1)),
+    ("sum", lambda: _t([np.inf, -np.inf]).sum()),
+    ("mean", lambda: _t([np.inf, -np.inf]).mean(axis=0)),
+    ("index", lambda: _t([np.nan, 1.0])[:1]),
+    ("bad_log", lambda: ad.fused("bad_log", np.array([0.0, np.nan]),
+                                 (_t([np.inf]),), lambda g: (g,))),
+)
+
+
 def test_nan_forward_raises_numerical_error():
-    inf = _t([np.inf])
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(NumericalError, match="^sub produced NaN"):
-            inf - inf
-        with pytest.raises(NumericalError, match="^mul produced NaN"):
-            _t([0.0]) * inf
-        with pytest.raises(NumericalError, match="^scalar_mul produced NaN"):
-            inf * 0.0
-    with pytest.raises(NumericalError, match="^bad_log produced NaN"):
-        ad.fused("bad_log", np.array([0.0, np.nan]), (inf,), lambda g: (g,))
+    for op, build in _NAN_CASES:
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalError, match=f"^{op} produced NaN"):
+                build()
 
 
 def test_has_nan_edge_cases():
@@ -193,6 +206,44 @@ def test_gradients_do_not_alias_upstream():
 
 
 # -- finite-difference harness agreement -------------------------------------
+
+
+def _dot(y, w):
+    """A fused root sum(y * w) that uses none of the primitives under test."""
+    return ad.fused("dot", np.sum(y.data * w), (y,), lambda g: (g * w,))
+
+
+_PRIMITIVE_CASES = {
+    "add-row": (ad.add, [(1, 3), (2, 3)]),
+    "add-scalar": (ad.add, [(), (2, 3)]),
+    "sub-row": (ad.sub, [(2, 3), (1, 3)]),
+    "sub-scalar": (ad.sub, [(2, 3), ()]),
+    "mul-row": (ad.mul, [(1, 3), (2, 3)]),
+    "mul-scalar": (ad.mul, [(), (2, 3)]),
+    "scalar_mul": (lambda a: ad.scalar_mul(a, -2.5), [(2, 3)]),
+    "reshape": (lambda a: a.reshape(3, 2), [(2, 3)]),
+    "getitem-slice": (lambda a: a[:, 1:3], [(2, 3)]),
+    "getitem-repeated": (lambda a: a[np.array([0, 2, 0, 0])], [(3, 2)]),
+}
+for _axis in (None, 0, -1, (0, -1)):
+    for _keep in (False, True):
+        for _name in ("sum", "mean"):
+            _PRIMITIVE_CASES[f"{_name}-{_axis}-{'keep' if _keep else 'drop'}"] = (
+                lambda a, n=_name, ax=_axis, k=_keep:
+                    getattr(a, n)(axis=ax, keepdims=k),
+                [(2, 3, 4)],
+            )
+
+
+@pytest.mark.parametrize("case", list(_PRIMITIVE_CASES))
+def test_generic_primitive_gradients(case):
+    op, shapes = _PRIMITIVE_CASES[case]
+    rng = np.random.default_rng(11)
+    args = [_t(rng.normal(size=shape)) for shape in shapes]
+    w = rng.normal(size=op(*args).shape)
+    err = ad.finite_difference_check(lambda: _dot(op(*args), w), args)
+    assert err < 1e-8
+
 
 
 def _tanh(a):
