@@ -1,10 +1,11 @@
 """Hyperbolic semantic-hierarchy learning on bag-structured features.
 
-Feature bags (patches grouped into regions grouped into slides) are
-aggregated with gated attention, lifted onto the Lorentz model of
-hyperbolic space, aligned with per-class text anchors through an
-exterior-angle contrastive objective, and regularized so that broader
-concepts sit inside the entailment cones of finer ones. Classification
+Feature bags (patches grouped into regions grouped into slides; each bag
+holds its patches in one contiguous block with its region layout, fixed
+when it is made) are aggregated with gated attention, lifted onto the
+Lorentz model of hyperbolic space, aligned with per-class text anchors
+through an exterior-angle contrastive objective, and regularized so that
+broader concepts sit inside the entailment cones of finer ones. Classification
 is a softmax over negative slide-to-anchor geodesic distances.
 
 Everything runs on a small reverse-mode autodiff engine over numpy

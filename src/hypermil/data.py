@@ -13,9 +13,20 @@ defaults every training objective (cls, ama, shc, full) scores the same
 out-of-domain AUC as in-domain AUC, 1.000 on every fold of the 3 x 3
 ablation.
 
+A slide is a `FeatureBag`: its patch features in one contiguous [N x D]
+block, in the order of its regions, plus the region layout (each region's
+patch count and row range), laid out once when the bag is made. Its
+`regions` are row views into that block, and the bag is frozen, so the
+layout cannot drift from the data. Construction checks what the bag alone
+decides: every region is a 2-D array and all have one width. What depends
+on the model, or may wait until the bag is read, is `FeatureBag.check`,
+which `model.embed_slide` and `training.select_top_k` run: no regions, an
+empty region, and a width other than the model's.
+
 Bundles are a payload/manifest pair. The payload is little-endian binary:
 magic "HPFB1", version u32, total data bytes u64, then the slides' patch
-matrices as row-major float32 in manifest order. The manifest is JSON next
+blocks as row-major float32 in manifest order, one per slide, so a bag is
+written and read as one slice of the payload. The manifest is JSON next
 to it (payload path + ".manifest.json") holding the dimension, class names,
 the frozen class base vectors, and per slide {id, label, site, patch counts
 per region, byte offset into the data section}. Bad magic, a version
@@ -29,18 +40,21 @@ numeric [len(classes) x dim] matrix (a boolean is not a number); each
 error names the field.
 """
 
+import itertools
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     BadMagicError,
     ConfigError,
+    EmptyBagError,
     FormatError,
     PayloadLengthError,
+    ShapeError,
     SplitError,
     TruncatedPayloadError,
     VersionError,
@@ -52,12 +66,67 @@ _BUNDLE_VERSION = 1
 _HEADER = struct.Struct("<IQ")  # version, total data bytes
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureBag:
+    """One slide: its patch features grouped into regions, laid out once.
+
+    Built as `FeatureBag(slide_id, label, site, regions)` from any sequence
+    of [N_p x D] arrays. Construction copies them into one C-contiguous,
+    read-only [N x D] `patches` block in their own dtype (float32 from
+    bundles), records the layout (`sizes`, each region's patch count, and
+    `spans`, each region's (start, stop) row range) and rebinds `regions`
+    to a tuple of row views into the block. The bag is frozen: none of its
+    fields can be rebound and its arrays cannot be written.
+
+    Construction raises ShapeError, naming the slide and the region, for a
+    region that is not a 2-D array or whose width differs from the first
+    2-D region's. What depends on the model or may wait until the bag is
+    used, no regions, an empty region or a width other than the model's,
+    is `check`ed where the bag is read.
+    """
+
     slide_id: str
     label: int
     site: str
-    regions: list  # [N_p x D_in] float32 arrays
+    regions: tuple  # [N_p x D] row views into `patches`
+    patches: np.ndarray = field(init=False, repr=False, compare=False)
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    spans: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        shapes = [getattr(region, "shape", ()) for region in self.regions]
+        width = next((shape[1] for shape in shapes if len(shape) == 2), "features")
+        for r, shape in enumerate(shapes):
+            if len(shape) != 2 or shape[1] != width:
+                raise ShapeError(f"slide {self.slide_id} region {r} is not a "
+                                 f"[patches x {width}] array: shape {shape}")
+        patches = (np.concatenate(self.regions, axis=0) if shapes
+                   else np.empty((0, 0)))
+        patches.setflags(write=False)
+        counts = [shape[0] for shape in shapes]
+        sizes = np.array(counts, dtype=np.intp)
+        sizes.setflags(write=False)
+        stops = list(itertools.accumulate(counts))
+        spans = tuple(zip([0] + stops[:-1], stops))
+        object.__setattr__(self, "patches", patches)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "spans", spans)
+        object.__setattr__(self, "regions",
+                           tuple(patches[start:stop] for start, stop in spans))
+
+    def check(self, width):
+        """Raise EmptyBagError when the bag has no regions or a region has no
+        patches, and ShapeError when its patches are not `width` features
+        wide, each naming the slide and the region at fault. A constant
+        number of numpy calls whatever the bag's size."""
+        if not self.sizes.size:
+            raise EmptyBagError(f"slide {self.slide_id} has no regions")
+        if self.patches.shape[1] != width and self.sizes[0]:
+            raise ShapeError(f"slide {self.slide_id} region 0 is not a [patches x "
+                             f"{width}] array: shape {self.regions[0].shape}")
+        if not self.sizes.all():
+            raise EmptyBagError(f"slide {self.slide_id} region "
+                                f"{int(self.sizes.argmin())} has no patches")
 
 
 @dataclass
@@ -157,12 +226,12 @@ def generate(spec):
             slide_rng = np.random.default_rng(seeds[2 + index])
             site = index % spec.n_sites
             shift = site_shift[site]
-            regions = []
-            for _ in range(spec.n_regions):
+            # one [regions x patches x D] block per slide, a region per row
+            block = np.empty((spec.n_regions, spec.n_patches, spec.d_in))
+            for patches in block:
                 proto = prototypes[c] + spec.sigma_region * slide_rng.standard_normal(
                     spec.d_in
                 )
-                patches = np.empty((spec.n_patches, spec.d_in))
                 which = slide_rng.permutation(spec.n_patches)
                 disc_rows = which[:n_disc]
                 back_rows = which[n_disc:]
@@ -175,13 +244,12 @@ def generate(spec):
                 patches[back_rows] = background + shift + spec.sigma_patch * slide_rng.standard_normal(
                     (len(back_rows), spec.d_in)
                 )
-                regions.append(patches.astype(np.float32))
             bags.append(
                 FeatureBag(
                     slide_id=f"slide-{index:04d}",
                     label=c,
                     site=f"site-{site}",
-                    regions=regions,
+                    regions=list(block.astype(np.float32)),
                 )
             )
             index += 1
@@ -199,28 +267,24 @@ def write_bundle(bundle, path):
     slides = []
     offset = 0
     for bag in bundle.bags:
-        counts = []
-        for region in bag.regions:
-            arr = np.ascontiguousarray(region, dtype="<f4")
-            if arr.ndim != 2 or arr.shape[1] != bundle.dim:
-                raise ConfigError(
-                    f"slide {bag.slide_id}: region shape {arr.shape} does not "
-                    f"match bundle dimension {bundle.dim}"
-                )
-            counts.append(arr.shape[0])
-            chunks.append(arr.tobytes())
+        block = np.ascontiguousarray(bag.patches, dtype="<f4")
+        if bag.regions and block.shape[1] != bundle.dim:
+            raise ConfigError(
+                f"slide {bag.slide_id}: region shape {bag.regions[0].shape} does "
+                f"not match bundle dimension {bundle.dim}"
+            )
+        chunks.append(block)
         slides.append(
             {
                 "id": bag.slide_id,
                 "label": int(bag.label),
                 "site": bag.site,
-                "patch_counts": counts,
+                "patch_counts": bag.sizes.tolist(),
                 "offset": offset,
             }
         )
-        offset += sum(counts) * bundle.dim * 4
-    data = b"".join(chunks)
-    payload = _BUNDLE_MAGIC + _HEADER.pack(_BUNDLE_VERSION, len(data)) + data
+        offset += block.nbytes
+    payload = b"".join([_BUNDLE_MAGIC, _HEADER.pack(_BUNDLE_VERSION, offset), *chunks])
     manifest = {
         "format": "HPFB1",
         "version": _BUNDLE_VERSION,
@@ -250,7 +314,7 @@ def read_bundle(path):
         raise VersionError(
             f"{path} has bundle version {version}, expected {_BUNDLE_VERSION}"
         )
-    data = blob[header_end:]
+    data = memoryview(blob)[header_end:]
     if len(data) < declared:
         raise TruncatedPayloadError(
             f"{path} holds {len(data)} payload bytes but declares {declared}"
@@ -303,29 +367,28 @@ def read_bundle(path):
                 f"{path}: slide {slide_id} declares offset {entry['offset']}, "
                 f"expected {offset}"
             )
-        regions = []
-        for count in _field(entry, "patch_counts", context, list):
+        counts = _field(entry, "patch_counts", context, list)
+        start = offset
+        for count in counts:
             if not _is_integer(count) or count < 0:
                 raise FormatError(f"{context} has patch_counts that are not all "
                                   f"integers of 0 or more: patch count {count!r}")
-            nbytes = count * dim * 4
-            if offset + nbytes > declared:
+            offset += count * dim * 4
+            if offset > declared:
                 raise PayloadLengthError(
                     f"{path}: manifest declares more patches than the payload holds"
                     f" (slide {slide_id})"
                 )
-            regions.append(
-                np.frombuffer(data, dtype="<f4", count=count * dim, offset=offset)
-                .reshape(count, dim)
-                .copy()
-            )
-            offset += nbytes
+        block = np.frombuffer(data, dtype="<f4", count=(offset - start) // 4,
+                              offset=start).reshape(-1, dim)
+        bounds = np.cumsum(counts).tolist()
         bags.append(
             FeatureBag(
                 slide_id=slide_id,
                 label=label,
                 site=_field(entry, "site", context, str),
-                regions=regions,
+                regions=[block[stop - count:stop]
+                         for count, stop in zip(counts, bounds)],
             )
         )
     if offset != declared:

@@ -1,10 +1,16 @@
 """Trainable components and the per-slide embedding pipeline.
 
-A slide arrives as raw patch features grouped into regions. The image
-adaptor (a two-layer MLP) maps every patch into the tangent space at the
-origin; gated-attention aggregators then pool patches into region features
-and regions into a slide feature, still in the tangent space, and each level
-is pushed onto the manifold with the exponential map. Class text features
+A slide arrives as a `FeatureBag`: raw patch features grouped into
+regions, held as one contiguous block with the regions' sizes and row
+ranges. `embed_slide` casts the block to float64 once, passes the sizes to
+`aggregate` as its segments and the ranges on as `region_slices`, and runs
+only the constant-cost checks the bag leaves to its reader
+(`FeatureBag.check`); rank and equal widths were checked when the bag was
+made. The image adaptor (a two-layer MLP) maps every patch into the
+tangent space at the origin; gated-attention aggregators then pool patches
+into region features and regions into a slide feature, still in the
+tangent space, and each level is pushed onto the manifold with the
+exponential map. Class text features
 are a frozen base vector per class plus a learnable offset per (class,
 level), passed through their own adaptor and mapped the same way.
 
@@ -489,31 +495,23 @@ def embed_slide(bag, params, geom, text=None):
     unmapped slide tangent is `slide_tangent`: `evaluation` reads it from
     every bag it scores and maps all of them in one `exp_map_origin` call,
     so it never reads `slide` and no per-bag map runs.
-    """
-    if not bag.regions:
-        raise EmptyBagError(f"slide {bag.slide_id} has no regions")
-    counts = []
-    for r, region in enumerate(bag.regions):
-        shape = getattr(region, "shape", ())
-        if len(shape) == 2 and shape[0] == 0:
-            raise EmptyBagError(f"slide {bag.slide_id} region {r} has no patches")
-        if len(shape) != 2 or shape[1] != params.dims.d_in:
-            raise ShapeError(f"slide {bag.slide_id} region {r} is not a [patches x "
-                             f"{params.dims.d_in}] array: shape {shape}")
-        counts.append(shape[0])
 
-    raw = ad.Tensor(np.concatenate(bag.regions, axis=0, dtype=np.float64))
-    patch_tan = params.adaptor_i(raw)
-    region_tan = aggregate(patch_tan, params.agg_region, counts)
+    The bag's block is cast to float64 once and its stored layout is used
+    as it is: no per-region loop, concatenation or bounds run here. A bag
+    without regions or with an empty region raises EmptyBagError, and one
+    whose patches are not `d_in` wide raises ShapeError (`FeatureBag.check`).
+    """
+    bag.check(params.dims.d_in)
+    patch_tan = params.adaptor_i(ad.Tensor(bag.patches.astype(np.float64)))
+    region_tan = aggregate(patch_tan, params.agg_region, bag.sizes)
     slide_tan = aggregate(region_tan, params.agg_slide)
 
-    bounds = np.cumsum([0] + counts).tolist()
     return EmbeddingSet(
         patches=lambda: geo.exp_map_origin(patch_tan, geom),
         regions=lambda: geo.exp_map_origin(region_tan, geom),
         slide=lambda: geo.exp_map_origin(slide_tan, geom),
         text=embed_text(params, geom) if text is None else text,
-        region_slices=list(zip(bounds[:-1], bounds[1:])),
+        region_slices=list(bag.spans),
         slide_tangent=slide_tan,
     )
 

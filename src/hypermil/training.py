@@ -157,16 +157,19 @@ def select_top_k(bag, class_vectors, label, k):
     vector: per patch at patch level, per region mean at region level. K is
     truncated to what the bag holds; ranking ties break toward the lower
     index. The slide level always selects the single slide embedding.
+
+    The region means are sums over the bag's block, one `np.add.reduceat`
+    at the region starts, over the region sizes: bit for bit the mean of
+    each region's rows. A bag `embed_slide` would refuse (`FeatureBag.check`)
+    is refused here first.
     """
     vector = np.asarray(class_vectors[label], dtype=np.float64)
-    patches = np.concatenate(bag.regions, axis=0, dtype=np.float64)
+    bag.check(vector.size)
+    patches = bag.patches.astype(np.float64)
     patch_sims = _cosine(patches, vector)
     patch_rows = np.argsort(-patch_sims, kind="stable")[:k]
-    bounds = np.cumsum([0] + [len(r) for r in bag.regions])
-    region_means = np.stack(
-        [patches[start:stop].mean(axis=0)
-         for start, stop in zip(bounds[:-1], bounds[1:])]
-    )
+    starts = [start for start, _ in bag.spans]
+    region_means = np.add.reduceat(patches, starts, axis=0) / bag.sizes[:, None]
     region_sims = _cosine(region_means, vector)
     region_rows = np.argsort(-region_sims, kind="stable")[:k]
     return {

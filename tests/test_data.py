@@ -1,5 +1,9 @@
 """Synthetic generation, the bundle file format, and site-based splits."""
 
+import dataclasses
+import json
+import random
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,8 +12,11 @@ from hypermil import data as dt
 from hypermil.errors import (
     BadMagicError,
     ConfigError,
+    EmptyBagError,
     FormatError,
+    HypermilError,
     PayloadLengthError,
+    ShapeError,
     SplitError,
     TruncatedPayloadError,
     VersionError,
@@ -130,6 +137,81 @@ def test_site_shift_orthogonal_to_class_semantics():
     assert _proto_accuracy(shifted) > 0.9
 
 
+# -- feature bags ---------------------------------------------------------------
+
+
+def _assert_tiled(bag):
+    """The bag's regions are consecutive row views that tile its one
+    contiguous, read-only patch block, as its sizes and spans say."""
+    assert bag.patches.ndim == 2 and bag.patches.flags.c_contiguous
+    assert not bag.patches.flags.writeable
+    assert isinstance(bag.regions, tuple)
+    assert bag.sizes.tolist() == [len(region) for region in bag.regions]
+    stop = 0
+    for region, span in zip(bag.regions, bag.spans, strict=True):
+        assert span == (stop, stop + len(region))
+        assert region.base is bag.patches
+        assert np.shares_memory(region, bag.patches) or not region.size
+        assert np.array_equal(region, bag.patches[span[0]:span[1]])
+        stop = span[1]
+    assert stop == len(bag.patches)
+
+
+def test_feature_bag_lays_regions_out_in_one_block():
+    rng = np.random.default_rng(0)
+    given = [rng.standard_normal((n, 4)).astype(np.float32) for n in (3, 1, 0, 5)]
+    bag = dt.FeatureBag("s", 1, "site-0", given)
+    _assert_tiled(bag)
+    assert bag.patches.dtype == np.float32 and bag.patches.shape == (9, 4)
+    assert bag.spans == ((0, 3), (3, 4), (4, 4), (4, 9))
+    for region, original in zip(bag.regions, given):
+        assert np.array_equal(region, original)
+        assert not np.shares_memory(region, original)  # the bag owns a copy
+    assert dt.FeatureBag("s", 0, "x", [np.zeros((2, 3))]).patches.dtype == np.float64
+
+
+def test_feature_bag_is_frozen():
+    bag = dt.FeatureBag("s", 0, "site-0", [np.zeros((2, 3), dtype=np.float32)])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bag.regions = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bag.label = 1
+    with pytest.raises(ValueError, match="read-only"):
+        bag.regions[0][0, 0] = 1.0
+    with pytest.raises(TypeError):
+        bag.regions[0] = np.ones((2, 3), dtype=np.float32)
+
+
+@pytest.mark.parametrize("regions, bad", [
+    ([np.zeros((2, 4)), np.zeros(4)], r"region 1 is not a \[patches x 4\] array: shape \(4,\)"),
+    ([np.zeros((2, 4)), np.zeros((1, 2, 4))], r"region 1 is not a \[patches x 4\]"),
+    ([np.zeros((2, 4)), np.zeros((3, 4)), np.zeros((3, 5))],
+     r"region 2 is not a \[patches x 4\] array: shape \(3, 5\)"),
+    ([np.zeros((2, 2, 4))], r"region 0 is not a \[patches x features\]"),
+    ([[[0.0, 1.0]]], r"region 0 is not a \[patches x features\] array: shape \(\)"),
+])
+def test_feature_bag_rejects_malformed_regions_at_construction(regions, bad):
+    with pytest.raises(ShapeError, match=rf"^slide s {bad}"):
+        dt.FeatureBag("s", 0, "x", regions)
+
+
+def test_feature_bag_check():
+    good = dt.FeatureBag("s", 0, "x", [np.zeros((2, 4)), np.zeros((1, 4))])
+    good.check(4)
+    with pytest.raises(EmptyBagError, match="^slide s has no regions"):
+        dt.FeatureBag("s", 0, "x", []).check(4)
+    middle = dt.FeatureBag("s", 0, "x", [np.zeros((2, 4)), np.zeros((0, 4)),
+                                         np.zeros((0, 4))])
+    with pytest.raises(EmptyBagError, match="^slide s region 1 has no patches"):
+        middle.check(4)
+    # the first region at fault decides, as a region-by-region scan would
+    with pytest.raises(ShapeError, match=r"^slide s region 0 is not a \[patches x 5\]"):
+        middle.check(5)
+    first_empty = dt.FeatureBag("s", 0, "x", [np.zeros((0, 4)), np.zeros((2, 4))])
+    with pytest.raises(EmptyBagError, match="region 0 has no patches"):
+        first_empty.check(5)
+
+
 # -- bundle files ---------------------------------------------------------------
 
 
@@ -149,9 +231,30 @@ def test_bundle_roundtrip_bit_exact(tmp_path):
             assert np.array_equal(ra, rb)
 
 
+def test_bundle_roundtrip_one_block_per_bag(tmp_path, written):
+    rng = np.random.default_rng(4)
+    bags = [dt.FeatureBag(f"s{i}", i % 2, "site-0",
+                          [rng.standard_normal((n, 3)) for n in sizes])
+            for i, sizes in enumerate([(2, 0, 3), (1,), (), (4, 4)])]
+    bundle = dt.Bundle(bags=bags, class_vectors=np.eye(2, 3),
+                       class_names=["a", "b"], dim=3)
+    path = tmp_path / "uneven.hpfb"
+    dt.write_bundle(bundle, path)
+    back = dt.read_bundle(path)
+    for a, b in zip(bags, back.bags, strict=True):
+        _assert_tiled(b)
+        assert b.patches.dtype == np.float32 or not b.regions
+        assert a.spans == b.spans
+        assert np.array_equal(a.patches.astype(np.float32), b.patches)
+    for bag in dt.read_bundle(written).bags:
+        _assert_tiled(bag)
+        assert bag.sizes.tolist() == [SMALL.n_patches] * SMALL.n_regions
+
+
 def test_write_bundle_checks_dimension(tmp_path):
     bundle = dt.generate(SMALL)
-    bundle.bags[0].regions[0] = np.zeros((3, 5), dtype=np.float32)
+    bundle.bags[0] = dt.FeatureBag("narrow", 0, "site-0",
+                                   [np.zeros((3, 5), dtype=np.float32)])
     with pytest.raises(ConfigError):
         dt.write_bundle(bundle, tmp_path / "bad.hpfb")
 
@@ -308,6 +411,57 @@ def test_read_bundle_label_out_of_range(written, label):
     _rewrite_manifest(written, edit)
     with pytest.raises(FormatError, match="label"):
         dt.read_bundle(written)
+
+
+# values a mutated manifest field takes: in range, out of range, mistyped
+_FUZZ_VALUES = (-1, 0, 1, 2, 3, 7, 10**20, 2.5, True, False, None, "1", "", [1], {})
+
+
+def test_read_bundle_fuzz_raises_only_typed_errors(tmp_path):
+    # seeded single mutations of a tiny bundle with uneven regions: payload
+    # bytes, truncation, and the manifest fields of one slide. Each read
+    # either raises a HypermilError or gives bags that tile their blocks.
+    spec = dt.SyntheticSpec(n_classes=2, slides_per_class=2, n_regions=2,
+                            n_patches=2, d_in=3, n_sites=2, seed=1)
+    bags = dt.generate(spec).bags + [
+        dt.FeatureBag("odd", 1, "site-9", [np.ones((3, 3)), np.ones((0, 3))]),
+        dt.FeatureBag("none", 0, "site-9", []),
+    ]
+    bundle = dt.Bundle(bags=bags, class_vectors=np.eye(2, 3),
+                       class_names=["a", "b"], dim=3)
+    path = tmp_path / "fuzz.hpfb"
+    dt.write_bundle(bundle, path)
+    blob = path.read_bytes()
+    manifest_file = tmp_path / "fuzz.hpfb.manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    rng = random.Random(0)
+    outcomes = {"read": 0, "typed error": 0}
+    for _ in range(300):
+        payload, edited = bytearray(blob), json.loads(json.dumps(manifest))
+        kind = rng.choice(["byte", "truncate", "patch_counts", "offset",
+                           "label", "id", "site"])
+        if kind == "byte":
+            payload[rng.randrange(len(payload))] = rng.randrange(256)
+        elif kind == "truncate":
+            del payload[rng.randrange(len(payload)):]
+        else:
+            entry = rng.choice(edited["slides"])
+            if kind == "patch_counts" and entry["patch_counts"] and rng.random() < 0.7:
+                counts = entry["patch_counts"]
+                counts[rng.randrange(len(counts))] = rng.choice(_FUZZ_VALUES)
+            else:
+                entry[kind] = rng.choice(_FUZZ_VALUES)
+        path.write_bytes(bytes(payload))
+        manifest_file.write_text(json.dumps(edited))
+        try:
+            back = dt.read_bundle(path)
+        except HypermilError:
+            outcomes["typed error"] += 1
+            continue
+        outcomes["read"] += 1
+        for bag in back.bags:
+            _assert_tiled(bag)
+    assert min(outcomes.values()) > 30, outcomes
 
 
 # -- splits ---------------------------------------------------------------------

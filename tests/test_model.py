@@ -318,10 +318,9 @@ def test_embed_slide_errors():
     with pytest.raises(ShapeError):
         md.embed_slide(wrong_dim, params, GEOM)
     for region in (np.zeros(8), np.zeros((2, 2, 8))):
-        bad_rank = FeatureBag("s", 0, "x", [np.zeros((2, 8)), region])
         with pytest.raises(ShapeError,
                            match=r"^slide s region 1 is not a \[patches x 8\]"):
-            md.embed_slide(bad_rank, params, GEOM)
+            FeatureBag("s", 0, "x", [np.zeros((2, 8)), region])
 
 
 def test_embed_slide_gradients_reach_all_trainables():

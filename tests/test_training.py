@@ -10,7 +10,13 @@ from hypermil import autodiff as ad
 from hypermil import geometry as geo
 from hypermil import training as tr
 from hypermil.data import Bundle, FeatureBag, InnerSplit, SyntheticSpec, generate, make_splits
-from hypermil.errors import ConfigError, GeometryError, TrainingError
+from hypermil.errors import (
+    ConfigError,
+    EmptyBagError,
+    GeometryError,
+    ShapeError,
+    TrainingError,
+)
 from hypermil.losses import total_loss
 from hypermil.model import HierarchyLevel, ModelDims, embed_slide, init_params
 
@@ -202,6 +208,50 @@ def test_select_top_k_truncates_and_breaks_ties_low():
     sel_all = tr.select_top_k(bag, np.eye(2, 3), label=0, k=50)
     assert len(sel_all[HierarchyLevel.PATCH]) == 3
     assert len(sel_all[HierarchyLevel.REGION]) == 1
+
+
+def _select_top_k_per_region(bag, class_vectors, label, k):
+    """select_top_k with the region means taken one region at a time."""
+    vector = np.asarray(class_vectors[label], dtype=np.float64)
+    patches = np.concatenate(bag.regions, axis=0, dtype=np.float64)
+    means = np.stack([region.astype(np.float64).mean(axis=0) for region in bag.regions])
+    return {
+        HierarchyLevel.PATCH: np.argsort(-tr._cosine(patches, vector), kind="stable")[:k],
+        HierarchyLevel.REGION: np.argsort(-tr._cosine(means, vector), kind="stable")[:k],
+        HierarchyLevel.SLIDE: np.array([0]),
+    }, means
+
+
+def test_select_top_k_matches_the_per_region_loop():
+    rng = np.random.default_rng(12)
+    default = generate(SyntheticSpec(seed=3))
+    uneven = [FeatureBag(f"u{i}", 0, "x", [rng.standard_normal((n, 6)).astype(np.float32)
+                                           for n in rng.integers(1, 40, size=9)])
+              for i in range(20)]
+    for bags, class_vectors in ((default.bags, default.class_vectors),
+                                (uneven, rng.standard_normal((2, 6)))):
+        for bag in bags:
+            for k in (1, 4, 1000):
+                got = tr.select_top_k(bag, class_vectors, bag.label, k)
+                want, means = _select_top_k_per_region(bag, class_vectors, bag.label, k)
+                for level in HierarchyLevel:
+                    assert np.array_equal(got[level], want[level]), (bag.slide_id, level)
+            # the block's region means are the per-region means, bit for bit
+            block = bag.patches.astype(np.float64)
+            starts = [start for start, _ in bag.spans]
+            assert np.array_equal(np.add.reduceat(block, starts) / bag.sizes[:, None],
+                                  means)
+
+
+def test_select_top_k_rejects_bags_embed_slide_refuses():
+    with pytest.raises(EmptyBagError, match="^slide s has no regions"):
+        tr.select_top_k(FeatureBag("s", 0, "x", []), np.eye(2, 3), 0, 2)
+    empty_last = FeatureBag("s", 0, "x", [np.ones((2, 3)), np.ones((0, 3))])
+    with pytest.raises(EmptyBagError, match="^slide s region 1 has no patches"):
+        tr.select_top_k(empty_last, np.eye(2, 3), 0, 2)
+    narrow = FeatureBag("s", 0, "x", [np.ones((2, 3))])
+    with pytest.raises(ShapeError, match=r"^slide s region 0 is not a \[patches x 4\]"):
+        tr.select_top_k(narrow, np.eye(2, 4), 0, 2)
 
 
 def test_fold_seed_deterministic_and_distinct():
