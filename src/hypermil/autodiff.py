@@ -20,8 +20,9 @@ in numpy:
   * the hyperbolic primitives in `geometry` (`exp_map_origin`, `geodesic`,
     `exterior_angle`, `angle_distance`, `half_aperture`),
   * the two softmax NLLs, the two cone penalties and the per-slide node
-    of the alignment and hierarchy terms (`cone_losses`, which `ama_total`,
-    `shc_total` and `total_loss` build) in `losses`,
+    of the alignment and hierarchy terms in `losses` (`cone_losses`, which
+    `total_loss` builds over the slide's `ConePlan`, and `ama_total` and
+    `shc_total` over a plan they build on the spot),
   * the class-text features, the adaptor MLP and the gated-attention
     pooling (`aggregate`) in `model`.
 

@@ -155,7 +155,7 @@ def _split_bags(path, bundle):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             wanted = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # nested too deeply
             raise SplitError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(wanted, list) or not all(isinstance(i, str) for i in wanted):
         raise SplitError(f"{path} must hold a JSON list of slide ids")
@@ -261,10 +261,7 @@ def main(argv=None):
     )
     try:
         return _COMMANDS[args.command](args)
-    except HypermilError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (HypermilError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,7 @@ ablation.
 
 A slide is a `FeatureBag`: its patch features in one contiguous [N x D]
 block, in the order of its regions, plus the region layout (each region's
-patch count and row range), laid out once when the bag is made. Its
+patch count, its `sizes`), laid out once when the bag is made. Its
 `regions` are row views into that block, and the bag is frozen, so the
 layout cannot drift from the data. Construction checks what the bag alone
 decides: every region is a 2-D array and all have one width. What depends
@@ -73,9 +73,9 @@ class FeatureBag:
     Built as `FeatureBag(slide_id, label, site, regions)` from any sequence
     of [N_p x D] arrays. Construction copies them into one C-contiguous,
     read-only [N x D] `patches` block in their own dtype (float32 from
-    bundles), records the layout (`sizes`, each region's patch count, and
-    `spans`, each region's (start, stop) row range) and rebinds `regions`
-    to a tuple of row views into the block. The bag is frozen: none of its
+    bundles), records the layout (`sizes`, each region's patch count; the
+    regions are consecutive rows of the block) and rebinds `regions` to a
+    tuple of row views into the block. The bag is frozen: none of its
     fields can be rebound and its arrays cannot be written.
 
     Construction raises ShapeError, naming the slide and the region, for a
@@ -91,7 +91,6 @@ class FeatureBag:
     regions: tuple  # [N_p x D] row views into `patches`
     patches: np.ndarray = field(init=False, repr=False, compare=False)
     sizes: np.ndarray = field(init=False, repr=False, compare=False)
-    spans: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shapes = [getattr(region, "shape", ()) for region in self.regions]
@@ -107,12 +106,10 @@ class FeatureBag:
         sizes = np.array(counts, dtype=np.intp)
         sizes.setflags(write=False)
         stops = list(itertools.accumulate(counts))
-        spans = tuple(zip([0] + stops[:-1], stops))
         object.__setattr__(self, "patches", patches)
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "spans", spans)
-        object.__setattr__(self, "regions",
-                           tuple(patches[start:stop] for start, stop in spans))
+        object.__setattr__(self, "regions", tuple(
+            patches[start:stop] for start, stop in zip([0] + stops, stops)))
 
     def check(self, width):
         """Raise EmptyBagError when the bag has no regions or a region has no
@@ -328,7 +325,7 @@ def read_bundle(path):
     with open(where, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # nested too deeply
             raise FormatError(f"{where} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise FormatError(f"{where} must hold one JSON object")

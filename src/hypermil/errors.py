@@ -2,8 +2,8 @@
 of the configuration dataclasses."""
 
 import dataclasses
-import math
 import numbers
+import sys
 
 
 class HypermilError(Exception):
@@ -74,13 +74,16 @@ _FIELD_KINDS = {
 
 def check_field_types(config):
     """Raise ConfigError for a field of the dataclass `config` whose value
-    does not have the declared type: float fields take finite real numbers,
-    int fields integers, bool fields booleans (a boolean is never a number)
-    and a field declared as a class takes an instance of it."""
+    does not have the declared type: float fields take real numbers that
+    are finite as floats, int fields integers, bool fields booleans (a
+    boolean is never a number) and a field declared as a class takes an
+    instance of it."""
     for f in dataclasses.fields(config):
         kind, what = _FIELD_KINDS.get(f.type, (f.type, f"a {f.type.__name__}"))
         value = getattr(config, f.name)
         if (not isinstance(value, kind)
                 or isinstance(value, bool) != (f.type is bool)
-                or f.type is float and not math.isfinite(value)):
+                # not NaN, not infinite and, for an int, not beyond the
+                # float range, where isfinite would overflow
+                or f.type is float and not abs(value) <= sys.float_info.max):
             raise ConfigError(f"{f.name} must be {what}, got {value!r}")

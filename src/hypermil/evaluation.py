@@ -138,10 +138,21 @@ def _binary_auc(scores, positive):
     )
 
 
+def _paired(what, values, labels):
+    """`values` and `labels` as arrays; MetricError unless there is at least
+    one row of values and one label per row."""
+    values, labels = np.asarray(values), np.asarray(labels)
+    if labels.ndim != 1 or labels.shape != values.shape[:1] or not labels.size:
+        raise MetricError(f"{what} of shape {values.shape} and labels of shape "
+                          f"{labels.shape}: need one label per row, one row or more")
+    return values, labels
+
+
 def auc(scores, labels):
-    """Rank-statistic AUC; macro one-vs-rest for more than two classes."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
+    """Rank-statistic AUC; macro one-vs-rest for more than two classes.
+
+    Scores and labels of different lengths, or none, are a MetricError."""
+    scores, labels = _paired("scores", np.asarray(scores, dtype=np.float64), labels)
     if scores.ndim == 1:
         return _binary_auc(scores, labels == 1)
     if scores.shape[1] == 2:
@@ -153,9 +164,10 @@ def auc(scores, labels):
 
 
 def f1(predictions, labels, n_classes=None):
-    """Positive-class F1 on binary tasks, macro F1 otherwise."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
+    """Positive-class F1 on binary tasks, macro F1 otherwise.
+
+    Predictions and labels of different lengths, or none, are a MetricError."""
+    predictions, labels = _paired("predictions", predictions, labels)
     if n_classes is None:
         n_classes = int(max(predictions.max(), labels.max())) + 1
     # row c: which samples are predicted as, and which are labelled, class c

@@ -1,15 +1,23 @@
 """Atomic file writes: temp file in the target directory, then rename."""
 
 import os
-import tempfile
 
 
 def atomic_write_bytes(path, payload):
+    """Write `payload` to `path` through a temp file renamed over it.
+
+    The file ends with the mode `open()` would give it: a replaced file
+    keeps its mode, and a new one gets 0o666 less the umask, which the temp
+    file is created with.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
+        if os.path.exists(path):
+            os.chmod(tmp, os.stat(path).st_mode & 0o7777)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -24,14 +24,18 @@ infinity.
 The alignment and hierarchy terms of one slide are one fused node
 (`_cone_losses`), whose four parents are the spaces of the slide, the
 regions, the patches and the class text, and which takes lambda_a and
-lambda_s as weights: `total_loss` builds it once per step with both,
-`ama_total` is the same node with weights (1, 0) and `shc_total` with
-(0, 1). Its forward and backward run in numpy. `_Stacked` stacks the four
-batches into one space array, the class text in `HierarchyLevel` order as
-`model.embed_text` lays it out (row level.value * C + c is class c at that
-level), and keeps the selected image rows with their levels. Every angle
-the terms read is an exterior angle theta(u, v), and all of them come from
-one masked call of `geometry.exterior_angle_core`, the core behind
+lambda_s as weights. Which angles those terms read depends only on the
+bag's region sizes, its top-K selections, its label, the number of
+classes and the two weights, so it is built apart, as a frozen
+`ConePlan` of index arrays (`cone_plan`, the one place they are built),
+and the node runs over a plan: `training.train` builds one plan per
+training slide before its epoch loop and `total_loss` takes it, while
+`ama_total` (weights (1, 0)) and `shc_total` ((0, 1)) build theirs on the
+spot. The node stacks the four batches into one space array, the class
+text in `HierarchyLevel` order as `model.embed_text` lays it out (row
+level.value * C + c is class c at that level). Every angle the terms read
+is an exterior angle theta(u, v), and all of them come from one masked
+call of `geometry.exterior_angle_core`, the core behind
 `geometry.exterior_angle` and `geometry.angle_distance` too, whose rows
 are the apex rows (the slide, the regions, the text and, with the
 alignment term on, the selected image rows) and whose columns are all
@@ -55,6 +59,7 @@ checked: their entries of the matrix hold a placeholder angle that nothing
 reads. The NaN guard runs once, on the node's value.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,65 +292,49 @@ def _con_matrix(u, v, cfg, geom):
 
 # -- per-slide assemblies -----------------------------------------------------
 
-# the stacking order of the image rows of `_Stacked.space`
+# the stacking order of the image rows: the slide, the regions, the patches
 _LEVELS = (HierarchyLevel.SLIDE, HierarchyLevel.REGION, HierarchyLevel.PATCH)
 
 
-class _Stacked:
-    """One slide step's image and text rows, stacked once in numpy.
+@dataclass(frozen=True)
+class ConePlan:
+    """Which angles the alignment and hierarchy terms of one slide read, as
+    index arrays into its stacked rows, built once by `cone_plan`.
 
-    `parents` are the four space tensors of the slide, the regions, the
-    patches and the class text, and `space` stacks them in that order
-    (`_LEVELS`, then the text). The text keeps the `HierarchyLevel` order of
-    `model.embed_text`: row text0 + level.value * C + c of `space` is the
-    text of class c at that level. `rows` picks the selected
-    image rows of `space` (the slide, the selected regions, the selected
-    patches), `levels` gives each one's `level.value`, so its own level's
-    text block starts at row text0 + levels * C, and `weights` its
-    1 / K_level, so a weighted sum over the rows is the sum over levels of
-    the per-level means. A level without selections has no rows.
+    The stacked rows are the slide, the regions, the patches and the class
+    text, in that order, and `stops` are the rows where each of the four
+    ends, the last being the row count. `apex` holds the apex rows of the
+    angle matrix and `mask` its [apex x rows] pairs some term reads.
+    `cones` holds (flat positions, apex positions, weights) of the
+    entailment pairs and then, with more than one class, of the
+    contradiction pairs; `phi` holds the (theta(u, v), theta(v, u)) flat
+    positions of each alignment pair set, and `ama_weights` the alignment
+    weight of each selected image row. `flats` concatenates every flat
+    position in the order the backward scatters into them. A plan with
+    neither term on is `empty`: it holds the label and the stops only.
     """
 
-    def __init__(self, embeddings, selections):
-        points = (embeddings.slide, embeddings.regions, embeddings.patches,
-                  embeddings.text)
-        self.parents = tuple(p.space for p in points)
-        widths = {t.data.shape[1] for t in self.parents}
-        if len(widths) != 1:
-            raise ShapeError(
-                f"embeddings of one slide have different dimensions {sorted(widths)}"
-            )
-        self.space = np.concatenate([t.data for t in self.parents])
-        self.stops = np.cumsum([p.count for p in points[:3]])
-        self.n_regions = points[1].count
-        self.text0 = self.stops[2]
-        self.n_classes = points[3].count // len(HierarchyLevel)
-        regions = np.asarray(selections[HierarchyLevel.REGION], dtype=int)
-        patches = np.asarray(selections[HierarchyLevel.PATCH], dtype=int)
-        self.rows = np.concatenate([[0], 1 + regions, 1 + self.n_regions + patches])
-        # the weights go by stacking position: the counts are in `_LEVELS`
-        # order, not in `level.value` order
-        counts = np.array([1, regions.size, patches.size])
-        position = np.repeat(np.arange(len(_LEVELS)), counts)
-        self.levels = np.array([level.value for level in _LEVELS])[position]
-        self.weights = 1.0 / counts[position]
+    label: int
+    stops: tuple
+    apex: np.ndarray = None
+    mask: np.ndarray = None
+    cones: tuple = ()
+    phi: tuple = ()
+    ama_weights: np.ndarray = None
+    flats: np.ndarray = None
 
-    def split(self, a):
-        """Views of the slide, region, patch and text rows of a
-        `space`-shaped array, in the order of `parents`."""
-        return np.split(a, self.stops)
+    @property
+    def empty(self):
+        return self.flats is None
 
 
-def _cone_losses(embeddings, label, selections, cfg, geom, lambda_a, lambda_s):
-    """lambda_a * L_ama + lambda_s * L_shc of one slide, as one fused node
-    over the slide, the regions, the patches and the class text.
+def cone_plan(sizes, n_classes, label, selections, lambda_a, lambda_s):
+    """The `ConePlan` of a slide whose regions hold `sizes` patches, for
+    `n_classes` classes, its `label` and its top-K `selections`, with the
+    weights lambda_a on the alignment and lambda_s on the hierarchy term.
 
-    Every angle these terms read is an exterior angle theta(u, v) of one
-    masked `geometry.exterior_angle_core` call over the stacked rows
-    (`_Stacked`), and the half-apertures come from the norms it returns.
-    Its rows are the apex rows: the slide, the regions, the text and, when
-    the alignment term is on, the selected image rows; its columns are all
-    stacked rows. A mask keeps the pairs some term reads:
+    It depends on nothing else, so a caller stepping through a slide
+    several times builds it once. The pairs it keeps:
 
     * entailment (lambda_s): the slide over its regions, each region over
       its own patches, each class's text over its text one level down, and
@@ -356,128 +345,167 @@ def _cone_losses(embeddings, label, selections, cfg, geom, lambda_a, lambda_s):
       text of its level) pair and of each (label text, wrong-class text)
       pair of that level, so that phi(u, v) = theta(u, v) + theta(v, u) - pi.
 
-    One `_ent` call covers every entailment pair and one `_con` call every
-    contradiction pair. Each pair is weighted by lambda_s / (pairs in its
-    term), except that the pairs of image row i weigh lambda_s / K_level(i)
-    (lambda_s / (K_level(i) (C-1)) for the contradiction entries), and the
-    two `_ama` calls weight image row i by lambda_a / K_level(i); so the
-    value is the weighted sum of the per-term means up to rounding. The backward
-    scatters into one dense gradient of the angle matrix. The coincidence
-    guard covers exactly the masked pairs; pairs no term reads, such as a
-    region against a patch of another region, are not checked.
+    Each pair is weighted by lambda_s / (pairs in its term), except that
+    the pairs of image row i weigh lambda_s / K_level(i) (lambda_s /
+    (K_level(i) (C-1)) per contradiction entry), and its alignment terms
+    lambda_a / K_level(i); so the weighted sum is the weighted sum of the
+    per-term means up to rounding. A level without selections has no rows.
+    The apex rows are the slide, the regions, the text and, with the
+    alignment term on, the selected image rows.
     """
-    st = _Stacked(embeddings, selections)
-    n_rows, n_classes, n_regions = st.space.shape[0], st.n_classes, st.n_regions
+    n_regions, n_patches = len(sizes), int(np.sum(sizes))
+    text0 = 1 + n_regions + n_patches
+    stops = (1, 1 + n_regions, text0, text0 + len(HierarchyLevel) * n_classes)
     others = np.array([c for c in range(n_classes) if c != label], dtype=int)
     ama = lambda_a != 0.0 and others.size > 0
     shc = lambda_s != 0.0
     if not (ama or shc):
-        return ad.Tensor(0.0)
+        return ConePlan(label, stops)
+    n_rows = stops[-1]
+    # the selected image rows (the slide, the selected regions, the selected
+    # patches), each one's `level.value` and its weight 1 / K_level, so a
+    # weighted sum over the rows is the sum over levels of the per-level
+    # means; the weights go by stacking position, the counts being in
+    # `_LEVELS` order, not in `level.value` order
+    regions = np.asarray(selections[HierarchyLevel.REGION], dtype=int)
+    patches = np.asarray(selections[HierarchyLevel.PATCH], dtype=int)
+    rows = np.concatenate([[0], 1 + regions, 1 + n_regions + patches])
+    counts = np.array([1, regions.size, patches.size])
+    levels = np.repeat([level.value for level in _LEVELS], counts)
+    weights = 1.0 / np.repeat(counts, counts)
     # each selected image row, as a column, and the rows of its level's label
-    # text and wrong-class text
-    image = st.rows[:, None]
-    block = st.text0 + st.levels[:, None] * n_classes
+    # text and wrong-class text (row text0 + level.value * C + c is the text
+    # of class c at that level, the layout of `model.embed_text`)
+    image = rows[:, None]
+    block = text0 + levels[:, None] * n_classes
     pos = block + label
     neg = block + others
 
-    # the apex rows, in stacking order: the slide, the regions, the selected
-    # patches when the alignment term is on, and the text
-    is_apex = np.zeros(n_rows, dtype=bool)
-    is_apex[:1 + n_regions] = True
-    is_apex[st.text0:] = True
-    if ama:
-        is_apex[st.rows] = True
-    apex = np.flatnonzero(is_apex)
-    at = np.cumsum(is_apex) - 1
+    apex = np.unique(np.concatenate([np.arange(1 + n_regions), np.arange(text0, n_rows)]
+                                    + ([rows] if ama else [])))
 
     def pairs(u, v):
-        # flat positions of theta(u, v) in the [apex x rows] matrix
-        return at[u] * n_rows + v
+        # flat positions of theta(u, v) in the [apex x rows] matrix, whose
+        # row for apex row u is its position among the apex rows
+        return np.searchsorted(apex, u) * n_rows + v
 
-    # (flat positions, apex positions, weights, penalty core) of the
-    # entailment pairs and of the contradiction pairs
     cones = []
     if shc:
         # the slide over its regions, each region over its own patches, and
         # each class's text over its text one level down; one weight per pair
         # gives each term's mean
-        spans = embeddings.region_slices
-        sizes = [stop - start for start, stop in spans]
-        chain = st.text0 + np.arange(n_classes)
+        chain = text0 + np.arange(n_classes)
         slide_text, region_text, patch_text = (
-            chain + level.value * n_classes
-            for level in (HierarchyLevel.SLIDE, HierarchyLevel.REGION,
-                          HierarchyLevel.PATCH))
+            chain + level.value * n_classes for level in _LEVELS)
         u = np.concatenate([np.zeros(n_regions, dtype=int),
-                            1 + np.repeat(np.arange(len(spans)), sizes),
+                            1 + np.repeat(np.arange(n_regions), sizes),
                             slide_text, region_text, pos[:, 0]])
         v = np.concatenate([1 + np.arange(n_regions),
-                            1 + n_regions + np.concatenate(
-                                [np.arange(start, stop) for start, stop in spans]),
-                            region_text, patch_text, st.rows])
-        counts = np.array([n_regions, sum(sizes), n_classes, n_classes])
-        w = np.concatenate([np.repeat(lambda_s / counts, counts),
-                            lambda_s * st.weights])
-        cones.append((pairs(u, v), at[u], w,
-                      lambda th, ap: _ent(th, ap, cfg.beta_ent)))
+                            1 + n_regions + np.arange(n_patches),
+                            region_text, patch_text, rows])
+        terms = np.array([n_regions, n_patches, n_classes, n_classes])
+        cones.append((pairs(u, v), np.searchsorted(apex, u),
+                      np.concatenate([np.repeat(lambda_s / terms, terms),
+                                      lambda_s * weights])))
         if others.size:
-            cones.append((pairs(neg, image).ravel(), at[neg].ravel(),
-                          np.repeat(lambda_s / others.size * st.weights, others.size),
-                          lambda th, ap: _con(th, ap, cfg.beta_con, geom.epsilon)))
+            cones.append((pairs(neg, image).ravel(), np.searchsorted(apex, neg).ravel(),
+                          np.repeat(lambda_s / others.size * weights, others.size)))
     # phi(u, v) reads theta(u, v) and theta(v, u): each image row against its
     # level's label text and wrong-class text, and that label text against
     # that wrong-class text
-    phi_pairs = [(pairs(a, b), pairs(b, a))
-                 for a, b in ((image, pos), (image, neg), (pos, neg))] if ama else []
-
-    flats = [flat for flat, *_ in cones] + [f.ravel() for uv in phi_pairs for f in uv]
+    phi = tuple((pairs(a, b), pairs(b, a))
+                for a, b in ((image, pos), (image, neg), (pos, neg))) if ama else ()
+    flats = np.concatenate([flat for flat, *_ in cones]
+                           + [f.ravel() for uv in phi for f in uv])
     mask = np.zeros(apex.size * n_rows, dtype=bool)
-    mask[np.concatenate(flats)] = True
-    theta, norms, geo_backward = geo.exterior_angle_core(
-        st.space[apex], st.space, geom, mask.reshape(apex.size, n_rows))
+    mask[flats] = True
+    return ConePlan(label, stops, apex, mask.reshape(apex.size, n_rows),
+                    tuple(cones), phi, lambda_a * weights, flats)
+
+
+def _cone_losses(embeddings, plan, cfg, geom):
+    """lambda_a * L_ama + lambda_s * L_shc of one slide, as one fused node
+    over the slide, the regions, the patches and the class text, reading
+    the pairs of its `ConePlan` with the plan's weights.
+
+    The four space arrays are stacked into one; a ShapeError is raised when
+    their widths differ or their rows do not end where the plan's do. Every
+    angle the terms read is an exterior angle theta(u, v) of one masked
+    `geometry.exterior_angle_core` call over the plan's apex rows and all
+    stacked rows, and the half-apertures come from the norms it returns.
+    One `_ent` call covers every entailment pair, one `_con` call every
+    contradiction pair and the two `_ama` calls every selected image row.
+    The backward scatters into one dense gradient of the angle matrix with
+    one `bincount`. The coincidence guard covers exactly the masked pairs;
+    pairs no term reads, such as a region against a patch of another
+    region, are not checked. An empty plan gives 0 and reads no level.
+    """
+    if plan.empty:
+        return ad.Tensor(0.0)
+    parents = tuple(p.space for p in (embeddings.slide, embeddings.regions,
+                                      embeddings.patches, embeddings.text))
+    stops = tuple(itertools.accumulate(t.data.shape[0] for t in parents))
+    widths = sorted({t.data.shape[1] for t in parents})
+    if len(widths) != 1 or stops != plan.stops:
+        raise ShapeError(f"embeddings of widths {widths} with rows ending at {stops} "
+                         f"do not fit a cone plan of rows ending at {plan.stops}")
+    space = np.concatenate([t.data for t in parents])
+    theta, norms, geo_backward = geo.exterior_angle_core(space[plan.apex], space,
+                                                         geom, plan.mask)
     aperture, aperture_backward = geo.half_aperture_core(norms, geom, cfg.alpha)
     theta = theta.ravel()
-    aperture = aperture[:, 0]
 
     value = 0.0
-    backwards = []
-    if ama:
-        phi_pos, phi_neg, refs = [theta[uv] + theta[vu] - np.pi for uv, vu in phi_pairs]
-        weights = lambda_a * st.weights
+    if plan.phi:
+        phi_pos, phi_neg, refs = [theta[uv] + theta[vu] - np.pi for uv, vu in plan.phi]
         image_term, image_backward = _ama(
             refs.mean(axis=1, keepdims=True) - phi_pos, refs - phi_neg, cfg.tau,
-            weights)
+            plan.ama_weights)
         text_term, text_backward = _ama(
             phi_neg.mean(axis=1, keepdims=True) - phi_pos, phi_neg - refs, cfg.tau,
-            weights)
+            plan.ama_weights)
         value = image_term + text_term
-    for flat, apex_at, w, core in cones:
-        out, core_backward = core(theta[flat], aperture[apex_at])
+    # the entailment core, then the contradiction core when the plan has
+    # contradiction pairs
+    cores = (lambda th, ap: _ent(th, ap, cfg.beta_ent),
+             lambda th, ap: _con(th, ap, cfg.beta_con, geom.epsilon))
+    backwards = []
+    for (flat, apex_at, w), core in zip(plan.cones, cores):
+        out, core_backward = core(theta[flat], aperture[apex_at, 0])
         value = value + (out * w).sum()
         backwards.append(core_backward)
 
     def backward(g):
         g_flat = []
-        g_aperture = np.zeros(apex.size)
-        for (_, apex_at, w, _), core_backward in zip(cones, backwards):
+        g_aperture = np.zeros(plan.apex.size)
+        for (_, apex_at, w), core_backward in zip(plan.cones, backwards):
             g_theta, g_ap = core_backward(g * w)
             g_flat.append(g_theta)
-            g_aperture += np.bincount(apex_at, g_ap, minlength=apex.size)
-        if ama:
+            g_aperture += np.bincount(apex_at, g_ap, minlength=plan.apex.size)
+        if plan.phi:
+            n_others = phi_neg.shape[1]  # C - 1
             g_img_pos, g_img_neg = image_backward(g)
             g_txt_pos, g_txt_neg = text_backward(g)
             g_phi = (-(g_img_pos + g_txt_pos),
-                     g_txt_pos / others.size + g_txt_neg - g_img_neg,
-                     g_img_pos / others.size + g_img_neg - g_txt_neg)
+                     g_txt_pos / n_others + g_txt_neg - g_img_neg,
+                     g_img_pos / n_others + g_img_neg - g_txt_neg)
             # each phi gradient goes to both of its angles
             g_flat += [g_p.ravel() for g_p in g_phi for _ in range(2)]
-        g_theta = np.bincount(np.concatenate(flats), np.concatenate(g_flat),
-                              minlength=theta.size).reshape(apex.size, n_rows)
+        g_theta = np.bincount(plan.flats, np.concatenate(g_flat),
+                              minlength=theta.size).reshape(plan.mask.shape)
         g_apex, g_space = geo_backward(g_theta, aperture_backward(g_aperture[:, None]))
-        g_space[apex] += g_apex
-        return st.split(g_space)
+        g_space[plan.apex] += g_apex
+        return np.split(g_space, plan.stops[:-1])
 
-    return ad.fused("cone_losses", value, st.parents, backward)
+    return ad.fused("cone_losses", value, parents, backward)
+
+
+def _inline_cone_losses(embeddings, label, selections, cfg, geom, lambda_a, lambda_s):
+    """The cone-loss node of one slide with the given weights, its plan built
+    on the spot from the embeddings' region sizes and class count."""
+    plan = cone_plan(embeddings.sizes, embeddings.text.count // len(HierarchyLevel),
+                     label, selections, lambda_a, lambda_s)
+    return _cone_losses(embeddings, plan, cfg, geom)
 
 
 def ama_total(embeddings, label, selections, cfg, geom):
@@ -489,14 +517,14 @@ def ama_total(embeddings, label, selections, cfg, geom):
     as negatives; text-query terms use each selected image embedding as
     positive. Terms at a level average over the selected embeddings.
 
-    This is the node of `total_loss` with weights (1, 0) (see
-    `_cone_losses`): all levels come from one masked exterior-angle matrix,
-    and each image row reads its own level's text, weighted by
+    This is the node of `total_loss` with weights (1, 0), its plan built
+    here (see `cone_plan`): all levels come from one masked exterior-angle
+    matrix, and each image row reads its own level's text, weighted by
     1 / K_level. Angle distances between a text row and an image row, or
     between label and wrong-class text, of different levels are not read,
     so they are not guarded either.
     """
-    return _cone_losses(embeddings, label, selections, cfg, geom, 1.0, 0.0)
+    return _inline_cone_losses(embeddings, label, selections, cfg, geom, 1.0, 0.0)
 
 
 def shc_total(embeddings, label, selections, cfg, geom):
@@ -509,15 +537,15 @@ def shc_total(embeddings, label, selections, cfg, geom):
     terms: wrong-class text contradicts the same image embeddings. Each
     term is the mean over its pair set, terms are summed.
 
-    This is the node of `total_loss` with weights (0, 1) (see
-    `_cone_losses`): one masked exterior-angle matrix holds every pair of
-    every term, and the text-to-image terms of all levels weight each
-    image row by 1 / K_level (1 / (K_level (C-1)) per contradiction entry),
-    which is the sum over levels of the per-level means. Pairs no term
-    reads, such as a region against a patch of another region, are not
-    checked for coincidence.
+    This is the node of `total_loss` with weights (0, 1), its plan built
+    here (see `cone_plan`): one masked exterior-angle matrix holds every
+    pair of every term, and the text-to-image terms of all levels weight
+    each image row by 1 / K_level (1 / (K_level (C-1)) per contradiction
+    entry), which is the sum over levels of the per-level means. Pairs no
+    term reads, such as a region against a patch of another region, are
+    not checked for coincidence.
     """
-    return _cone_losses(embeddings, label, selections, cfg, geom, 0.0, 1.0)
+    return _inline_cone_losses(embeddings, label, selections, cfg, geom, 0.0, 1.0)
 
 
 def cls_loss(embeddings, label, cfg, geom):
@@ -528,15 +556,16 @@ def cls_loss(embeddings, label, cfg, geom):
     return cls_nll(distances, label)
 
 
-def total_loss(embeddings, label, selections, cfg, geom):
+def total_loss(embeddings, plan, cfg, geom):
     """L_cls + lambda_a * L_ama + lambda_s * L_shc for one slide.
 
-    The alignment and hierarchy terms are one fused node, with both weights
-    folded in (`_cone_losses`); with both weights zero the patch and region
-    levels are never read, so they are never mapped.
+    `plan` is the slide's `cone_plan`, built with the weights of `cfg`; the
+    label is the plan's. The alignment and hierarchy terms are one fused
+    node, with both weights folded in (`_cone_losses`); with both weights
+    zero the plan is empty and the patch and region levels are never read,
+    so they are never mapped.
     """
-    total = cls_loss(embeddings, label, cfg, geom)
-    if cfg.lambda_a == 0.0 and cfg.lambda_s == 0.0:
+    total = cls_loss(embeddings, plan.label, cfg, geom)
+    if plan.empty:
         return total
-    return total + _cone_losses(embeddings, label, selections, cfg, geom,
-                                cfg.lambda_a, cfg.lambda_s)
+    return total + _cone_losses(embeddings, plan, cfg, geom)

@@ -1,9 +1,9 @@
 """Trainable components and the per-slide embedding pipeline.
 
 A slide arrives as a `FeatureBag`: raw patch features grouped into
-regions, held as one contiguous block with the regions' sizes and row
-ranges. `embed_slide` casts the block to float64 once, passes the sizes to
-`aggregate` as its segments and the ranges on as `region_slices`, and runs
+regions, held as one contiguous block with the regions' sizes.
+`embed_slide` casts the block to float64 once, passes the sizes to
+`aggregate` as its segments and on to the `EmbeddingSet`, and runs
 only the constant-cost checks the bag leaves to its reader
 (`FeatureBag.check`); rank and equal widths were checked when the bag was
 made. The image adaptor (a two-layer MLP) maps every patch into the
@@ -256,10 +256,6 @@ def _xavier(rng, fan_out, fan_in):
     return rng.uniform(-s, s, size=(fan_out, fan_in))
 
 
-def _param(arr):
-    return ad.Tensor(arr, requires_grad=True)
-
-
 # scale of the adaptor output layer at init: embeddings start close to the
 # origin, inside the maximal-aperture region, so the exponential cone
 # penalties begin moderate instead of astronomically steep
@@ -329,7 +325,7 @@ def _from_buffer(buffer, dims):
              for name, shape, start, stop in _layout(dims)}
 
     def p(name):
-        return _param(views[name])
+        return ad.Tensor(views[name], requires_grad=True)
 
     adaptor_i = Mlp(p("adaptor_i.w1"), p("adaptor_i.b1"),
                     p("adaptor_i.w2"), p("adaptor_i.b2"))
@@ -446,22 +442,22 @@ class EmbeddingSet:
     zero-argument callables making them: a callable runs on the first read
     of its level, under the autodiff mode in effect at that read, and its
     Points are kept for later reads. `text` is the [3 N_C] Points of
-    `embed_text` (read one level with `text_level`), `region_slices` holds
-    each region's patch row range, and `slide_tangent`, when given, is the
-    [1 x k] tangent feature the slide point is the map of.
+    `embed_text` (read one level with `text_level`), `sizes` holds each
+    region's patch count (the bag's own read-only array; the regions'
+    patches are consecutive rows of `patches`), and `slide_tangent`, when
+    given, is the [1 x k] tangent feature the slide point is the map of.
     """
 
     patches = _Level()
     regions = _Level()
     slide = _Level()
 
-    def __init__(self, patches, regions, slide, text, region_slices,
-                 slide_tangent=None):
+    def __init__(self, patches, regions, slide, text, sizes, slide_tangent=None):
         self.patches = patches
         self.regions = regions
         self.slide = slide
         self.text = text
-        self.region_slices = region_slices
+        self.sizes = sizes
         self.slide_tangent = slide_tangent
 
 
@@ -511,7 +507,7 @@ def embed_slide(bag, params, geom, text=None):
         regions=lambda: geo.exp_map_origin(region_tan, geom),
         slide=lambda: geo.exp_map_origin(slide_tan, geom),
         text=embed_text(params, geom) if text is None else text,
-        region_slices=list(bag.spans),
+        sizes=bag.sizes,
         slide_tangent=slide_tan,
     )
 

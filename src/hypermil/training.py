@@ -28,6 +28,7 @@ from .losses import (
     ama_loss,
     cls_loss,
     con_loss,
+    cone_plan,
     ent_loss,
     total_loss,
 )
@@ -89,7 +90,7 @@ def load_train_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # nested too deeply
             raise ConfigError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path} must hold a single configuration object")
@@ -159,16 +160,16 @@ def select_top_k(bag, class_vectors, label, k):
     index. The slide level always selects the single slide embedding.
 
     The region means are sums over the bag's block, one `np.add.reduceat`
-    at the region starts, over the region sizes: bit for bit the mean of
-    each region's rows. A bag `embed_slide` would refuse (`FeatureBag.check`)
-    is refused here first.
+    at the region starts the sizes give, over the region sizes: bit for bit
+    the mean of each region's rows. A bag `embed_slide` would refuse
+    (`FeatureBag.check`) is refused here first.
     """
     vector = np.asarray(class_vectors[label], dtype=np.float64)
     bag.check(vector.size)
     patches = bag.patches.astype(np.float64)
     patch_sims = _cosine(patches, vector)
     patch_rows = np.argsort(-patch_sims, kind="stable")[:k]
-    starts = [start for start, _ in bag.spans]
+    starts = np.cumsum(bag.sizes) - bag.sizes
     region_means = np.add.reduceat(patches, starts, axis=0) / bag.sizes[:, None]
     region_sims = _cosine(region_means, vector)
     region_rows = np.argsort(-region_sims, kind="stable")[:k]
@@ -177,6 +178,14 @@ def select_top_k(bag, class_vectors, label, k):
         HierarchyLevel.REGION: region_rows,
         HierarchyLevel.SLIDE: np.array([0]),
     }
+
+
+def _slide_plan(bag, class_vectors, loss_cfg):
+    """The `losses.cone_plan` of a training bag: its region sizes, its label
+    and its top-K selections, with the loss weights of `loss_cfg`."""
+    return cone_plan(bag.sizes, len(class_vectors), bag.label,
+                     select_top_k(bag, class_vectors, bag.label, loss_cfg.top_k),
+                     loss_cfg.lambda_a, loss_cfg.lambda_s)
 
 
 # -- training loop ---------------------------------------------------------------
@@ -227,11 +236,8 @@ def train(bundle, split, cfg):
     params = init_params(dims, cfg.seed, bundle.class_vectors)
     state = AdamState(params)
 
-    selections = {
-        bag.slide_id: select_top_k(bag, bundle.class_vectors, bag.label,
-                                   cfg.loss.top_k)
-        for bag in train_bags
-    }
+    # each training slide's cone plan, fixed for the whole run
+    plans = [_slide_plan(bag, bundle.class_vectors, cfg.loss) for bag in train_bags]
 
     history = []
     best_params = None
@@ -250,8 +256,7 @@ def train(bundle, split, cfg):
             steps += 1
             try:
                 emb = embed_slide(bag, params, geom)
-                loss = total_loss(emb, bag.label, selections[bag.slide_id],
-                                  cfg.loss, geom)
+                loss = total_loss(emb, plans[pos], cfg.loss, geom)
                 loss.backward()
             except GeometryError as exc:
                 # raised in the forward pass only: the slide added no
@@ -349,8 +354,8 @@ def gradient_check_suite(trials=20, seed=0, h=1e-5):
         bag = _tiny_bag(rng, d_in, n_regions=2, n_patches=3, n_classes=n_classes)
         label = bag.label
         others = [c for c in range(n_classes) if c != label]
-        selections = select_top_k(bag, params.semantics.base.data, label,
-                                  loss_cfg.top_k)
+        # the plan of the total loss, built once per trial as `train` does
+        plan = _slide_plan(bag, params.semantics.base.data, loss_cfg)
         leaves = [t for _, t in params.trainable()]
 
         probe = rng.standard_normal((1, k))
@@ -380,7 +385,7 @@ def gradient_check_suite(trials=20, seed=0, h=1e-5):
                 f_ama(emb),
                 ent_loss(emb.slide, emb.regions, loss_cfg, geom),
                 f_con(emb),
-                total_loss(emb, label, selections, loss_cfg, geom),
+                total_loss(emb, plan, loss_cfg, geom),
             )
 
         errors = (

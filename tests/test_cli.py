@@ -6,6 +6,8 @@ test covers the installed entry point.
 """
 
 import json
+import os
+import stat
 import struct
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 
+import hypermil
 from hypermil import autodiff as ad
 from hypermil.cli import main
 from hypermil.data import make_splits, read_bundle
@@ -65,6 +68,24 @@ def test_gen_deterministic_bytes(workdir):
     assert main(GEN_ARGS + ["--out", str(a)]) == 0
     assert main(GEN_ARGS + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_outputs_follow_the_umask_and_keep_a_replaced_files_mode(workdir):
+    path = workdir / "modes.bundle"
+    manifest = path.with_name(path.name + ".manifest.json")
+    old = os.umask(0o022)
+    try:
+        assert main(GEN_ARGS + ["--out", str(path)]) == 0
+        assert [stat.S_IMODE(p.stat().st_mode) for p in (path, manifest)] == [0o644] * 2
+        # overwriting keeps the mode the file had, as open() does
+        path.chmod(0o640)
+        assert main(GEN_ARGS + ["--out", str(path)]) == 0
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert stat.S_IMODE(manifest.stat().st_mode) == 0o644
+    finally:
+        os.umask(old)
+    # no temp file is left behind
+    assert not [p for p in workdir.iterdir() if p.name.startswith(".tmp-")]
 
 
 def test_gen_unwritable_path_fails(capsys):
@@ -352,9 +373,14 @@ def test_missing_required_flag_is_usage_error():
 
 def test_entry_point_subprocess(workdir):
     path = workdir / "sub.bundle"
+    # the child imports the package from where this process found it, also
+    # when that is a source checkout on pytest's own path only
+    package_dir = os.path.dirname(os.path.dirname(hypermil.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_dir, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "hypermil.cli"] + GEN_ARGS + ["--out", str(path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("RESULT gen")

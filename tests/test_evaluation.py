@@ -44,6 +44,35 @@ def test_auc_needs_both_classes():
         ev.auc(np.array([0.1, 0.2]), np.array([1, 1]))
 
 
+@pytest.mark.parametrize("scores, labels, message", [
+    # fewer labels than score rows, more, a label matrix, no samples
+    (np.ones((3, 2)), [0, 1], r"^scores of shape \(3, 2\) and labels of shape \(2,\)"),
+    (np.ones((3, 2)), [0, 1, 1, 0],
+     r"^scores of shape \(3, 2\) and labels of shape \(4,\)"),
+    (np.ones(3), [[0, 1, 1]], r"^scores of shape \(3,\) and labels of shape \(1, 3\)"),
+    ([], [], r"^scores of shape \(0,\) and labels of shape \(0,\)"),
+    (np.ones((0, 3)), [], r"^scores of shape \(0, 3\) and labels of shape \(0,\)"),
+    (0.5, 1, r"^scores of shape \(\) and labels of shape \(\)"),
+])
+def test_auc_needs_one_label_per_score_row(scores, labels, message):
+    with pytest.raises(MetricError, match=message):
+        ev.auc(scores, labels)
+
+
+@pytest.mark.parametrize("predictions, labels, message", [
+    # more predictions than labels, fewer, a scalar label, no samples
+    ([0, 1], [1], r"^predictions of shape \(2,\) and labels of shape \(1,\)"),
+    ([1], [0, 1], r"^predictions of shape \(1,\) and labels of shape \(2,\)"),
+    ([1], 1, r"^predictions of shape \(1,\) and labels of shape \(\)"),
+    ([], [], r"^predictions of shape \(0,\) and labels of shape \(0,\)"),
+])
+def test_f1_needs_one_label_per_prediction(predictions, labels, message):
+    with pytest.raises(MetricError, match=message):
+        ev.f1(predictions, labels)
+    with pytest.raises(MetricError, match=message):
+        ev.f1(predictions, labels, n_classes=2)
+
+
 def test_auc_binary_matches_brute_force():
     rng = np.random.default_rng(17)
     for _ in range(300):

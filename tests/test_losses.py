@@ -209,8 +209,21 @@ def _collinear_embeddings(n_classes=3):
         regions=_pts(np.stack([3.0 * label_dir, 3.2 * label_dir])),
         slide=_pts(2.5 * label_dir),
         text=text,
-        region_slices=[(0, 2), (2, 4)],
+        sizes=np.array([2, 2]),
     )
+
+
+def _total_loss(emb, label, selections, cfg, geom):
+    """`total_loss` over the slide's cone plan, built from `cfg`'s weights."""
+    plan = ls.cone_plan(emb.sizes, emb.text.count // len(HierarchyLevel), label,
+                        selections, cfg.lambda_a, cfg.lambda_s)
+    return ls.total_loss(emb, plan, cfg, geom)
+
+
+def _spans(sizes):
+    """(start, stop) patch rows of each region of the given sizes."""
+    stops = np.cumsum(sizes)
+    return list(zip((stops - sizes).tolist(), stops.tolist()))
 
 
 def _full_selection():
@@ -219,6 +232,32 @@ def _full_selection():
         HierarchyLevel.REGION: np.array([0, 1]),
         HierarchyLevel.PATCH: np.array([0, 1, 2, 3]),
     }
+
+
+def test_cone_plan_refuses_embeddings_of_another_layout():
+    # the embeddings hold 2 regions of 2 patches and 3 classes
+    emb = _random_embeddings(np.random.default_rng(39))
+    sel = {HierarchyLevel.SLIDE: np.array([0]), HierarchyLevel.REGION: np.array([0]),
+           HierarchyLevel.PATCH: np.array([0, 1])}
+    # more regions, more patches, fewer classes, and as many rows in all
+    # but three regions of one patch
+    for sizes, n_classes in (([2, 2, 1], 3), ([3, 2], 3), ([2, 2], 2), ([1, 1, 1], 3)):
+        plan = ls.cone_plan(sizes, n_classes, 0, sel, CFG.lambda_a, CFG.lambda_s)
+        with pytest.raises(ShapeError, match="do not fit a cone plan"):
+            ls.total_loss(emb, plan, CFG, GEOM)
+    plan = ls.cone_plan(emb.sizes, 3, 0, sel, CFG.lambda_a, CFG.lambda_s)
+    assert np.isfinite(ls.total_loss(emb, plan, CFG, GEOM).item())
+
+
+def test_cone_plan_is_empty_without_weights():
+    sel = _full_selection()
+    # no term on: both weights zero, or only alignment with one class
+    emb = _collinear_embeddings(n_classes=1)
+    for n_classes, weights in ((3, (0.0, 0.0)), (1, (1.0, 0.0))):
+        plan = ls.cone_plan([2, 2], n_classes, 0, sel, *weights)
+        assert plan.empty and plan.label == 0
+        assert ls._cone_losses(emb, plan, CFG, GEOM).item() == 0.0
+    assert not ls.cone_plan([2, 2], 1, 0, sel, 0.0, 1.0).empty
 
 
 def test_shc_total_zero_on_consistent_hierarchy():
@@ -289,7 +328,7 @@ def _looped_shc_total(emb, label, selections):
     per_region = [
         ls._ent_matrix(geo.select(emb.regions, [r]),
                        geo.select(emb.patches, np.arange(start, stop)), CFG, GEOM)
-        for r, (start, stop) in enumerate(emb.region_slices)
+        for r, (start, stop) in enumerate(_spans(emb.sizes))
     ]
     parts.append(_concat(per_region, axis=1).mean())
     n_classes = text_level(emb.text, HierarchyLevel.SLIDE).count
@@ -327,7 +366,7 @@ def _equivalence_cases():
     violated_two = _collinear_embeddings(n_classes=2)
     violated_two.slide = _pts([-2.5, 0.3])
     uneven = _random_embeddings(rng)
-    uneven.region_slices = [(0, 1), (1, 4)]
+    uneven.sizes = np.array([1, 3])
     no_patch = dict(_full_selection())
     no_patch[HierarchyLevel.PATCH] = np.array([], dtype=int)
     partial = {
@@ -368,7 +407,7 @@ def _with_row(emb, level, row, space):
                for name in ("patches", "regions", "slide", "text")}
     batches[level][row] = space
     return EmbeddingSet(**{name: _pts(data) for name, data in batches.items()},
-                        region_slices=emb.region_slices)
+                        sizes=emb.sizes)
 
 
 def test_assemblies_guard_the_coincident_pairs_they_read():
@@ -377,7 +416,7 @@ def test_assemblies_guard_the_coincident_pairs_they_read():
     # region 0 on its own patch 1: read by the region-to-patch entailment
     emb = _random_embeddings(rng)
     emb = _with_row(emb, "regions", 0, emb.patches.space.data[1])
-    for fn in (ls.shc_total, ls.total_loss):
+    for fn in (ls.shc_total, _total_loss):
         with pytest.raises(GeometryError, match="coincident"):
             fn(emb, 0, sel, CFG, GEOM)
     # the alignment terms read no (region, patch) pair
@@ -387,12 +426,12 @@ def test_assemblies_guard_the_coincident_pairs_they_read():
     emb = _random_embeddings(rng)
     emb = _with_row(emb, "text", HierarchyLevel.SLIDE.value * 3 + 1,
                     emb.slide.space.data[0])
-    for fn in (ls.ama_total, ls.shc_total, ls.total_loss):
+    for fn in (ls.ama_total, ls.shc_total, _total_loss):
         with pytest.raises(GeometryError, match="coincident"):
             fn(emb, 1, sel, CFG, GEOM)
     # an apex row at the origin
     emb = _with_row(_random_embeddings(rng), "slide", 0, 0.0)
-    for fn in (ls.ama_total, ls.shc_total, ls.total_loss):
+    for fn in (ls.ama_total, ls.shc_total, _total_loss):
         with pytest.raises(GeometryError, match="origin"):
             fn(emb, 0, sel, CFG, GEOM)
 
@@ -412,7 +451,7 @@ def test_assemblies_skip_coincident_pairs_no_term_reads():
     want = (ls.cls_loss(emb, 0, CFG, GEOM).item()
             + CFG.lambda_a * _looped_ama_total(emb, 0, sel).item()
             + CFG.lambda_s * _looped_shc_total(emb, 0, sel).item())
-    assert_allclose(ls.total_loss(emb, 0, sel, CFG, GEOM).item(), want, rtol=1e-12)
+    assert_allclose(_total_loss(emb, 0, sel, CFG, GEOM).item(), want, rtol=1e-12)
 
 
 def _with_leaves(emb):
@@ -422,7 +461,7 @@ def _with_leaves(emb):
     return EmbeddingSet(
         patches=leaf(emb.patches), regions=leaf(emb.regions), slide=leaf(emb.slide),
         text=leaf(emb.text),
-        region_slices=emb.region_slices,
+        sizes=emb.sizes,
     )
 
 
@@ -470,7 +509,7 @@ def test_total_loss_graph_size_does_not_depend_on_levels():
     slide_only = dict(no_patch)
     slide_only[HierarchyLevel.REGION] = np.array([], dtype=int)
     emb = _with_leaves(_random_embeddings(np.random.default_rng(34)))
-    sizes = [_graph_size(ls.total_loss(emb, 0, sel, CFG, GEOM))
+    sizes = [_graph_size(_total_loss(emb, 0, sel, CFG, GEOM))
              for sel in (full, no_patch, slide_only)]
     assert sizes == [9, 9, 9]
 
@@ -511,7 +550,7 @@ def _random_embeddings(rng, n_classes=3):
         regions=sp(2, 0.6),
         slide=sp(1, 0.5),
         text=sp(3 * n_classes, 0.4),
-        region_slices=[(0, 2), (2, 4)],
+        sizes=np.array([2, 2]),
     )
 
 
@@ -522,7 +561,7 @@ def test_total_loss_weights():
 
     def with_weights(la, lam_s):
         cfg = ls.LossConfig(lambda_a=la, lambda_s=lam_s)
-        return ls.total_loss(emb, 0, sel, cfg, GEOM).item()
+        return _total_loss(emb, 0, sel, cfg, GEOM).item()
 
     cls_only = with_weights(0.0, 0.0)
     assert_allclose(cls_only, ls.cls_loss(emb, 0, CFG, GEOM).item(), rtol=0)
@@ -555,7 +594,7 @@ def test_losses_finite_difference():
             slide=geo.select(pts, [6]),
             # patch, region and slide text, in HierarchyLevel order
             text=geo.select(pts, [13, 14, 15, 10, 11, 12, 7, 8, 9]),
-            region_slices=[(0, 2), (2, 4)],
+            sizes=np.array([2, 2]),
         )
 
     no_patch = dict(sel)
@@ -564,7 +603,7 @@ def test_losses_finite_difference():
         lambda: ls.cls_loss(build(), 0, CFG, GEOM),
         lambda: ls.ama_total(build(), 0, sel, CFG, GEOM),
         lambda: ls.shc_total(build(), 0, sel, CFG, GEOM),
-        lambda: ls.total_loss(build(), 0, sel, CFG, GEOM),
+        lambda: _total_loss(build(), 0, sel, CFG, GEOM),
         lambda: ls.ama_total(build(), 1, no_patch, CFG, GEOM),
         lambda: ls.shc_total(build(), 1, no_patch, CFG, GEOM),
     ):

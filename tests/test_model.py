@@ -279,7 +279,7 @@ def test_embed_slide_shapes():
     assert emb.patches.count == 12
     assert emb.regions.count == 3
     assert emb.slide.count == 1
-    assert emb.region_slices == [(0, 4), (4, 8), (8, 12)]
+    assert emb.sizes is bag.sizes and emb.sizes.tolist() == [4, 4, 4]
 
 
 def test_embed_slide_on_manifold():

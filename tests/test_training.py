@@ -17,7 +17,7 @@ from hypermil.errors import (
     ShapeError,
     TrainingError,
 )
-from hypermil.losses import total_loss
+from hypermil.losses import cone_plan, total_loss
 from hypermil.model import HierarchyLevel, ModelDims, embed_slide, init_params
 
 
@@ -238,7 +238,7 @@ def test_select_top_k_matches_the_per_region_loop():
                     assert np.array_equal(got[level], want[level]), (bag.slide_id, level)
             # the block's region means are the per-region means, bit for bit
             block = bag.patches.astype(np.float64)
-            starts = [start for start, _ in bag.spans]
+            starts = np.cumsum(bag.sizes) - bag.sizes
             assert np.array_equal(np.add.reduceat(block, starts) / bag.sizes[:, None],
                                   means)
 
@@ -272,6 +272,33 @@ def _tiny_setup():
     plan = make_splits(bundle.bags, 1, 1, seed=0)
     cfg = tr.TrainConfig(epochs=2, k=6, seed=3)
     return bundle, plan.folds[0].inner[0], cfg
+
+
+def test_train_builds_one_cone_plan_per_training_slide(monkeypatch):
+    bundle, split, cfg = _tiny_setup()
+    cfg = tr.TrainConfig(epochs=3, k=6, seed=3)
+    built, used = [], []
+
+    def counting_plan(*args):
+        built.append(args)
+        return cone_plan(*args)
+
+    def recording_loss(emb, plan, loss_cfg, geom):
+        used.append(plan)
+        return total_loss(emb, plan, loss_cfg, geom)
+
+    monkeypatch.setattr(tr, "cone_plan", counting_plan)
+    monkeypatch.setattr(tr, "total_loss", recording_loss)
+    res = tr.train(bundle, split, cfg)
+    assert res.skipped == 0
+    assert len(built) == len(split.train_ids)
+    # every step of the three epochs reads one of those plans, each slide's
+    # own one in every epoch
+    assert len(used) == 3 * len(split.train_ids)
+    assert len({id(plan) for plan in used}) == len(split.train_ids)
+    by_id = {bag.slide_id: bag for bag in bundle.bags}
+    assert all(args[0] is by_id[i].sizes
+               for args, i in zip(built, split.train_ids, strict=True))
 
 
 def test_train_runs_and_reports():
@@ -433,8 +460,9 @@ def test_skipped_slide_keeps_the_accumulation_window(monkeypatch):
     for bag in (embedded[0], embedded[2]):
         sel = tr.select_top_k(bag, bundle.class_vectors, bag.label,
                               cfg.loss.top_k)
-        total_loss(embed_slide(bag, params, geom), bag.label, sel, cfg.loss,
-                   geom).backward()
+        plan = cone_plan(bag.sizes, 2, bag.label, sel, cfg.loss.lambda_a,
+                         cfg.loss.lambda_s)
+        total_loss(embed_slide(bag, params, geom), plan, cfg.loss, geom).backward()
     want = _grads(params)
     assert steps[0].keys() == want.keys()
     for name, g in want.items():
