@@ -19,12 +19,19 @@ named fused nodes, each computing its forward and hand-derived backward
 in numpy:
   * the hyperbolic primitives in `geometry` (`exp_map_origin`, `geodesic`,
     `exterior_angle`, `angle_distance`, `half_aperture`),
-  * the two softmax NLLs, the two cone penalties and the per-slide node
-    of the alignment and hierarchy terms in `losses` (`cone_losses`, which
-    `total_loss` builds over the slide's `ConePlan`, and `ama_total` and
-    `shc_total` over a plan they build on the spot),
-  * the class-text features, the adaptor MLP and the gated-attention
-    pooling (`aggregate`) in `model`.
+  * the two softmax NLLs, the two cone penalties and the per-slide loss
+    node in `losses` (`loss`, which `total_loss` builds over the slide's
+    `ConePlan` with all three terms, `cls_loss` with the classification
+    term alone, and `ama_total` and `shc_total` without it, over a plan
+    they build on the spot),
+  * the class-text features, the adaptor MLP, the gated-attention
+    pooling (`aggregate`) and the stack of a slide's image tangents
+    (`stack`) in `model`.
+
+A default training step is 23 nodes: 14 leaves (the patch block and 13
+trainable arrays), two adaptors, two aggregates, the text features, the
+stack, two exp maps (the class text and the stacked image rows) and the
+loss.
 
 Conventions:
   * gradients accumulate into `Tensor.grad` (None until touched); the first

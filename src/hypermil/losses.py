@@ -21,21 +21,25 @@ Exponential arguments inside the cone penalties are clamped at 700 so a
 badly violated pair yields a huge finite penalty instead of overflowing to
 infinity.
 
-The alignment and hierarchy terms of one slide are one fused node
-(`_cone_losses`), whose four parents are the spaces of the slide, the
-regions, the patches and the class text, and which takes lambda_a and
-lambda_s as weights. Which angles those terms read depends only on the
-bag's region sizes, its top-K selections, its label, the number of
-classes and the two weights, so it is built apart, as a frozen
-`ConePlan` of index arrays (`cone_plan`, the one place they are built),
-and the node runs over a plan: `training.train` builds one plan per
-training slide before its epoch loop and `total_loss` takes it, while
+All three terms of one slide are one fused "loss" node (`_loss`), whose
+two parents are the spaces of the slide's image rows (the slide, the
+regions and the patches, stacked in that order by `model.embed_slide`) and
+of the class text, and which takes lambda_a and lambda_s as weights. The
+classification term reads row 0 and the slide-level text rows through
+`geometry.geodesic_core` and `_nll`, the cores of `cls_loss`. Which angles
+the alignment and hierarchy terms read depends only on the bag's region
+sizes, its top-K selections, its label, the number of classes and the two
+weights, so it is built apart, as a frozen `ConePlan` of index arrays
+(`cone_plan`, the one place they are built), and the numpy body of those
+terms (`_cone_losses`) runs over a plan: `training.train` builds one plan
+per training slide before its epoch loop and `total_loss` takes it, while
 `ama_total` (weights (1, 0)) and `shc_total` ((0, 1)) build theirs on the
-spot. The node stacks the four batches into one space array, the class
-text in `HierarchyLevel` order as `model.embed_text` lays it out (row
-level.value * C + c is class c at that level). Every angle the terms read
-is an exterior angle theta(u, v), and all of them come from one masked
-call of `geometry.exterior_angle_core`, the core behind
+spot and leave the classification term out. The body stacks the two
+arrays into one space array, the class text in `HierarchyLevel` order as
+`model.embed_text` lays it out (row level.value * C + c is class c at that
+level). Every angle the terms read is an exterior angle theta(u, v), and
+all of them come from one masked call of `geometry.exterior_angle_core`,
+the core behind
 `geometry.exterior_angle` and `geometry.angle_distance` too, whose rows
 are the apex rows (the slide, the regions, the text and, with the
 alignment term on, the selected image rows) and whose columns are all
@@ -59,7 +63,6 @@ checked: their entries of the matrix hold a placeholder angle that nothing
 reads. The NaN guard runs once, on the node's value.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +70,7 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry as geo
 from .errors import ConfigError, ShapeError, check_field_types
-from .model import HierarchyLevel, text_level
+from .model import HierarchyLevel, text_rows
 
 _EXP_CLIP = 700.0
 
@@ -351,7 +354,8 @@ def cone_plan(sizes, n_classes, label, selections, lambda_a, lambda_s):
     lambda_a / K_level(i); so the weighted sum is the weighted sum of the
     per-term means up to rounding. A level without selections has no rows.
     The apex rows are the slide, the regions, the text and, with the
-    alignment term on, the selected image rows.
+    alignment term on, the selected image rows. A region or patch
+    selection outside [0, count) is a ShapeError.
     """
     n_regions, n_patches = len(sizes), int(np.sum(sizes))
     text0 = 1 + n_regions + n_patches
@@ -369,6 +373,11 @@ def cone_plan(sizes, n_classes, label, selections, lambda_a, lambda_s):
     # `_LEVELS` order, not in `level.value` order
     regions = np.asarray(selections[HierarchyLevel.REGION], dtype=int)
     patches = np.asarray(selections[HierarchyLevel.PATCH], dtype=int)
+    for name, picked, count in (("region", regions, n_regions),
+                                ("patch", patches, n_patches)):
+        if picked.size and not 0 <= picked.min() <= picked.max() < count:
+            raise ShapeError(f"{name} selection {picked.tolist()} is outside "
+                             f"the slide's {count} {name}s")
     rows = np.concatenate([[0], 1 + regions, 1 + n_regions + patches])
     counts = np.array([1, regions.size, patches.size])
     levels = np.repeat([level.value for level in _LEVELS], counts)
@@ -423,33 +432,30 @@ def cone_plan(sizes, n_classes, label, selections, lambda_a, lambda_s):
                     tuple(cones), phi, lambda_a * weights, flats)
 
 
-def _cone_losses(embeddings, plan, cfg, geom):
-    """lambda_a * L_ama + lambda_s * L_shc of one slide, as one fused node
-    over the slide, the regions, the patches and the class text, reading
-    the pairs of its `ConePlan` with the plan's weights.
+def _cone_losses(image, text, n_regions, plan, cfg, geom):
+    """lambda_a * L_ama + lambda_s * L_shc of one slide, in numpy: the
+    value and backward(g) giving the gradients on `image` (the slide, its
+    `n_regions` regions and their patches, stacked in that order) and on
+    `text`, reading the pairs of the slide's non-empty `ConePlan` with the
+    plan's weights.
 
-    The four space arrays are stacked into one; a ShapeError is raised when
-    their widths differ or their rows do not end where the plan's do. Every
-    angle the terms read is an exterior angle theta(u, v) of one masked
-    `geometry.exterior_angle_core` call over the plan's apex rows and all
-    stacked rows, and the half-apertures come from the norms it returns.
-    One `_ent` call covers every entailment pair, one `_con` call every
-    contradiction pair and the two `_ama` calls every selected image row.
-    The backward scatters into one dense gradient of the angle matrix with
-    one `bincount`. The coincidence guard covers exactly the masked pairs;
-    pairs no term reads, such as a region against a patch of another
-    region, are not checked. An empty plan gives 0 and reads no level.
+    A ShapeError is raised when the rows do not end where the plan's do.
+    The two arrays are stacked into one; every angle the terms read is an
+    exterior angle theta(u, v) of one masked `geometry.exterior_angle_core`
+    call over the plan's apex rows and all stacked rows, and the
+    half-apertures come from the norms it returns. One `_ent` call covers
+    every entailment pair, one `_con` call every contradiction pair and the
+    two `_ama` calls every selected image row. The backward scatters into
+    one dense gradient of the angle matrix with one `bincount`. The
+    coincidence guard covers exactly the masked pairs; pairs no term reads,
+    such as a region against a patch of another region, are not checked.
     """
-    if plan.empty:
-        return ad.Tensor(0.0)
-    parents = tuple(p.space for p in (embeddings.slide, embeddings.regions,
-                                      embeddings.patches, embeddings.text))
-    stops = tuple(itertools.accumulate(t.data.shape[0] for t in parents))
-    widths = sorted({t.data.shape[1] for t in parents})
-    if len(widths) != 1 or stops != plan.stops:
-        raise ShapeError(f"embeddings of widths {widths} with rows ending at {stops} "
+    n_image = image.shape[0]
+    stops = (1, 1 + n_regions, n_image, n_image + text.shape[0])
+    if stops != plan.stops:
+        raise ShapeError(f"embeddings with rows ending at {stops} "
                          f"do not fit a cone plan of rows ending at {plan.stops}")
-    space = np.concatenate([t.data for t in parents])
+    space = np.concatenate([image, text])
     theta, norms, geo_backward = geo.exterior_angle_core(space[plan.apex], space,
                                                          geom, plan.mask)
     aperture, aperture_backward = geo.half_aperture_core(norms, geom, cfg.alpha)
@@ -495,17 +501,64 @@ def _cone_losses(embeddings, plan, cfg, geom):
                               minlength=theta.size).reshape(plan.mask.shape)
         g_apex, g_space = geo_backward(g_theta, aperture_backward(g_aperture[:, None]))
         g_space[plan.apex] += g_apex
-        return np.split(g_space, plan.stops[:-1])
+        return g_space[:n_image], g_space[n_image:]
 
-    return ad.fused("cone_losses", value, parents, backward)
+    return value, backward
 
 
-def _inline_cone_losses(embeddings, label, selections, cfg, geom, lambda_a, lambda_s):
-    """The cone-loss node of one slide with the given weights, its plan built
-    on the spot from the embeddings' region sizes and class count."""
-    plan = cone_plan(embeddings.sizes, embeddings.text.count // len(HierarchyLevel),
-                     label, selections, lambda_a, lambda_s)
-    return _cone_losses(embeddings, plan, cfg, geom)
+def _cls(image, text, label, geom):
+    """L_cls of one slide, in numpy: -log softmax(-d)[label] over the
+    geodesics d from the slide, row 0 of `image`, to the slide-level rows of
+    `text`, through the cores of `geometry.geodesic` and `cls_nll`.
+
+    Returns the value and backward(g, g_image, g_text), which adds the
+    gradients into the two given arrays.
+    """
+    rows = text_rows(text.shape[0], HierarchyLevel.SLIDE)
+    n_classes = rows.stop - rows.start
+    if not 0 <= label < n_classes:
+        raise ShapeError(f"label {label} out of range for {n_classes} classes")
+    distances, geodesic_backward = geo.geodesic_core(image[:1], text[rows], geom)
+    value, grad = _nll(-distances, label)
+
+    def backward(g, g_image, g_text):
+        g_slide, g_anchors = geodesic_backward(-grad(g))
+        g_image[:1] += g_slide
+        g_text[rows] += g_anchors
+
+    return value, backward
+
+
+def _loss(embeddings, plan, cfg, geom, cls=True):
+    """The loss node of one slide: L_cls (when `cls`) plus the alignment and
+    hierarchy terms of its `ConePlan`, with the plan's weights folded in, as
+    one fused "loss" node over the space arrays of the image rows and the
+    class text (`EmbeddingSet.image` and `text`). The label is the plan's.
+
+    An empty plan gives L_cls alone, or 0 without reading any level when
+    `cls` is off. Image rows and text of different widths raise ShapeError.
+    """
+    if plan.empty and not cls:
+        return ad.Tensor(0.0)
+    image, text = embeddings.image.space, embeddings.text.space
+    if image.data.shape[1] != text.data.shape[1]:
+        raise ShapeError(f"image embeddings are {image.data.shape[1]} wide, "
+                         f"the class text {text.data.shape[1]}")
+    cls_value, cls_backward = (_cls(image.data, text.data, plan.label, geom)
+                               if cls else (0.0, None))
+    cone_value, cone_backward = (0.0, None) if plan.empty else _cone_losses(
+        image.data, text.data, len(embeddings.sizes), plan, cfg, geom)
+
+    def backward(g):
+        if cone_backward is None:
+            g_image, g_text = np.zeros(image.data.shape), np.zeros(text.data.shape)
+        else:
+            g_image, g_text = cone_backward(g)
+        if cls_backward is not None:
+            cls_backward(g, g_image, g_text)
+        return g_image, g_text
+
+    return ad.fused("loss", cls_value + cone_value, (image, text), backward)
 
 
 def ama_total(embeddings, label, selections, cfg, geom):
@@ -517,14 +570,16 @@ def ama_total(embeddings, label, selections, cfg, geom):
     as negatives; text-query terms use each selected image embedding as
     positive. Terms at a level average over the selected embeddings.
 
-    This is the node of `total_loss` with weights (1, 0), its plan built
-    here (see `cone_plan`): all levels come from one masked exterior-angle
-    matrix, and each image row reads its own level's text, weighted by
-    1 / K_level. Angle distances between a text row and an image row, or
-    between label and wrong-class text, of different levels are not read,
-    so they are not guarded either.
+    This is the loss node without L_cls and with weights (1, 0), its plan
+    built here (see `cone_plan`): all levels come from one masked
+    exterior-angle matrix, and each image row reads its own level's text,
+    weighted by 1 / K_level. Angle distances between a text row and an
+    image row, or between label and wrong-class text, of different levels
+    are not read, so they are not guarded either.
     """
-    return _inline_cone_losses(embeddings, label, selections, cfg, geom, 1.0, 0.0)
+    plan = cone_plan(embeddings.sizes, embeddings.text.count // len(HierarchyLevel),
+                     label, selections, 1.0, 0.0)
+    return _loss(embeddings, plan, cfg, geom, cls=False)
 
 
 def shc_total(embeddings, label, selections, cfg, geom):
@@ -537,35 +592,31 @@ def shc_total(embeddings, label, selections, cfg, geom):
     terms: wrong-class text contradicts the same image embeddings. Each
     term is the mean over its pair set, terms are summed.
 
-    This is the node of `total_loss` with weights (0, 1), its plan built
-    here (see `cone_plan`): one masked exterior-angle matrix holds every
-    pair of every term, and the text-to-image terms of all levels weight
-    each image row by 1 / K_level (1 / (K_level (C-1)) per contradiction
-    entry), which is the sum over levels of the per-level means. Pairs no
-    term reads, such as a region against a patch of another region, are
-    not checked for coincidence.
+    This is the loss node without L_cls and with weights (0, 1), its plan
+    built here (see `cone_plan`): one masked exterior-angle matrix holds
+    every pair of every term, and the text-to-image terms of all levels
+    weight each image row by 1 / K_level (1 / (K_level (C-1)) per
+    contradiction entry), which is the sum over levels of the per-level
+    means. Pairs no term reads, such as a region against a patch of another
+    region, are not checked for coincidence.
     """
-    return _inline_cone_losses(embeddings, label, selections, cfg, geom, 0.0, 1.0)
+    plan = cone_plan(embeddings.sizes, embeddings.text.count // len(HierarchyLevel),
+                     label, selections, 0.0, 1.0)
+    return _loss(embeddings, plan, cfg, geom, cls=False)
 
 
 def cls_loss(embeddings, label, cfg, geom):
-    """Cross-entropy over softmax of negative slide-to-text geodesics."""
-    distances = geo.geodesic(
-        embeddings.slide, text_level(embeddings.text, HierarchyLevel.SLIDE), geom
-    )
-    return cls_nll(distances, label)
+    """Cross-entropy over softmax of negative slide-to-text geodesics: the
+    loss node over an empty plan."""
+    return _loss(embeddings, ConePlan(label, ()), cfg, geom)
 
 
 def total_loss(embeddings, plan, cfg, geom):
     """L_cls + lambda_a * L_ama + lambda_s * L_shc for one slide.
 
     `plan` is the slide's `cone_plan`, built with the weights of `cfg`; the
-    label is the plan's. The alignment and hierarchy terms are one fused
-    node, with both weights folded in (`_cone_losses`); with both weights
-    zero the plan is empty and the patch and region levels are never read,
-    so they are never mapped.
+    label is the plan's. All three terms are one fused node over the image
+    rows and the class text (`_loss`); with both weights zero the plan is
+    empty and the node holds L_cls alone.
     """
-    total = cls_loss(embeddings, plan.label, cfg, geom)
-    if plan.empty:
-        return total
-    return total + _cone_losses(embeddings, plan, cfg, geom)
+    return _loss(embeddings, plan, cfg, geom)

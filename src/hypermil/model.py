@@ -26,16 +26,21 @@ numpy with a hand-derived backward: the adaptor MLP is one "adaptor" node
 per call and each `aggregate` call one "aggregate" node, so each runs the
 NaN guard once on its output. The class-text features of all levels are
 one "text_features" node as well. `embed_slide` maps the text onto the
-manifold at once and each image level (patches, regions, slide) on its
-first read, so a caller maps only the levels it reads: training reads all
-three, and scoring reads none, mapping the slide tangents of all its bags
-in one call instead. The class text depends on the parameters alone; a
-caller scoring many bags embeds it once and passes it to `embed_slide`.
+manifold at once. The image levels are mapped together: on the first read
+of any of them, the slide, region and patch tangents are stacked in that
+order (the row order of `losses.cone_plan`) by one "stack" node and mapped
+by one `exp_map_origin` call, and each level is a basic-slice view of that
+map. So a training step maps twice, the text and the image rows, and its
+loss node reads the two maps whole; scoring reads no image level and maps
+the slide tangents of all its bags in one call instead. The class text
+depends on the parameters alone; a caller scoring many bags embeds it once
+and passes it to `embed_slide`.
 
 The class text of all levels stays one stacked Points from `embed_text` to
-the loss assemblies, in `HierarchyLevel` order (row level.value * N_C + c
+the loss node, in `HierarchyLevel` order (row level.value * N_C + c
 is class c at that level). This module owns that layout: a caller that
-needs one level reads it through `text_level`.
+needs one level reads it through `text_level`, or its rows through
+`text_rows`.
 
 Every parameter array of a `ModelParams` is a view into one float64
 buffer, trainable arrays first, so the optimizer updates them in one
@@ -48,6 +53,7 @@ the buffer order.
 """
 
 import functools
+import itertools
 import math
 import operator
 import struct
@@ -415,50 +421,62 @@ def aggregate(features, agg, counts=None):
                     (features, agg.w1, agg.w2), backward)
 
 
-class _Level:
-    """An image level of `EmbeddingSet`: it holds Points, or a zero-argument
-    callable that makes them on the first read and is replaced by them."""
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, emb, owner=None):
-        if emb is None:
-            return self
-        points = getattr(emb, self.slot)
-        if callable(points):
-            points = points()
-            setattr(emb, self.slot, points)
-        return points
-
-    def __set__(self, emb, points):
-        setattr(emb, self.slot, points)
+def _stack(tensors):
+    """The rows of `tensors` stacked in order, as one fused "stack" node."""
+    bounds = list(itertools.accumulate(t.data.shape[0] for t in tensors))[:-1]
+    return ad.fused("stack", np.concatenate([t.data for t in tensors]),
+                    tuple(tensors), lambda g: np.split(g, bounds))
 
 
 class EmbeddingSet:
     """One slide's embeddings at every level plus the class text.
 
-    `patches` [sum N_p], `regions` [N_r] and `slide` [1] are Points, or
-    zero-argument callables making them: a callable runs on the first read
-    of its level, under the autodiff mode in effect at that read, and its
-    Points are kept for later reads. `text` is the [3 N_C] Points of
+    `image` holds the image levels as one [1 + N_r + sum N_p] Points, the
+    slide, the regions and the patches stacked in that order (the row order
+    of `losses.cone_plan`), or a zero-argument callable making them: it runs
+    on the first read of any image level, under the autodiff mode in effect
+    at that read, and its Points are kept for later reads. `slide` [1],
+    `regions` [N_r] and `patches` [sum N_p] are basic-slice views of those
+    rows, each made on its first read. `text` is the [3 N_C] Points of
     `embed_text` (read one level with `text_level`), `sizes` holds each
     region's patch count (the bag's own read-only array; the regions'
     patches are consecutive rows of `patches`), and `slide_tangent`, when
     given, is the [1 x k] tangent feature the slide point is the map of.
     """
 
-    patches = _Level()
-    regions = _Level()
-    slide = _Level()
-
-    def __init__(self, patches, regions, slide, text, sizes, slide_tangent=None):
-        self.patches = patches
-        self.regions = regions
-        self.slide = slide
+    def __init__(self, image, text, sizes, slide_tangent=None):
+        self._image = image
+        self._levels = {}
         self.text = text
         self.sizes = sizes
         self.slide_tangent = slide_tangent
+
+    @property
+    def image(self):
+        if callable(self._image):
+            self._image = self._image()
+        return self._image
+
+    @property
+    def slide(self):
+        return self._level(HierarchyLevel.SLIDE)
+
+    @property
+    def regions(self):
+        return self._level(HierarchyLevel.REGION)
+
+    @property
+    def patches(self):
+        return self._level(HierarchyLevel.PATCH)
+
+    def _level(self, level):
+        if level not in self._levels:
+            first_patch = 1 + len(self.sizes)
+            rows = {HierarchyLevel.SLIDE: slice(0, 1),
+                    HierarchyLevel.REGION: slice(1, first_patch),
+                    HierarchyLevel.PATCH: slice(first_patch, None)}[level]
+            self._levels[level] = geo.Points(self.image.space[rows], self.image.cfg)
+        return self._levels[level]
 
 
 def embed_text(params, geom):
@@ -473,11 +491,17 @@ def embed_text(params, geom):
                               geom)
 
 
+def text_rows(n_rows, level):
+    """The slice of the rows of `level` in a stacked class text of `n_rows`
+    rows laid out as `embed_text` lays it out."""
+    n = n_rows // len(HierarchyLevel)
+    return slice(level.value * n, (level.value + 1) * n)
+
+
 def text_level(text, level):
     """The N_C rows of `level` in the stacked class text of `embed_text`, as
     one basic-slice index node (a view, cheaper than a `geo.select` copy)."""
-    n = text.count // len(HierarchyLevel)
-    return geo.Points(text.space[level.value * n:(level.value + 1) * n], text.cfg)
+    return geo.Points(text.space[text_rows(text.count, level)], text.cfg)
 
 
 def embed_slide(bag, params, geom, text=None):
@@ -485,12 +509,13 @@ def embed_slide(bag, params, geom, text=None):
 
     `text` is the result of `embed_text(params, geom)` when the caller
     already holds it (it depends on the parameters alone); None embeds it
-    here. The text is mapped onto the manifold here; each of the patch,
-    region and slide levels is mapped on its first read (see
-    `EmbeddingSet`), so a caller maps only the levels it reads. The
-    unmapped slide tangent is `slide_tangent`: `evaluation` reads it from
-    every bag it scores and maps all of them in one `exp_map_origin` call,
-    so it never reads `slide` and no per-bag map runs.
+    here. The text is mapped onto the manifold here; the slide, region and
+    patch tangents are stacked in one "stack" node and mapped in one
+    `exp_map_origin` call on the first read of any image level (see
+    `EmbeddingSet`), so a caller reading none maps none. The unmapped slide
+    tangent is `slide_tangent`: `evaluation` reads it from every bag it
+    scores and maps all of them in one `exp_map_origin` call, so it never
+    reads an image level and no per-bag stack or map is built.
 
     The bag's block is cast to float64 once and its stored layout is used
     as it is: no per-region loop, concatenation or bounds run here. A bag
@@ -503,9 +528,8 @@ def embed_slide(bag, params, geom, text=None):
     slide_tan = aggregate(region_tan, params.agg_slide)
 
     return EmbeddingSet(
-        patches=lambda: geo.exp_map_origin(patch_tan, geom),
-        regions=lambda: geo.exp_map_origin(region_tan, geom),
-        slide=lambda: geo.exp_map_origin(slide_tan, geom),
+        image=lambda: geo.exp_map_origin(
+            _stack((slide_tan, region_tan, patch_tan)), geom),
         text=embed_text(params, geom) if text is None else text,
         sizes=bag.sizes,
         slide_tangent=slide_tan,

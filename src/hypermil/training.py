@@ -20,7 +20,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import FeatureBag
-from .errors import ConfigError, GeometryError, TrainingError, check_field_types
+from .errors import (
+    ConfigError,
+    GeometryError,
+    ShapeError,
+    TrainingError,
+    check_field_types,
+)
 from .geometry import GeometryConfig
 from .losses import (
     AlignmentBatch,
@@ -162,8 +168,12 @@ def select_top_k(bag, class_vectors, label, k):
     The region means are sums over the bag's block, one `np.add.reduceat`
     at the region starts the sizes give, over the region sizes: bit for bit
     the mean of each region's rows. A bag `embed_slide` would refuse
-    (`FeatureBag.check`) is refused here first.
+    (`FeatureBag.check`) is refused here first, and a label outside
+    [0, C) for C class vectors is a ShapeError.
     """
+    if not 0 <= label < len(class_vectors):
+        raise ShapeError(f"slide {bag.slide_id} has label {label}, outside the "
+                         f"{len(class_vectors)} classes")
     vector = np.asarray(class_vectors[label], dtype=np.float64)
     bag.check(vector.size)
     patches = bag.patches.astype(np.float64)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hypermil import autodiff as ad
 from hypermil import evaluation as ev
 from hypermil import geometry as geo
 from hypermil.data import FeatureBag, SyntheticSpec, generate
@@ -331,6 +332,29 @@ def test_predict_maps_only_the_slide(monkeypatch):
     ev.evaluate(bundle.bags, params, geom)
     assert embedded == {"embed_text": 1, "embed_slide": n}
     assert calls == [(3 * 2, 4), (n, 4)]
+
+
+def test_evaluate_maps_twice_and_never_stacks(monkeypatch):
+    bundle = generate(TINY_SPEC)
+    params = init_params(ModelDims(d_in=8, k=4, n_classes=2), 5, bundle.class_vectors)
+    geom = TrainConfig(k=4).geometry()
+    ops = []
+    fused = ad.fused
+
+    def recording(op, *args):
+        ops.append(op)
+        return fused(op, *args)
+
+    monkeypatch.setattr(ad, "fused", recording)
+    # the classes alternate, so every prefix of even length holds both
+    mixed = [bag for pair in zip(*([b for b in bundle.bags if b.label == c]
+                                   for c in (0, 1))) for bag in pair]
+    for n in (2, 6, len(mixed)):
+        ops.clear()
+        ev.evaluate(mixed[:n], params, geom)
+        # the class text and the slides of all n bags; no image rows stacked
+        assert ops.count("exp_map_origin") == 2, n
+        assert "stack" not in ops, n
 
 
 def test_evaluate_rows_equal_predict_bit_for_bit():

@@ -203,14 +203,10 @@ def _collinear_embeddings(n_classes=3):
     label_dir = dirs[0]
     # the patch, region and slide levels, in HierarchyLevel order
     text = _pts(np.concatenate([2.0 * dirs, 1.5 * dirs, 1.0 * dirs]))
-    return EmbeddingSet(
-        patches=_pts(np.stack([4.0 * label_dir, 4.5 * label_dir,
-                               5.0 * label_dir, 5.5 * label_dir])),
-        regions=_pts(np.stack([3.0 * label_dir, 3.2 * label_dir])),
-        slide=_pts(2.5 * label_dir),
-        text=text,
-        sizes=np.array([2, 2]),
-    )
+    # the slide, its two regions and their patches
+    radii = [2.5, 3.0, 3.2, 4.0, 4.5, 5.0, 5.5]
+    return EmbeddingSet(image=_pts(np.outer(radii, label_dir)), text=text,
+                        sizes=np.array([2, 2]))
 
 
 def _total_loss(emb, label, selections, cfg, geom):
@@ -247,6 +243,25 @@ def test_cone_plan_refuses_embeddings_of_another_layout():
             ls.total_loss(emb, plan, CFG, GEOM)
     plan = ls.cone_plan(emb.sizes, 3, 0, sel, CFG.lambda_a, CFG.lambda_s)
     assert np.isfinite(ls.total_loss(emb, plan, CFG, GEOM).item())
+    # class text of another width than the image rows
+    wide = EmbeddingSet(image=emb.image, text=_pts(np.ones((9, 3))), sizes=emb.sizes)
+    for fn in (lambda e: ls.total_loss(e, plan, CFG, GEOM),
+               lambda e: ls.cls_loss(e, 0, CFG, GEOM)):
+        with pytest.raises(ShapeError, match="^image embeddings are 2 wide, the class "
+                                             "text 3"):
+            fn(wide)
+
+
+def test_cone_plan_refuses_selections_outside_the_slide():
+    # two regions of two patches: patch 4 would be the first text row and
+    # patch -1 the last region row
+    for level, picked in ((HierarchyLevel.PATCH, [4]), (HierarchyLevel.PATCH, [-1]),
+                          (HierarchyLevel.REGION, [2])):
+        sel = dict(_full_selection())
+        sel[level] = np.array(picked)
+        with pytest.raises(ShapeError, match=f"^{level.name.lower()} selection "
+                                             rf"\[{picked[0]}\] is outside"):
+            ls.cone_plan([2, 2], 3, 0, sel, CFG.lambda_a, CFG.lambda_s)
 
 
 def test_cone_plan_is_empty_without_weights():
@@ -256,7 +271,8 @@ def test_cone_plan_is_empty_without_weights():
     for n_classes, weights in ((3, (0.0, 0.0)), (1, (1.0, 0.0))):
         plan = ls.cone_plan([2, 2], n_classes, 0, sel, *weights)
         assert plan.empty and plan.label == 0
-        assert ls._cone_losses(emb, plan, CFG, GEOM).item() == 0.0
+        assert (ls.total_loss(emb, plan, CFG, GEOM).item()
+                == ls.cls_loss(emb, 0, CFG, GEOM).item())
     assert not ls.cone_plan([2, 2], 1, 0, sel, 0.0, 1.0).empty
 
 
@@ -269,7 +285,7 @@ def test_shc_total_zero_on_consistent_hierarchy():
 def test_shc_total_positive_when_violated():
     emb = _collinear_embeddings()
     # move the slide embedding off the label ray, outside the text cone
-    emb.slide = _pts([-2.5, 0.3])
+    emb = _with_row(emb, "slide", 0, [-2.5, 0.3])
     got = ls.shc_total(emb, 0, _full_selection(), CFG, GEOM)
     assert got.item() > 0.0
 
@@ -360,11 +376,10 @@ def _equivalence_cases():
     patch selection, two classes (once with an active contradiction term)
     and one class."""
     rng = np.random.default_rng(35)
-    violated = _collinear_embeddings()
-    violated.slide = _pts([-2.5, 0.3])
+    violated = _with_row(_collinear_embeddings(), "slide", 0, [-2.5, 0.3])
     # the slide sits near the wrong class's ray: contradiction is active
-    violated_two = _collinear_embeddings(n_classes=2)
-    violated_two.slide = _pts([-2.5, 0.3])
+    violated_two = _with_row(_collinear_embeddings(n_classes=2), "slide", 0,
+                             [-2.5, 0.3])
     uneven = _random_embeddings(rng)
     uneven.sizes = np.array([1, 3])
     no_patch = dict(_full_selection())
@@ -401,13 +416,15 @@ def test_ama_total_stacked_matches_level_loop():
 
 
 def _with_row(emb, level, row, space):
-    """A copy of `emb` whose `level` batch ("patches", "regions", "slide" or
+    """A copy of `emb` whose `level` ("slide", "regions", "patches" or
     "text") has row `row` replaced by the space part `space`."""
-    batches = {name: getattr(emb, name).space.data.copy()
-               for name in ("patches", "regions", "slide", "text")}
-    batches[level][row] = space
-    return EmbeddingSet(**{name: _pts(data) for name, data in batches.items()},
-                        sizes=emb.sizes)
+    image, text = emb.image.space.data.copy(), emb.text.space.data.copy()
+    if level == "text":
+        text[row] = space
+    else:
+        first = {"slide": 0, "regions": 1, "patches": 1 + len(emb.sizes)}[level]
+        image[first + row] = space
+    return EmbeddingSet(image=_pts(image), text=_pts(text), sizes=emb.sizes)
 
 
 def test_assemblies_guard_the_coincident_pairs_they_read():
@@ -455,14 +472,11 @@ def test_assemblies_skip_coincident_pairs_no_term_reads():
 
 
 def _with_leaves(emb):
-    """The same embeddings with every batch's space a leaf requiring grad."""
+    """The same embeddings with the image rows' space and the text's space
+    each a leaf requiring grad."""
     leaf = lambda p: geo.Points(ad.Tensor(p.space.data.copy(), requires_grad=True),
                                 p.cfg)
-    return EmbeddingSet(
-        patches=leaf(emb.patches), regions=leaf(emb.regions), slide=leaf(emb.slide),
-        text=leaf(emb.text),
-        sizes=emb.sizes,
-    )
+    return EmbeddingSet(image=leaf(emb.image), text=leaf(emb.text), sizes=emb.sizes)
 
 
 def _space_grads(fn, emb):
@@ -470,10 +484,9 @@ def _space_grads(fn, emb):
     out = fn(leaves)
     if out.requires_grad:
         out.backward()
-    batches = [leaves.patches, leaves.regions, leaves.slide, leaves.text]
     return np.concatenate([
         np.zeros(p.space.shape) if p.space.grad is None else p.space.grad
-        for p in batches
+        for p in (leaves.image, leaves.text)
     ])
 
 
@@ -500,9 +513,9 @@ def _graph_size(root):
 
 
 def test_total_loss_graph_size_does_not_depend_on_levels():
-    # 4 space leaves (slide, regions, patches, text), the slide-text select,
-    # geodesic and cls_nll, one fused node for the alignment and hierarchy
-    # terms and the sum: the same whichever levels have selected rows
+    # 2 space leaves (the image rows and the text) and the one loss node of
+    # the classification, alignment and hierarchy terms: the same whichever
+    # levels have selected rows
     full = _full_selection()
     no_patch = dict(full)
     no_patch[HierarchyLevel.PATCH] = np.array([], dtype=int)
@@ -511,7 +524,7 @@ def test_total_loss_graph_size_does_not_depend_on_levels():
     emb = _with_leaves(_random_embeddings(np.random.default_rng(34)))
     sizes = [_graph_size(_total_loss(emb, 0, sel, CFG, GEOM))
              for sel in (full, no_patch, slide_only)]
-    assert sizes == [9, 9, 9]
+    assert sizes == [3, 3, 3]
 
 
 def test_ama_total_empty_patch_level_contributes_zero():
@@ -544,12 +557,11 @@ def test_ama_total_empty_patch_level_contributes_zero():
 
 def _random_embeddings(rng, n_classes=3):
     g2 = geo.GeometryConfig(1.0, 2)
-    sp = lambda n, scale: geo.exp_map_origin(rng.normal(size=(n, 2)) * scale, g2)
+    patches, regions, slide, text = (rng.normal(size=(n, 2)) * scale for n, scale in
+                                     ((4, 0.8), (2, 0.6), (1, 0.5), (3 * n_classes, 0.4)))
     return EmbeddingSet(
-        patches=sp(4, 0.8),
-        regions=sp(2, 0.6),
-        slide=sp(1, 0.5),
-        text=sp(3 * n_classes, 0.4),
+        image=geo.exp_map_origin(np.concatenate([slide, regions, patches]), g2),
+        text=geo.exp_map_origin(text, g2),
         sizes=np.array([2, 2]),
     )
 
@@ -589,9 +601,8 @@ def test_losses_finite_difference():
     def build():
         pts = geo.exp_map_origin(x, g2)
         return EmbeddingSet(
-            patches=geo.select(pts, [0, 1, 2, 3]),
-            regions=geo.select(pts, [4, 5]),
-            slide=geo.select(pts, [6]),
+            # the slide, the regions and the patches
+            image=geo.select(pts, [6, 4, 5, 0, 1, 2, 3]),
             # patch, region and slide text, in HierarchyLevel order
             text=geo.select(pts, [13, 14, 15, 10, 11, 12, 7, 8, 9]),
             sizes=np.array([2, 2]),

@@ -303,6 +303,12 @@ def test_embed_slide_maps_patches_and_regions_on_first_read():
         assert np.array_equal(got.space.data, want.space.data)
     assert emb.patches is emb.patches
     assert emb.regions is emb.regions
+    # every level is a view of the one map of the stacked image rows
+    image = emb.image.space
+    assert image._op == "exp_map_origin" and image._parents[0]._op == "stack"
+    for got in (emb.slide, emb.regions, emb.patches):
+        assert got.space._parents == (image,)
+        assert np.shares_memory(got.space.data, image.data)
 
 
 def test_embed_slide_errors():

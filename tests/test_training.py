@@ -17,7 +17,7 @@ from hypermil.errors import (
     ShapeError,
     TrainingError,
 )
-from hypermil.losses import cone_plan, total_loss
+from hypermil.losses import LossConfig, cone_plan, total_loss
 from hypermil.model import HierarchyLevel, ModelDims, embed_slide, init_params
 
 
@@ -254,6 +254,14 @@ def test_select_top_k_rejects_bags_embed_slide_refuses():
         tr.select_top_k(narrow, np.eye(2, 4), 0, 2)
 
 
+def test_select_top_k_rejects_labels_outside_the_classes():
+    for label in (5, -1):
+        bag = FeatureBag("s", label, "x", [np.ones((2, 3))])
+        with pytest.raises(ShapeError, match=f"^slide s has label {label}, outside "
+                                             "the 2 classes"):
+            tr.select_top_k(bag, np.eye(2, 3), bag.label, 2)
+
+
 def test_fold_seed_deterministic_and_distinct():
     assert tr._fold_seed(0, 1, 2) == tr._fold_seed(0, 1, 2)
     seeds = {tr._fold_seed(0, o, i) for o in range(3) for i in range(3)}
@@ -402,16 +410,46 @@ def _default_steps(monkeypatch, wraps):
     tr.train(bundle, split, tr.TrainConfig(epochs=1))
 
 
-def test_default_train_step_graph_has_28_nodes(monkeypatch):
+def test_default_train_step_graph_has_23_nodes(monkeypatch):
     # one node per model stage: 14 leaves (the input and 13 trainable
-    # arrays), the two adaptors, two aggregates, the text features, four exp
-    # maps, the slide-text select of cls_loss, geodesic and cls_nll; then one
-    # node for the alignment and hierarchy terms with their weights folded
-    # in, and the sum
+    # arrays), the two adaptors, two aggregates, the text features, the
+    # stack of the slide, region and patch tangents, two exp maps (the text
+    # and the stack), and one loss node for the classification, alignment
+    # and hierarchy terms with their weights folded in
     sizes = []
     _default_steps(monkeypatch, [
         (ad.Tensor, "backward", lambda root: sizes.append(_graph_size(root)))])
-    assert sizes == [28] * 6
+    assert sizes == [23] * 6
+
+
+def test_default_train_step_maps_twice(monkeypatch):
+    events = []
+    _default_steps(monkeypatch, [
+        (geo, "exp_map_origin", lambda *args: events.append("map")),
+        (ad.Tensor, "backward", lambda root: events.append("backward"))])
+    # the class text and the stacked image rows before each backward, then
+    # the validation's text and slides
+    assert events == ["map", "map", "backward"] * 6 + ["map", "map"]
+
+
+def test_train_loss_pinned_under_each_weighting():
+    # per-epoch train_loss of a 2-epoch run on 6 default slides, as
+    # float.hex, for cls-only, ama-only, shc-only and full; recorded when
+    # each image level had its own map and each term its own nodes, which
+    # the stacked map and the one loss node reproduce bit for bit
+    pins = {
+        (0.0, 0.0): ["0x1.105c8c0daf227p+0", "0x1.0b06bacbef6a1p+0"],
+        (1.0, 0.0): ["0x1.48b54d3349fbdp+3", "0x1.ae686a57f7e49p+0"],
+        (0.0, 10.0): ["0x1.533316d8165afp+5", "0x1.84b80f40d50e7p+4"],
+        (1.0, 10.0): ["0x1.a7994a675238dp+5", "0x1.ad33b9e0ff46fp+4"],
+    }
+    bundle = generate(SyntheticSpec())
+    split = make_splits(bundle.bags, 1, 1, seed=0).folds[0].inner[0]
+    split = InnerSplit(split.train_ids[:6], (), ())
+    for (lambda_a, lambda_s), want in pins.items():
+        loss = LossConfig(lambda_a=lambda_a, lambda_s=lambda_s)
+        res = tr.train(bundle, split, tr.TrainConfig(epochs=2, loss=loss))
+        assert [s.train_loss.hex() for s in res.log] == want, (lambda_a, lambda_s)
 
 
 def test_default_train_step_computes_one_exterior_angle_matrix(monkeypatch):
