@@ -50,7 +50,7 @@ from .evaluation import (
     run_protocol,
 )
 from .geometry import GeometryConfig, Points
-from .losses import LossConfig, ama_loss, cls_loss, con_loss, ent_loss, total_loss
+from .losses import LossConfig, cls_loss, total_loss
 from .model import (
     HierarchyLevel,
     ModelDims,
@@ -101,15 +101,12 @@ __all__ = [
     "TruncatedPayloadError",
     "VersionError",
     "ablate",
-    "ama_loss",
     "auc",
     "autodiff",
     "backend",
     "cls_loss",
-    "con_loss",
     "embed_slide",
     "embed_text",
-    "ent_loss",
     "evaluate",
     "export_embeddings",
     "f1",

@@ -11,10 +11,10 @@ a backward that returns one gradient per parent, and `fused` guards,
 records and accumulates. The generic primitives are glue: broadcasting
 `add`, `sub` and `mul`, `scalar_mul`, `reshape`, `tensor_sum`,
 `tensor_mean` and `getitem`. The library composes them where no fused
-node is worth writing, and so do the reference oracles that the tests and
-`training.gradient_check_suite` check the fused nodes against (the
-single-pair `losses.ama_loss`, `ent_loss` and `con_loss`); `as_tensor`
-turns any other value into a constant leaf. The math itself lives in
+node is worth writing, such as the aggregation probe of
+`training.gradient_check_suite`, and so do the looped reference oracles
+that the tests check the fused nodes against; `as_tensor` turns any other
+value into a constant leaf. The math itself lives in
 named fused nodes, each computing its forward and hand-derived backward
 in numpy:
   * the hyperbolic primitives in `geometry` (`exp_map_origin`, `geodesic`,

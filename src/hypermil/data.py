@@ -37,7 +37,9 @@ count that is not an integer in range raises FormatError. So does a
 manifest whose classes, slides or patch counts are not lists, whose slide
 ids or sites are not strings, or whose class_vectors are not a finite
 numeric [len(classes) x dim] matrix (a boolean is not a number); each
-error names the field.
+error names the field. A payload holding an infinite or NaN patch value
+raises FormatError naming the slide and the region, after one finiteness
+check of each slide's block.
 """
 
 import itertools
@@ -379,6 +381,11 @@ def read_bundle(path):
         block = np.frombuffer(data, dtype="<f4", count=(offset - start) // 4,
                               offset=start).reshape(-1, dim)
         bounds = np.cumsum(counts).tolist()
+        if not np.isfinite(block).all():
+            row = int(np.argmin(np.isfinite(block).all(axis=1)))
+            raise FormatError(f"{path}: slide {slide_id} region "
+                              f"{np.searchsorted(bounds, row, 'right')} holds a "
+                              "non-finite patch value")
         bags.append(
             FeatureBag(
                 slide_id=slide_id,

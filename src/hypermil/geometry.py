@@ -36,8 +36,10 @@ differentiates through it. The fused backwards are checked against
 central differences by `tests/test_geometry.py`
 (`test_geometry_gradients_finite_difference` at rho 0.5, 1 and 2 with a
 point inside the half-aperture clamp, `test_exp_map_gradient_near_zero` on
-the Taylor branch), by `test_losses_finite_difference` through the loss
-assemblies, and by `training.gradient_check_suite` over the whole model.
+the Taylor branch). `exp_map_origin` and the three cores, as the loss
+node runs them, are also checked by `test_losses_finite_difference`
+through the loss assemblies and by `training.gradient_check_suite` over
+the whole model.
 """
 
 from dataclasses import dataclass

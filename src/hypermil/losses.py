@@ -12,14 +12,14 @@ Three families, combined as  L = L_cls + lambda_a * L_ama + lambda_s * L_shc:
   distances between the slide embedding and the per-class slide-level text
   embeddings.
 
-The scalar cores (ama_nll, ent_penalty, con_penalty, cls_nll) take the
-already-computed angles/similarities so they can be checked against
-closed-form values; the wrappers compute those quantities from manifold
-points. Each scalar core is one fused autodiff node (`autodiff.fused`) with
-a hand-derived backward, checked by `test_losses_finite_difference`.
-Exponential arguments inside the cone penalties are clamped at 700 so a
-badly violated pair yields a huge finite penalty instead of overflowing to
-infinity.
+The public scalar cores (ama_nll, ent_penalty, con_penalty, cls_nll) take
+already-computed similarities, angles or distances, so they can be checked
+against closed-form values. Each is one fused autodiff node
+(`autodiff.fused`) with a hand-derived backward, checked against central
+differences by `test_scalar_cores_finite_difference`; the per-slide loss
+node runs their numpy halves. Exponential arguments inside the cone
+penalties are clamped at 700 so a badly violated pair yields a huge finite
+penalty instead of overflowing to infinity.
 
 All three terms of one slide are one fused "loss" node (`_loss`), whose
 two parents are the spaces of the slide's image rows (the slide, the
@@ -34,12 +34,13 @@ weights, so it is built apart, as a frozen `ConePlan` of index arrays
 terms (`_cone_losses`) runs over a plan: `training.train` builds one plan
 per training slide before its epoch loop and `total_loss` takes it, while
 `ama_total` (weights (1, 0)) and `shc_total` ((0, 1)) build theirs on the
-spot and leave the classification term out. The body stacks the two
-arrays into one space array, the class text in `HierarchyLevel` order as
-`model.embed_text` lays it out (row level.value * C + c is class c at that
-level). Every angle the terms read is an exterior angle theta(u, v), and
-all of them come from one masked call of `geometry.exterior_angle_core`,
-the core behind
+spot and leave the classification term out, as do the roots of
+`training.gradient_check_suite`, over plans cut down to one query or one
+family of pairs. The body stacks the two arrays into one space array, the
+class text in `HierarchyLevel` order as `model.embed_text` lays it out (row
+level.value * C + c is class c at that level). Every angle the terms read
+is an exterior angle theta(u, v), and all of them come from one masked
+call of `geometry.exterior_angle_core`, the core behind
 `geometry.exterior_angle` and `geometry.angle_distance` too, whose rows
 are the apex rows (the slide, the regions, the text and, with the
 alignment term on, the selected image rows) and whose columns are all
@@ -63,7 +64,7 @@ checked: their entries of the matrix hold a placeholder angle that nothing
 reads. The NaN guard runs once, on the node's value.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,17 +102,6 @@ class LossConfig:
             raise ConfigError(f"top_k must be at least 1, got {self.top_k}")
 
 
-@dataclass
-class AlignmentBatch:
-    query: geo.Points
-    positive: geo.Points
-    negatives: geo.Points
-
-    def __post_init__(self):
-        if self.negatives.count < 1:
-            raise ShapeError("alignment batch needs at least one negative")
-
-
 def _nll(logits, target, weights=None):
     """-log softmax(logits)[:, target] per row, max-subtracted, reduced to
     the mean over rows or, given per-row `weights`, to their weighted sum.
@@ -139,7 +129,7 @@ def _nll(logits, target, weights=None):
 # Each core has a numpy half, `_ama`, `_ent` or `_con`, returning the value
 # and a backward that maps the output gradient to the gradients of its
 # inputs; the public function wraps it in one fused node, and the per-slide
-# assemblies call it inside theirs.
+# loss node calls it inside its own.
 
 
 def _ama(pos_col, neg_rows, tau, weights=None):
@@ -253,46 +243,6 @@ def cls_nll(distances, label):
                     (d,), lambda g: ((-grad(g)).reshape(d.shape),))
 
 
-# -- point-level wrappers -----------------------------------------------------
-
-
-def ama_loss(batch, cfg, geom):
-    """Alignment loss for one query against one positive and J negatives.
-
-    The per-negative logit uses its own reference phi(positive, negative_j);
-    the positive logit uses the mean reference over negatives, which
-    collapses to the plain definition when J = 1.
-    """
-    refs = geo.angle_distance(batch.positive, batch.negatives, geom)
-    phi_pos = geo.angle_distance(batch.query, batch.positive, geom)
-    phi_negs = geo.angle_distance(batch.query, batch.negatives, geom)
-    pos_sim = refs.mean() - phi_pos.reshape(())
-    neg_sims = refs - phi_negs
-    return ama_nll(pos_sim, neg_sims, cfg.tau)
-
-
-def ent_loss(u, v, cfg, geom):
-    """Mean entailment penalty over all (u_i, v_j) pairs."""
-    return _ent_matrix(u, v, cfg, geom).mean()
-
-
-def con_loss(u, v, cfg, geom):
-    """Mean contradiction penalty over all (u_i, v_j) pairs."""
-    return _con_matrix(u, v, cfg, geom).mean()
-
-
-def _ent_matrix(u, v, cfg, geom):
-    theta = geo.exterior_angle(u, v, geom)
-    aperture = geo.half_aperture(u, geom, cfg.alpha)
-    return ent_penalty(theta, aperture, cfg.beta_ent)
-
-
-def _con_matrix(u, v, cfg, geom):
-    theta = geo.exterior_angle(u, v, geom)
-    aperture = geo.half_aperture(u, geom, cfg.alpha)
-    return con_penalty(theta, aperture, cfg.beta_con, geom.epsilon)
-
-
 # -- per-slide assemblies -----------------------------------------------------
 
 # the stacking order of the image rows: the slide, the regions, the patches
@@ -312,19 +262,34 @@ class ConePlan:
     entailment pairs and then, with more than one class, of the
     contradiction pairs; `phi` holds the (theta(u, v), theta(v, u)) flat
     positions of each alignment pair set, and `ama_weights` the alignment
-    weight of each selected image row. `flats` concatenates every flat
-    position in the order the backward scatters into them. A plan with
-    neither term on is `empty`: it holds the label and the stops only.
+    weight of each selected image row. `flats`, every flat position in the
+    order the backward scatters into them, and `mask` are worked out from
+    `cones`, `phi` and `apex` here, so a plan whose cones are cut down with
+    `dataclasses.replace` reads and guards exactly its own pairs; a plan
+    without entailment pairs keeps an empty first cone, since the cones are
+    paired with the entailment and contradiction cores by position. A plan
+    with neither term on is `empty`: it holds the label and the stops only.
     """
 
     label: int
     stops: tuple
     apex: np.ndarray = None
-    mask: np.ndarray = None
     cones: tuple = ()
     phi: tuple = ()
     ama_weights: np.ndarray = None
-    flats: np.ndarray = None
+    mask: np.ndarray = field(init=False, default=None)
+    flats: np.ndarray = field(init=False, default=None)
+
+    def __post_init__(self):
+        if self.apex is None:
+            return
+        shape = (self.apex.size, self.stops[-1])
+        flats = np.concatenate([flat for flat, *_ in self.cones]
+                               + [f.ravel() for uv in self.phi for f in uv])
+        mask = np.zeros(shape[0] * shape[1], dtype=bool)
+        mask[flats] = True
+        object.__setattr__(self, "flats", flats)
+        object.__setattr__(self, "mask", mask.reshape(shape))
 
     @property
     def empty(self):
@@ -424,12 +389,7 @@ def cone_plan(sizes, n_classes, label, selections, lambda_a, lambda_s):
     # that wrong-class text
     phi = tuple((pairs(a, b), pairs(b, a))
                 for a, b in ((image, pos), (image, neg), (pos, neg))) if ama else ()
-    flats = np.concatenate([flat for flat, *_ in cones]
-                           + [f.ravel() for uv in phi for f in uv])
-    mask = np.zeros(apex.size * n_rows, dtype=bool)
-    mask[flats] = True
-    return ConePlan(label, stops, apex, mask.reshape(apex.size, n_rows),
-                    tuple(cones), phi, lambda_a * weights, flats)
+    return ConePlan(label, stops, apex, tuple(cones), phi, lambda_a * weights)
 
 
 def _cone_losses(image, text, n_regions, plan, cfg, geom):

@@ -14,7 +14,7 @@ fold seeds derive from seed sequences, and no other randomness exists.
 
 import json
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -28,24 +28,8 @@ from .errors import (
     check_field_types,
 )
 from .geometry import GeometryConfig
-from .losses import (
-    AlignmentBatch,
-    LossConfig,
-    ama_loss,
-    cls_loss,
-    con_loss,
-    cone_plan,
-    ent_loss,
-    total_loss,
-)
-from .model import (
-    HierarchyLevel,
-    ModelDims,
-    aggregate,
-    embed_slide,
-    init_params,
-    text_level,
-)
+from .losses import LossConfig, _loss, cls_loss, cone_plan, total_loss
+from .model import HierarchyLevel, ModelDims, aggregate, embed_slide, init_params
 
 log = logging.getLogger(__name__)
 
@@ -338,14 +322,21 @@ def gradient_check_suite(trials=20, seed=0, h=1e-5):
     ConfigError for fewer than one trial or a negative seed, and
     NumericalError if any forward pass produces NaN.
 
-    The five whole-model checks (cls, ama, ent, con, total) perturb the same
-    leaves, so they share their probes: each perturbed value is evaluated by
-    one embedding of the bag and all five losses computed from it. Each
-    check still takes its analytic gradient from its own forward and
-    backward pass.
-    """
-    from . import geometry as geo
+    What each check roots at:
+    * aggregation: one region aggregator's pooling, against a random probe;
+    * cls_loss: `cls_loss` of the trial's embedded bag;
+    * ama_loss: the loss node, cls off, over the alignment plan (weights
+      (1, 0)) of the slide row alone;
+    * ent_loss and con_loss: the loss node, cls off, over only the
+      entailment pairs, and only the contradiction pairs, of the bag's
+      hierarchy plan (weights (0, 1)) for its top-K selections;
+    * total_loss: `total_loss` over the bag's plan, built as `train` does.
 
+    The five whole-model checks perturb the same leaves, so they share their
+    probes: each perturbed value is evaluated by one embedding of the bag
+    and all five losses computed from it. Each check still takes its
+    analytic gradient from its own forward and backward pass.
+    """
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
     if seed < 0:
@@ -357,15 +348,30 @@ def gradient_check_suite(trials=20, seed=0, h=1e-5):
     dims = ModelDims(d_in=d_in, k=k, n_classes=n_classes)
     geom = GeometryConfig(curvature=1.0, dim=k)
     loss_cfg = LossConfig()
+    slide_only = {HierarchyLevel.SLIDE: np.array([0]),
+                  HierarchyLevel.REGION: np.array([], dtype=int),
+                  HierarchyLevel.PATCH: np.array([], dtype=int)}
 
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
         params = init_params(dims, _fold_seed(seed, trial, 1))
         bag = _tiny_bag(rng, d_in, n_regions=2, n_patches=3, n_classes=n_classes)
         label = bag.label
-        others = [c for c in range(n_classes) if c != label]
-        # the plan of the total loss, built once per trial as `train` does
-        plan = _slide_plan(bag, params.semantics.base.data, loss_cfg)
+        # the plan of the total loss, built once per trial as `train` does,
+        # the alignment plan of the slide row and the hierarchy plan
+        selections = select_top_k(bag, params.semantics.base.data, label,
+                                  loss_cfg.top_k)
+        plan, ama, shc = (
+            cone_plan(bag.sizes, n_classes, label, picked, lambda_a, lambda_s)
+            for picked, lambda_a, lambda_s in (
+                (selections, loss_cfg.lambda_a, loss_cfg.lambda_s),
+                (slide_only, 1.0, 0.0), (selections, 0.0, 1.0)))
+        # the entailment pairs alone, and the contradiction pairs behind an
+        # empty entailment cone
+        ent_cone, con_cone = shc.cones
+        no_cone = tuple(a[:0] for a in ent_cone)
+        roots = (ama, replace(shc, cones=(ent_cone,)),
+                 replace(shc, cones=(no_cone, con_cone)))
         leaves = [t for _, t in params.trainable()]
 
         probe = rng.standard_normal((1, k))
@@ -375,26 +381,11 @@ def gradient_check_suite(trials=20, seed=0, h=1e-5):
             out = aggregate(features, params.agg_region)
             return (out * ad.Tensor(probe)).sum()
 
-        def f_ama(emb):
-            text = text_level(emb.text, HierarchyLevel.SLIDE)
-            batch = AlignmentBatch(
-                query=emb.slide,
-                positive=geo.select(text, [label]),
-                negatives=geo.select(text, others),
-            )
-            return ama_loss(batch, loss_cfg, geom)
-
-        def f_con(emb):
-            text = text_level(emb.text, HierarchyLevel.SLIDE)
-            return con_loss(geo.select(text, others), emb.patches, loss_cfg, geom)
-
         def f_model():
             emb = embed_slide(bag, params, geom)
             return (
                 cls_loss(emb, label, loss_cfg, geom),
-                f_ama(emb),
-                ent_loss(emb.slide, emb.regions, loss_cfg, geom),
-                f_con(emb),
+                *(_loss(emb, p, loss_cfg, geom, cls=False) for p in roots),
                 total_loss(emb, plan, loss_cfg, geom),
             )
 

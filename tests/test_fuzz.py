@@ -214,3 +214,25 @@ def test_deeply_nested_json_is_a_typed_error(tmp_path, eval_inputs, capsys):
     (tmp_path / "nested.hpfb.manifest.json").write_text(nested)
     with pytest.raises(FormatError, match="not valid JSON"):
         dt.read_bundle(bundle)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_non_finite_patch_value_is_a_format_error(tmp_path, eval_inputs, capsys,
+                                                 value):
+    # found by hand: a bundle with an inf or NaN patch value was read, and
+    # training then failed with a NumericalError from the adaptor
+    root, _ = eval_inputs
+    bundle = dt.read_bundle(root / "bundle.hpfb")
+    bag = bundle.bags[2]
+    regions = [region.copy() for region in bag.regions]
+    regions[1][0, 3] = value
+    bundle.bags[2] = dt.FeatureBag(bag.slide_id, bag.label, bag.site, regions)
+    path = tmp_path / "non-finite.hpfb"
+    dt.write_bundle(bundle, path)
+    message = f"slide {bag.slide_id} region 1 holds a non-finite patch value"
+    with pytest.raises(FormatError, match=message):
+        dt.read_bundle(path)
+    code = main(["train", "--data", str(path), "--out", str(tmp_path / "m.ckpt")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err

@@ -35,13 +35,6 @@ def test_loss_config_validation():
             ls.LossConfig(**bad)
 
 
-def test_alignment_batch_needs_negative():
-    p = _pts([0.5, 0.0])
-    empty = geo.select(_pts([[0.5, 0.0]]), np.array([], dtype=int))
-    with pytest.raises(ShapeError):
-        ls.AlignmentBatch(query=p, positive=p, negatives=empty)
-
-
 # -- scalar cores: frozen closed forms ------------------------------------------
 
 
@@ -160,35 +153,6 @@ def test_cls_nll_label_range():
         ls.cls_nll(np.array([1.0, 2.0]), 2)
     with pytest.raises(ShapeError):
         ls.cls_nll(np.array([1.0, 2.0]), -1)
-
-
-# -- point-level wrappers ---------------------------------------------------------
-
-
-def test_ama_loss_single_negative_matches_nll():
-    q = _pts([0.4, 0.3])
-    pos = _pts([0.7, 0.2])
-    neg = _pts([-0.5, 0.6])
-    batch = ls.AlignmentBatch(query=q, positive=pos, negatives=neg)
-    got = ls.ama_loss(batch, CFG, GEOM).item()
-    ref = geo.angle_distance(pos, neg, GEOM).item()
-    pos_sim = ref - geo.angle_distance(q, pos, GEOM).item()
-    neg_sim = ref - geo.angle_distance(q, neg, GEOM).item()
-    want = ls.ama_nll(pos_sim, np.array([neg_sim]), CFG.tau).item()
-    assert_allclose(got, want, rtol=1e-12)
-
-
-def test_ent_con_loss_average_pairs():
-    u = _pts([[0.5, 0.0], [0.0, 0.7]])
-    v = _pts([[1.2, 0.1], [-0.3, 1.5], [0.8, 0.8]])
-    ent = ls.ent_loss(u, v, CFG, GEOM).item()
-    theta = geo.exterior_angle(u, v, GEOM).data
-    ap = geo.half_aperture(u, GEOM, CFG.alpha).data
-    want = ls.ent_penalty(theta, np.broadcast_to(ap, theta.shape), CFG.beta_ent)
-    assert_allclose(ent, want.data.mean(), rtol=1e-12)
-    con = ls.con_loss(u, v, CFG, GEOM).item()
-    want_c = ls.con_penalty(theta, np.broadcast_to(ap, theta.shape), CFG.beta_con)
-    assert_allclose(con, want_c.data.mean(), rtol=1e-12)
 
 
 # -- per-slide assemblies -----------------------------------------------------------
@@ -336,14 +300,30 @@ def _concat(tensors, axis):
                     tuple(tensors), lambda g: np.split(g, bounds, axis=axis))
 
 
+def _ent_matrix(u, v):
+    """The entailment penalty of every (u_i, v_j) pair, from the public
+    primitives."""
+    theta = geo.exterior_angle(u, v, GEOM)
+    aperture = geo.half_aperture(u, GEOM, CFG.alpha)
+    return ls.ent_penalty(theta, aperture, CFG.beta_ent)
+
+
+def _con_matrix(u, v):
+    """The contradiction penalty of every (u_i, v_j) pair, from the public
+    primitives."""
+    theta = geo.exterior_angle(u, v, GEOM)
+    aperture = geo.half_aperture(u, GEOM, CFG.alpha)
+    return ls.con_penalty(theta, aperture, CFG.beta_con, GEOM.epsilon)
+
+
 def _looped_shc_total(emb, label, selections):
     """shc_total with the region->patch term as one [1 x n_r] matrix per
     region and the text->image terms as one pair of matrices per level,
     the reference for the masked and stacked forms."""
-    parts = [ls._ent_matrix(emb.slide, emb.regions, CFG, GEOM).mean()]
+    parts = [_ent_matrix(emb.slide, emb.regions).mean()]
     per_region = [
-        ls._ent_matrix(geo.select(emb.regions, [r]),
-                       geo.select(emb.patches, np.arange(start, stop)), CFG, GEOM)
+        _ent_matrix(geo.select(emb.regions, [r]),
+                    geo.select(emb.patches, np.arange(start, stop)))
         for r, (start, stop) in enumerate(_spans(emb.sizes))
     ]
     parts.append(_concat(per_region, axis=1).mean())
@@ -351,19 +331,16 @@ def _looped_shc_total(emb, label, selections):
     diag = (np.arange(n_classes), np.arange(n_classes))
     for upper, lower in ((HierarchyLevel.SLIDE, HierarchyLevel.REGION),
                          (HierarchyLevel.REGION, HierarchyLevel.PATCH)):
-        chain = ls._ent_matrix(text_level(emb.text, upper),
-                               text_level(emb.text, lower), CFG, GEOM)
+        chain = _ent_matrix(text_level(emb.text, upper), text_level(emb.text, lower))
         parts.append(chain[diag].mean())
     others = [c for c in range(n_classes) if c != label]
     for level, image in _looped_image_sets(emb, selections).items():
         if image.count == 0:
             continue
         text = text_level(emb.text, level)
-        parts.append(ls._ent_matrix(geo.select(text, [label]),
-                                    image, CFG, GEOM).mean())
+        parts.append(_ent_matrix(geo.select(text, [label]), image).mean())
         if others:
-            parts.append(ls._con_matrix(geo.select(text, others),
-                                        image, CFG, GEOM).mean())
+            parts.append(_con_matrix(geo.select(text, others), image).mean())
     total = ad.Tensor(0.0)
     for part in parts:
         total = total + part
@@ -619,3 +596,30 @@ def test_losses_finite_difference():
         lambda: ls.shc_total(build(), 1, no_patch, CFG, GEOM),
     ):
         assert ad.finite_difference_check(fn, [x]) < 1e-4
+
+
+def test_scalar_cores_finite_difference():
+    # every entry at least 0.05 from its hinge kink, |neg| at least 0.1 from
+    # zero and every exponent far below the clip at 700, so the central
+    # differences see smooth functions
+    theta = ad.Tensor([[0.2, 0.9, 1.4, 0.5],
+                       [0.3, 0.7, 1.1, 0.45],
+                       [1.2, 0.25, 0.6, 0.85]], requires_grad=True)
+    aperture = ad.Tensor([[0.5], [0.8], [0.4]], requires_grad=True)
+    assert np.abs(theta.data - CFG.beta_ent * aperture.data).min() >= 0.05
+    assert np.abs(aperture.data - CFG.beta_con * theta.data).min() >= 0.05
+    rng = np.random.default_rng(40)
+    pos = ad.Tensor(rng.normal(size=(4, 1)) * 0.3, requires_grad=True)
+    negs = ad.Tensor([[0.3, -0.5, 0.2], [-0.4, 0.6, 0.15],
+                      [0.25, 0.1, -0.7], [-0.2, -0.35, 0.45]], requires_grad=True)
+    weights = ad.Tensor(rng.uniform(0.5, 1.5, size=theta.shape))
+    for fn, leaves in (
+        (lambda: (ls.ent_penalty(theta, aperture, CFG.beta_ent) * weights).sum(),
+         [theta, aperture]),
+        (lambda: (ls.con_penalty(theta, aperture, CFG.beta_con) * weights).sum(),
+         [theta, aperture]),
+        (lambda: ls.ama_nll(pos, negs, CFG.tau), [pos, negs]),
+    ):
+        value = fn()
+        assert value.item() > 0.0
+        assert ad.finite_difference_check(fn, leaves) < 1e-6

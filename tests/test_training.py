@@ -17,7 +17,7 @@ from hypermil.errors import (
     ShapeError,
     TrainingError,
 )
-from hypermil.losses import LossConfig, cone_plan, total_loss
+from hypermil.losses import LossConfig, ama_total, cone_plan, shc_total, total_loss
 from hypermil.model import HierarchyLevel, ModelDims, embed_slide, init_params
 
 
@@ -518,6 +518,54 @@ def test_gradient_check_suite_smoke():
     }
     for name, err in worst.items():
         assert err < 1e-4, (name, err)
+
+
+def test_gradient_check_suite_builds_only_the_training_ops(monkeypatch):
+    ops = set()
+    fused = ad.fused
+
+    def recording(op, *args):
+        ops.add(op)
+        return fused(op, *args)
+
+    monkeypatch.setattr(ad, "fused", recording)
+    tr.gradient_check_suite(trials=1)
+    # the model's nodes and the loss node, and the aggregation probe's glue
+    assert ops == {"adaptor", "aggregate", "text_features", "stack",
+                   "exp_map_origin", "loss", "mul", "sum"}
+
+
+def test_gradient_check_roots_measure_the_training_terms(monkeypatch):
+    seen = {}
+    for name in ("embed_slide", "select_top_k"):
+        def recording(*args, name=name, wrapped=getattr(tr, name)):
+            seen[name] = (args, wrapped(*args))
+            return seen[name][1]
+
+        monkeypatch.setattr(tr, name, recording)
+    roots = []
+
+    def first_roots(f, params, h):
+        out = f()
+        roots.append(out)
+        return tuple(0.0 for _ in out) if isinstance(out, tuple) else 0.0
+
+    monkeypatch.setattr(ad, "finite_difference_check", first_roots)
+    tr.gradient_check_suite(trials=1)
+    cls, ama, ent, con, total = roots[1]
+    for root in (cls, ama, ent, con, total):
+        assert root._op == "loss" and len(root._parents) == 2
+    emb = seen["embed_slide"][1]
+    (_, _, label, _), selections = seen["select_top_k"]
+    cfg, geom = LossConfig(), geo.GeometryConfig(curvature=1.0, dim=4)
+    assert_allclose(ent.item() + con.item(),
+                    shc_total(emb, label, selections, cfg, geom).item(),
+                    rtol=1e-12, atol=0.0)
+    assert ent.item() > 0.0 and con.item() > 0.0
+    slide_only = {HierarchyLevel.SLIDE: np.array([0]),
+                  HierarchyLevel.REGION: np.array([], dtype=int),
+                  HierarchyLevel.PATCH: np.array([], dtype=int)}
+    assert ama.item() == ama_total(emb, label, slide_only, cfg, geom).item()
 
 
 def test_gradient_check_suite_rejects_bad_arguments():
