@@ -5,6 +5,8 @@ Every command prints one machine-parseable summary line starting with
 "RESULT " and exits 0 on success, 1 on runtime failure (one-line
 diagnostic on stderr), 2 on usage errors. Output files are written
 atomically. Seeds in effect are always echoed so reruns are reproducible.
+`protocol` and `ablate` run their folds in this process, or with `--jobs`
+N > 1 on up to N forked worker processes; the output is the same.
 """
 
 import argparse
@@ -22,6 +24,8 @@ from .geometry import GeometryConfig
 from .model import load_checkpoint, params_from_checkpoint, save_checkpoint
 
 log = logging.getLogger("hypermil")
+
+_JOBS_HELP = "worker processes for the folds; 1 runs them in this process"
 
 
 def _build_parser():
@@ -63,13 +67,13 @@ def _build_parser():
     p.add_argument("--inner", type=int, default=5)
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None, help="report file; default stdout")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 
     p = sub.add_parser("ablate", help="four-way objective ablation (3x3 protocol)")
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None, help="table file; default stdout")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 
     p = sub.add_parser("embed", help="export embeddings for a bundle")
     p.add_argument("--data", required=True)

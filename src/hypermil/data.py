@@ -183,7 +183,16 @@ def generate(spec):
     by `sigma_site`. A model that ranks slides by their class-prototype
     patches is untouched by it: at the defaults (sigma_site 0.25) the shift
     opens no measurable gap between in-domain and out-of-domain AUC.
+    A slide whose [regions x patches x D] block cannot be allocated is a
+    ConfigError naming the three sizes.
     """
+    try:
+        # one [regions x patches x D] block, refilled for each slide, a
+        # region per row; each slide's bag keeps a float32 copy
+        block = np.empty((spec.n_regions, spec.n_patches, spec.d_in))
+    except (MemoryError, ValueError):  # ValueError: beyond numpy's size limit
+        raise ConfigError(f"a slide of {spec.n_regions} x {spec.n_patches} x "
+                          f"{spec.d_in} patch values does not fit in memory") from None
     n_slides = spec.n_classes * spec.slides_per_class
     seeds = np.random.SeedSequence(spec.seed).spawn(2 + n_slides)
     rng = np.random.default_rng(seeds[0])
@@ -225,8 +234,6 @@ def generate(spec):
             slide_rng = np.random.default_rng(seeds[2 + index])
             site = index % spec.n_sites
             shift = site_shift[site]
-            # one [regions x patches x D] block per slide, a region per row
-            block = np.empty((spec.n_regions, spec.n_patches, spec.d_in))
             for patches in block:
                 proto = prototypes[c] + spec.sigma_region * slide_rng.standard_normal(
                     spec.d_in

@@ -9,7 +9,10 @@ against brute-force pair counting.
 The protocol trains one model per (outer fold, inner split) pair on the
 fold's in-domain sites and reports AUC/F1 on the in-domain test slides and
 on the fold's held-out out-of-domain sites, using each run's best
-validation checkpoint.
+validation checkpoint. The protocol and the ablation run their folds through
+one runner, `_run_folds`: in this process, or on a pool of forked worker
+processes that inherit the bundle and send back only each fold's row. The
+rows are the same either way.
 
 Scoring has one path, `_scores`, which `predict` runs on one bag and
 `evaluate` on all of its bags: the class text is embedded once per call,
@@ -216,14 +219,10 @@ class MetricReport:
     def to_text(self):
         lines = []
         for r in self.rows:
-            lines.append(
-                f"fold outer={r.outer} inner={r.inner} domain=IND "
-                f"auc={r.auc_ind:.6f} f1={r.f1_ind:.6f}"
-            )
-            lines.append(
-                f"fold outer={r.outer} inner={r.inner} domain=OOD "
-                f"auc={r.auc_ood:.6f} f1={r.f1_ood:.6f}"
-            )
+            for domain, a, f in (("IND", r.auc_ind, r.f1_ind),
+                                 ("OOD", r.auc_ood, r.f1_ood)):
+                lines.append(f"fold outer={r.outer} inner={r.inner} "
+                             f"domain={domain} auc={a:.6f} f1={f:.6f}")
         agg = self.aggregate()
         lines.append(
             "summary "
@@ -232,44 +231,71 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
-def run_protocol(bundle, n_outer, n_inner, cfg, jobs=1):
-    """Train and evaluate one model per (outer, inner) pair, on up to `jobs`
-    threads; ConfigError for a negative `jobs`."""
-    if jobs < 0:
-        raise ConfigError(f"jobs must not be negative, got {jobs}")
-    plan = make_splits(bundle.bags, n_outer, n_inner, seed=cfg.seed)
+# the (bundle, split plan) that a forked worker's initializer appends; it
+# stays empty in the process that starts the pool
+_worker_inputs = []
+
+
+def _fold(task, inputs=None):
+    """The FoldMetrics row of one (cfg, outer, inner) task: train on the
+    inner split, then evaluate the best checkpoint in domain and on the outer
+    fold's held-out sites. `inputs` is (bundle, split plan); None reads the
+    copy a forked worker inherited."""
+    cfg, outer, inner = task
+    bundle, plan = inputs or _worker_inputs[0]
     by_id = {bag.slide_id: bag for bag in bundle.bags}
     geom = cfg.geometry()
+    fold = plan.folds[outer]
+    split = fold.inner[inner]
+    fold_cfg = replace(cfg, seed=training._fold_seed(cfg.seed, outer, inner))
+    params = training.train(bundle, split, fold_cfg).best_params
+    auc_ind, f1_ind = evaluate([by_id[i] for i in split.test_ids], params, geom)[:2]
+    # a single outer fold covers every site, leaving nothing held out
+    auc_ood, f1_ood = (evaluate([by_id[i] for i in fold.ood_ids], params, geom)[:2]
+                       if fold.ood_ids else (float("nan"), float("nan")))
+    return FoldMetrics(outer, inner, auc_ind, f1_ind, auc_ood, f1_ood)
 
-    def run_one(task):
-        outer, inner = task
-        fold = plan.folds[outer]
-        split = fold.inner[inner]
-        fold_cfg = replace(cfg, seed=training._fold_seed(cfg.seed, outer, inner))
-        result = training.train(bundle, split, fold_cfg)
-        params = result.best_params
-        ind_bags = [by_id[i] for i in split.test_ids]
-        ood_bags = [by_id[i] for i in fold.ood_ids]
-        auc_ind, f1_ind = evaluate(ind_bags, params, geom)[:2]
-        if ood_bags:
-            auc_ood, f1_ood = evaluate(ood_bags, params, geom)[:2]
-        else:
-            # a single outer fold covers every site, leaving nothing held out
-            auc_ood, f1_ood = float("nan"), float("nan")
-        return FoldMetrics(outer, inner, auc_ind, f1_ind, auc_ood, f1_ood)
 
-    tasks = [(o, i) for o in range(n_outer) for i in range(n_inner)]
+def _run_folds(bundle, cfgs, n_outer, n_inner, jobs):
+    """One MetricReport per config, each over the same n_outer x n_inner
+    split plan, drawn from the first config's seed.
+
+    With `jobs` <= 1, or where the `fork` start method is missing, the folds
+    run in this process. Otherwise they run on up to `jobs` forked worker
+    processes, which inherit the bundle and the plan through fork: a task
+    sends only its (cfg, outer, inner) and gets back only its FoldMetrics
+    row. The first failed fold's error is raised here, once the folds not
+    yet handed to a worker are cancelled and the pool has shut down.
+    """
+    if jobs < 0:
+        raise ConfigError(f"jobs must not be negative, got {jobs}")
+    inputs = bundle, make_splits(bundle.bags, n_outer, n_inner, seed=cfgs[0].seed)
+    tasks = [(cfg, outer, inner) for cfg in cfgs
+             for outer in range(n_outer) for inner in range(n_inner)]
+    rows = None
     if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
+        import multiprocessing
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = tuple(pool.map(run_one, tasks))
-    else:
-        rows = tuple(run_one(t) for t in tasks)
-    return MetricReport(rows=rows)
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(
+                    max_workers=min(jobs, len(tasks)),
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=_worker_inputs.append, initargs=(inputs,)) as pool:
+                rows = list(pool.map(_fold, tasks))
+    if rows is None:
+        rows = [_fold(task, inputs) for task in tasks]
+    n = n_outer * n_inner
+    return [MetricReport(rows=tuple(rows[i:i + n])) for i in range(0, len(rows), n)]
 
 
-_ABLATION_ORDER = ("cls-only", "ama-only", "shc-only", "full")
+def run_protocol(bundle, n_outer, n_inner, cfg, jobs=1):
+    """Train and evaluate one model per (outer, inner) pair. The folds run in
+    this process at `jobs` <= 1, else on up to `jobs` forked worker
+    processes, with the same rows either way; ConfigError for a negative
+    `jobs`."""
+    return _run_folds(bundle, [cfg], n_outer, n_inner, jobs)[0]
 
 
 def ablate(bundle, cfg, n_outer=3, n_inner=3, jobs=1):
@@ -277,35 +303,26 @@ def ablate(bundle, cfg, n_outer=3, n_inner=3, jobs=1):
 
     Returns [(name, lambda_a, lambda_s, MetricReport)] for
     (0, 0), (lambda_a, 0), (0, lambda_s), (lambda_a, lambda_s).
-    A negative `jobs` is a ConfigError from the first `run_protocol` call,
-    before any training.
+    All four variants' folds run in one pass over one split plan, in this
+    process or on one pool of up to `jobs` forked workers, as in
+    `run_protocol`; a negative `jobs` is a ConfigError before any training.
     """
-    weights = {
-        "cls-only": (0.0, 0.0),
-        "ama-only": (cfg.loss.lambda_a, 0.0),
-        "shc-only": (0.0, cfg.loss.lambda_s),
-        "full": (cfg.loss.lambda_a, cfg.loss.lambda_s),
-    }
-    out = []
-    for name in _ABLATION_ORDER:
-        la, ls = weights[name]
-        run_cfg = replace(cfg, loss=replace(cfg.loss, lambda_a=la, lambda_s=ls))
-        out.append((name, la, ls, run_protocol(bundle, n_outer, n_inner,
-                                               run_cfg, jobs=jobs)))
-    return out
+    la, ls = cfg.loss.lambda_a, cfg.loss.lambda_s
+    variants = [("cls-only", 0.0, 0.0), ("ama-only", la, 0.0),
+                ("shc-only", 0.0, ls), ("full", la, ls)]
+    cfgs = [replace(cfg, loss=replace(cfg.loss, lambda_a=a, lambda_s=s))
+            for _, a, s in variants]
+    reports = _run_folds(bundle, cfgs, n_outer, n_inner, jobs)
+    return [(*variant, report) for variant, report in zip(variants, reports)]
 
 
 def ablation_table(results):
     lines = ["name lambda_a lambda_s auc_ood f1_ood auc_ind f1_ind"]
     for name, la, ls, report in results:
         agg = report.aggregate()
-        lines.append(
-            f"{name} {la:g} {ls:g} "
-            f"{agg['auc_ood'][0]:.6f}+-{agg['auc_ood'][1]:.6f} "
-            f"{agg['f1_ood'][0]:.6f}+-{agg['f1_ood'][1]:.6f} "
-            f"{agg['auc_ind'][0]:.6f}+-{agg['auc_ind'][1]:.6f} "
-            f"{agg['f1_ind'][0]:.6f}+-{agg['f1_ind'][1]:.6f}"
-        )
+        cells = (f"{agg[k][0]:.6f}+-{agg[k][1]:.6f}"
+                 for k in ("auc_ood", "f1_ood", "auc_ind", "f1_ind"))
+        lines.append(f"{name} {la:g} {ls:g} " + " ".join(cells))
     return "\n".join(lines) + "\n"
 
 

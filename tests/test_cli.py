@@ -5,6 +5,7 @@ are asserted exactly as a shell user would see them; one subprocess smoke
 test covers the installed entry point.
 """
 
+import dataclasses
 import json
 import os
 import stat
@@ -18,7 +19,7 @@ import pytest
 import hypermil
 from hypermil import autodiff as ad
 from hypermil.cli import main
-from hypermil.data import make_splits, read_bundle
+from hypermil.data import make_splits, read_bundle, write_bundle
 from hypermil.model import ModelDims, init_params, save_checkpoint
 
 GEN_ARGS = [
@@ -268,6 +269,47 @@ def test_protocol_and_ablate_reject_negative_jobs(workdir, bundle_path, capsys):
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "jobs" in err
+
+
+def test_protocol_pool_fold_error_is_one_error_line(workdir, bundle_path, capfd):
+    # all-zero patches put every point at the origin: each fold's training
+    # raises TrainingError in its worker process
+    bundle = read_bundle(bundle_path)
+    bundle.bags[:] = [
+        dataclasses.replace(bag, regions=[np.zeros_like(r) for r in bag.regions])
+        for bag in bundle.bags]
+    path = workdir / "zero.bundle"
+    write_bundle(bundle, path)
+    cfg = workdir / "zero.json"
+    cfg.write_text(json.dumps(TRAIN_CONFIG))
+    code = main(["protocol", "--data", str(path), "--outer", "2", "--inner", "1",
+                 "--config", str(cfg), "--jobs", "2"])
+    out, err = capfd.readouterr()
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "degenerate geometry" in errors[0], err
+    assert "Traceback" not in err and "RESULT" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["protocol", "--outer", "0"],
+    ["protocol", "--inner", "-1"],
+    ["gen", "--purity", "nan"],
+    ["gen", "--regions", "4000000000000"],
+    ["gradcheck", "--trials", "0"],
+    ["splits", "--seed", "-3"],
+], ids=" ".join)
+def test_parsed_but_bad_argv_is_an_error_line(workdir, bundle_path, capsys, argv):
+    if argv[0] in ("protocol", "splits"):
+        argv = argv + ["--data", str(bundle_path)]
+    if argv[0] in ("gen", "splits"):
+        argv = argv + ["--out", str(workdir / "never-written")]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err, err
+    assert "RESULT" not in out
+    assert not (workdir / "never-written").exists()
 
 
 def test_train_rejects_a_boolean_label(workdir, bundle_path, capsys):

@@ -1,5 +1,7 @@
 """Metrics against brute-force oracles, the nested protocol, ablation, export."""
 
+import concurrent.futures
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +11,9 @@ from numpy.testing import assert_allclose
 from hypermil import autodiff as ad
 from hypermil import evaluation as ev
 from hypermil import geometry as geo
-from hypermil.data import FeatureBag, SyntheticSpec, generate
-from hypermil.errors import ConfigError, MetricError
+from hypermil import training
+from hypermil.data import Bundle, FeatureBag, SyntheticSpec, generate, make_splits
+from hypermil.errors import ConfigError, MetricError, TrainingError
 from hypermil.model import ModelDims, embed_text, init_params
 from hypermil.training import TrainConfig
 
@@ -204,11 +207,74 @@ def test_run_protocol_shapes_and_determinism():
     assert again == report
 
 
-def test_run_protocol_threaded_matches_serial():
+def test_run_protocol_pool_matches_serial():
     bundle = generate(TINY_SPEC)
     serial = ev.run_protocol(bundle, 2, 1, TINY_CFG)
-    threaded = ev.run_protocol(bundle, 2, 1, TINY_CFG, jobs=2)
-    assert serial == threaded
+    pooled = ev.run_protocol(bundle, 2, 1, TINY_CFG, jobs=2)
+    assert serial == pooled
+
+
+def test_ablate_pool_matches_serial_in_one_pool_over_one_plan(monkeypatch):
+    def refuse(self, protocol):
+        raise AssertionError("the bundle was pickled")
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, **kwargs):
+            calls.append("pool")
+            super().__init__(**kwargs)
+
+    def counted_splits(*args, **kwargs):
+        calls.append("plan")
+        return make_splits(*args, **kwargs)
+
+    bundle = generate(TINY_SPEC)
+    serial = ev.ablate(bundle, TINY_CFG, n_outer=2, n_inner=1)
+    calls = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(ev, "make_splits", counted_splits)
+    # the forked workers inherit the patch, so pickling in either process fails
+    monkeypatch.setattr(Bundle, "__reduce_ex__", refuse)
+    assert ev.ablate(bundle, TINY_CFG, n_outer=2, n_inner=1, jobs=2) == serial
+    assert calls == ["plan", "pool"]
+    assert ev._worker_inputs == []
+
+
+def test_a_fold_error_in_the_pool_is_raised_typed(monkeypatch):
+    bundle = generate(TINY_SPEC)
+    failing_seed = training._fold_seed(TINY_CFG.seed, 1, 0)
+    train = training.train
+
+    def train_or_fail(bundle, split, cfg):
+        if cfg.seed == failing_seed:
+            raise TrainingError("fold outer=1 inner=0 failed")
+        return train(bundle, split, cfg)
+
+    monkeypatch.setattr(training, "train", train_or_fail)
+    with pytest.raises(TrainingError, match="outer=1 inner=0"):
+        ev.run_protocol(bundle, 2, 1, TINY_CFG, jobs=2)
+    assert multiprocessing.active_children() == []
+    assert ev._worker_inputs == []
+
+
+def test_pool_has_no_more_workers_than_folds_and_needs_fork(monkeypatch):
+    class NoPool:
+        """Records the pool size and starts no process."""
+
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            raise RuntimeError("no pool")
+
+    sizes = []
+    bundle = generate(TINY_SPEC)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    with pytest.raises(RuntimeError, match="no pool"):
+        ev.run_protocol(bundle, 2, 1, TINY_CFG, jobs=10**6)
+    assert sizes == [2]
+    # without the fork start method the folds run in this process
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    in_process = ev.run_protocol(bundle, 2, 1, TINY_CFG, jobs=2)
+    assert in_process == ev.run_protocol(bundle, 2, 1, TINY_CFG)
+    assert sizes == [2]
 
 
 def test_negative_jobs_is_a_config_error():
