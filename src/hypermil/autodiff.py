@@ -25,13 +25,14 @@ in numpy:
     term alone, and `ama_total` and `shc_total` without it, over a plan
     they build on the spot),
   * the class-text features, the adaptor MLP, the gated-attention
-    pooling (`aggregate`) and the stack of a slide's image tangents
-    (`stack`) in `model`.
+    pooling (`aggregate`) and the stack of a slide's image and class-text
+    tangents (`stack`) in `model`.
 
-A default training step is 23 nodes: 14 leaves (the patch block and 13
-trainable arrays), two adaptors, two aggregates, the text features, the
-stack, two exp maps (the class text and the stacked image rows) and the
-loss.
+A default training step is 22 nodes: 14 leaves (the patch block and 13
+trainable arrays), two adaptors (the patches and the class text), two
+aggregates, the text features, the stack of the slide, region, patch and
+class-text tangents, its one exp map and the loss, whose one parent is
+that map.
 
 Conventions:
   * gradients accumulate into `Tensor.grad` (None until touched); the first

@@ -52,16 +52,19 @@ def _scores(bags, params, geom, text=None):
     The distances are one `geometry.geodesic_core` call per slide row: a
     [1 x k] by [k x C] product whatever B is, since BLAS may round a
     several-row product differently from a one-row one in the last bit, and
-    a row of `evaluate` must equal `predict` on its bag bit for bit.
+    a row of `evaluate` must equal `predict` on its bag bit for bit. The
+    row statistics (`geometry.rows`) of the slides and of the anchors are
+    computed once per call; they are computed row by row, so a slide's are
+    the same whatever B is.
     """
     with ad.no_grad():
         if text is None:
             text = embed_text(params, geom)
         tangents = np.concatenate([embed_slide(bag, params, geom, text)
                                    .slide_tangent.data for bag in bags])
-        slides = geo.exp_map_origin(tangents, geom).space.data
-        anchors = text_level(text, HierarchyLevel.SLIDE).space.data
-    d = np.concatenate([geo.geodesic_core(slides[i:i + 1], anchors, geom)[0]
+        slides = geo.rows(geo.exp_map_origin(tangents, geom).space.data, geom)
+        anchors = geo.rows(text_level(text, HierarchyLevel.SLIDE).space.data, geom)
+    d = np.concatenate([geo.geodesic_core(slides.take(slice(i, i + 1)), anchors, geom)[0]
                         for i in range(len(bags))])
     z = -d - np.max(-d, axis=1, keepdims=True)
     p = np.exp(z)

@@ -19,18 +19,23 @@ raise GeometryError instead of being silently patched.
 Fused primitives: `exp_map_origin` (both branches), `geodesic`,
 `exterior_angle`, `angle_distance` and `half_aperture` are each one
 autodiff node (`autodiff.fused`) whose forward and hand-derived backward
-run in numpy. Three numpy cores over space arrays are public:
-`geodesic_core`, the geodesic distances of two space arrays with a
-backward, which `geodesic` wraps and `evaluation` calls once per scored
-slide; `exterior_angle_core`, the exterior angles theta(u_i, v_j) of two
-space arrays, optionally on a mask of pairs, with the origin and
-coincidence guards and a backward; and `half_aperture_core`, the
-half-aperture of a column of space norms. `exterior_angle` is one call of
-`exterior_angle_core`,
-`angle_distance` two, theta(u, v) and theta(v, u), and the fused loss node
-of `losses` one masked call over its stacked rows, whose returned norms go
-to `half_aperture_core` as `half_aperture`'s do. So the exterior-angle
-formula, its guards and its backward have one code path.
+run in numpy. Three numpy cores are public. Two read `Rows`, a space array
+with the time part and squared norm of each of its rows (`rows` computes
+them, row by row), so a caller reading the same rows several times
+computes those once: `geodesic_core`, the geodesic distances of two
+`Rows` with a backward, which `geodesic` wraps and `evaluation` calls
+once per scored slide; and `exterior_angle_core`, the exterior angles
+theta(u_i, v_j) of two `Rows`, optionally on a mask of pairs, with the
+origin and coincidence guards and a backward. The third,
+`half_aperture_core`, is the half-aperture of a column of space norms.
+The primitives compute the `Rows` of their arguments and call the cores:
+`exterior_angle` is one call of `exterior_angle_core` and
+`angle_distance` two, theta(u, v) and theta(v, u). The fused loss node of
+`losses` computes the `Rows` of its stacked rows once, and makes one
+`geodesic_core` call and one masked `exterior_angle_core` call over them,
+whose returned norms go to `half_aperture_core` as `half_aperture`'s do.
+So the geodesic and exterior-angle formulas, their guards and their
+backwards have one code path.
 `Points.time` is a constant tensor, not a graph node: nothing
 differentiates through it. The fused backwards are checked against
 central differences by `tests/test_geometry.py`
@@ -43,6 +48,7 @@ the whole model.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,7 +103,7 @@ class Points:
     @property
     def time(self):
         """u_t = sqrt(1/rho + |u_s|^2), one value per row."""
-        return ad.Tensor(_rows(self.space.data, self.cfg)[0])
+        return ad.Tensor(rows(self.space.data, self.cfg).time)
 
 
 def _as_matrix(x):
@@ -165,10 +171,25 @@ def _check_dims(u, v, caller):
 # d u_t / d u_s = u_s / u_t and d |u_s| / d u_s = u_s / |u_s|.
 
 
-def _rows(s, cfg):
-    """Time part and squared space norm of each row of the space array s."""
+class Rows(NamedTuple):
+    """A space array with what the cores read of each of its rows besides:
+    the time part and the squared space norm, as columns."""
+
+    space: np.ndarray
+    time: np.ndarray
+    sumsq: np.ndarray
+
+    def take(self, index):
+        """The rows that `index`, a basic slice or an index array, selects."""
+        return Rows(self.space[index], self.time[index], self.sumsq[index])
+
+
+def rows(s, cfg):
+    """The `Rows` of the space array s: u_t = sqrt(1/rho + |u_s|^2) and
+    |u_s|^2 of each row, each computed row by row, so the statistics of a
+    row do not depend on the rows around it."""
     sumsq = (s * s).sum(axis=1, keepdims=True)
-    return np.sqrt(sumsq + 1.0 / cfg.curvature), sumsq
+    return Rows(s, np.sqrt(sumsq + 1.0 / cfg.curvature), sumsq)
 
 
 def _norms(sumsq, cfg, caller):
@@ -217,22 +238,22 @@ def _exterior_backward(g, saved):
 _PLACEHOLDER_INNER = -2.0
 
 
-def exterior_angle_core(su, sv, cfg, mask=None):
-    """Exterior angles theta(su_i, sv_j) of the rows of two space arrays.
+def exterior_angle_core(u, v, cfg, mask=None):
+    """Exterior angles theta(u_i, v_j) of the rows of two `Rows`.
 
     Returns (theta, norms, backward): the [N x M] angle matrix, the column
-    of norms |su_i|, and backward(g_theta, g_norms=None) giving the
-    gradients (g_su, g_sv) of sum(g_theta * theta) + sum(g_norms * norms).
-    GeometryError when a row of su sits at the origin, or when a pair is
-    coincident. Given a boolean [N x M] `mask`, only the masked pairs are
-    checked for coincidence, and the other entries get a placeholder
-    rho<u,v>_H before the square root and the arc cosine, so they hold a
-    finite angle that means nothing: the caller must read only masked
-    entries, and give the others zero gradient.
+    of norms |u_s,i|, and backward(g_theta, g_norms=None) giving the
+    gradients (g_su, g_sv) on the two space arrays of
+    sum(g_theta * theta) + sum(g_norms * norms). GeometryError when a row
+    of u sits at the origin, or when a pair is coincident. Given a boolean
+    [N x M] `mask`, only the masked pairs are checked for coincidence, and
+    the other entries get a placeholder rho<u,v>_H before the square root
+    and the arc cosine, so they hold a finite angle that means nothing: the
+    caller must read only masked entries, and give the others zero
+    gradient.
     """
-    tu, sumsq_u = _rows(su, cfg)
-    nu = _norms(sumsq_u, cfg, "exterior angle")
-    tv, _ = _rows(sv, cfg)
+    su, tu, sv, tv = u.space, u.time, v.space, v.time
+    nu = _norms(u.sumsq, cfg, "exterior angle")
     rho_inner = _scale(_inner(su, tu, sv, tv), cfg.curvature)
     checked = rho_inner if mask is None else rho_inner[mask]
     # rho * <u_i, v_j>_H is always <= -1 on the manifold
@@ -266,16 +287,16 @@ def half_aperture_core(n, cfg, alpha):
     return np.arcsin(arg), backward
 
 
-def geodesic_core(su, sv, cfg):
+def geodesic_core(u, v, cfg):
     """Geodesic distances sqrt(1/rho) * acosh(-rho <u_i,v_j>_H) of the rows
-    of two space arrays.
+    of two `Rows`.
 
     Returns (distances, backward): the [N x M] matrix, and backward(g)
-    giving the gradients (g_su, g_sv) of sum(g * distances). The acosh
-    argument is clamped to >= 1, with zero gradient at the clamp.
+    giving the gradients (g_su, g_sv) on the two space arrays of
+    sum(g * distances). The acosh argument is clamped to >= 1, with zero
+    gradient at the clamp.
     """
-    tu, _ = _rows(su, cfg)
-    tv, _ = _rows(sv, cfg)
+    su, tu, sv, tv = u.space, u.time, v.space, v.time
     arg = np.maximum(_scale(_inner(su, tu, sv, tv), -cfg.curvature), 1.0)
 
     def backward(g):
@@ -297,7 +318,8 @@ def geodesic(u, v, cfg):
     zero gradient at the clamp.
     """
     _check_dims(u, v, "geodesic")
-    data, backward = geodesic_core(u.space.data, v.space.data, cfg)
+    data, backward = geodesic_core(rows(u.space.data, cfg), rows(v.space.data, cfg),
+                                   cfg)
     return ad.fused("geodesic", data, (u.space, v.space), backward)
 
 
@@ -310,7 +332,8 @@ def exterior_angle(u, v, cfg):
     origin. Undefined (GeometryError) when u sits at the origin or u == v.
     """
     _check_dims(u, v, "exterior angle")
-    theta, _, backward = exterior_angle_core(u.space.data, v.space.data, cfg)
+    theta, _, backward = exterior_angle_core(rows(u.space.data, cfg),
+                                             rows(v.space.data, cfg), cfg)
     return ad.fused("exterior_angle", theta, (u.space, v.space), backward)
 
 
@@ -322,9 +345,9 @@ def angle_distance(u, v, cfg):
     angle_distance(u, v).T.
     """
     _check_dims(u, v, "angle distance")
-    su, sv = u.space.data, v.space.data
-    t_uv, _, uv_backward = exterior_angle_core(su, sv, cfg)
-    t_vu, _, vu_backward = exterior_angle_core(sv, su, cfg)
+    ru, rv = rows(u.space.data, cfg), rows(v.space.data, cfg)
+    t_uv, _, uv_backward = exterior_angle_core(ru, rv, cfg)
+    t_vu, _, vu_backward = exterior_angle_core(rv, ru, cfg)
 
     def backward(g):
         g_su, g_sv = uv_backward(g)
@@ -343,7 +366,7 @@ def half_aperture(u, cfg, alpha=0.1):
     to 1, zero gradient); a point at the origin itself is an error.
     """
     s = u.space.data
-    n = _norms(_rows(s, cfg)[1], cfg, "half aperture")
+    n = _norms(rows(s, cfg).sumsq, cfg, "half aperture")
     aperture, backward = half_aperture_core(n, cfg, alpha)
     return ad.fused("half_aperture", aperture, (u.space,),
                     lambda g: (backward(g) * (s / n),))

@@ -22,10 +22,13 @@ penalties are clamped at 700 so a badly violated pair yields a huge finite
 penalty instead of overflowing to infinity.
 
 All three terms of one slide are one fused "loss" node (`_loss`), whose
-two parents are the spaces of the slide's image rows (the slide, the
-regions and the patches, stacked in that order by `model.embed_slide`) and
-of the class text, and which takes lambda_a and lambda_s as weights. The
-classification term reads row 0 and the slide-level text rows through
+one parent is the space of the slide's rows (`model.EmbeddingSet.space`:
+the slide, the regions, the patches and the class text, stacked in that
+order and mapped in one call by `model.embed_slide`), and which takes
+lambda_a and lambda_s as weights. The node computes the time parts and
+squared norms of those rows once (`geometry.rows`), and both the
+classification term and the cone terms read them. The classification
+term reads row 0 and the slide-level text rows through
 `geometry.geodesic_core` and `_nll`, the cores of `cls_loss`. Which angles
 the alignment and hierarchy terms read depends only on the bag's region
 sizes, its top-K selections, its label, the number of classes and the two
@@ -36,8 +39,8 @@ per training slide before its epoch loop and `total_loss` takes it, while
 `ama_total` (weights (1, 0)) and `shc_total` ((0, 1)) build theirs on the
 spot and leave the classification term out, as do the roots of
 `training.gradient_check_suite`, over plans cut down to one query or one
-family of pairs. The body stacks the two arrays into one space array, the
-class text in `HierarchyLevel` order as `model.embed_text` lays it out (row
+family of pairs. The body reads the space whole, the class text in
+`HierarchyLevel` order as `model.embed_text` lays it out (row
 level.value * C + c is class c at that level). Every angle the terms read
 is an exterior angle theta(u, v), and all of them come from one masked
 call of `geometry.exterior_angle_core`, the core behind
@@ -355,13 +358,21 @@ def cone_plan(sizes, n_classes, label, selections, lambda_a, lambda_s):
     pos = block + label
     neg = block + others
 
-    apex = np.unique(np.concatenate([np.arange(1 + n_regions), np.arange(text0, n_rows)]
-                                    + ([rows] if ama else [])))
+    # the apex rows in row order: the slide, the regions, the selected patch
+    # rows once each with the alignment term on, and the text; `at` holds
+    # each apex row's position among them
+    picked_rows = np.zeros(n_patches, dtype=bool)
+    if ama:
+        picked_rows[patches] = True
+    apex = np.concatenate([np.arange(1 + n_regions),
+                           1 + n_regions + np.flatnonzero(picked_rows),
+                           np.arange(text0, n_rows)])
+    at = np.empty(n_rows, dtype=np.intp)
+    at[apex] = np.arange(apex.size)
 
     def pairs(u, v):
-        # flat positions of theta(u, v) in the [apex x rows] matrix, whose
-        # row for apex row u is its position among the apex rows
-        return np.searchsorted(apex, u) * n_rows + v
+        # flat positions of theta(u, v) in the [apex x rows] matrix
+        return at[u] * n_rows + v
 
     cones = []
     if shc:
@@ -378,11 +389,11 @@ def cone_plan(sizes, n_classes, label, selections, lambda_a, lambda_s):
                             1 + n_regions + np.arange(n_patches),
                             region_text, patch_text, rows])
         terms = np.array([n_regions, n_patches, n_classes, n_classes])
-        cones.append((pairs(u, v), np.searchsorted(apex, u),
+        cones.append((pairs(u, v), at[u],
                       np.concatenate([np.repeat(lambda_s / terms, terms),
                                       lambda_s * weights])))
         if others.size:
-            cones.append((pairs(neg, image).ravel(), np.searchsorted(apex, neg).ravel(),
+            cones.append((pairs(neg, image).ravel(), at[neg].ravel(),
                           np.repeat(lambda_s / others.size * weights, others.size)))
     # phi(u, v) reads theta(u, v) and theta(v, u): each image row against its
     # level's label text and wrong-class text, and that label text against
@@ -392,31 +403,30 @@ def cone_plan(sizes, n_classes, label, selections, lambda_a, lambda_s):
     return ConePlan(label, stops, apex, tuple(cones), phi, lambda_a * weights)
 
 
-def _cone_losses(image, text, n_regions, plan, cfg, geom):
+def _cone_losses(rows, n_image, n_regions, plan, cfg, geom):
     """lambda_a * L_ama + lambda_s * L_shc of one slide, in numpy: the
-    value and backward(g) giving the gradients on `image` (the slide, its
-    `n_regions` regions and their patches, stacked in that order) and on
-    `text`, reading the pairs of the slide's non-empty `ConePlan` with the
-    plan's weights.
+    value and backward(g) giving the gradient on the space array of
+    `rows`, the `geometry.Rows` of the slide, its `n_regions` regions and
+    their patches (`n_image` rows in all) and the class text, stacked in
+    that order, reading the pairs of the slide's non-empty `ConePlan` with
+    the plan's weights.
 
     A ShapeError is raised when the rows do not end where the plan's do.
-    The two arrays are stacked into one; every angle the terms read is an
-    exterior angle theta(u, v) of one masked `geometry.exterior_angle_core`
-    call over the plan's apex rows and all stacked rows, and the
-    half-apertures come from the norms it returns. One `_ent` call covers
+    Every angle the terms read is an exterior angle theta(u, v) of one
+    masked `geometry.exterior_angle_core` call over the plan's apex rows
+    and all rows, and the half-apertures come from the norms it returns.
+    One `_ent` call covers
     every entailment pair, one `_con` call every contradiction pair and the
     two `_ama` calls every selected image row. The backward scatters into
     one dense gradient of the angle matrix with one `bincount`. The
     coincidence guard covers exactly the masked pairs; pairs no term reads,
     such as a region against a patch of another region, are not checked.
     """
-    n_image = image.shape[0]
-    stops = (1, 1 + n_regions, n_image, n_image + text.shape[0])
+    stops = (1, 1 + n_regions, n_image, rows.space.shape[0])
     if stops != plan.stops:
         raise ShapeError(f"embeddings with rows ending at {stops} "
                          f"do not fit a cone plan of rows ending at {plan.stops}")
-    space = np.concatenate([image, text])
-    theta, norms, geo_backward = geo.exterior_angle_core(space[plan.apex], space,
+    theta, norms, geo_backward = geo.exterior_angle_core(rows.take(plan.apex), rows,
                                                          geom, plan.mask)
     aperture, aperture_backward = geo.half_aperture_core(norms, geom, cfg.alpha)
     theta = theta.ravel()
@@ -461,30 +471,34 @@ def _cone_losses(image, text, n_regions, plan, cfg, geom):
                               minlength=theta.size).reshape(plan.mask.shape)
         g_apex, g_space = geo_backward(g_theta, aperture_backward(g_aperture[:, None]))
         g_space[plan.apex] += g_apex
-        return g_space[:n_image], g_space[n_image:]
+        return g_space
 
     return value, backward
 
 
-def _cls(image, text, label, geom):
+def _cls(rows, n_image, label, geom):
     """L_cls of one slide, in numpy: -log softmax(-d)[label] over the
-    geodesics d from the slide, row 0 of `image`, to the slide-level rows of
-    `text`, through the cores of `geometry.geodesic` and `cls_nll`.
+    geodesics d from the slide, row 0 of `rows` (the `geometry.Rows` of
+    `n_image` image rows and the class text, as `_cone_losses` reads them),
+    to the slide-level text rows, through the cores of `geometry.geodesic`
+    and `cls_nll`.
 
-    Returns the value and backward(g, g_image, g_text), which adds the
-    gradients into the two given arrays.
+    Returns the value and backward(g, g_space), which adds the gradient
+    into the given array.
     """
-    rows = text_rows(text.shape[0], HierarchyLevel.SLIDE)
-    n_classes = rows.stop - rows.start
+    text = text_rows(rows.space.shape[0] - n_image, HierarchyLevel.SLIDE)
+    n_classes = text.stop - text.start
     if not 0 <= label < n_classes:
         raise ShapeError(f"label {label} out of range for {n_classes} classes")
-    distances, geodesic_backward = geo.geodesic_core(image[:1], text[rows], geom)
+    anchors = slice(n_image + text.start, n_image + text.stop)
+    distances, geodesic_backward = geo.geodesic_core(rows.take(slice(0, 1)),
+                                                     rows.take(anchors), geom)
     value, grad = _nll(-distances, label)
 
-    def backward(g, g_image, g_text):
+    def backward(g, g_space):
         g_slide, g_anchors = geodesic_backward(-grad(g))
-        g_image[:1] += g_slide
-        g_text[rows] += g_anchors
+        g_space[:1] += g_slide
+        g_space[anchors] += g_anchors
 
     return value, backward
 
@@ -492,33 +506,32 @@ def _cls(image, text, label, geom):
 def _loss(embeddings, plan, cfg, geom, cls=True):
     """The loss node of one slide: L_cls (when `cls`) plus the alignment and
     hierarchy terms of its `ConePlan`, with the plan's weights folded in, as
-    one fused "loss" node over the space arrays of the image rows and the
-    class text (`EmbeddingSet.image` and `text`). The label is the plan's.
+    one fused "loss" node whose one parent is the space array of the
+    slide's image rows and class text (`EmbeddingSet.space`). The label is
+    the plan's. The time parts and squared norms of the rows are computed
+    once (`geometry.rows`) and read by both terms.
 
     An empty plan gives L_cls alone, or 0 without reading any level when
-    `cls` is off. Image rows and text of different widths raise ShapeError.
+    `cls` is off. Image rows and text of different widths raise ShapeError
+    (`EmbeddingSet.space`).
     """
     if plan.empty and not cls:
         return ad.Tensor(0.0)
-    image, text = embeddings.image.space, embeddings.text.space
-    if image.data.shape[1] != text.data.shape[1]:
-        raise ShapeError(f"image embeddings are {image.data.shape[1]} wide, "
-                         f"the class text {text.data.shape[1]}")
-    cls_value, cls_backward = (_cls(image.data, text.data, plan.label, geom)
+    space, n_image = embeddings.space.space, embeddings.n_image
+    rows = geo.rows(space.data, geom)
+    cls_value, cls_backward = (_cls(rows, n_image, plan.label, geom)
                                if cls else (0.0, None))
     cone_value, cone_backward = (0.0, None) if plan.empty else _cone_losses(
-        image.data, text.data, len(embeddings.sizes), plan, cfg, geom)
+        rows, n_image, len(embeddings.sizes), plan, cfg, geom)
 
     def backward(g):
-        if cone_backward is None:
-            g_image, g_text = np.zeros(image.data.shape), np.zeros(text.data.shape)
-        else:
-            g_image, g_text = cone_backward(g)
+        g_space = (np.zeros(space.data.shape) if cone_backward is None
+                   else cone_backward(g))
         if cls_backward is not None:
-            cls_backward(g, g_image, g_text)
-        return g_image, g_text
+            cls_backward(g, g_space)
+        return (g_space,)
 
-    return ad.fused("loss", cls_value + cone_value, (image, text), backward)
+    return ad.fused("loss", cls_value + cone_value, (space,), backward)
 
 
 def ama_total(embeddings, label, selections, cfg, geom):
@@ -575,8 +588,8 @@ def total_loss(embeddings, plan, cfg, geom):
     """L_cls + lambda_a * L_ama + lambda_s * L_shc for one slide.
 
     `plan` is the slide's `cone_plan`, built with the weights of `cfg`; the
-    label is the plan's. All three terms are one fused node over the image
-    rows and the class text (`_loss`); with both weights zero the plan is
-    empty and the node holds L_cls alone.
+    label is the plan's. All three terms are one fused node over the one
+    space of the image rows and the class text (`_loss`); with both weights
+    zero the plan is empty and the node holds L_cls alone.
     """
     return _loss(embeddings, plan, cfg, geom)

@@ -25,22 +25,24 @@ Both learned stages are fused autodiff nodes (`autodiff.fused`) computed in
 numpy with a hand-derived backward: the adaptor MLP is one "adaptor" node
 per call and each `aggregate` call one "aggregate" node, so each runs the
 NaN guard once on its output. The class-text features of all levels are
-one "text_features" node as well. `embed_slide` maps the text onto the
-manifold at once. The image levels are mapped together: on the first read
-of any of them, the slide, region and patch tangents are stacked in that
-order (the row order of `losses.cone_plan`) by one "stack" node and mapped
-by one `exp_map_origin` call, and each level is a basic-slice view of that
-map. So a training step maps twice, the text and the image rows, and its
-loss node reads the two maps whole; scoring reads no image level and maps
-the slide tangents of all its bags in one call instead. The class text
-depends on the parameters alone; a caller scoring many bags embeds it once
-and passes it to `embed_slide`.
+one "text_features" node as well. The levels and the text are mapped
+together: on the first read of any of them, `embed_slide` stacks the
+slide, region, patch and class-text tangents in that order (the row order
+of `losses.cone_plan`) by one "stack" node and maps them by one
+`exp_map_origin` call. The map works row by row, so each row is what a
+map of its own level would give. The image rows, the text and each level
+are basic-slice views of that one space. So a training step maps once,
+and its loss node reads that space whole; scoring reads no image level
+and maps the slide tangents of all its bags in one call instead. The
+class text depends on the parameters alone; a caller scoring many bags
+embeds it once (`embed_text`) and passes it to `embed_slide`, which then
+stacks and maps the image tangents alone.
 
-The class text of all levels stays one stacked Points from `embed_text` to
-the loss node, in `HierarchyLevel` order (row level.value * N_C + c
-is class c at that level). This module owns that layout: a caller that
-needs one level reads it through `text_level`, or its rows through
-`text_rows`.
+The class text of all levels is stacked in `HierarchyLevel` order (row
+level.value * N_C + c is class c at that level), after the image rows in
+a training slide's space and alone in `embed_text`. This module owns that
+layout: a caller that needs one level reads it through `text_level`, or
+its rows through `text_rows`.
 
 Every parameter array of a `ModelParams` is a view into one float64
 buffer, trainable arrays first, so the optimizer updates them in one
@@ -286,29 +288,38 @@ def _init_aggregator(rng, owner, dims):
 
 
 def init_params(dims, seed, base_vectors=None):
-    """Fresh parameters, deterministic in (dims, seed, base_vectors)."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    arrays = {
-        **_init_mlp(rng, "adaptor_i", dims.d_in, dims.hidden, dims.k),
-        **_init_mlp(rng, "adaptor_t", dims.d_in, dims.hidden, dims.k),
-        **_init_aggregator(rng, "agg_region", dims),
-    }
-    if not dims.shared_aggregators:
-        arrays.update(_init_aggregator(rng, "agg_slide", dims))
-    if base_vectors is None:
-        base = rng.standard_normal((dims.n_classes, dims.d_in))
-        base /= np.linalg.norm(base, axis=1, keepdims=True)
-    else:
+    """Fresh parameters, deterministic in (dims, seed, base_vectors).
+
+    Dimensions whose parameters cannot be allocated are a ConfigError
+    naming them."""
+    if base_vectors is not None:
         base = np.asarray(base_vectors, dtype=np.float64)
         if base.shape != (dims.n_classes, dims.d_in):
             raise ShapeError(
                 f"base vectors have shape {base.shape}, "
                 f"expected {(dims.n_classes, dims.d_in)}"
             )
-    arrays["semantics.base"] = base
-    arrays["semantics.offsets"] = 0.1 * rng.standard_normal(
-        (dims.n_classes, 3, dims.d_in))
-    return params_from_arrays(arrays, dims)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    try:
+        arrays = {
+            **_init_mlp(rng, "adaptor_i", dims.d_in, dims.hidden, dims.k),
+            **_init_mlp(rng, "adaptor_t", dims.d_in, dims.hidden, dims.k),
+            **_init_aggregator(rng, "agg_region", dims),
+        }
+        if not dims.shared_aggregators:
+            arrays.update(_init_aggregator(rng, "agg_slide", dims))
+        if base_vectors is None:
+            base = rng.standard_normal((dims.n_classes, dims.d_in))
+            base /= np.linalg.norm(base, axis=1, keepdims=True)
+        arrays["semantics.base"] = base
+        arrays["semantics.offsets"] = 0.1 * rng.standard_normal(
+            (dims.n_classes, 3, dims.d_in))
+        return params_from_arrays(arrays, dims)
+    except (MemoryError, ValueError):  # ValueError: beyond numpy's size limit
+        raise ConfigError(
+            f"the parameters of a model with d_in={dims.d_in}, k={dims.k}, "
+            f"d_hidden={dims.hidden} and n_classes={dims.n_classes} "
+            "do not fit in memory") from None
 
 
 def params_from_arrays(arrays, dims):
@@ -431,31 +442,70 @@ def _stack(tensors):
 class EmbeddingSet:
     """One slide's embeddings at every level plus the class text.
 
-    `image` holds the image levels as one [1 + N_r + sum N_p] Points, the
-    slide, the regions and the patches stacked in that order (the row order
-    of `losses.cone_plan`), or a zero-argument callable making them: it runs
-    on the first read of any image level, under the autodiff mode in effect
-    at that read, and its Points are kept for later reads. `slide` [1],
-    `regions` [N_r] and `patches` [sum N_p] are basic-slice views of those
-    rows, each made on its first read. `text` is the [3 N_C] Points of
-    `embed_text` (read one level with `text_level`), `sizes` holds each
-    region's patch count (the bag's own read-only array; the regions'
-    patches are consecutive rows of `patches`), and `slide_tangent`, when
-    given, is the [1 x k] tangent feature the slide point is the map of.
+    `space` holds them all as one [1 + N_r + sum N_p + 3 N_C] Points: the
+    slide, the regions, the patches (the `n_image` image rows) and the
+    class text, stacked in that order (the row order of
+    `losses.cone_plan`). It is given, as that Points or as a zero-argument
+    callable making it, or built from separate `image` and `text` Points
+    on its first read, by one "stack" node (ShapeError when their widths
+    differ). A callable runs on the first read of what needs it, under the
+    autodiff mode in effect at that read, and its Points are kept for later
+    reads. Given a `space`, `image` and `text` are basic-slice views of it;
+    otherwise `image` may also be such a callable, so a caller reading no
+    image level maps none. `slide` [1], `regions` [N_r] and `patches`
+    [sum N_p] are basic-slice views of the image rows, each made on its
+    first read. `text` is laid out as `embed_text` lays it out (read one
+    level with `text_level`), `sizes` holds each region's patch count (the
+    bag's own read-only array; the regions' patches are consecutive rows of
+    `patches`), and `slide_tangent`, when given, is the [1 x k] tangent
+    feature the slide point is the map of.
     """
 
-    def __init__(self, image, text, sizes, slide_tangent=None):
+    def __init__(self, *, sizes, space=None, image=None, text=None,
+                 slide_tangent=None):
+        self._space = space
         self._image = image
+        self._text = text
+        self._n_image = None if space is None else 1 + len(sizes) + int(np.sum(sizes))
         self._levels = {}
-        self.text = text
         self.sizes = sizes
         self.slide_tangent = slide_tangent
 
     @property
+    def space(self):
+        if self._space is None:
+            image, text = self.image, self.text
+            if image.dim != text.dim:
+                raise ShapeError(f"image embeddings are {image.dim} wide, "
+                                 f"the class text {text.dim}")
+            self._space = geo.Points(_stack((image.space, text.space)), image.cfg)
+        elif callable(self._space):
+            self._space = self._space()
+        return self._space
+
+    @property
+    def n_image(self):
+        """The number of image rows: the slide, the regions and the patches."""
+        if self._n_image is None:
+            self._n_image = self.image.count
+        return self._n_image
+
+    @property
     def image(self):
-        if callable(self._image):
+        if self._image is None:
+            self._image = self._view(slice(0, self._n_image))
+        elif callable(self._image):
             self._image = self._image()
         return self._image
+
+    @property
+    def text(self):
+        if self._text is None:
+            self._text = self._view(slice(self._n_image, None))
+        return self._text
+
+    def _view(self, rows):
+        return geo.Points(self.space.space[rows], self.space.cfg)
 
     @property
     def slide(self):
@@ -508,14 +558,17 @@ def embed_slide(bag, params, geom, text=None):
     """Hyperbolic embeddings of one slide at all levels plus class text.
 
     `text` is the result of `embed_text(params, geom)` when the caller
-    already holds it (it depends on the parameters alone); None embeds it
-    here. The text is mapped onto the manifold here; the slide, region and
-    patch tangents are stacked in one "stack" node and mapped in one
-    `exp_map_origin` call on the first read of any image level (see
-    `EmbeddingSet`), so a caller reading none maps none. The unmapped slide
-    tangent is `slide_tangent`: `evaluation` reads it from every bag it
-    scores and maps all of them in one `exp_map_origin` call, so it never
-    reads an image level and no per-bag stack or map is built.
+    already holds it (it depends on the parameters alone). None, the case
+    of training, stacks the class-text tangents (the text adaptor over
+    `ClassSemanticsTable.features`) after the slide, region and patch
+    tangents in one "stack" node, and maps all of them in one
+    `exp_map_origin` call on the first read of any level (see
+    `EmbeddingSet`): the loss node reads that one space whole. Given a
+    `text`, the slide, region and patch tangents alone are stacked and
+    mapped that way, so a caller reading no image level maps none. The
+    unmapped slide tangent is `slide_tangent`: `evaluation` reads it from
+    every bag it scores and maps all of them in one `exp_map_origin` call,
+    so it never reads an image level and no per-bag stack or map is built.
 
     The bag's block is cast to float64 once and its stored layout is used
     as it is: no per-region loop, concatenation or bounds run here. A bag
@@ -526,14 +579,16 @@ def embed_slide(bag, params, geom, text=None):
     patch_tan = params.adaptor_i(ad.Tensor(bag.patches.astype(np.float64)))
     region_tan = aggregate(patch_tan, params.agg_region, bag.sizes)
     slide_tan = aggregate(region_tan, params.agg_slide)
+    image = (slide_tan, region_tan, patch_tan)
 
+    if text is None:
+        text_tan = params.adaptor_t(params.semantics.features())
+        return EmbeddingSet(
+            sizes=bag.sizes, slide_tangent=slide_tan,
+            space=lambda: geo.exp_map_origin(_stack(image + (text_tan,)), geom))
     return EmbeddingSet(
-        image=lambda: geo.exp_map_origin(
-            _stack((slide_tan, region_tan, patch_tan)), geom),
-        text=embed_text(params, geom) if text is None else text,
-        sizes=bag.sizes,
-        slide_tangent=slide_tan,
-    )
+        sizes=bag.sizes, slide_tangent=slide_tan, text=text,
+        image=lambda: geo.exp_map_origin(_stack(image), geom))
 
 
 # -- checkpoints --------------------------------------------------------------

@@ -126,6 +126,19 @@ def test_train_rejects_mistyped_config_value(workdir, bundle_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("field", ["d_hidden", "k"])
+def test_train_rejects_dimensions_beyond_memory(workdir, bundle_path, capsys, field):
+    # 2**62 rows are beyond numpy's size limit: refused before any allocation
+    cfg = workdir / f"huge-{field}.json"
+    cfg.write_text(json.dumps({"epochs": 1, field: 2**62}))
+    code = main(["train", "--data", str(bundle_path), "--config", str(cfg),
+                 "--out", str(workdir / "never.ckpt")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{field}={2**62}" in err and "do not fit in memory" in err
+
+
 def test_eval_full_bundle(bundle_path, checkpoint_path, capsys):
     code = main(["eval", "--data", str(bundle_path),
                  "--params", str(checkpoint_path)])

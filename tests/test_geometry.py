@@ -231,8 +231,9 @@ def test_exterior_angle_core_mask_keeps_the_masked_entries():
     su = rng.normal(size=(5, 4))
     sv = rng.normal(size=(9, 4))
     mask = rng.random((5, 9)) < 0.4
-    full, full_norms, full_backward = geo.exterior_angle_core(su, sv, cfg)
-    part, part_norms, part_backward = geo.exterior_angle_core(su, sv, cfg, mask)
+    u, v = geo.rows(su, cfg), geo.rows(sv, cfg)
+    full, full_norms, full_backward = geo.exterior_angle_core(u, v, cfg)
+    part, part_norms, part_backward = geo.exterior_angle_core(u, v, cfg, mask)
     assert np.array_equal(part[mask], full[mask])
     assert np.array_equal(part_norms, full_norms)
     assert np.isfinite(part).all()
@@ -243,11 +244,12 @@ def test_exterior_angle_core_mask_keeps_the_masked_entries():
         assert np.array_equal(got, want)
     # only the masked pairs are checked for coincidence
     sv[2] = su[1]
+    v = geo.rows(sv, cfg)
     mask[1, 2] = False
-    geo.exterior_angle_core(su, sv, cfg, mask)
+    geo.exterior_angle_core(u, v, cfg, mask)
     mask[1, 2] = True
     with pytest.raises(GeometryError, match="coincident"):
-        geo.exterior_angle_core(su, sv, cfg, mask)
+        geo.exterior_angle_core(u, v, cfg, mask)
 
 
 def test_primitives_run_the_exterior_angle_core(monkeypatch):

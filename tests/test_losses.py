@@ -7,8 +7,10 @@ from numpy.testing import assert_allclose
 from hypermil import autodiff as ad
 from hypermil import geometry as geo
 from hypermil import losses as ls
+from hypermil.data import SyntheticSpec, generate
 from hypermil.errors import ConfigError, GeometryError, ShapeError
 from hypermil.model import EmbeddingSet, HierarchyLevel, text_level
+from hypermil.training import select_top_k
 
 CFG = ls.LossConfig()
 GEOM = geo.GeometryConfig(curvature=1.0, dim=2)
@@ -226,6 +228,90 @@ def test_cone_plan_refuses_selections_outside_the_slide():
         with pytest.raises(ShapeError, match=f"^{level.name.lower()} selection "
                                              rf"\[{picked[0]}\] is outside"):
             ls.cone_plan([2, 2], 3, 0, sel, CFG.lambda_a, CFG.lambda_s)
+
+
+def _cone_plan_by_search(sizes, n_classes, label, selections, lambda_a, lambda_s):
+    """`cone_plan` with the apex rows found by `np.unique` and each row's
+    position among them by `np.searchsorted`: the oracle of the positions
+    `cone_plan` works out by arithmetic."""
+    n_regions, n_patches = len(sizes), int(np.sum(sizes))
+    text0 = 1 + n_regions + n_patches
+    n_rows = text0 + 3 * n_classes
+    others = np.array([c for c in range(n_classes) if c != label], dtype=int)
+    ama, shc = lambda_a != 0.0 and others.size > 0, lambda_s != 0.0
+    regions = np.asarray(selections[HierarchyLevel.REGION], dtype=int)
+    patches = np.asarray(selections[HierarchyLevel.PATCH], dtype=int)
+    rows = np.concatenate([[0], 1 + regions, 1 + n_regions + patches])
+    counts = np.array([1, regions.size, patches.size])
+    levels = np.repeat([2, 1, 0], counts)
+    weights = 1.0 / np.repeat(counts, counts)
+    image = rows[:, None]
+    block = text0 + levels[:, None] * n_classes
+    pos, neg = block + label, block + others
+    apex = np.unique(np.concatenate([np.arange(1 + n_regions), np.arange(text0, n_rows)]
+                                    + ([rows] if ama else [])))
+
+    def pairs(u, v):
+        return np.searchsorted(apex, u) * n_rows + v
+
+    cones = []
+    if shc:
+        chain = text0 + np.arange(n_classes)
+        slide_text, region_text, patch_text = (chain + v * n_classes for v in (2, 1, 0))
+        u = np.concatenate([np.zeros(n_regions, dtype=int),
+                            1 + np.repeat(np.arange(n_regions), sizes),
+                            slide_text, region_text, pos[:, 0]])
+        v = np.concatenate([1 + np.arange(n_regions),
+                            1 + n_regions + np.arange(n_patches),
+                            region_text, patch_text, rows])
+        terms = np.array([n_regions, n_patches, n_classes, n_classes])
+        cones.append((pairs(u, v), np.searchsorted(apex, u),
+                      np.concatenate([np.repeat(lambda_s / terms, terms),
+                                      lambda_s * weights])))
+        if others.size:
+            cones.append((pairs(neg, image).ravel(), np.searchsorted(apex, neg).ravel(),
+                          np.repeat(lambda_s / others.size * weights, others.size)))
+    phi = tuple((pairs(a, b), pairs(b, a))
+                for a, b in ((image, pos), (image, neg), (pos, neg))) if ama else ()
+    return apex, cones, phi, lambda_a * weights
+
+
+def test_cone_plan_positions_match_unique_and_searchsorted():
+    def same(got, want):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    bundle = generate(SyntheticSpec())
+    n_classes = len(bundle.class_vectors)
+    # the top-K selections of every default bag, and one selection with
+    # repeated and unsorted rows
+    cases = [(bag, select_top_k(bag, bundle.class_vectors, bag.label, top_k))
+             for bag in bundle.bags for top_k in (1, 3, 8, 64)]
+    cases.append((bundle.bags[0], {HierarchyLevel.SLIDE: np.array([0]),
+                                   HierarchyLevel.REGION: np.array([2, 0, 2]),
+                                   HierarchyLevel.PATCH: np.array([9, 1, 9, 4])}))
+    for bag, sel in cases:
+        for weights in ((1.0, 10.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)):
+            plan = ls.cone_plan(bag.sizes, n_classes, bag.label, sel, *weights)
+            if plan.empty:
+                assert weights == (0.0, 0.0)
+                continue
+            apex, cones, phi, ama_weights = _cone_plan_by_search(
+                bag.sizes, n_classes, bag.label, sel, *weights)
+            same(plan.apex, apex)
+            same(plan.ama_weights, ama_weights)
+            assert len(plan.cones) == len(cones) and len(plan.phi) == len(phi)
+            for got, want in zip(plan.cones, cones):
+                for g, w in zip(got, want):
+                    same(g, w)
+            for got, want in zip(plan.phi, phi):
+                for g, w in zip(got, want):
+                    same(g, w)
+            # a plan worked out from the oracle's arrays has the same
+            # mask and flat positions
+            oracle = ls.ConePlan(plan.label, plan.stops, apex, tuple(cones), phi,
+                                 ama_weights)
+            same(plan.mask, oracle.mask)
+            same(plan.flats, oracle.flats)
 
 
 def test_cone_plan_is_empty_without_weights():
@@ -490,9 +576,9 @@ def _graph_size(root):
 
 
 def test_total_loss_graph_size_does_not_depend_on_levels():
-    # 2 space leaves (the image rows and the text) and the one loss node of
-    # the classification, alignment and hierarchy terms: the same whichever
-    # levels have selected rows
+    # 2 space leaves (the image rows and the text), the stack of the two
+    # and the one loss node of the classification, alignment and hierarchy
+    # terms: the same whichever levels have selected rows
     full = _full_selection()
     no_patch = dict(full)
     no_patch[HierarchyLevel.PATCH] = np.array([], dtype=int)
@@ -501,7 +587,7 @@ def test_total_loss_graph_size_does_not_depend_on_levels():
     emb = _with_leaves(_random_embeddings(np.random.default_rng(34)))
     sizes = [_graph_size(_total_loss(emb, 0, sel, CFG, GEOM))
              for sel in (full, no_patch, slide_only)]
-    assert sizes == [3, 3, 3]
+    assert sizes == [4, 4, 4]
 
 
 def test_ama_total_empty_patch_level_contributes_zero():

@@ -303,9 +303,14 @@ def test_embed_slide_maps_patches_and_regions_on_first_read():
         assert np.array_equal(got.space.data, want.space.data)
     assert emb.patches is emb.patches
     assert emb.regions is emb.regions
-    # every level is a view of the one map of the stacked image rows
+    # the image rows and the text are views of the one map of the stacked
+    # image and text rows, and every level a view of the image rows
+    space = emb.space.space
+    assert space._op == "exp_map_origin" and space._parents[0]._op == "stack"
+    for got in (emb.image, emb.text):
+        assert got.space._parents == (space,)
+        assert np.shares_memory(got.space.data, space.data)
     image = emb.image.space
-    assert image._op == "exp_map_origin" and image._parents[0]._op == "stack"
     for got in (emb.slide, emb.regions, emb.patches):
         assert got.space._parents == (image,)
         assert np.shares_memory(got.space.data, image.data)
@@ -341,6 +346,15 @@ def test_embed_slide_gradients_reach_all_trainables():
         assert np.all(np.isfinite(t.grad)), name
         assert np.any(t.grad != 0.0), name
     assert params.semantics.base.grad is None
+
+
+def test_embed_slide_text_equals_embed_text():
+    params = md.init_params(DIMS, 12)
+    emb = md.embed_slide(_bag(np.random.default_rng(9)), params, GEOM)
+    # the class text mapped with the image rows, row by row, is the class
+    # text mapped alone
+    assert emb.text.count == 3 * DIMS.n_classes
+    assert_array_equal(emb.text.space.data, md.embed_text(params, GEOM).space.data)
 
 
 # -- checkpoints ----------------------------------------------------------------

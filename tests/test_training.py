@@ -18,7 +18,16 @@ from hypermil.errors import (
     TrainingError,
 )
 from hypermil.losses import LossConfig, ama_total, cone_plan, shc_total, total_loss
-from hypermil.model import HierarchyLevel, ModelDims, embed_slide, init_params
+from hypermil.model import (
+    EmbeddingSet,
+    HierarchyLevel,
+    ModelDims,
+    _stack,
+    aggregate,
+    embed_slide,
+    embed_text,
+    init_params,
+)
 
 
 # -- config ---------------------------------------------------------------------
@@ -410,26 +419,26 @@ def _default_steps(monkeypatch, wraps):
     tr.train(bundle, split, tr.TrainConfig(epochs=1))
 
 
-def test_default_train_step_graph_has_23_nodes(monkeypatch):
+def test_default_train_step_graph_has_22_nodes(monkeypatch):
     # one node per model stage: 14 leaves (the input and 13 trainable
     # arrays), the two adaptors, two aggregates, the text features, the
-    # stack of the slide, region and patch tangents, two exp maps (the text
-    # and the stack), and one loss node for the classification, alignment
-    # and hierarchy terms with their weights folded in
+    # stack of the slide, region, patch and class-text tangents, its one exp
+    # map, and one loss node for the classification, alignment and
+    # hierarchy terms with their weights folded in
     sizes = []
     _default_steps(monkeypatch, [
         (ad.Tensor, "backward", lambda root: sizes.append(_graph_size(root)))])
-    assert sizes == [23] * 6
+    assert sizes == [22] * 6
 
 
-def test_default_train_step_maps_twice(monkeypatch):
+def test_default_train_step_maps_once(monkeypatch):
     events = []
     _default_steps(monkeypatch, [
         (geo, "exp_map_origin", lambda *args: events.append("map")),
         (ad.Tensor, "backward", lambda root: events.append("backward"))])
-    # the class text and the stacked image rows before each backward, then
-    # the validation's text and slides
-    assert events == ["map", "map", "backward"] * 6 + ["map", "map"]
+    # the stacked image and class-text rows before each backward, then the
+    # validation's text and slides
+    assert events == ["map", "backward"] * 6 + ["map", "map"]
 
 
 def test_train_loss_pinned_under_each_weighting():
@@ -450,6 +459,44 @@ def test_train_loss_pinned_under_each_weighting():
         loss = LossConfig(lambda_a=lambda_a, lambda_s=lambda_s)
         res = tr.train(bundle, split, tr.TrainConfig(epochs=2, loss=loss))
         assert [s.train_loss.hex() for s in res.log] == want, (lambda_a, lambda_s)
+
+
+def test_joint_map_step_equals_the_step_over_two_maps():
+    # the loss and every trainable gradient of a step over `embed_slide`,
+    # which maps the image rows and the class text in one call, equal bit
+    # for bit those of a step over the image rows and the class text mapped
+    # apart (`embed_text`) and stacked by hand
+    bundle = generate(SyntheticSpec())
+    cfg = tr.TrainConfig()
+    geom = cfg.geometry()
+    n_classes = len(bundle.class_vectors)
+    dims = ModelDims(d_in=bundle.dim, k=cfg.k, n_classes=n_classes)
+    params = init_params(dims, cfg.seed, bundle.class_vectors)
+
+    def step(bag, embed):
+        sel = tr.select_top_k(bag, bundle.class_vectors, bag.label, cfg.loss.top_k)
+        plan = cone_plan(bag.sizes, n_classes, bag.label, sel, cfg.loss.lambda_a,
+                         cfg.loss.lambda_s)
+        params.zero_grads()
+        loss = total_loss(embed(bag), plan, cfg.loss, geom)
+        loss.backward()
+        return loss.item(), _grads(params)
+
+    def apart(bag):
+        patch_tan = params.adaptor_i(ad.Tensor(bag.patches.astype(np.float64)))
+        region_tan = aggregate(patch_tan, params.agg_region, bag.sizes)
+        slide_tan = aggregate(region_tan, params.agg_slide)
+        image = geo.exp_map_origin(_stack((slide_tan, region_tan, patch_tan)), geom)
+        return EmbeddingSet(sizes=bag.sizes, image=image,
+                            text=embed_text(params, geom))
+
+    for bag in bundle.bags[::15]:
+        joint_loss, joint = step(bag, lambda b: embed_slide(b, params, geom))
+        apart_loss, want = step(bag, apart)
+        assert joint_loss == apart_loss
+        assert joint.keys() == want.keys()
+        for name, g in want.items():
+            assert np.array_equal(joint[name], g), name
 
 
 def test_default_train_step_computes_one_exterior_angle_matrix(monkeypatch):
@@ -554,7 +601,7 @@ def test_gradient_check_roots_measure_the_training_terms(monkeypatch):
     tr.gradient_check_suite(trials=1)
     cls, ama, ent, con, total = roots[1]
     for root in (cls, ama, ent, con, total):
-        assert root._op == "loss" and len(root._parents) == 2
+        assert root._op == "loss" and len(root._parents) == 1
     emb = seen["embed_slide"][1]
     (_, _, label, _), selections = seen["select_top_k"]
     cfg, geom = LossConfig(), geo.GeometryConfig(curvature=1.0, dim=4)
