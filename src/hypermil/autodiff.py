@@ -31,8 +31,9 @@ in numpy:
 A default training step is 22 nodes: 14 leaves (the patch block and 13
 trainable arrays), two adaptors (the patches and the class text), two
 aggregates, the text features, the stack of the slide, region, patch and
-class-text tangents, its one exp map and the loss, whose one parent is
-that map.
+class-text tangents, its one exp map (both built by `model.embed_slide`)
+and the loss, whose one parent is that map. No view of the map's rows is
+in the graph: the loss reads the space whole.
 
 Conventions:
   * gradients accumulate into `Tensor.grad` (None until touched); the first

@@ -20,7 +20,7 @@ patch count, its `sizes`), laid out once when the bag is made. Its
 layout cannot drift from the data. Construction checks what the bag alone
 decides: every region is a 2-D array and all have one width. What depends
 on the model, or may wait until the bag is read, is `FeatureBag.check`,
-which `model.embed_slide` and `training.select_top_k` run: no regions, an
+which `model.slide_tangents` and `training.select_top_k` run: no regions, an
 empty region, and a width other than the model's.
 
 Bundles are a payload/manifest pair. The payload is little-endian binary:
@@ -171,6 +171,15 @@ class SyntheticSpec:
             )
 
 
+def _spawn(seed, n, what):
+    """`n` child seeds of `seed`. A count beyond what numpy can spawn is a
+    ConfigError naming `what`."""
+    try:
+        return np.random.SeedSequence(seed).spawn(n)
+    except OverflowError:
+        raise ConfigError(f"{what} are more than can be seeded") from None
+
+
 def _unit_rows(m):
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
@@ -184,7 +193,8 @@ def generate(spec):
     patches is untouched by it: at the defaults (sigma_site 0.25) the shift
     opens no measurable gap between in-domain and out-of-domain AUC.
     A slide whose [regions x patches x D] block cannot be allocated is a
-    ConfigError naming the three sizes.
+    ConfigError naming the three sizes, and so are more slides than can be
+    seeded or more sites than can be drawn, naming the count.
     """
     try:
         # one [regions x patches x D] block, refilled for each slide, a
@@ -194,7 +204,7 @@ def generate(spec):
         raise ConfigError(f"a slide of {spec.n_regions} x {spec.n_patches} x "
                           f"{spec.d_in} patch values does not fit in memory") from None
     n_slides = spec.n_classes * spec.slides_per_class
-    seeds = np.random.SeedSequence(spec.seed).spawn(2 + n_slides)
+    seeds = _spawn(spec.seed, 2 + n_slides, f"{n_slides} slides")
     rng = np.random.default_rng(seeds[0])
 
     # classes share a common stem (the anchor) plus equal-norm offsets along
@@ -223,7 +233,10 @@ def generate(spec):
     axes = site_rng.standard_normal((spec.d_in, 2))
     axes -= basis @ (basis.T @ axes)
     axes, _ = np.linalg.qr(axes)
-    coords = site_rng.standard_normal((spec.n_sites, 2))
+    try:
+        coords = site_rng.standard_normal((spec.n_sites, 2))
+    except (MemoryError, ValueError):  # ValueError: beyond numpy's size limit
+        raise ConfigError(f"{spec.n_sites} sites do not fit in memory") from None
     site_shift = spec.sigma_site * coords @ axes.T
 
     n_disc = max(1, int(round(spec.purity * spec.n_patches)))
@@ -459,6 +472,7 @@ def make_splits(bags, n_outer, n_inner, ratios=(0.6, 0.2, 0.2), seed=0):
     out-of-domain test set. Within the in-domain slides, each inner split
     draws train/val/test by the given ratios per class. Everything is keyed
     by sorted slide ids and the seed, so bundle order does not matter.
+    More splits than can be seeded are a ConfigError naming the counts.
     """
     if n_outer < 1 or n_inner < 1:
         raise ConfigError("n_outer and n_inner must be at least 1")
@@ -478,7 +492,8 @@ def make_splits(bags, n_outer, n_inner, ratios=(0.6, 0.2, 0.2), seed=0):
             f"need at least {n_outer} distinct sites for {n_outer} outer folds, "
             f"got {len(sites)}"
         )
-    seeds = np.random.SeedSequence(seed).spawn(1 + n_outer * n_inner)
+    seeds = _spawn(seed, 1 + n_outer * n_inner,
+                   f"{n_outer} x {n_inner} outer x inner splits")
     site_order = list(np.array(sites)[np.random.default_rng(seeds[0]).permutation(len(sites))])
 
     folds = []

@@ -16,13 +16,14 @@ rows are the same either way.
 
 Scoring has one path, `_scores`, which `predict` runs on one bag and
 `evaluate` on all of its bags: the class text is embedded once per call,
-each bag runs its own adaptor and pooling graph, and the slide level of all
-bags is mapped and scored in one pass. So an `evaluate` row equals
-`predict` on its bag bit for bit.
+each bag runs its own adaptor and pooling graph (`model.slide_tangents`),
+and the slide tangents of all bags are mapped and scored in one pass. So
+an `evaluate` row equals `predict` on its bag bit for bit.
 
 `export_embeddings` and `mean_origin_distances` read the same walk over
 the embeddings (`_embeddings`): the class text level by level, then each
-bag's slide, regions and patches.
+bag's slide, regions and patches, from one `model.embed_slide` map per
+bag.
 """
 
 import itertools
@@ -36,32 +37,33 @@ from . import training
 from .data import make_splits
 from .errors import ConfigError, MetricError
 from .fileio import atomic_write_text
-from .model import HierarchyLevel, embed_slide, embed_text, text_level
+from .model import (HierarchyLevel, embed_slide, embed_text, slide_tangents,
+                    text_level)
 
 
-def _scores(bags, params, geom, text=None):
+def _scores(bags, params, geom):
     """[B x C] class probabilities of B bags: each row the softmax over the
     negative geodesics from the bag's slide point to the slide-level class
     text.
 
-    The one scoring path, of `predict` (B = 1) and `score_bags`. Each bag
-    runs its own `embed_slide` graph (the adaptor and the two `aggregate`
-    calls) and only its slide tangent is read, so no per-bag level is
-    mapped. The B tangents are stacked and mapped in one `exp_map_origin`
-    call, and the softmax runs over the rows of the distance matrix at once.
-    The distances are one `geometry.geodesic_core` call per slide row: a
-    [1 x k] by [k x C] product whatever B is, since BLAS may round a
-    several-row product differently from a one-row one in the last bit, and
-    a row of `evaluate` must equal `predict` on its bag bit for bit. The
-    row statistics (`geometry.rows`) of the slides and of the anchors are
-    computed once per call; they are computed row by row, so a slide's are
-    the same whatever B is.
+    The one scoring path, of `predict` (B = 1) and `score_bags`. The class
+    text is embedded once per call. Each bag runs its own `slide_tangents`
+    graph (the adaptor and the two `aggregate` calls) and only its slide
+    tangent is read, so no per-bag level is mapped. The B tangents are
+    stacked and mapped in one `exp_map_origin` call, and the softmax runs
+    over the rows of the distance matrix at once. The distances are one
+    `geometry.geodesic_core` call per slide row: a [1 x k] by [k x C]
+    product whatever B is, since BLAS may round a several-row product
+    differently from a one-row one in the last bit, and a row of `evaluate`
+    must equal `predict` on its bag bit for bit. The row statistics
+    (`geometry.rows`) of the slides and of the anchors are computed once
+    per call; they are computed row by row, so a slide's are the same
+    whatever B is.
     """
     with ad.no_grad():
-        if text is None:
-            text = embed_text(params, geom)
-        tangents = np.concatenate([embed_slide(bag, params, geom, text)
-                                   .slide_tangent.data for bag in bags])
+        text = embed_text(params, geom)
+        tangents = np.concatenate([slide_tangents(bag, params)[0].data
+                                   for bag in bags])
         slides = geo.rows(geo.exp_map_origin(tangents, geom).space.data, geom)
         anchors = geo.rows(text_level(text, HierarchyLevel.SLIDE).space.data, geom)
     d = np.concatenate([geo.geodesic_core(slides.take(slice(i, i + 1)), anchors, geom)[0]
@@ -71,16 +73,15 @@ def _scores(bags, params, geom, text=None):
     return p / p.sum(axis=1, keepdims=True)
 
 
-def predict(bag, params, geom, text=None):
+def predict(bag, params, geom):
     """Class probabilities of one bag: softmax over negative slide-to-text
     geodesics, the one-bag case of the scoring that `evaluate` runs.
 
-    `text` is `embed_text(params, geom)` when the caller already holds it;
-    None embeds it here. Only the slide point is mapped onto the manifold:
-    the patch and region levels are never mapped and the NaN guard never
-    runs on their maps.
+    The class text and the slide point are mapped onto the manifold: the
+    patch and region levels are never mapped and the NaN guard never runs
+    on their maps.
     """
-    return _scores([bag], params, geom, text)[0]
+    return _scores([bag], params, geom)[0]
 
 
 def score_bags(bags, params, geom):
@@ -346,7 +347,7 @@ def _embeddings(bags, params, geom):
         points = text_level(text, level)
         yield "text", range(points.count), level.name.lower(), points
     for bag in bags:
-        emb = embed_slide(bag, params, geom, text)
+        emb = embed_slide(bag, params, geom)
         label = itertools.repeat(bag.label)
         yield "slide", label, bag.slide_id, emb.slide
         yield "region", label, bag.slide_id, emb.regions

@@ -507,13 +507,12 @@ def _loss(embeddings, plan, cfg, geom, cls=True):
     """The loss node of one slide: L_cls (when `cls`) plus the alignment and
     hierarchy terms of its `ConePlan`, with the plan's weights folded in, as
     one fused "loss" node whose one parent is the space array of the
-    slide's image rows and class text (`EmbeddingSet.space`). The label is
-    the plan's. The time parts and squared norms of the rows are computed
-    once (`geometry.rows`) and read by both terms.
+    slide's image rows and class text (`EmbeddingSet.space`, the one array
+    a set holds). The label is the plan's. The time parts and squared norms
+    of the rows are computed once (`geometry.rows`) and read by both terms.
 
     An empty plan gives L_cls alone, or 0 without reading any level when
-    `cls` is off. Image rows and text of different widths raise ShapeError
-    (`EmbeddingSet.space`).
+    `cls` is off.
     """
     if plan.empty and not cls:
         return ad.Tensor(0.0)

@@ -2,15 +2,14 @@
 
 A slide arrives as a `FeatureBag`: raw patch features grouped into
 regions, held as one contiguous block with the regions' sizes.
-`embed_slide` casts the block to float64 once, passes the sizes to
-`aggregate` as its segments and on to the `EmbeddingSet`, and runs
-only the constant-cost checks the bag leaves to its reader
-(`FeatureBag.check`); rank and equal widths were checked when the bag was
-made. The image adaptor (a two-layer MLP) maps every patch into the
-tangent space at the origin; gated-attention aggregators then pool patches
-into region features and regions into a slide feature, still in the
-tangent space, and each level is pushed onto the manifold with the
-exponential map. Class text features
+`slide_tangents` casts the block to float64 once, passes the sizes to
+`aggregate` as its segments, and runs only the constant-cost checks the
+bag leaves to its reader (`FeatureBag.check`); rank and equal widths were
+checked when the bag was made. The image adaptor (a two-layer MLP) maps
+every patch into the tangent space at the origin; gated-attention
+aggregators then pool patches into region features and regions into a
+slide feature, still in the tangent space, and `embed_slide` pushes each
+level onto the manifold with the exponential map. Class text features
 are a frozen base vector per class plus a learnable offset per (class,
 level), passed through their own adaptor and mapped the same way.
 
@@ -25,22 +24,20 @@ Both learned stages are fused autodiff nodes (`autodiff.fused`) computed in
 numpy with a hand-derived backward: the adaptor MLP is one "adaptor" node
 per call and each `aggregate` call one "aggregate" node, so each runs the
 NaN guard once on its output. The class-text features of all levels are
-one "text_features" node as well. The levels and the text are mapped
-together: on the first read of any of them, `embed_slide` stacks the
-slide, region, patch and class-text tangents in that order (the row order
-of `losses.cone_plan`) by one "stack" node and maps them by one
+one "text_features" node as well. `embed_slide` stacks the slide, region,
+patch and class-text tangents in that order (the row order of
+`losses.cone_plan`) by one "stack" node and maps them by one
 `exp_map_origin` call. The map works row by row, so each row is what a
-map of its own level would give. The image rows, the text and each level
-are basic-slice views of that one space. So a training step maps once,
-and its loss node reads that space whole; scoring reads no image level
-and maps the slide tangents of all its bags in one call instead. The
-class text depends on the parameters alone; a caller scoring many bags
-embeds it once (`embed_text`) and passes it to `embed_slide`, which then
-stacks and maps the image tangents alone.
+map of its own level would give. Its `EmbeddingSet` is plain data: that
+one space, the region sizes, and basic-slice views of the space. So a
+training step maps once, and its loss node reads that space whole.
+Scoring reads no image level: it takes each bag's unmapped slide tangent
+from `slide_tangents`, embeds the class text once (`embed_text`) and maps
+the slide tangents of all its bags in one call.
 
 The class text of all levels is stacked in `HierarchyLevel` order (row
 level.value * N_C + c is class c at that level), after the image rows in
-a training slide's space and alone in `embed_text`. This module owns that
+the space of `embed_slide` and alone in `embed_text`. This module owns that
 layout: a caller that needs one level reads it through `text_level`, or
 its rows through `text_rows`.
 
@@ -445,88 +442,41 @@ class EmbeddingSet:
     `space` holds them all as one [1 + N_r + sum N_p + 3 N_C] Points: the
     slide, the regions, the patches (the `n_image` image rows) and the
     class text, stacked in that order (the row order of
-    `losses.cone_plan`). It is given, as that Points or as a zero-argument
-    callable making it, or built from separate `image` and `text` Points
-    on its first read, by one "stack" node (ShapeError when their widths
-    differ). A callable runs on the first read of what needs it, under the
-    autodiff mode in effect at that read, and its Points are kept for later
-    reads. Given a `space`, `image` and `text` are basic-slice views of it;
-    otherwise `image` may also be such a callable, so a caller reading no
-    image level maps none. `slide` [1], `regions` [N_r] and `patches`
-    [sum N_p] are basic-slice views of the image rows, each made on its
-    first read. `text` is laid out as `embed_text` lays it out (read one
-    level with `text_level`), `sizes` holds each region's patch count (the
+    `losses.cone_plan`). `sizes` holds each region's patch count (the
     bag's own read-only array; the regions' patches are consecutive rows of
-    `patches`), and `slide_tangent`, when given, is the [1 x k] tangent
-    feature the slide point is the map of.
+    `patches`). `image`, `text`, `slide` [1], `regions` [N_r] and `patches`
+    [sum N_p] are basic-slice views of `space`, each made on its first read
+    and kept; `text` is laid out as `embed_text` lays it out (read one
+    level with `text_level`).
     """
 
-    def __init__(self, *, sizes, space=None, image=None, text=None,
-                 slide_tangent=None):
-        self._space = space
-        self._image = image
-        self._text = text
-        self._n_image = None if space is None else 1 + len(sizes) + int(np.sum(sizes))
-        self._levels = {}
+    def __init__(self, space, sizes):
+        self.space = space
         self.sizes = sizes
-        self.slide_tangent = slide_tangent
+        self.n_image = 1 + len(sizes) + int(np.sum(sizes))
 
-    @property
-    def space(self):
-        if self._space is None:
-            image, text = self.image, self.text
-            if image.dim != text.dim:
-                raise ShapeError(f"image embeddings are {image.dim} wide, "
-                                 f"the class text {text.dim}")
-            self._space = geo.Points(_stack((image.space, text.space)), image.cfg)
-        elif callable(self._space):
-            self._space = self._space()
-        return self._space
+    def _rows(self, start, stop=None):
+        return geo.Points(self.space.space[start:stop], self.space.cfg)
 
-    @property
-    def n_image(self):
-        """The number of image rows: the slide, the regions and the patches."""
-        if self._n_image is None:
-            self._n_image = self.image.count
-        return self._n_image
-
-    @property
+    @functools.cached_property
     def image(self):
-        if self._image is None:
-            self._image = self._view(slice(0, self._n_image))
-        elif callable(self._image):
-            self._image = self._image()
-        return self._image
+        return self._rows(0, self.n_image)
 
-    @property
+    @functools.cached_property
     def text(self):
-        if self._text is None:
-            self._text = self._view(slice(self._n_image, None))
-        return self._text
+        return self._rows(self.n_image)
 
-    def _view(self, rows):
-        return geo.Points(self.space.space[rows], self.space.cfg)
-
-    @property
+    @functools.cached_property
     def slide(self):
-        return self._level(HierarchyLevel.SLIDE)
+        return self._rows(0, 1)
 
-    @property
+    @functools.cached_property
     def regions(self):
-        return self._level(HierarchyLevel.REGION)
+        return self._rows(1, 1 + len(self.sizes))
 
-    @property
+    @functools.cached_property
     def patches(self):
-        return self._level(HierarchyLevel.PATCH)
-
-    def _level(self, level):
-        if level not in self._levels:
-            first_patch = 1 + len(self.sizes)
-            rows = {HierarchyLevel.SLIDE: slice(0, 1),
-                    HierarchyLevel.REGION: slice(1, first_patch),
-                    HierarchyLevel.PATCH: slice(first_patch, None)}[level]
-            self._levels[level] = geo.Points(self.image.space[rows], self.image.cfg)
-        return self._levels[level]
+        return self._rows(1 + len(self.sizes), self.n_image)
 
 
 def embed_text(params, geom):
@@ -554,21 +504,9 @@ def text_level(text, level):
     return geo.Points(text.space[text_rows(text.count, level)], text.cfg)
 
 
-def embed_slide(bag, params, geom, text=None):
-    """Hyperbolic embeddings of one slide at all levels plus class text.
-
-    `text` is the result of `embed_text(params, geom)` when the caller
-    already holds it (it depends on the parameters alone). None, the case
-    of training, stacks the class-text tangents (the text adaptor over
-    `ClassSemanticsTable.features`) after the slide, region and patch
-    tangents in one "stack" node, and maps all of them in one
-    `exp_map_origin` call on the first read of any level (see
-    `EmbeddingSet`): the loss node reads that one space whole. Given a
-    `text`, the slide, region and patch tangents alone are stacked and
-    mapped that way, so a caller reading no image level maps none. The
-    unmapped slide tangent is `slide_tangent`: `evaluation` reads it from
-    every bag it scores and maps all of them in one `exp_map_origin` call,
-    so it never reads an image level and no per-bag stack or map is built.
+def slide_tangents(bag, params):
+    """The (slide, regions, patches) tangent features of one bag, [1 x k],
+    [N_r x k] and [sum N_p x k] nodes, none of them mapped.
 
     The bag's block is cast to float64 once and its stored layout is used
     as it is: no per-region loop, concatenation or bounds run here. A bag
@@ -578,17 +516,23 @@ def embed_slide(bag, params, geom, text=None):
     bag.check(params.dims.d_in)
     patch_tan = params.adaptor_i(ad.Tensor(bag.patches.astype(np.float64)))
     region_tan = aggregate(patch_tan, params.agg_region, bag.sizes)
-    slide_tan = aggregate(region_tan, params.agg_slide)
-    image = (slide_tan, region_tan, patch_tan)
+    return aggregate(region_tan, params.agg_slide), region_tan, patch_tan
 
-    if text is None:
-        text_tan = params.adaptor_t(params.semantics.features())
-        return EmbeddingSet(
-            sizes=bag.sizes, slide_tangent=slide_tan,
-            space=lambda: geo.exp_map_origin(_stack(image + (text_tan,)), geom))
-    return EmbeddingSet(
-        sizes=bag.sizes, slide_tangent=slide_tan, text=text,
-        image=lambda: geo.exp_map_origin(_stack(image), geom))
+
+def embed_slide(bag, params, geom):
+    """Hyperbolic embeddings of one slide at all levels plus class text.
+
+    The slide, region and patch tangents (`slide_tangents`) and the
+    class-text tangents (the text adaptor over
+    `ClassSemanticsTable.features`) are stacked in that order by one
+    "stack" node and mapped by one `exp_map_origin` call, here: the
+    returned `EmbeddingSet` holds that one space, which the loss node reads
+    whole. Scoring maps no image level, so it calls `slide_tangents` and
+    not this.
+    """
+    image = slide_tangents(bag, params)
+    text = params.adaptor_t(params.semantics.features())
+    return EmbeddingSet(geo.exp_map_origin(_stack(image + (text,)), geom), bag.sizes)
 
 
 # -- checkpoints --------------------------------------------------------------

@@ -151,7 +151,7 @@ def select_top_k(bag, class_vectors, label, k):
 
     The region means are sums over the bag's block, one `np.add.reduceat`
     at the region starts the sizes give, over the region sizes: bit for bit
-    the mean of each region's rows. A bag `embed_slide` would refuse
+    the mean of each region's rows. A bag `slide_tangents` would refuse
     (`FeatureBag.check`) is refused here first, and a label outside
     [0, C) for C class vectors is a ShapeError.
     """

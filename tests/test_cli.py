@@ -95,6 +95,22 @@ def test_gen_unwritable_path_fails(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("target, reason", [
+    ("missing/b.bin", "No such file or directory"),
+    ("d", "Is a directory"),
+], ids=["missing directory", "directory"])
+def test_failed_write_names_the_target_and_leaves_no_temp_file(tmp_path, capsys,
+                                                              target, reason):
+    # the temp file the write goes through is not a name the user gave
+    (tmp_path / "d").mkdir()
+    out = tmp_path / target
+    assert main(GEN_ARGS + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{reason}: '{out}'\n"), err
+    assert ".tmp-" not in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["d"]
+
+
 def test_train_reports_seed_and_checkpoint(workdir, bundle_path, capsys):
     cfg = workdir / "train-seed.json"
     cfg.write_text(json.dumps(TRAIN_CONFIG))
@@ -309,6 +325,10 @@ def test_protocol_pool_fold_error_is_one_error_line(workdir, bundle_path, capfd)
     ["protocol", "--inner", "-1"],
     ["gen", "--purity", "nan"],
     ["gen", "--regions", "4000000000000"],
+    ["gen", "--sites", str(10**21)],
+    ["gen", "--slides-per-class", str(10**21)],
+    ["splits", "--outer", "1", "--inner", str(10**21)],
+    ["protocol", "--outer", "1", "--inner", str(10**21)],
     ["gradcheck", "--trials", "0"],
     ["splits", "--seed", "-3"],
 ], ids=" ".join)

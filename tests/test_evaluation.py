@@ -14,7 +14,7 @@ from hypermil import geometry as geo
 from hypermil import training
 from hypermil.data import Bundle, FeatureBag, SyntheticSpec, generate, make_splits
 from hypermil.errors import ConfigError, MetricError, TrainingError
-from hypermil.model import ModelDims, embed_text, init_params
+from hypermil.model import ModelDims, init_params
 from hypermil.training import TrainConfig
 
 
@@ -367,7 +367,6 @@ def test_predict_maps_only_the_slide(monkeypatch):
         ModelDims(d_in=8, k=4, n_classes=2), 4, bundle.class_vectors
     )
     geom = TrainConfig(k=4).geometry()
-    text = embed_text(params, geom)
     calls = []
     exp_map = geo.exp_map_origin
 
@@ -378,12 +377,14 @@ def test_predict_maps_only_the_slide(monkeypatch):
     monkeypatch.setattr(geo, "exp_map_origin", counted)
     bag = bundle.bags[0]
     assert len(bag.regions) == 32
-    ev.predict(bag, params, geom, text)
-    assert calls == [(1, 4)]
+    ev.predict(bag, params, geom)
+    # the class text of all three levels, then the slide alone
+    assert calls == [(3 * 2, 4), (1, 4)]
 
-    # evaluate over N bags: one text embedding, N per-bag graphs, and one map
-    # of the class text of all three levels, then one of every slide at once
-    embedded = {"embed_text": 0, "embed_slide": 0}
+    # evaluate over N bags: one text embedding, N per-bag tangent graphs, and
+    # one map of the class text of all three levels, then one of every slide
+    # at once
+    embedded = {"embed_text": 0, "slide_tangents": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -393,10 +394,11 @@ def test_predict_maps_only_the_slide(monkeypatch):
 
     for name in embedded:
         monkeypatch.setattr(ev, name, counting(name, getattr(ev, name)))
+    monkeypatch.setattr(ev, "embed_slide", None)  # scoring maps no image level
     calls.clear()
     n = len(bundle.bags)
     ev.evaluate(bundle.bags, params, geom)
-    assert embedded == {"embed_text": 1, "embed_slide": n}
+    assert embedded == {"embed_text": 1, "slide_tangents": n}
     assert calls == [(3 * 2, 4), (n, 4)]
 
 

@@ -1,12 +1,13 @@
 """Seeded malformed-input fuzzing of the checkpoint, train-config and
-split-file readers, plus named regression cases of what it and a hand
-check found.
+split-file readers and of command-line values, plus named regression cases
+of what it and a hand check found.
 
 Each fuzz test makes a fixed number of seeded `random.Random` mutations of
 one valid input. Every outcome must be a success or a typed
 `HypermilError`; through `cli.main`, exit 0, or exit 1 with a diagnostic
-starting "error:". The three fuzz tests take about 2 s together. The
-bundle fuzz lives next to the bundle reader, in `test_data.py`.
+starting "error:" (or argparse's exit 2, for a command-line value it
+refuses). The four fuzz tests take about 3 s together. The bundle fuzz
+lives next to the bundle reader, in `test_data.py`.
 """
 
 import json
@@ -177,6 +178,47 @@ def test_eval_split_fuzz_exits_0_or_1_with_an_error_line(eval_inputs, capsys):
             assert err.startswith("error:") and "Traceback" not in err, err
         else:
             assert out.startswith("RESULT eval slides=")
+        outcomes[code] += 1
+    assert min(outcomes.values()) > 30, outcomes
+
+
+# what a mutated command-line value becomes: zero, negative, beyond int64,
+# beyond any array size, not a finite float, beyond the float range, not a
+# number, empty
+_ARGV_VALUES = ("0", "-1", str(2**63), str(10**21), "nan", "inf", "1e400", "x", "")
+
+
+def test_cli_argv_fuzz_exits_0_1_or_2_without_a_traceback(tmp_path, monkeypatch,
+                                                          capsys):
+    # `gen` at tiny sizes and `splits`; the commands that train or loop on
+    # a value are left out. Relative output paths land in tmp_path.
+    monkeypatch.chdir(tmp_path)
+    gen = ["gen", "--classes", "2", "--slides-per-class", "3", "--regions", "2",
+           "--patches", "2", "--dim", "4", "--sites", "3", "--purity", "0.5",
+           "--seed", "1", "--out", "gen.bin"]
+    assert main(gen) == 0
+    splits = ["splits", "--data", "gen.bin", "--outer", "1", "--inner", "2",
+              "--seed", "0", "--out", "splits.json"]
+    assert main(splits) == 0
+    capsys.readouterr()
+    rng = random.Random(3)
+    outcomes = {0: 0, 1: 0, 2: 0}
+    for _ in range(250):
+        argv = list(rng.choice((gen, splits)))
+        # argv holds the command, then (option, value) pairs
+        argv[rng.randrange(2, len(argv), 2)] = rng.choice(_ARGV_VALUES)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the value
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in outcomes, (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        if code == 0:
+            assert out.startswith(f"RESULT {argv[0]} "), (argv, out)
+        elif code == 1:
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            assert len(errors) == 1 and "RESULT" not in out, (argv, err)
         outcomes[code] += 1
     assert min(outcomes.values()) > 30, outcomes
 

@@ -167,12 +167,12 @@ def _collinear_embeddings(n_classes=3):
     angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     label_dir = dirs[0]
-    # the patch, region and slide levels, in HierarchyLevel order
-    text = _pts(np.concatenate([2.0 * dirs, 1.5 * dirs, 1.0 * dirs]))
     # the slide, its two regions and their patches
     radii = [2.5, 3.0, 3.2, 4.0, 4.5, 5.0, 5.5]
-    return EmbeddingSet(image=_pts(np.outer(radii, label_dir)), text=text,
-                        sizes=np.array([2, 2]))
+    # then the patch, region and slide text, in HierarchyLevel order
+    space = np.concatenate([np.outer(radii, label_dir), 2.0 * dirs, 1.5 * dirs,
+                            1.0 * dirs])
+    return EmbeddingSet(_pts(space), np.array([2, 2]))
 
 
 def _total_loss(emb, label, selections, cfg, geom):
@@ -209,13 +209,6 @@ def test_cone_plan_refuses_embeddings_of_another_layout():
             ls.total_loss(emb, plan, CFG, GEOM)
     plan = ls.cone_plan(emb.sizes, 3, 0, sel, CFG.lambda_a, CFG.lambda_s)
     assert np.isfinite(ls.total_loss(emb, plan, CFG, GEOM).item())
-    # class text of another width than the image rows
-    wide = EmbeddingSet(image=emb.image, text=_pts(np.ones((9, 3))), sizes=emb.sizes)
-    for fn in (lambda e: ls.total_loss(e, plan, CFG, GEOM),
-               lambda e: ls.cls_loss(e, 0, CFG, GEOM)):
-        with pytest.raises(ShapeError, match="^image embeddings are 2 wide, the class "
-                                             "text 3"):
-            fn(wide)
 
 
 def test_cone_plan_refuses_selections_outside_the_slide():
@@ -443,8 +436,7 @@ def _equivalence_cases():
     # the slide sits near the wrong class's ray: contradiction is active
     violated_two = _with_row(_collinear_embeddings(n_classes=2), "slide", 0,
                              [-2.5, 0.3])
-    uneven = _random_embeddings(rng)
-    uneven.sizes = np.array([1, 3])
+    uneven = EmbeddingSet(_random_embeddings(rng).space, np.array([1, 3]))
     no_patch = dict(_full_selection())
     no_patch[HierarchyLevel.PATCH] = np.array([], dtype=int)
     partial = {
@@ -481,13 +473,11 @@ def test_ama_total_stacked_matches_level_loop():
 def _with_row(emb, level, row, space):
     """A copy of `emb` whose `level` ("slide", "regions", "patches" or
     "text") has row `row` replaced by the space part `space`."""
-    image, text = emb.image.space.data.copy(), emb.text.space.data.copy()
-    if level == "text":
-        text[row] = space
-    else:
-        first = {"slide": 0, "regions": 1, "patches": 1 + len(emb.sizes)}[level]
-        image[first + row] = space
-    return EmbeddingSet(image=_pts(image), text=_pts(text), sizes=emb.sizes)
+    rows = emb.space.space.data.copy()
+    first = {"slide": 0, "regions": 1, "patches": 1 + len(emb.sizes),
+             "text": emb.n_image}[level]
+    rows[first + row] = space
+    return EmbeddingSet(_pts(rows), emb.sizes)
 
 
 def test_assemblies_guard_the_coincident_pairs_they_read():
@@ -535,22 +525,18 @@ def test_assemblies_skip_coincident_pairs_no_term_reads():
 
 
 def _with_leaves(emb):
-    """The same embeddings with the image rows' space and the text's space
-    each a leaf requiring grad."""
-    leaf = lambda p: geo.Points(ad.Tensor(p.space.data.copy(), requires_grad=True),
-                                p.cfg)
-    return EmbeddingSet(image=leaf(emb.image), text=leaf(emb.text), sizes=emb.sizes)
+    """The same embeddings with their space a leaf requiring grad."""
+    leaf = ad.Tensor(emb.space.space.data.copy(), requires_grad=True)
+    return EmbeddingSet(geo.Points(leaf, emb.space.cfg), emb.sizes)
 
 
 def _space_grads(fn, emb):
-    leaves = _with_leaves(emb)
-    out = fn(leaves)
+    leaf = _with_leaves(emb)
+    out = fn(leaf)
     if out.requires_grad:
         out.backward()
-    return np.concatenate([
-        np.zeros(p.space.shape) if p.space.grad is None else p.space.grad
-        for p in (leaves.image, leaves.text)
-    ])
+    space = leaf.space.space
+    return np.zeros(space.shape) if space.grad is None else space.grad
 
 
 def test_stacked_assemblies_gradients_match_loops():
@@ -576,9 +562,9 @@ def _graph_size(root):
 
 
 def test_total_loss_graph_size_does_not_depend_on_levels():
-    # 2 space leaves (the image rows and the text), the stack of the two
-    # and the one loss node of the classification, alignment and hierarchy
-    # terms: the same whichever levels have selected rows
+    # the space leaf (the image rows and the text) and the one loss node of
+    # the classification, alignment and hierarchy terms: the same whichever
+    # levels have selected rows
     full = _full_selection()
     no_patch = dict(full)
     no_patch[HierarchyLevel.PATCH] = np.array([], dtype=int)
@@ -587,7 +573,7 @@ def test_total_loss_graph_size_does_not_depend_on_levels():
     emb = _with_leaves(_random_embeddings(np.random.default_rng(34)))
     sizes = [_graph_size(_total_loss(emb, 0, sel, CFG, GEOM))
              for sel in (full, no_patch, slide_only)]
-    assert sizes == [4, 4, 4]
+    assert sizes == [2, 2, 2]
 
 
 def test_ama_total_empty_patch_level_contributes_zero():
@@ -623,10 +609,8 @@ def _random_embeddings(rng, n_classes=3):
     patches, regions, slide, text = (rng.normal(size=(n, 2)) * scale for n, scale in
                                      ((4, 0.8), (2, 0.6), (1, 0.5), (3 * n_classes, 0.4)))
     return EmbeddingSet(
-        image=geo.exp_map_origin(np.concatenate([slide, regions, patches]), g2),
-        text=geo.exp_map_origin(text, g2),
-        sizes=np.array([2, 2]),
-    )
+        geo.exp_map_origin(np.concatenate([slide, regions, patches, text]), g2),
+        np.array([2, 2]))
 
 
 def test_total_loss_weights():
@@ -663,13 +647,11 @@ def test_losses_finite_difference():
 
     def build():
         pts = geo.exp_map_origin(x, g2)
+        # the slide, the regions and the patches, then the patch, region and
+        # slide text, in HierarchyLevel order
         return EmbeddingSet(
-            # the slide, the regions and the patches
-            image=geo.select(pts, [6, 4, 5, 0, 1, 2, 3]),
-            # patch, region and slide text, in HierarchyLevel order
-            text=geo.select(pts, [13, 14, 15, 10, 11, 12, 7, 8, 9]),
-            sizes=np.array([2, 2]),
-        )
+            geo.select(pts, [6, 4, 5, 0, 1, 2, 3, 13, 14, 15, 10, 11, 12, 7, 8, 9]),
+            np.array([2, 2]))
 
     no_patch = dict(sel)
     no_patch[HierarchyLevel.PATCH] = np.array([], dtype=int)

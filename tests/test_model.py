@@ -291,29 +291,40 @@ def test_embed_slide_on_manifold():
         assert np.max(np.abs(inner + 1.0)) < 1e-9
 
 
-def test_embed_slide_maps_patches_and_regions_on_first_read():
+def test_embed_slide_maps_every_level_once():
     params = md.init_params(DIMS, 15)
     bag = _bag(np.random.default_rng(8), n_regions=3, n_patches=4)
     emb = md.embed_slide(bag, params, GEOM)
-    raw = ad.Tensor(np.concatenate(bag.regions, axis=0, dtype=np.float64))
-    patch_tan = params.adaptor_i(raw)
-    region_tan = md.aggregate(patch_tan, params.agg_region, [4, 4, 4])
-    for got, tangent in ((emb.patches, patch_tan), (emb.regions, region_tan)):
+    slide_tan, region_tan, patch_tan = md.slide_tangents(bag, params)
+    # each level's rows are, bit for bit, a map of its own level's tangents
+    for got, tangent in ((emb.slide, slide_tan), (emb.regions, region_tan),
+                         (emb.patches, patch_tan)):
         want = geo.exp_map_origin(tangent, GEOM)
         assert np.array_equal(got.space.data, want.space.data)
     assert emb.patches is emb.patches
     assert emb.regions is emb.regions
-    # the image rows and the text are views of the one map of the stacked
-    # image and text rows, and every level a view of the image rows
+    # every view is a view of the one map of the stacked image and text rows
     space = emb.space.space
     assert space._op == "exp_map_origin" and space._parents[0]._op == "stack"
-    for got in (emb.image, emb.text):
+    assert emb.n_image == 1 + 3 + 12
+    for got in (emb.image, emb.text, emb.slide, emb.regions, emb.patches):
         assert got.space._parents == (space,)
         assert np.shares_memory(got.space.data, space.data)
-    image = emb.image.space
-    for got in (emb.slide, emb.regions, emb.patches):
-        assert got.space._parents == (image,)
-        assert np.shares_memory(got.space.data, image.data)
+
+
+def test_slide_tangents_are_the_pooled_adaptor_rows():
+    params = md.init_params(DIMS, 16)
+    bag = _bag(np.random.default_rng(10), n_regions=3, n_patches=4)
+    slide_tan, region_tan, patch_tan = md.slide_tangents(bag, params)
+    raw = ad.Tensor(np.concatenate(bag.regions, axis=0, dtype=np.float64))
+    want_patches = params.adaptor_i(raw)
+    want_regions = md.aggregate(want_patches, params.agg_region, [4, 4, 4])
+    want_slide = md.aggregate(want_regions, params.agg_slide)
+    for got, want in ((slide_tan, want_slide), (region_tan, want_regions),
+                      (patch_tan, want_patches)):
+        assert np.array_equal(got.data, want.data)
+    assert [t._op for t in (slide_tan, region_tan, patch_tan)] == [
+        "aggregate", "aggregate", "adaptor"]
 
 
 def test_embed_slide_errors():

@@ -487,8 +487,9 @@ def test_joint_map_step_equals_the_step_over_two_maps():
         region_tan = aggregate(patch_tan, params.agg_region, bag.sizes)
         slide_tan = aggregate(region_tan, params.agg_slide)
         image = geo.exp_map_origin(_stack((slide_tan, region_tan, patch_tan)), geom)
-        return EmbeddingSet(sizes=bag.sizes, image=image,
-                            text=embed_text(params, geom))
+        text = embed_text(params, geom)
+        return EmbeddingSet(geo.Points(_stack((image.space, text.space)), geom),
+                            bag.sizes)
 
     for bag in bundle.bags[::15]:
         joint_loss, joint = step(bag, lambda b: embed_slide(b, params, geom))
@@ -518,9 +519,9 @@ def test_skipped_slide_keeps_the_accumulation_window(monkeypatch):
     cfg = tr.TrainConfig(epochs=1, k=6, seed=3, accumulate=2)
     embedded, steps, losses = [], [], []
 
-    def recording_embed(bag, params, geom, text=None):
+    def recording_embed(bag, params, geom):
         embedded.append(bag)
-        return embed_slide(bag, params, geom, text)
+        return embed_slide(bag, params, geom)
 
     def failing_second(*args):
         losses.append(None)
