@@ -33,11 +33,13 @@ term reads row 0 and the slide-level text rows through
 the alignment and hierarchy terms read depends only on the bag's region
 sizes, its top-K selections, its label, the number of classes and the two
 weights, so it is built apart, as a frozen `ConePlan` of index arrays
-(`cone_plan`, the one place they are built), and the numpy body of those
-terms (`_cone_losses`) runs over a plan: `training.train` builds one plan
-per training slide before its epoch loop and `total_loss` takes it, while
-`ama_total` (weights (1, 0)) and `shc_total` ((0, 1)) build theirs on the
-spot and leave the classification term out, as do the roots of
+(`cone_plan`, the one place they are built, for every slide of one
+layout in one call), and the numpy body of those terms (`_cone_losses`)
+runs over a plan: `training.train` builds the plans of all its training
+slides before its epoch loop, one `cone_plan` call per layout, and
+`total_loss` takes each slide's own, while `ama_total` (weights (1, 0))
+and `shc_total` ((0, 1)) build theirs on the spot, as a batch of one,
+and leave the classification term out, as do the roots of
 `training.gradient_check_suite`, over plans cut down to one query or one
 family of pairs. The body reads the space whole, the class text in
 `HierarchyLevel` order as `model.embed_text` lays it out (row
@@ -255,7 +257,8 @@ _LEVELS = (HierarchyLevel.SLIDE, HierarchyLevel.REGION, HierarchyLevel.PATCH)
 @dataclass(frozen=True)
 class ConePlan:
     """Which angles the alignment and hierarchy terms of one slide read, as
-    index arrays into its stacked rows, built once by `cone_plan`.
+    index arrays into its stacked rows, built once by `cone_plan` (with the
+    plans of the other slides of its layout, when a caller has them).
 
     The stacked rows are the slide, the regions, the patches and the class
     text, in that order, and `stops` are the rows where each of the four
@@ -299,13 +302,20 @@ class ConePlan:
         return self.flats is None
 
 
-def cone_plan(sizes, n_classes, label, selections, lambda_a, lambda_s):
-    """The `ConePlan` of a slide whose regions hold `sizes` patches, for
-    `n_classes` classes, its `label` and its top-K `selections`, with the
-    weights lambda_a on the alignment and lambda_s on the hierarchy term.
+def cone_plan(sizes, n_classes, labels, selections, lambda_a, lambda_s):
+    """The `ConePlan` of each of B slides whose regions all hold `sizes`
+    patches, for `n_classes` classes, their `labels` (a length-B sequence)
+    and their top-K `selections` ({level: [B x K_level] row indices}, as
+    `training.select_top_k` returns them), with the weights lambda_a on the
+    alignment and lambda_s on the hierarchy term. Returns a list of B plans,
+    in the order of `labels`.
 
-    It depends on nothing else, so a caller stepping through a slide
-    several times builds it once. The pairs it keeps:
+    A plan depends on nothing else, so a caller stepping through a slide
+    several times builds it once, and a caller holding many slides of one
+    layout builds theirs in one call: the index arrays every slide of the
+    layout shares (the stops, the slide-over-region, region-over-patch and
+    text-chain pairs, the weights) are built once, and the rest along a
+    leading slide axis. The pairs each plan keeps:
 
     * entailment (lambda_s): the slide over its regions, each region over
       its own patches, each class's text over its text one level down, and
@@ -322,85 +332,118 @@ def cone_plan(sizes, n_classes, label, selections, lambda_a, lambda_s):
     lambda_a / K_level(i); so the weighted sum is the weighted sum of the
     per-term means up to rounding. A level without selections has no rows.
     The apex rows are the slide, the regions, the text and, with the
-    alignment term on, the selected image rows. A region or patch
-    selection outside [0, count) is a ShapeError.
+    alignment term on, the selected image rows. A label outside
+    [0, n_classes), a region or patch selection outside [0, count) and
+    selections that are not one row per label are each a ShapeError.
     """
     n_regions, n_patches = len(sizes), int(np.sum(sizes))
     text0 = 1 + n_regions + n_patches
-    stops = (1, 1 + n_regions, text0, text0 + len(HierarchyLevel) * n_classes)
-    others = np.array([c for c in range(n_classes) if c != label], dtype=int)
-    ama = lambda_a != 0.0 and others.size > 0
-    shc = lambda_s != 0.0
-    if not (ama or shc):
-        return ConePlan(label, stops)
-    n_rows = stops[-1]
-    # the selected image rows (the slide, the selected regions, the selected
-    # patches), each one's `level.value` and its weight 1 / K_level, so a
-    # weighted sum over the rows is the sum over levels of the per-level
-    # means; the weights go by stacking position, the counts being in
-    # `_LEVELS` order, not in `level.value` order
+    n_rows = text0 + len(HierarchyLevel) * n_classes
+    stops = (1, 1 + n_regions, text0, n_rows)
+    labels = np.asarray(labels, dtype=int)
+    n_slides = labels.size
+    if n_slides and not 0 <= labels.min() <= labels.max() < n_classes:
+        label = next(c for c in labels.tolist() if not 0 <= c < n_classes)
+        raise ShapeError(f"label {label} is outside the {n_classes} classes")
     regions = np.asarray(selections[HierarchyLevel.REGION], dtype=int)
     patches = np.asarray(selections[HierarchyLevel.PATCH], dtype=int)
     for name, picked, count in (("region", regions, n_regions),
                                 ("patch", patches, n_patches)):
+        if picked.ndim != 2 or picked.shape[0] != n_slides:
+            raise ShapeError(f"{name} selections of shape {picked.shape} are not "
+                             f"one row for each of {n_slides} labels")
         if picked.size and not 0 <= picked.min() <= picked.max() < count:
-            raise ShapeError(f"{name} selection {picked.tolist()} is outside "
+            row = picked[((picked < 0) | (picked >= count)).any(axis=1).argmax()]
+            raise ShapeError(f"{name} selection {row.tolist()} is outside "
                              f"the slide's {count} {name}s")
-    rows = np.concatenate([[0], 1 + regions, 1 + n_regions + patches])
-    counts = np.array([1, regions.size, patches.size])
+    ama = lambda_a != 0.0 and n_classes > 1
+    shc = lambda_s != 0.0
+    if not (ama or shc):
+        return [ConePlan(label, stops) for label in labels.tolist()]
+    # the selected image rows of each slide (the slide, the selected regions,
+    # the selected patches), each one's `level.value` and its weight
+    # 1 / K_level, so a weighted sum over the rows is the sum over levels of
+    # the per-level means; the weights go by stacking position, the counts
+    # being in `_LEVELS` order, not in `level.value` order
+    rows = np.concatenate([np.zeros((n_slides, 1), dtype=int), 1 + regions,
+                           1 + n_regions + patches], axis=1)
+    counts = np.array([1, regions.shape[1], patches.shape[1]])
     levels = np.repeat([level.value for level in _LEVELS], counts)
     weights = 1.0 / np.repeat(counts, counts)
     # each selected image row, as a column, and the rows of its level's label
     # text and wrong-class text (row text0 + level.value * C + c is the text
-    # of class c at that level, the layout of `model.embed_text`)
-    image = rows[:, None]
+    # of class c at that level, the layout of `model.embed_text`), each with
+    # the slide axis first; the wrong classes of each slide are the classes
+    # left unmarked once its label is marked
+    image = rows[:, :, None]
     block = text0 + levels[:, None] * n_classes
-    pos = block + label
-    neg = block + others
+    pos = block + labels[:, None, None]
+    wrong = np.ones((n_slides, n_classes), dtype=bool)
+    wrong[np.arange(n_slides), labels] = False
+    neg = block + np.nonzero(wrong)[1].reshape(n_slides, 1, n_classes - 1)
 
-    # the apex rows in row order: the slide, the regions, the selected patch
-    # rows once each with the alignment term on, and the text; `at` holds
-    # each apex row's position among them
-    picked_rows = np.zeros(n_patches, dtype=bool)
+    # the apex rows of each slide in row order: the slide, the regions, the
+    # selected patch rows once each with the alignment term on, and the
+    # text; `at` holds each apex row's position among its slide's apex rows
+    is_apex = np.zeros((n_slides, n_rows), dtype=bool)
+    is_apex[:, :1 + n_regions] = True
+    is_apex[:, text0:] = True
     if ama:
-        picked_rows[patches] = True
-    apex = np.concatenate([np.arange(1 + n_regions),
-                           1 + n_regions + np.flatnonzero(picked_rows),
-                           np.arange(text0, n_rows)])
-    at = np.empty(n_rows, dtype=np.intp)
-    at[apex] = np.arange(apex.size)
+        is_apex[np.arange(n_slides)[:, None], 1 + n_regions + patches] = True
+    slide_of, apex_rows = np.nonzero(is_apex)
+    n_apex = np.bincount(slide_of, minlength=n_slides)
+    starts = np.cumsum(n_apex) - n_apex
+    apex = np.split(apex_rows, starts[1:])
+    at = np.empty((n_slides, n_rows), dtype=np.intp)
+    at[slide_of, apex_rows] = np.arange(apex_rows.size) - starts[slide_of]
+
+    def positions(u):
+        # each of the [B x ...] rows u's position among its slide's apex rows
+        return at[np.arange(n_slides).reshape((-1,) + (1,) * (u.ndim - 1)), u]
 
     def pairs(u, v):
-        # flat positions of theta(u, v) in the [apex x rows] matrix
-        return at[u] * n_rows + v
+        # flat positions of theta(u, v) in each slide's [apex x rows] matrix
+        return positions(u) * n_rows + v
 
     cones = []
     if shc:
         # the slide over its regions, each region over its own patches, and
-        # each class's text over its text one level down; one weight per pair
-        # gives each term's mean
+        # each class's text over its text one level down, the same for every
+        # slide; one weight per pair gives each term's mean
         chain = text0 + np.arange(n_classes)
         slide_text, region_text, patch_text = (
             chain + level.value * n_classes for level in _LEVELS)
-        u = np.concatenate([np.zeros(n_regions, dtype=int),
-                            1 + np.repeat(np.arange(n_regions), sizes),
-                            slide_text, region_text, pos[:, 0]])
-        v = np.concatenate([1 + np.arange(n_regions),
-                            1 + n_regions + np.arange(n_patches),
-                            region_text, patch_text, rows])
+
+        def per_slide(shared, own):
+            return np.concatenate([np.broadcast_to(shared, (n_slides, shared.size)),
+                                   own], axis=1)
+
+        u = per_slide(np.concatenate([np.zeros(n_regions, dtype=int),
+                                      1 + np.repeat(np.arange(n_regions), sizes),
+                                      slide_text, region_text]), pos[:, :, 0])
+        v = per_slide(np.concatenate([1 + np.arange(n_regions),
+                                      1 + n_regions + np.arange(n_patches),
+                                      region_text, patch_text]), rows)
         terms = np.array([n_regions, n_patches, n_classes, n_classes])
-        cones.append((pairs(u, v), at[u],
+        u_at = positions(u)
+        cones.append((u_at * n_rows + v, u_at,
                       np.concatenate([np.repeat(lambda_s / terms, terms),
                                       lambda_s * weights])))
-        if others.size:
-            cones.append((pairs(neg, image).ravel(), at[neg].ravel(),
-                          np.repeat(lambda_s / others.size * weights, others.size)))
+        if n_classes > 1:
+            cones.append((pairs(neg, image).reshape(n_slides, -1),
+                           positions(neg).reshape(n_slides, -1),
+                           np.repeat(lambda_s / (n_classes - 1) * weights,
+                                     n_classes - 1)))
     # phi(u, v) reads theta(u, v) and theta(v, u): each image row against its
     # level's label text and wrong-class text, and that label text against
     # that wrong-class text
-    phi = tuple((pairs(a, b), pairs(b, a))
-                for a, b in ((image, pos), (image, neg), (pos, neg))) if ama else ()
-    return ConePlan(label, stops, apex, tuple(cones), phi, lambda_a * weights)
+    phi = [(pairs(a, b), pairs(b, a))
+           for a, b in ((image, pos), (image, neg), (pos, neg))] if ama else []
+    ama_weights = lambda_a * weights
+    return [ConePlan(label, stops, apex[s],
+                     tuple((flat[s], flat_at[s], w) for flat, flat_at, w in cones),
+                     tuple((uv[s], vu[s]) for uv, vu in phi), ama_weights)
+            for s, label in enumerate(labels.tolist())]
 
 
 def _cone_losses(rows, n_image, n_regions, plan, cfg, geom):
@@ -533,6 +576,16 @@ def _loss(embeddings, plan, cfg, geom, cls=True):
     return ad.fused("loss", cls_value + cone_value, (space,), backward)
 
 
+def _one_plan(embeddings, label, selections, lambda_a, lambda_s):
+    """The cone plan of one slide's `embeddings`, its `label` and its
+    selections ({level: row indices}): `cone_plan` of one slide."""
+    (plan,) = cone_plan(embeddings.sizes, embeddings.text.count // len(HierarchyLevel),
+                        [label], {level: np.asarray(picked)[None]
+                                  for level, picked in selections.items()},
+                        lambda_a, lambda_s)
+    return plan
+
+
 def ama_total(embeddings, label, selections, cfg, geom):
     """Bidirectional alignment loss summed over the three levels.
 
@@ -549,9 +602,8 @@ def ama_total(embeddings, label, selections, cfg, geom):
     image row, or between label and wrong-class text, of different levels
     are not read, so they are not guarded either.
     """
-    plan = cone_plan(embeddings.sizes, embeddings.text.count // len(HierarchyLevel),
-                     label, selections, 1.0, 0.0)
-    return _loss(embeddings, plan, cfg, geom, cls=False)
+    return _loss(embeddings, _one_plan(embeddings, label, selections, 1.0, 0.0),
+                 cfg, geom, cls=False)
 
 
 def shc_total(embeddings, label, selections, cfg, geom):
@@ -572,9 +624,8 @@ def shc_total(embeddings, label, selections, cfg, geom):
     means. Pairs no term reads, such as a region against a patch of another
     region, are not checked for coincidence.
     """
-    plan = cone_plan(embeddings.sizes, embeddings.text.count // len(HierarchyLevel),
-                     label, selections, 0.0, 1.0)
-    return _loss(embeddings, plan, cfg, geom, cls=False)
+    return _loss(embeddings, _one_plan(embeddings, label, selections, 0.0, 1.0),
+                 cfg, geom, cls=False)
 
 
 def cls_loss(embeddings, label, cfg, geom):

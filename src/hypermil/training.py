@@ -1,12 +1,14 @@
 """Optimization: Adam, top-K instance selection, and the training loop.
 
-One slide is one optimization step. Per slide the loop embeds the bag,
-selects the top-K patches/regions whose raw features are most
+One slide is one optimization step. Before its epoch loop, `train` selects
+each training slide's top-K patches/regions whose raw features are most
 cosine-similar to the label class's frozen base vector (the stand-in for
-instance labels), assembles the total objective, backpropagates, and takes
-an Adam step. Slides whose embeddings hit a genuinely undefined geometric
-configuration (coincident points, an embedding at the origin) are skipped
-and counted; a run fails if more than 1% of steps skip.
+instance labels) and builds the slide's cone plan, in one pass over all
+slides of each region layout. Per slide the loop then embeds the bag,
+assembles the total objective over the slide's plan, backpropagates, and
+takes an Adam step. Slides whose embeddings hit a genuinely undefined
+geometric configuration (coincident points, an embedding at the origin) are
+skipped and counted; a run fails if more than 1% of steps skip.
 
 Everything is deterministic in (seed, bundle, config): epoch shuffles and
 fold seeds derive from seed sequences, and no other randomness exists.
@@ -134,52 +136,96 @@ def adam_step(params, state, lr):
 # -- top-K selection ------------------------------------------------------------
 
 
-def _cosine(rows, vector):
-    norms = np.linalg.norm(rows, axis=1)
-    vnorm = np.linalg.norm(vector)
-    denom = np.maximum(norms * vnorm, 1e-12)
-    return rows @ vector / denom
+def _cosine(rows, vectors, vector_norms):
+    """Cosine of each row of the [B x M x D] `rows` to its slide's vector of
+    the [B x D] `vectors`, whose norms are `vector_norms`: [B x M]."""
+    norms = np.linalg.norm(rows, axis=2)
+    denom = np.maximum(norms * vector_norms[:, None], 1e-12)
+    return (rows @ vectors[:, :, None])[:, :, 0] / denom
 
 
-def select_top_k(bag, class_vectors, label, k):
-    """Per-level index sets of the K embeddings most similar to the label class.
+def _check(bag, n_classes, width):
+    """Refuse a bag whose label is outside [0, n_classes) (ShapeError) or
+    which `FeatureBag.check` refuses at `width`, naming the slide."""
+    if not 0 <= bag.label < n_classes:
+        raise ShapeError(f"slide {bag.slide_id} has label {bag.label}, outside the "
+                         f"{n_classes} classes")
+    bag.check(width)
 
-    Similarity is cosine between raw features and the label class's base
-    vector: per patch at patch level, per region mean at region level. K is
-    truncated to what the bag holds; ranking ties break toward the lower
-    index. The slide level always selects the single slide embedding.
 
-    The region means are sums over the bag's block, one `np.add.reduceat`
-    at the region starts the sizes give, over the region sizes: bit for bit
-    the mean of each region's rows. A bag `slide_tangents` would refuse
-    (`FeatureBag.check`) is refused here first, and a label outside
-    [0, C) for C class vectors is a ShapeError.
+def select_top_k(bags, class_vectors, k):
+    """Per-level index sets of the K embeddings most similar to each bag's
+    label class, for a list of bags of one layout (`sizes`).
+
+    Returns {level: [B x K_level] row indices}, row b for bags[b], the form
+    `losses.cone_plan` takes. Similarity is cosine between raw features and
+    the label class's base vector: per patch at patch level, per region mean
+    at region level. K is truncated to what a bag holds; ranking ties break
+    toward the lower index. The slide level always selects the single slide
+    embedding.
+
+    The bags' patch blocks are stacked into one [B x N x D] float64 array,
+    and the similarities, the stable argsorts and the region means run
+    along its last two axes, the axes one bag's [N x D] block has, so each
+    bag's row is bit for bit what that bag ranked alone gives. The region
+    means are sums over the block, one `np.add.reduceat` at the region
+    starts the sizes give, over the region sizes: bit for bit the mean of
+    each region's rows. The bags are checked in order before they are
+    stacked: a label outside [0, C) for C class vectors is a ShapeError, a
+    bag `slide_tangents` would refuse (`FeatureBag.check`) is refused here
+    first, and so is a bag of another layout than the first (ShapeError).
     """
-    if not 0 <= label < len(class_vectors):
-        raise ShapeError(f"slide {bag.slide_id} has label {label}, outside the "
-                         f"{len(class_vectors)} classes")
-    vector = np.asarray(class_vectors[label], dtype=np.float64)
-    bag.check(vector.size)
-    patches = bag.patches.astype(np.float64)
-    patch_sims = _cosine(patches, vector)
-    patch_rows = np.argsort(-patch_sims, kind="stable")[:k]
-    starts = np.cumsum(bag.sizes) - bag.sizes
-    region_means = np.add.reduceat(patches, starts, axis=0) / bag.sizes[:, None]
-    region_sims = _cosine(region_means, vector)
-    region_rows = np.argsort(-region_sims, kind="stable")[:k]
+    if not bags:
+        raise ShapeError("select_top_k needs at least one bag")
+    vectors = np.asarray(class_vectors, dtype=np.float64)
+    n_classes, width = vectors.shape
+    sizes = bags[0].sizes
+    layout = sizes.tobytes()
+    for bag in bags:
+        _check(bag, n_classes, width)
+        if bag.sizes.tobytes() != layout:
+            raise ShapeError(f"slide {bag.slide_id} has regions of "
+                             f"{bag.sizes.tolist()} patches, not the "
+                             f"{sizes.tolist()} of slide {bags[0].slide_id}")
+    patches = np.stack([bag.patches for bag in bags], dtype=np.float64)
+    labels = [bag.label for bag in bags]
+    # the norm of each class vector taken alone, as one bag's ranking takes
+    # it (`np.linalg.norm` of a vector is a dot product, not a row reduction)
+    vector_norms = np.array([np.linalg.norm(vector) for vector in vectors])[labels]
+    vectors = vectors[labels]
+    patch_sims = _cosine(patches, vectors, vector_norms)
+    patch_rows = np.argsort(-patch_sims, axis=1, kind="stable")[:, :k]
+    starts = np.cumsum(sizes) - sizes
+    region_means = np.add.reduceat(patches, starts, axis=1) / sizes[:, None]
+    region_sims = _cosine(region_means, vectors, vector_norms)
+    region_rows = np.argsort(-region_sims, axis=1, kind="stable")[:, :k]
     return {
         HierarchyLevel.PATCH: patch_rows,
         HierarchyLevel.REGION: region_rows,
-        HierarchyLevel.SLIDE: np.array([0]),
+        HierarchyLevel.SLIDE: np.zeros((len(bags), 1), dtype=int),
     }
 
 
-def _slide_plan(bag, class_vectors, loss_cfg):
-    """The `losses.cone_plan` of a training bag: its region sizes, its label
-    and its top-K selections, with the loss weights of `loss_cfg`."""
-    return cone_plan(bag.sizes, len(class_vectors), bag.label,
-                     select_top_k(bag, class_vectors, bag.label, loss_cfg.top_k),
-                     loss_cfg.lambda_a, loss_cfg.lambda_s)
+def _cone_plans(bags, class_vectors, loss_cfg):
+    """The `losses.cone_plan` of each training bag, in the order of `bags`:
+    its region sizes, its label and its top-K selections, with the loss
+    weights of `loss_cfg`. One `select_top_k` and one `cone_plan` call per
+    layout; the bags are checked in order first, so the first bag either
+    would refuse is the one named, whatever its layout."""
+    n_classes, width = np.shape(class_vectors)
+    layouts = {}
+    for pos, bag in enumerate(bags):
+        _check(bag, n_classes, width)
+        layouts.setdefault(bag.sizes.tobytes(), []).append(pos)
+    plans = [None] * len(bags)
+    for members in layouts.values():
+        group = [bags[pos] for pos in members]
+        selections = select_top_k(group, class_vectors, loss_cfg.top_k)
+        built = cone_plan(group[0].sizes, n_classes, [bag.label for bag in group],
+                          selections, loss_cfg.lambda_a, loss_cfg.lambda_s)
+        for pos, plan in zip(members, built):
+            plans[pos] = plan
+    return plans
 
 
 # -- training loop ---------------------------------------------------------------
@@ -207,7 +253,12 @@ def _fold_seed(*parts):
 
 
 def train(bundle, split, cfg):
-    """Train on split.train_ids, validate on split.val_ids."""
+    """Train on split.train_ids, validate on split.val_ids.
+
+    Every training slide's cone plan is built once, before the first epoch,
+    by one `select_top_k` and one `cone_plan` call per region layout; a
+    training slide either would refuse is named, the first in split order,
+    before any step runs."""
     from .evaluation import evaluate  # local import, evaluation uses train()
 
     by_id = {bag.slide_id: bag for bag in bundle.bags}
@@ -231,7 +282,7 @@ def train(bundle, split, cfg):
     state = AdamState(params)
 
     # each training slide's cone plan, fixed for the whole run
-    plans = [_slide_plan(bag, bundle.class_vectors, cfg.loss) for bag in train_bags]
+    plans = _cone_plans(train_bags, bundle.class_vectors, cfg.loss)
 
     history = []
     best_params = None
@@ -348,9 +399,9 @@ def gradient_check_suite(trials=20, seed=0, h=1e-5):
     dims = ModelDims(d_in=d_in, k=k, n_classes=n_classes)
     geom = GeometryConfig(curvature=1.0, dim=k)
     loss_cfg = LossConfig()
-    slide_only = {HierarchyLevel.SLIDE: np.array([0]),
-                  HierarchyLevel.REGION: np.array([], dtype=int),
-                  HierarchyLevel.PATCH: np.array([], dtype=int)}
+    slide_only = {HierarchyLevel.SLIDE: np.zeros((1, 1), dtype=int),
+                  HierarchyLevel.REGION: np.zeros((1, 0), dtype=int),
+                  HierarchyLevel.PATCH: np.zeros((1, 0), dtype=int)}
 
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
@@ -359,10 +410,9 @@ def gradient_check_suite(trials=20, seed=0, h=1e-5):
         label = bag.label
         # the plan of the total loss, built once per trial as `train` does,
         # the alignment plan of the slide row and the hierarchy plan
-        selections = select_top_k(bag, params.semantics.base.data, label,
-                                  loss_cfg.top_k)
-        plan, ama, shc = (
-            cone_plan(bag.sizes, n_classes, label, picked, lambda_a, lambda_s)
+        selections = select_top_k([bag], params.semantics.base.data, loss_cfg.top_k)
+        (plan,), (ama,), (shc,) = (
+            cone_plan(bag.sizes, n_classes, [label], picked, lambda_a, lambda_s)
             for picked, lambda_a, lambda_s in (
                 (selections, loss_cfg.lambda_a, loss_cfg.lambda_s),
                 (slide_only, 1.0, 0.0), (selections, 0.0, 1.0)))

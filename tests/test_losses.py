@@ -7,10 +7,10 @@ from numpy.testing import assert_allclose
 from hypermil import autodiff as ad
 from hypermil import geometry as geo
 from hypermil import losses as ls
-from hypermil.data import SyntheticSpec, generate
+from hypermil import training as tr
+from hypermil.data import FeatureBag, SyntheticSpec, generate
 from hypermil.errors import ConfigError, GeometryError, ShapeError
 from hypermil.model import EmbeddingSet, HierarchyLevel, text_level
-from hypermil.training import select_top_k
 
 CFG = ls.LossConfig()
 GEOM = geo.GeometryConfig(curvature=1.0, dim=2)
@@ -175,10 +175,19 @@ def _collinear_embeddings(n_classes=3):
     return EmbeddingSet(_pts(space), np.array([2, 2]))
 
 
+def _plan(sizes, n_classes, label, selections, lambda_a, lambda_s):
+    """The cone plan of one slide: `cone_plan` of a batch of one."""
+    (plan,) = ls.cone_plan(sizes, n_classes, [label],
+                           {level: np.asarray(picked)[None]
+                            for level, picked in selections.items()},
+                           lambda_a, lambda_s)
+    return plan
+
+
 def _total_loss(emb, label, selections, cfg, geom):
     """`total_loss` over the slide's cone plan, built from `cfg`'s weights."""
-    plan = ls.cone_plan(emb.sizes, emb.text.count // len(HierarchyLevel), label,
-                        selections, cfg.lambda_a, cfg.lambda_s)
+    plan = _plan(emb.sizes, emb.text.count // len(HierarchyLevel), label,
+                 selections, cfg.lambda_a, cfg.lambda_s)
     return ls.total_loss(emb, plan, cfg, geom)
 
 
@@ -204,10 +213,10 @@ def test_cone_plan_refuses_embeddings_of_another_layout():
     # more regions, more patches, fewer classes, and as many rows in all
     # but three regions of one patch
     for sizes, n_classes in (([2, 2, 1], 3), ([3, 2], 3), ([2, 2], 2), ([1, 1, 1], 3)):
-        plan = ls.cone_plan(sizes, n_classes, 0, sel, CFG.lambda_a, CFG.lambda_s)
+        plan = _plan(sizes, n_classes, 0, sel, CFG.lambda_a, CFG.lambda_s)
         with pytest.raises(ShapeError, match="do not fit a cone plan"):
             ls.total_loss(emb, plan, CFG, GEOM)
-    plan = ls.cone_plan(emb.sizes, 3, 0, sel, CFG.lambda_a, CFG.lambda_s)
+    plan = _plan(emb.sizes, 3, 0, sel, CFG.lambda_a, CFG.lambda_s)
     assert np.isfinite(ls.total_loss(emb, plan, CFG, GEOM).item())
 
 
@@ -220,7 +229,33 @@ def test_cone_plan_refuses_selections_outside_the_slide():
         sel[level] = np.array(picked)
         with pytest.raises(ShapeError, match=f"^{level.name.lower()} selection "
                                              rf"\[{picked[0]}\] is outside"):
-            ls.cone_plan([2, 2], 3, 0, sel, CFG.lambda_a, CFG.lambda_s)
+            _plan([2, 2], 3, 0, sel, CFG.lambda_a, CFG.lambda_s)
+    # in a batch, the first slide's selection at fault is the one named
+    rows = {HierarchyLevel.REGION: np.array([[0, 1], [1, 0], [2, 0]]),
+            HierarchyLevel.PATCH: np.array([[0, 1], [5, 0], [0, 6]])}
+    with pytest.raises(ShapeError, match=r"^region selection \[2, 0\] is outside"):
+        ls.cone_plan([2, 2], 3, [0, 1, 2], rows, CFG.lambda_a, CFG.lambda_s)
+    rows[HierarchyLevel.REGION] = rows[HierarchyLevel.REGION][:2]
+    with pytest.raises(ShapeError, match=r"^region selections of shape \(2, 2\) are "
+                                         "not one row for each of 3 labels"):
+        ls.cone_plan([2, 2], 3, [0, 1, 2], rows, CFG.lambda_a, CFG.lambda_s)
+
+
+def test_cone_plan_refuses_labels_outside_the_classes():
+    # at and above the class count, and below 0
+    emb = _random_embeddings(np.random.default_rng(40))  # 3 classes
+    sel = _full_selection()
+    for label in (3, 7, -1):
+        message = f"^label {label} is outside the 3 classes"
+        with pytest.raises(ShapeError, match=message):
+            _plan([3, 3], 3, label, sel, CFG.lambda_a, CFG.lambda_s)
+        with pytest.raises(ShapeError, match=message):
+            ls.ama_total(emb, label, sel, CFG, GEOM)
+        with pytest.raises(ShapeError, match=message):
+            ls.shc_total(emb, label, sel, CFG, GEOM)
+    rows = {level: np.stack([picked, picked]) for level, picked in sel.items()}
+    with pytest.raises(ShapeError, match="^label 3 is outside the 3 classes"):
+        ls.cone_plan([2, 2], 3, [0, 3], rows, 0.0, 0.0)
 
 
 def _cone_plan_by_search(sizes, n_classes, label, selections, lambda_a, lambda_s):
@@ -277,14 +312,16 @@ def test_cone_plan_positions_match_unique_and_searchsorted():
     n_classes = len(bundle.class_vectors)
     # the top-K selections of every default bag, and one selection with
     # repeated and unsorted rows
-    cases = [(bag, select_top_k(bag, bundle.class_vectors, bag.label, top_k))
-             for bag in bundle.bags for top_k in (1, 3, 8, 64)]
+    cases = [(bag, {level: picked[b] for level, picked in selections.items()})
+             for top_k in (1, 3, 8, 64)
+             for selections in [tr.select_top_k(bundle.bags, bundle.class_vectors, top_k)]
+             for b, bag in enumerate(bundle.bags)]
     cases.append((bundle.bags[0], {HierarchyLevel.SLIDE: np.array([0]),
                                    HierarchyLevel.REGION: np.array([2, 0, 2]),
                                    HierarchyLevel.PATCH: np.array([9, 1, 9, 4])}))
     for bag, sel in cases:
         for weights in ((1.0, 10.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)):
-            plan = ls.cone_plan(bag.sizes, n_classes, bag.label, sel, *weights)
+            plan = _plan(bag.sizes, n_classes, bag.label, sel, *weights)
             if plan.empty:
                 assert weights == (0.0, 0.0)
                 continue
@@ -307,16 +344,141 @@ def test_cone_plan_positions_match_unique_and_searchsorted():
             same(plan.flats, oracle.flats)
 
 
+def _cone_plan_reference(sizes, n_classes, label, selections, lambda_a, lambda_s):
+    """The per-slide body `cone_plan` had before it built many slides' plans
+    at once, kept as the looped oracle of the batched one."""
+    n_regions, n_patches = len(sizes), int(np.sum(sizes))
+    text0 = 1 + n_regions + n_patches
+    stops = (1, 1 + n_regions, text0, text0 + len(HierarchyLevel) * n_classes)
+    others = np.array([c for c in range(n_classes) if c != label], dtype=int)
+    ama = lambda_a != 0.0 and others.size > 0
+    shc = lambda_s != 0.0
+    if not (ama or shc):
+        return ls.ConePlan(label, stops)
+    n_rows = stops[-1]
+    regions = np.asarray(selections[HierarchyLevel.REGION], dtype=int)
+    patches = np.asarray(selections[HierarchyLevel.PATCH], dtype=int)
+    rows = np.concatenate([[0], 1 + regions, 1 + n_regions + patches])
+    counts = np.array([1, regions.size, patches.size])
+    levels = np.repeat([2, 1, 0], counts)
+    weights = 1.0 / np.repeat(counts, counts)
+    image = rows[:, None]
+    block = text0 + levels[:, None] * n_classes
+    pos = block + label
+    neg = block + others
+    picked_rows = np.zeros(n_patches, dtype=bool)
+    if ama:
+        picked_rows[patches] = True
+    apex = np.concatenate([np.arange(1 + n_regions),
+                           1 + n_regions + np.flatnonzero(picked_rows),
+                           np.arange(text0, n_rows)])
+    at = np.empty(n_rows, dtype=np.intp)
+    at[apex] = np.arange(apex.size)
+
+    def pairs(u, v):
+        return at[u] * n_rows + v
+
+    cones = []
+    if shc:
+        chain = text0 + np.arange(n_classes)
+        slide_text, region_text, patch_text = (chain + v * n_classes for v in (2, 1, 0))
+        u = np.concatenate([np.zeros(n_regions, dtype=int),
+                            1 + np.repeat(np.arange(n_regions), sizes),
+                            slide_text, region_text, pos[:, 0]])
+        v = np.concatenate([1 + np.arange(n_regions),
+                            1 + n_regions + np.arange(n_patches),
+                            region_text, patch_text, rows])
+        terms = np.array([n_regions, n_patches, n_classes, n_classes])
+        cones.append((pairs(u, v), at[u],
+                      np.concatenate([np.repeat(lambda_s / terms, terms),
+                                      lambda_s * weights])))
+        if others.size:
+            cones.append((pairs(neg, image).ravel(), at[neg].ravel(),
+                          np.repeat(lambda_s / others.size * weights, others.size)))
+    phi = tuple((pairs(a, b), pairs(b, a))
+                for a, b in ((image, pos), (image, neg), (pos, neg))) if ama else ()
+    return ls.ConePlan(label, stops, apex, tuple(cones), phi, lambda_a * weights)
+
+
+def _assert_same_plan(got, want):
+    """Every field of two plans equal, array for array and dtype for dtype."""
+    def same(g, w):
+        assert (type(g) is type(w) and g.dtype == w.dtype and g.shape == w.shape
+                and np.array_equal(g, w))
+
+    assert type(got.label) is type(want.label) and got.label == want.label
+    assert got.stops == want.stops and got.empty == want.empty
+    if want.empty:
+        return
+    for name in ("apex", "ama_weights", "mask", "flats"):
+        same(getattr(got, name), getattr(want, name))
+    assert len(got.cones) == len(want.cones) and len(got.phi) == len(want.phi)
+    for got_set, want_set in zip(got.cones + got.phi, want.cones + want.phi):
+        assert len(got_set) == len(want_set)
+        for g, w in zip(got_set, want_set):
+            same(g, w)
+
+
+WEIGHTS = ((0.0, 0.0), (1.0, 0.0), (0.0, 10.0), (1.0, 10.0))
+
+
+@pytest.mark.parametrize("n_classes", [3, 2])
+def test_cone_plan_of_many_slides_equals_the_per_slide_body(n_classes):
+    # every bag of the default bundle (and of a two-class one) in one call,
+    # under each weighting, with top-K from one region up to above the counts
+    bundle = generate(SyntheticSpec(n_classes=n_classes))
+    bags = bundle.bags
+    labels = [bag.label for bag in bags]
+    for top_k in (1, 8, 100):
+        selections = tr.select_top_k(bags, bundle.class_vectors, top_k)
+        for weights in WEIGHTS:
+            plans = ls.cone_plan(bags[0].sizes, n_classes, labels, selections, *weights)
+            assert len(plans) == len(bags)
+            for b, (plan, bag) in enumerate(zip(plans, bags)):
+                sel = {level: picked[b] for level, picked in selections.items()}
+                _assert_same_plan(plan, _cone_plan_reference(
+                    bag.sizes, n_classes, bag.label, sel, *weights))
+    # repeated and unsorted rows, so that the slides have as many apex rows
+    # as distinct selected patches: 3, 4 and 2
+    selections = {HierarchyLevel.REGION: np.array([[2, 0, 2], [1, 1, 3], [0, 1, 2]]),
+                  HierarchyLevel.PATCH: np.array([[9, 1, 9, 4], [0, 5, 63, 6],
+                                                  [7, 7, 2, 2]])}
+    for weights in WEIGHTS:
+        plans = ls.cone_plan(bags[0].sizes, n_classes, labels[:3], selections, *weights)
+        for b, (plan, bag) in enumerate(zip(plans, bags[:3], strict=True)):
+            sel = {level: picked[b] for level, picked in selections.items()}
+            _assert_same_plan(plan, _cone_plan_reference(
+                bag.sizes, n_classes, bag.label, sel, *weights))
+
+
+def test_training_plans_of_two_layouts_come_back_in_bag_order():
+    # every other default bag re-cut into regions of 24, 8 and 32 patches
+    bundle = generate(SyntheticSpec())
+    bags = [bag if b % 2 else
+            FeatureBag(bag.slide_id, bag.label, bag.site,
+                       [bag.patches[:24], bag.patches[24:32], bag.patches[32:]])
+            for b, bag in enumerate(bundle.bags)]
+    for weights in WEIGHTS:
+        cfg = ls.LossConfig(lambda_a=weights[0], lambda_s=weights[1])
+        plans = tr._cone_plans(bags, bundle.class_vectors, cfg)
+        assert len(plans) == len(bags)
+        for plan, bag in zip(plans, bags, strict=True):
+            sel = {level: picked[0] for level, picked in
+                   tr.select_top_k([bag], bundle.class_vectors, cfg.top_k).items()}
+            _assert_same_plan(plan, _cone_plan_reference(
+                bag.sizes, 3, bag.label, sel, *weights))
+
+
 def test_cone_plan_is_empty_without_weights():
     sel = _full_selection()
     # no term on: both weights zero, or only alignment with one class
     emb = _collinear_embeddings(n_classes=1)
     for n_classes, weights in ((3, (0.0, 0.0)), (1, (1.0, 0.0))):
-        plan = ls.cone_plan([2, 2], n_classes, 0, sel, *weights)
+        plan = _plan([2, 2], n_classes, 0, sel, *weights)
         assert plan.empty and plan.label == 0
         assert (ls.total_loss(emb, plan, CFG, GEOM).item()
                 == ls.cls_loss(emb, 0, CFG, GEOM).item())
-    assert not ls.cone_plan([2, 2], 1, 0, sel, 0.0, 1.0).empty
+    assert not _plan([2, 2], 1, 0, sel, 0.0, 1.0).empty
 
 
 def test_shc_total_zero_on_consistent_hierarchy():

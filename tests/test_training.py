@@ -1,5 +1,6 @@
 """Optimizer math, top-K selection, config plumbing, and the training loop."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -199,12 +200,12 @@ def _selection_bag():
 def test_select_top_k_rankings():
     bag = _selection_bag()
     vectors = np.eye(2, 3)
-    sel = tr.select_top_k(bag, vectors, label=0, k=3)
+    sel = tr.select_top_k([bag], vectors, k=3)
     # global patch rows by cosine to [1,0,0]: rows 0, 4, 2 lead
-    assert sel[HierarchyLevel.PATCH].tolist() == [0, 4, 2]
+    assert sel[HierarchyLevel.PATCH].tolist() == [[0, 4, 2]]
     # region means: r1 mean points closer to [1,0,0] than r0 mean
-    assert sel[HierarchyLevel.REGION].tolist() == [1, 0]
-    assert sel[HierarchyLevel.SLIDE].tolist() == [0]
+    assert sel[HierarchyLevel.REGION].tolist() == [[1, 0]]
+    assert sel[HierarchyLevel.SLIDE].tolist() == [[0]]
 
 
 def test_select_top_k_truncates_and_breaks_ties_low():
@@ -212,11 +213,34 @@ def test_select_top_k_truncates_and_breaks_ties_low():
         "s", 0, "site-0",
         [np.array([[1, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=np.float32)],
     )
-    sel = tr.select_top_k(bag, np.eye(2, 3), label=0, k=2)
-    assert sel[HierarchyLevel.PATCH].tolist() == [0, 1]
-    sel_all = tr.select_top_k(bag, np.eye(2, 3), label=0, k=50)
-    assert len(sel_all[HierarchyLevel.PATCH]) == 3
-    assert len(sel_all[HierarchyLevel.REGION]) == 1
+    sel = tr.select_top_k([bag], np.eye(2, 3), k=2)
+    assert sel[HierarchyLevel.PATCH].tolist() == [[0, 1]]
+    sel_all = tr.select_top_k([bag], np.eye(2, 3), k=50)
+    assert sel_all[HierarchyLevel.PATCH].shape == (1, 3)
+    assert sel_all[HierarchyLevel.REGION].shape == (1, 1)
+
+
+def _cosine(rows, vector):
+    norms = np.linalg.norm(rows, axis=1)
+    vnorm = np.linalg.norm(vector)
+    denom = np.maximum(norms * vnorm, 1e-12)
+    return rows @ vector / denom
+
+
+def _select_top_k_reference(bag, class_vectors, label, k):
+    """The per-slide body `select_top_k` had before it ranked many bags at
+    once, kept as the looped oracle of the batched one."""
+    vector = np.asarray(class_vectors[label], dtype=np.float64)
+    patches = bag.patches.astype(np.float64)
+    patch_rows = np.argsort(-_cosine(patches, vector), kind="stable")[:k]
+    starts = np.cumsum(bag.sizes) - bag.sizes
+    region_means = np.add.reduceat(patches, starts, axis=0) / bag.sizes[:, None]
+    region_rows = np.argsort(-_cosine(region_means, vector), kind="stable")[:k]
+    return {
+        HierarchyLevel.PATCH: patch_rows,
+        HierarchyLevel.REGION: region_rows,
+        HierarchyLevel.SLIDE: np.array([0]),
+    }
 
 
 def _select_top_k_per_region(bag, class_vectors, label, k):
@@ -225,10 +249,24 @@ def _select_top_k_per_region(bag, class_vectors, label, k):
     patches = np.concatenate(bag.regions, axis=0, dtype=np.float64)
     means = np.stack([region.astype(np.float64).mean(axis=0) for region in bag.regions])
     return {
-        HierarchyLevel.PATCH: np.argsort(-tr._cosine(patches, vector), kind="stable")[:k],
-        HierarchyLevel.REGION: np.argsort(-tr._cosine(means, vector), kind="stable")[:k],
+        HierarchyLevel.PATCH: np.argsort(-_cosine(patches, vector), kind="stable")[:k],
+        HierarchyLevel.REGION: np.argsort(-_cosine(means, vector), kind="stable")[:k],
         HierarchyLevel.SLIDE: np.array([0]),
     }, means
+
+
+@pytest.mark.parametrize("n_classes", [3, 2])
+def test_select_top_k_of_many_bags_equals_the_per_slide_body(n_classes):
+    # every bag of the default bundle (and of a two-class one) ranked in one
+    # call, with K from one up to above the counts
+    bundle = generate(SyntheticSpec(n_classes=n_classes))
+    for k in (1, 8, 100):
+        got = tr.select_top_k(bundle.bags, bundle.class_vectors, k)
+        for b, bag in enumerate(bundle.bags):
+            want = _select_top_k_reference(bag, bundle.class_vectors, bag.label, k)
+            for level in HierarchyLevel:
+                assert got[level].dtype == want[level].dtype
+                assert np.array_equal(got[level][b], want[level]), (bag.slide_id, level)
 
 
 def test_select_top_k_matches_the_per_region_loop():
@@ -237,30 +275,35 @@ def test_select_top_k_matches_the_per_region_loop():
     uneven = [FeatureBag(f"u{i}", 0, "x", [rng.standard_normal((n, 6)).astype(np.float32)
                                            for n in rng.integers(1, 40, size=9)])
               for i in range(20)]
-    for bags, class_vectors in ((default.bags, default.class_vectors),
-                                (uneven, rng.standard_normal((2, 6)))):
-        for bag in bags:
+    # the default bags share one layout and are ranked together; each uneven
+    # bag has a layout of its own
+    for batches, class_vectors in (([default.bags], default.class_vectors),
+                                   ([[bag] for bag in uneven], rng.standard_normal((2, 6)))):
+        for bags in batches:
             for k in (1, 4, 1000):
-                got = tr.select_top_k(bag, class_vectors, bag.label, k)
-                want, means = _select_top_k_per_region(bag, class_vectors, bag.label, k)
-                for level in HierarchyLevel:
-                    assert np.array_equal(got[level], want[level]), (bag.slide_id, level)
-            # the block's region means are the per-region means, bit for bit
-            block = bag.patches.astype(np.float64)
-            starts = np.cumsum(bag.sizes) - bag.sizes
-            assert np.array_equal(np.add.reduceat(block, starts) / bag.sizes[:, None],
-                                  means)
+                got = tr.select_top_k(bags, class_vectors, k)
+                for b, bag in enumerate(bags):
+                    want, means = _select_top_k_per_region(bag, class_vectors,
+                                                           bag.label, k)
+                    for level in HierarchyLevel:
+                        assert np.array_equal(got[level][b], want[level]), (bag.slide_id,
+                                                                            level)
+                    # the block's region means are the per-region means, bit for bit
+                    block = bag.patches.astype(np.float64)
+                    starts = np.cumsum(bag.sizes) - bag.sizes
+                    assert np.array_equal(
+                        np.add.reduceat(block, starts) / bag.sizes[:, None], means)
 
 
 def test_select_top_k_rejects_bags_embed_slide_refuses():
     with pytest.raises(EmptyBagError, match="^slide s has no regions"):
-        tr.select_top_k(FeatureBag("s", 0, "x", []), np.eye(2, 3), 0, 2)
+        tr.select_top_k([FeatureBag("s", 0, "x", [])], np.eye(2, 3), 2)
     empty_last = FeatureBag("s", 0, "x", [np.ones((2, 3)), np.ones((0, 3))])
     with pytest.raises(EmptyBagError, match="^slide s region 1 has no patches"):
-        tr.select_top_k(empty_last, np.eye(2, 3), 0, 2)
+        tr.select_top_k([empty_last], np.eye(2, 3), 2)
     narrow = FeatureBag("s", 0, "x", [np.ones((2, 3))])
     with pytest.raises(ShapeError, match=r"^slide s region 0 is not a \[patches x 4\]"):
-        tr.select_top_k(narrow, np.eye(2, 4), 0, 2)
+        tr.select_top_k([narrow], np.eye(2, 4), 2)
 
 
 def test_select_top_k_rejects_labels_outside_the_classes():
@@ -268,7 +311,20 @@ def test_select_top_k_rejects_labels_outside_the_classes():
         bag = FeatureBag("s", label, "x", [np.ones((2, 3))])
         with pytest.raises(ShapeError, match=f"^slide s has label {label}, outside "
                                              "the 2 classes"):
-            tr.select_top_k(bag, np.eye(2, 3), bag.label, 2)
+            tr.select_top_k([bag], np.eye(2, 3), 2)
+
+
+def test_select_top_k_checks_bags_in_order_and_takes_one_layout():
+    good = FeatureBag("a", 0, "x", [np.ones((2, 3)), np.ones((1, 3))])
+    recut = FeatureBag("b", 1, "x", [np.ones((1, 3)), np.ones((2, 3))])
+    bad = FeatureBag("c", 2, "x", [np.ones((2, 3)), np.ones((1, 3))])
+    with pytest.raises(ShapeError, match=r"^slide b has regions of \[1, 2\] patches, "
+                                         r"not the \[2, 1\] of slide a"):
+        tr.select_top_k([good, recut, bad], np.eye(2, 3), 2)
+    with pytest.raises(ShapeError, match="^slide c has label 2, outside the 2 classes"):
+        tr.select_top_k([good, bad, recut], np.eye(2, 3), 2)
+    with pytest.raises(ShapeError, match="at least one bag"):
+        tr.select_top_k([], np.eye(2, 3), 2)
 
 
 def test_fold_seed_deterministic_and_distinct():
@@ -291,31 +347,86 @@ def _tiny_setup():
     return bundle, plan.folds[0].inner[0], cfg
 
 
+def _recut(bag, sizes):
+    """The bag with its patches regrouped into regions of the given sizes."""
+    stops = np.cumsum(sizes)
+    return FeatureBag(bag.slide_id, bag.label, bag.site,
+                      [bag.patches[stop - size:stop] for size, stop in zip(sizes, stops)])
+
+
 def test_train_builds_one_cone_plan_per_training_slide(monkeypatch):
     bundle, split, cfg = _tiny_setup()
     cfg = tr.TrainConfig(epochs=3, k=6, seed=3)
-    built, used = [], []
+    # every third bag regrouped from regions of 4 and 4 patches into 3 and 5
+    bundle.bags = [_recut(bag, [3, 5]) if b % 3 == 0 else bag
+                   for b, bag in enumerate(bundle.bags)]
+    by_id = {bag.slide_id: bag for bag in bundle.bags}
+    train_bags = [by_id[i] for i in split.train_ids]
+    assert len({bag.sizes.tobytes() for bag in train_bags}) == 2
+    built, steps = [], []
 
     def counting_plan(*args):
-        built.append(args)
-        return cone_plan(*args)
+        built.append((args, cone_plan(*args)))
+        return built[-1][1]
+
+    def recording_embed(bag, params, geom):
+        steps.append(bag)
+        return embed_slide(bag, params, geom)
 
     def recording_loss(emb, plan, loss_cfg, geom):
-        used.append(plan)
+        steps[-1] = (steps[-1], plan)
         return total_loss(emb, plan, loss_cfg, geom)
 
     monkeypatch.setattr(tr, "cone_plan", counting_plan)
+    monkeypatch.setattr(tr, "embed_slide", recording_embed)
     monkeypatch.setattr(tr, "total_loss", recording_loss)
     res = tr.train(bundle, split, cfg)
     assert res.skipped == 0
-    assert len(built) == len(split.train_ids)
-    # every step of the three epochs reads one of those plans, each slide's
-    # own one in every epoch
-    assert len(used) == 3 * len(split.train_ids)
-    assert len({id(plan) for plan in used}) == len(split.train_ids)
+    # one builder call per layout, for the whole run: each layout's bags in
+    # split order, one plan each
+    assert len(built) == 2
+    own = {}
+    for args, plans in built:
+        group = [bag for bag in train_bags if bag.sizes.tobytes() == args[0].tobytes()]
+        assert args[2] == [bag.label for bag in group]
+        assert len(plans) == len(group)
+        own.update({id(bag): plan for bag, plan in zip(group, plans)})
+    assert len(own) == len(train_bags)
+    # every training step of the three epochs reads its own slide's plan
+    train_steps = [step for step in steps if isinstance(step, tuple)]
+    assert len(train_steps) == 3 * len(train_bags)
+    assert sorted(id(bag) for bag, _ in train_steps) == sorted(
+        id(bag) for bag in train_bags for _ in range(3))
+    assert all(plan is own[id(bag)] for bag, plan in train_steps)
+
+
+@pytest.mark.parametrize("fault", ["label", "empty region", "width"])
+def test_train_names_the_first_bad_training_slide_before_any_step(monkeypatch, fault):
+    bundle, split, cfg = _tiny_setup()
     by_id = {bag.slide_id: bag for bag in bundle.bags}
-    assert all(args[0] is by_id[i].sizes
-               for args, i in zip(built, split.train_ids, strict=True))
+    third, fifth = split.train_ids[2], split.train_ids[4]
+    bag = by_id[third]
+    # the third slide is at fault, under a layout no earlier slide has; the
+    # fifth, of the common layout, is at fault too, and is not the one named
+    bad, error, message = {
+        "label": (FeatureBag(third, 5, bag.site, [bag.patches[:3], bag.patches[3:]]),
+                  ShapeError, f"slide {third} has label 5, outside the 2 classes"),
+        "empty region": (FeatureBag(third, bag.label, bag.site,
+                                    [bag.patches, bag.patches[:0]]),
+                         EmptyBagError, f"slide {third} region 1 has no patches"),
+        "width": (FeatureBag(third, bag.label, bag.site,
+                             [bag.patches[:3, :6], bag.patches[3:, :6]]),
+                  ShapeError, rf"slide {third} region 0 is not a \[patches x 8\] "
+                              r"array: shape \(3, 6\)"),
+    }[fault]
+    by_id[third] = bad
+    by_id[fifth] = FeatureBag(fifth, -1, "x", by_id[fifth].regions)
+    bundle.bags = list(by_id.values())
+    steps = []
+    monkeypatch.setattr(tr, "embed_slide", lambda *args: steps.append(args))
+    with pytest.raises(error, match=f"^{message}$"):
+        tr.train(bundle, split, cfg)
+    assert steps == []
 
 
 def test_train_runs_and_reports():
@@ -461,6 +572,26 @@ def test_train_loss_pinned_under_each_weighting():
         assert [s.train_loss.hex() for s in res.log] == want, (lambda_a, lambda_s)
 
 
+def test_train_params_pinned_under_each_weighting():
+    # SHA-256 of the final parameter buffer of the four runs whose losses
+    # `test_train_loss_pinned_under_each_weighting` pins, recorded when each
+    # training slide's plan was built on its own
+    pins = {
+        (0.0, 0.0): "250eaafe21fb0833bacef1d1b35bf7587afcbf75a2d6ae804188c6f5eb1dd83b",
+        (1.0, 0.0): "8cd0323ae262ec0703a4bd91873fcc770a562ed1e1947be8257c4fb3fc4008d8",
+        (0.0, 10.0): "a029568eb05f9d57db3efefb138a2f560b2a38c599f5d5f63b12b771b49b610f",
+        (1.0, 10.0): "070e214437a98a3686af23bb20717a0ae2b2139f8e4dbe599d28d7801707948a",
+    }
+    bundle = generate(SyntheticSpec())
+    split = make_splits(bundle.bags, 1, 1, seed=0).folds[0].inner[0]
+    split = InnerSplit(split.train_ids[:6], (), ())
+    for (lambda_a, lambda_s), want in pins.items():
+        loss = LossConfig(lambda_a=lambda_a, lambda_s=lambda_s)
+        res = tr.train(bundle, split, tr.TrainConfig(epochs=2, loss=loss))
+        got = hashlib.sha256(res.params.buffer.tobytes()).hexdigest()
+        assert got == want, (lambda_a, lambda_s)
+
+
 def test_joint_map_step_equals_the_step_over_two_maps():
     # the loss and every trainable gradient of a step over `embed_slide`,
     # which maps the image rows and the class text in one call, equal bit
@@ -474,9 +605,9 @@ def test_joint_map_step_equals_the_step_over_two_maps():
     params = init_params(dims, cfg.seed, bundle.class_vectors)
 
     def step(bag, embed):
-        sel = tr.select_top_k(bag, bundle.class_vectors, bag.label, cfg.loss.top_k)
-        plan = cone_plan(bag.sizes, n_classes, bag.label, sel, cfg.loss.lambda_a,
-                         cfg.loss.lambda_s)
+        sel = tr.select_top_k([bag], bundle.class_vectors, cfg.loss.top_k)
+        (plan,) = cone_plan(bag.sizes, n_classes, [bag.label], sel, cfg.loss.lambda_a,
+                            cfg.loss.lambda_s)
         params.zero_grads()
         loss = total_loss(embed(bag), plan, cfg.loss, geom)
         loss.backward()
@@ -544,10 +675,9 @@ def test_skipped_slide_keeps_the_accumulation_window(monkeypatch):
     params = init_params(dims, cfg.seed, bundle.class_vectors)
     geom = cfg.geometry()
     for bag in (embedded[0], embedded[2]):
-        sel = tr.select_top_k(bag, bundle.class_vectors, bag.label,
-                              cfg.loss.top_k)
-        plan = cone_plan(bag.sizes, 2, bag.label, sel, cfg.loss.lambda_a,
-                         cfg.loss.lambda_s)
+        sel = tr.select_top_k([bag], bundle.class_vectors, cfg.loss.top_k)
+        (plan,) = cone_plan(bag.sizes, 2, [bag.label], sel, cfg.loss.lambda_a,
+                            cfg.loss.lambda_s)
         total_loss(embed_slide(bag, params, geom), plan, cfg.loss, geom).backward()
     want = _grads(params)
     assert steps[0].keys() == want.keys()
@@ -604,7 +734,9 @@ def test_gradient_check_roots_measure_the_training_terms(monkeypatch):
     for root in (cls, ama, ent, con, total):
         assert root._op == "loss" and len(root._parents) == 1
     emb = seen["embed_slide"][1]
-    (_, _, label, _), selections = seen["select_top_k"]
+    ([bag], _, _), selections = seen["select_top_k"]
+    label = bag.label
+    selections = {level: picked[0] for level, picked in selections.items()}
     cfg, geom = LossConfig(), geo.GeometryConfig(curvature=1.0, dim=4)
     assert_allclose(ent.item() + con.item(),
                     shc_total(emb, label, selections, cfg, geom).item(),
