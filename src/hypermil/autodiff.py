@@ -36,8 +36,10 @@ and the loss, whose one parent is that map. No view of the map's rows is
 in the graph: the loss reads the space whole.
 
 Conventions:
-  * gradients accumulate into `Tensor.grad` (None until touched); the first
-    contribution is copied so upstream buffers are never aliased,
+  * gradients accumulate into `Tensor.grad`. A parameter leaf of a
+    `model.ModelParams` adds into its view of `ModelParams.grad`, which
+    nothing rebinds; any other tensor's `grad` is None until touched, and
+    its first contribution is copied so upstream buffers are never aliased,
   * any node whose forward value contains NaN raises NumericalError naming
     its op (`backend.has_nan`).
 """
@@ -204,8 +206,8 @@ def fused(op, data, parents, backward):
     gradient per parent, in the order of `parents`. A gradient broadcast
     against its parent is summed back to the parent's shape, and a
     gradient of any other shape raises ShapeError. Each gradient is then
-    added to its parent's `grad`; the first contribution is copied, so no
-    buffer is shared between nodes.
+    added to its parent's `grad` in place; a parent whose `grad` is None
+    takes a copy of it, so no buffer is shared between nodes.
     """
     data = _as_array(data)
     if has_nan(data):
@@ -353,8 +355,9 @@ def finite_difference_check(f, params, h=1e-5):
     for k in range(len(roots)):
         if k:
             roots = _scalar_roots(f())
-        for p in params:
-            p.grad = None
+        for p in params:  # in place: a parameter's grad is a view to keep
+            if p.grad is not None:
+                p.grad.fill(0.0)
         roots[k].backward()
         analytic.append([
             np.zeros(p.data.size) if p.grad is None else p.grad.reshape(-1).copy()

@@ -16,6 +16,8 @@ import logging
 import sys
 from collections import Counter
 
+import numpy as np
+
 from . import evaluation, training
 from .data import SyntheticSpec, generate, make_splits, read_bundle, write_bundle
 from .errors import HypermilError, SplitError
@@ -264,7 +266,11 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return _COMMANDS[args.command](args)
+        # non-finite values end in the NaN guard's or the gradient check's
+        # typed error; numpy's warnings would only print ahead of it. Forked
+        # fold workers inherit the setting.
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except (HypermilError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -42,7 +42,8 @@ layout: a caller that needs one level reads it through `text_level`, or
 its rows through `text_rows`.
 
 Every parameter array of a `ModelParams` is a view into one float64
-buffer, trainable arrays first, so the optimizer updates them in one
+buffer, trainable arrays first, and every trainable's gradient a view into
+one vector laid out like that head, so the optimizer updates them in one
 vectorized step and a copy is one array copy. That layout (`_layout`) is
 the one list of parameter names: `ModelParams.named` and `trainable` follow
 it. It lives in memory only: checkpoints are a little-endian binary table
@@ -188,8 +189,13 @@ class ModelParams:
     `buffer` holds every array of `named()`: the trainable ones first, in
     `trainable()` order, then the frozen base vectors (`_layout`). Adam
     updates the trainable head `flat` in one vectorized step, and `copy`
-    copies the buffer once. Nothing may rebind a parameter's `data`; in-place
-    updates of it are updates of the buffer.
+    copies the buffer once. `grad` is laid out like `flat`, and each
+    trainable's `grad` is a view of its span, so a backward pass adds into
+    it and Adam reads it whole. A trainable without a gradient this step
+    has zeros there; there is no mask, because every training step reaches
+    every trainable, and an entry whose gradient and moments are zero does
+    not move. Nothing may rebind a parameter's `data` or `grad`; in-place
+    updates of them are updates of the two vectors.
     """
 
     adaptor_i: Mlp
@@ -199,6 +205,7 @@ class ModelParams:
     semantics: ClassSemanticsTable
     dims: ModelDims
     buffer: np.ndarray
+    grad: np.ndarray
 
     def named(self):
         """(name, tensor) of every parameter array, including the frozen base
@@ -212,21 +219,10 @@ class ModelParams:
     @property
     def flat(self):
         """Every trainable array, in `trainable()` order, as one vector view."""
-        return self.buffer[:self.buffer.size - self.semantics.base.data.size]
-
-    def gradient(self):
-        """(g, has_grad): the trainable gradients laid out like `flat`, zero
-        for a parameter without one, and the mask of the entries with one."""
-        tensors = [t for _, t in self.trainable()]
-        g = np.concatenate([np.zeros(t.data.size) if t.grad is None
-                            else t.grad.reshape(-1) for t in tensors])
-        has_grad = np.repeat([t.grad is not None for t in tensors],
-                             [t.data.size for t in tensors])
-        return g, has_grad
+        return self.buffer[:self.grad.size]
 
     def zero_grads(self):
-        for _, t in self.named():
-            t.grad = None
+        self.grad.fill(0.0)
 
     def copy(self):
         return _from_buffer(self.buffer.copy(), self.dims)
@@ -334,12 +330,20 @@ def params_from_arrays(arrays, dims):
 
 
 def _from_buffer(buffer, dims):
-    """ModelParams whose tensors are views into `buffer`, laid out by `_layout`."""
+    """ModelParams whose tensors are views into `buffer`, laid out by
+    `_layout`, and whose trainables' gradients are views into one zeroed
+    vector laid out like `flat`."""
+    layout = _layout(dims)
+    grad = np.zeros(layout[-1][2])  # the frozen base, laid out last, has none
     views = {name: buffer[start:stop].reshape(shape)
-             for name, shape, start, stop in _layout(dims)}
+             for name, shape, start, stop in layout}
+    grads = {name: grad[start:stop].reshape(shape)
+             for name, shape, start, stop in layout[:-1]}
 
     def p(name):
-        return ad.Tensor(views[name], requires_grad=True)
+        t = ad.Tensor(views[name], requires_grad=True)
+        t.grad = grads[name]
+        return t
 
     adaptor_i = Mlp(p("adaptor_i.w1"), p("adaptor_i.b1"),
                     p("adaptor_i.w2"), p("adaptor_i.b2"))
@@ -354,7 +358,7 @@ def _from_buffer(buffer, dims):
         ad.Tensor(views["semantics.base"]), p("semantics.offsets")
     )
     return ModelParams(adaptor_i, adaptor_t, agg_region, agg_slide, semantics,
-                       dims, buffer)
+                       dims, buffer, grad)
 
 
 # -- forward pipeline ---------------------------------------------------------

@@ -93,7 +93,11 @@ def load_train_config(path):
 
 
 class AdamState:
-    """Step count and first and second moments, laid out like `params.flat`."""
+    """Step count and first and second moments, laid out like `params.flat`.
+
+    There is no mask of parameters with a gradient: a parameter no slide
+    reached has zeros in `params.grad`, and while its moments are zero too,
+    as before its first gradient, its step is zero."""
 
     beta1 = 0.9
     beta2 = 0.999
@@ -107,17 +111,18 @@ class AdamState:
 
 def adam_step(params, state, lr):
     """Bias-corrected Adam update in place, one vectorized step over the flat
-    trainable vector `params.flat`.
+    trainable vector `params.flat` and its gradient `params.grad`.
 
     The step is elementwise, so each entry gets exactly the update of a
-    per-parameter loop. Entries of a parameter without a gradient this step
-    are masked out: their value and moments are left untouched. A
-    non-finite gradient raises TrainingError before anything is updated.
+    per-parameter loop. No entry is masked out: a training step reaches
+    every trainable, and a zero gradient with zero moments moves nothing
+    (`AdamState`). A non-finite gradient raises TrainingError before
+    anything is updated.
     """
     state.step += 1
     c1 = 1.0 - AdamState.beta1 ** state.step
     c2 = 1.0 - AdamState.beta2 ** state.step
-    g, has_grad = params.gradient()
+    g = params.grad
     finite = np.isfinite(g)
     if not finite.all():
         ends = np.cumsum([t.data.size for _, t in params.trainable()])
@@ -125,12 +130,9 @@ def adam_step(params, state, lr):
                                                   side="right")][0]
         raise TrainingError(f"non-finite gradient in {name}")
     m, v, x = state.m, state.v, params.flat
-    np.add(m * AdamState.beta1, (1.0 - AdamState.beta1) * g, out=m,
-           where=has_grad)
-    np.add(v * AdamState.beta2, (1.0 - AdamState.beta2) * g * g, out=v,
-           where=has_grad)
-    np.subtract(x, lr * (m / c1) / (np.sqrt(v / c2) + AdamState.eps), out=x,
-                where=has_grad)
+    np.add(m * AdamState.beta1, (1.0 - AdamState.beta1) * g, out=m)
+    np.add(v * AdamState.beta2, (1.0 - AdamState.beta2) * g * g, out=v)
+    np.subtract(x, lr * (m / c1) / (np.sqrt(v / c2) + AdamState.eps), out=x)
 
 
 # -- top-K selection ------------------------------------------------------------
@@ -290,13 +292,12 @@ def train(bundle, split, cfg):
     skipped = 0
     steps = 0
     pending = 0
-    params.zero_grads()
     for epoch in range(cfg.epochs):
         order = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, epoch])
         ).permutation(len(train_bags))
         epoch_losses = []
-        for pos in order:
+        for n, pos in enumerate(order, 1):
             bag = train_bags[pos]
             steps += 1
             try:
@@ -308,17 +309,14 @@ def train(bundle, split, cfg):
                 # gradient, and the window's earlier slides keep theirs
                 skipped += 1
                 log.warning("skipping slide %s: %s", bag.slide_id, exc)
-                continue
-            epoch_losses.append(float(loss.data))
-            pending += 1
-            if pending >= cfg.accumulate:
+            else:
+                epoch_losses.append(float(loss.data))
+                pending += 1
+            # a window closes after `accumulate` slides and at the epoch's end
+            if pending and (pending >= cfg.accumulate or n == len(order)):
                 adam_step(params, state, cfg.lr)
                 params.zero_grads()
                 pending = 0
-        if pending:
-            adam_step(params, state, cfg.lr)
-            params.zero_grads()
-            pending = 0
 
         val_auc = float("nan")
         val_f1 = float("nan")

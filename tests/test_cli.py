@@ -142,6 +142,21 @@ def test_train_rejects_mistyped_config_value(workdir, bundle_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+def test_train_overflow_is_one_error_line(workdir, capsys):
+    # a huge curvature overflows the exponential map: the NaN guard's error
+    # is the one line on stderr, with no numpy warning ahead of it
+    path = workdir / "overflow.bundle"
+    assert main(["gen", "--slides-per-class", "4", "--out", str(path)]) == 0
+    cfg = workdir / "overflow.json"
+    cfg.write_text(json.dumps({"epochs": 1, "curvature": 1e300}))
+    capsys.readouterr()
+    code = main(["train", "--data", str(path), "--config", str(cfg),
+                 "--out", str(workdir / "never.ckpt")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("field", ["d_hidden", "k"])
 def test_train_rejects_dimensions_beyond_memory(workdir, bundle_path, capsys, field):
     # 2**62 rows are beyond numpy's size limit: refused before any allocation

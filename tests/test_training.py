@@ -28,6 +28,9 @@ from hypermil.model import (
     embed_slide,
     embed_text,
     init_params,
+    load_checkpoint,
+    params_from_checkpoint,
+    save_checkpoint,
 )
 
 
@@ -101,7 +104,7 @@ def test_adam_single_step_matches_reference():
     name, p = params.trainable()[0]
     before = p.data.copy()
     g = np.random.default_rng(0).normal(size=p.data.shape)
-    p.grad = g.copy()
+    p.grad[...] = g
     state = tr.AdamState(params)
     tr.adam_step(params, state, lr=0.01)
     # first step: bias-corrected moments equal g and g^2 exactly
@@ -116,9 +119,9 @@ def test_adam_two_steps_match_reference():
     rng = np.random.default_rng(1)
     g1, g2 = rng.normal(size=p.data.shape), rng.normal(size=p.data.shape)
     state = tr.AdamState(params)
-    p.grad = g1.copy()
+    p.grad[...] = g1
     tr.adam_step(params, state, lr=0.01)
-    p.grad = g2.copy()
+    p.grad[...] = g2
     tr.adam_step(params, state, lr=0.01)
 
     m = 0.1 * g1
@@ -134,7 +137,7 @@ def test_adam_skips_parameters_without_gradient():
     params = _toy_params()
     state = tr.AdamState(params)
     snapshot = {n: t.data.copy() for n, t in params.trainable()}
-    params.trainable()[0][1].grad = np.ones_like(params.trainable()[0][1].data)
+    params.trainable()[0][1].grad[...] = 1.0
     tr.adam_step(params, state, lr=0.1)
     for name, t in params.trainable()[1:]:
         assert np.array_equal(t.data, snapshot[name]), name
@@ -147,14 +150,14 @@ def test_adam_rejects_non_finite_gradient():
     params = _toy_params()
     state = tr.AdamState(params)
     _, p = params.trainable()[0]
-    p.grad = np.full_like(p.data, np.nan)
+    p.grad[...] = np.nan
     with pytest.raises(TrainingError):
         tr.adam_step(params, state, lr=0.1)
     # the error names the parameter, and no parameter moves, also those
     # laid out before it
     before = params.buffer.copy()
     for _, t in params.trainable():
-        t.grad = np.ones_like(t.data)
+        t.grad[...] = 1.0
     name, p = params.trainable()[3]
     p.grad.reshape(-1)[-1] = np.inf
     with pytest.raises(TrainingError, match=name):
@@ -174,7 +177,7 @@ def test_adam_flat_step_matches_per_parameter_loop():
         c1 = 1.0 - tr.AdamState.beta1 ** step
         c2 = 1.0 - tr.AdamState.beta2 ** step
         for name, t in params.trainable():
-            t.grad = rng.normal(size=t.data.shape)
+            t.grad[...] = rng.normal(size=t.data.shape)
             m, v = moments[name]
             m *= tr.AdamState.beta1
             m += (1.0 - tr.AdamState.beta1) * t.grad
@@ -185,6 +188,42 @@ def test_adam_flat_step_matches_per_parameter_loop():
         tr.adam_step(params, state, lr=0.01)
     for name, t in params.trainable():
         assert np.array_equal(t.data, reference[name]), name
+
+
+def _assert_grads_are_views(params):
+    """Each trainable's `grad` is its span of `params.grad`, in `trainable()`
+    order, and one `zero_grads()` zeroes every one of them."""
+    stop = 0
+    for name, t in params.trainable():
+        start, stop = stop, stop + t.data.size
+        params.grad[start:stop] = np.arange(start, stop) + 1.0
+        assert t.grad.shape == t.data.shape, name
+        assert np.array_equal(t.grad.reshape(-1), params.grad[start:stop]), name
+    assert stop == params.grad.size == params.flat.size
+    params.zero_grads()
+    for name, t in params.trainable():
+        assert not t.grad.any(), name
+
+
+def test_trainable_grads_are_views_of_the_flat_gradient(tmp_path):
+    bundle, split, cfg = _tiny_setup()
+    res = tr.train(bundle, split, cfg)
+    path = tmp_path / "trained.ckpt"
+    save_checkpoint(res.params, path)
+    restored, _ = params_from_checkpoint(load_checkpoint(path))
+    fresh = init_params(res.params.dims, 5)
+    # the check's backward passes write into the views it resets
+    geom = cfg.geometry()
+    checked = [fresh.agg_region.w2, fresh.semantics.offsets]
+
+    def root():
+        space = embed_slide(bundle.bags[0], fresh, geom).space.space
+        return (space * space).sum()
+
+    assert ad.finite_difference_check(root, checked) < 1e-4
+    assert fresh.grad.any()
+    for params in (fresh, fresh.copy(), restored, res.params, res.best_params):
+        _assert_grads_are_views(params)
 
 
 # -- top-K selection --------------------------------------------------------------
@@ -575,21 +614,29 @@ def test_train_loss_pinned_under_each_weighting():
 def test_train_params_pinned_under_each_weighting():
     # SHA-256 of the final parameter buffer of the four runs whose losses
     # `test_train_loss_pinned_under_each_weighting` pins, recorded when each
-    # training slide's plan was built on its own
+    # training slide's plan was built on its own, and of the full weighting
+    # with one aggregator for both levels and with 3- and 4-slide Adam
+    # windows (the last 2 of the 6 slides close an epoch's window), recorded
+    # when Adam masked out parameters without a gradient
     pins = {
-        (0.0, 0.0): "250eaafe21fb0833bacef1d1b35bf7587afcbf75a2d6ae804188c6f5eb1dd83b",
-        (1.0, 0.0): "8cd0323ae262ec0703a4bd91873fcc770a562ed1e1947be8257c4fb3fc4008d8",
-        (0.0, 10.0): "a029568eb05f9d57db3efefb138a2f560b2a38c599f5d5f63b12b771b49b610f",
-        (1.0, 10.0): "070e214437a98a3686af23bb20717a0ae2b2139f8e4dbe599d28d7801707948a",
+        (0.0, 0.0, False, 1): "250eaafe21fb0833bacef1d1b35bf7587afcbf75a2d6ae804188c6f5eb1dd83b",
+        (1.0, 0.0, False, 1): "8cd0323ae262ec0703a4bd91873fcc770a562ed1e1947be8257c4fb3fc4008d8",
+        (0.0, 10.0, False, 1): "a029568eb05f9d57db3efefb138a2f560b2a38c599f5d5f63b12b771b49b610f",
+        (1.0, 10.0, False, 1): "070e214437a98a3686af23bb20717a0ae2b2139f8e4dbe599d28d7801707948a",
+        (1.0, 10.0, True, 1): "dc568a82f9b2f7da53cec6a25527189f2db7d679b87ee7a9cd4e3a050fc8992a",
+        (1.0, 10.0, False, 3): "388388cb82108fe1d6c1a4826ffa4a855b062e23b20faaaefdfe6e49b9cdd486",
+        (1.0, 10.0, False, 4): "7f748cfe70098b9071d3a094091570df0a8546ce7d4ebce790cd41a911de0c33",
     }
     bundle = generate(SyntheticSpec())
     split = make_splits(bundle.bags, 1, 1, seed=0).folds[0].inner[0]
     split = InnerSplit(split.train_ids[:6], (), ())
-    for (lambda_a, lambda_s), want in pins.items():
-        loss = LossConfig(lambda_a=lambda_a, lambda_s=lambda_s)
-        res = tr.train(bundle, split, tr.TrainConfig(epochs=2, loss=loss))
+    for key, want in pins.items():
+        lambda_a, lambda_s, shared, accumulate = key
+        cfg = tr.TrainConfig(epochs=2, shared_aggregators=shared, accumulate=accumulate,
+                             loss=LossConfig(lambda_a=lambda_a, lambda_s=lambda_s))
+        res = tr.train(bundle, split, cfg)
         got = hashlib.sha256(res.params.buffer.tobytes()).hexdigest()
-        assert got == want, (lambda_a, lambda_s)
+        assert got == want, key
 
 
 def test_joint_map_step_equals_the_step_over_two_maps():
