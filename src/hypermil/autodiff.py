@@ -203,7 +203,9 @@ def fused(op, data, parents, backward):
     Every node, generic or fused, is built here. The node runs the NaN
     guard on `data` and records a backward only when a parent requires
     grad and recording is on. `backward(g)` maps the output gradient to one
-    gradient per parent, in the order of `parents`. A gradient broadcast
+    gradient per parent, in the order of `parents`; it may give None for a
+    parent that needs no gradient, and `fused` skips that parent, so a
+    backward need not compute what would be thrown away. A gradient broadcast
     against its parent is summed back to the parent's shape, and a
     gradient of any other shape raises ShapeError. Each gradient is then
     added to its parent's `grad` in place; a parent whose `grad` is None
@@ -228,6 +230,8 @@ def fused(op, data, parents, backward):
     if req:
         def bwd(g):
             for p, gp in zip(parents, backward(g)):
+                if gp is None:
+                    continue
                 gp = _unbroadcast(gp, p.data.shape)
                 if not p.requires_grad:
                     continue

@@ -76,7 +76,7 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry as geo
 from .errors import ConfigError, ShapeError, check_field_types
-from .model import HierarchyLevel, text_rows
+from .model import HierarchyLevel, segment_plan, text_rows
 
 _EXP_CLIP = 700.0
 
@@ -334,7 +334,8 @@ def cone_plan(sizes, n_classes, labels, selections, lambda_a, lambda_s):
     The apex rows are the slide, the regions, the text and, with the
     alignment term on, the selected image rows. A label outside
     [0, n_classes), a region or patch selection outside [0, count) and
-    selections that are not one row per label are each a ShapeError.
+    selections that are not one row per label are each a ShapeError. The
+    region of each patch row is read from the layout's `model.segment_plan`.
     """
     n_regions, n_patches = len(sizes), int(np.sum(sizes))
     text0 = 1 + n_regions + n_patches
@@ -419,7 +420,7 @@ def cone_plan(sizes, n_classes, labels, selections, lambda_a, lambda_s):
                                    own], axis=1)
 
         u = per_slide(np.concatenate([np.zeros(n_regions, dtype=int),
-                                      1 + np.repeat(np.arange(n_regions), sizes),
+                                      1 + segment_plan(sizes, n_patches).seg,
                                       slide_text, region_text]), pos[:, :, 0])
         v = per_slide(np.concatenate([1 + np.arange(n_regions),
                                       1 + n_regions + np.arange(n_patches),

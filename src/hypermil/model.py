@@ -18,7 +18,12 @@ points does not stay on the manifold; only the per-level outputs are mapped.
 Both levels pool through one function, `aggregate`, over consecutive row
 segments: all regions of a slide are pooled at once by a segment softmax
 and one matmul with the block-diagonal region-by-patch weights, and the
-slide is the single segment of its regions.
+slide is the single segment of its regions. A layout's segments (each
+row's segment, each segment's first row and each row's place in the block
+weights) are a `segment_plan`, checked and worked out once per distinct
+layout and cached, not stored on the bag. The adaptor and the attention
+run their elementwise steps in place in their own buffers, in the order of
+the expressions they stand for, so the bits are those of the expressions.
 
 Both learned stages are fused autodiff nodes (`autodiff.fused`) computed in
 numpy with a hand-derived backward: the adaptor MLP is one "adaptor" node
@@ -59,6 +64,7 @@ import operator
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,8 +139,12 @@ class Mlp:
     def __call__(self, x):
         """tanh(x w1' + b1) w2' + b2 as one fused node over (x, w1, b1, w2, b2).
 
-        The backward goes through the tanh layer by hand:
-        g_pre = (g w2) * (1 - hidden^2), then the two affine maps.
+        The forward runs in two buffers, the tanh layer's and the output's:
+        each bias is added and the tanh taken in place, the same operations
+        in the same order as the expression, so the bits are the same. The
+        backward goes through the tanh layer by hand:
+        g_pre = (g w2) * (1 - hidden^2), then the two affine maps; the input
+        gets no gradient when it needs none, such as the constant patch block.
         """
         w1, b1, w2, b2 = self.w1.data, self.b1.data, self.w2.data, self.b2.data
         xd = x.data
@@ -143,15 +153,20 @@ class Mlp:
                 f"adaptor: input has shape {xd.shape}, expected rows of "
                 f"{w1.shape[1]} features"
             )
-        hidden = np.tanh(xd @ w1.T + b1)
+        hidden = xd @ w1.T
+        hidden += b1
+        np.tanh(hidden, out=hidden)
+        out = hidden @ w2.T
+        out += b2
 
         def backward(g):
             g_pre = (g @ w2) * (1.0 - hidden * hidden)
-            return (g_pre @ w1, (xd.T @ g_pre).T, g_pre.sum(axis=0, keepdims=True),
+            return (g_pre @ w1 if x.requires_grad else None, (xd.T @ g_pre).T,
+                    g_pre.sum(axis=0, keepdims=True),
                     (hidden.T @ g).T, g.sum(axis=0, keepdims=True))
 
-        return ad.fused("adaptor", hidden @ w2.T + b2,
-                        (x, self.w1, self.b1, self.w2, self.b2), backward)
+        return ad.fused("adaptor", out, (x, self.w1, self.b1, self.w2, self.b2),
+                        backward)
 
 
 class AttentionAggregator:
@@ -364,24 +379,52 @@ def _from_buffer(buffer, dims):
 # -- forward pipeline ---------------------------------------------------------
 
 
-def _segment_ids(counts, n_rows):
-    """Segment id of every row, segments being consecutive runs of rows."""
+class SegmentPlan(NamedTuple):
+    """The layout of consecutive row segments, as `aggregate` pools them."""
+
+    seg: np.ndarray      # [N] each row's segment id
+    starts: np.ndarray   # [R] each segment's first row
+    scatter: np.ndarray  # [N] each row's flat position in an [R x N] matrix
+
+
+def segment_plan(counts, n_rows):
+    """The read-only `SegmentPlan` of segments of `counts` rows each (one
+    segment of all `n_rows` rows when `counts` is None), worked out once per
+    distinct layout and then read from a cache.
+
+    No segments or a segment without rows raises EmptyBagError, and counts
+    that do not sum to `n_rows` ShapeError, on every call: an error is
+    never cached.
+    """
     counts = np.asarray([n_rows] if counts is None else counts, dtype=np.intp)
+    return _segment_plan(counts.tobytes(), n_rows)
+
+
+@functools.lru_cache(maxsize=16)
+def _segment_plan(layout, n_rows):
+    counts = np.frombuffer(layout, dtype=np.intp)
     if counts.size == 0 or (counts <= 0).any():
         raise EmptyBagError("cannot aggregate an empty set of features")
     if counts.sum() != n_rows:
         raise ShapeError(
             f"segment sizes sum to {counts.sum()}, features have {n_rows} rows"
         )
-    return np.repeat(np.arange(counts.size), counts), np.cumsum(counts) - counts
+    seg = np.repeat(np.arange(counts.size), counts)
+    plan = SegmentPlan(seg, np.cumsum(counts) - counts,
+                       seg * n_rows + np.arange(n_rows))
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
 
 
 def _attention(features, agg, counts):
     """Numpy core of gated attention over row segments.
 
-    Returns (hidden, seg, starts, p): the tanh layer tanh(w1 f') [A x N],
-    each row's segment id, each segment's first row, and each row's weight
-    p, the softmax of its score w2' hidden within its segment.
+    Returns (hidden, plan, p): the tanh layer tanh(w1 f') [A x N], the
+    segments' `SegmentPlan` and each row's weight p, the softmax of its
+    score w2' hidden within its segment. The tanh, the shift by the segment
+    maximum, the exp and the divide run in place, in the order of the
+    expressions they stand for.
     """
     f = features.data
     if f.ndim != 2 or f.shape[1] != agg.w1.data.shape[1]:
@@ -389,18 +432,22 @@ def _attention(features, agg, counts):
             f"aggregate: features have shape {f.shape}, expected rows of "
             f"{agg.w1.data.shape[1]} features"
         )
-    seg, starts = _segment_ids(counts, f.shape[0])
-    hidden = np.tanh(agg.w1.data @ f.T)
+    plan = segment_plan(counts, f.shape[0])
+    seg, starts = plan.seg, plan.starts
+    hidden = agg.w1.data @ f.T
+    np.tanh(hidden, out=hidden)
     s = (agg.w2.data.T @ hidden)[0]
-    e = np.exp(s - np.maximum.reduceat(s, starts)[seg])
-    return hidden, seg, starts, e / np.add.reduceat(e, starts)[seg]
+    s -= np.maximum.reduceat(s, starts)[seg]
+    np.exp(s, out=s)
+    s /= np.add.reduceat(s, starts)[seg]
+    return hidden, plan, s
 
 
-def _block_weights(p, seg, n_segments):
+def _block_weights(p, plan):
     """The block-diagonal [R x N] matrix whose row r holds segment r's
     weights and zeros elsewhere."""
-    weights = np.zeros((n_segments, p.size))
-    weights[seg, np.arange(p.size)] = p
+    weights = np.zeros((plan.starts.size, p.size))
+    weights.reshape(-1)[plan.scatter] = p
     return weights
 
 
@@ -413,31 +460,38 @@ def aggregate(features, agg, counts=None):
     node over (features, w1, w2) computes the scores of all rows, the
     segment softmax and the pooling matmul with the block-diagonal weights,
     so a slide's pooling costs one node whatever its number of regions.
+    The segments' ids, starts and weight positions are a `segment_plan`,
+    worked out and checked once per distinct layout, and the scores and
+    softmax run in place (`_attention`).
     The backward takes each row's weight gradient g_block = rowsum(g[seg] * f),
     the softmax backward g_s = p * (g_block - segsum(p * g_block)), and
     through the tanh layer g_pre = (w2 g_s) * (1 - hidden^2); the features
     get p * g[seg] + g_pre' w1.
     """
     f = features.data
-    hidden, seg, starts, p = _attention(features, agg, counts)
+    hidden, plan, p = _attention(features, agg, counts)
+    seg, starts = plan.seg, plan.starts
     w1, w2 = agg.w1.data, agg.w2.data
 
     def backward(g):
-        g_block = (g[seg] * f).sum(axis=1)
+        g_rows = g[seg]
+        g_block = (g_rows * f).sum(axis=1)
         g_s = p * (g_block - np.add.reduceat(p * g_block, starts)[seg])
         g_pre = (w2 * g_s) * (1.0 - hidden * hidden)
-        return (p[:, None] * g[seg] + g_pre.T @ w1, g_pre @ f,
+        return (p[:, None] * g_rows + g_pre.T @ w1, g_pre @ f,
                 (g_s[None] @ hidden.T).T)
 
-    return ad.fused("aggregate", _block_weights(p, seg, starts.size) @ f,
+    return ad.fused("aggregate", _block_weights(p, plan) @ f,
                     (features, agg.w1, agg.w2), backward)
 
 
 def _stack(tensors):
-    """The rows of `tensors` stacked in order, as one fused "stack" node."""
-    bounds = list(itertools.accumulate(t.data.shape[0] for t in tensors))[:-1]
+    """The rows of `tensors` stacked in order, as one fused "stack" node whose
+    backward hands each tensor a basic slice of the gradient."""
+    stops = list(itertools.accumulate(t.data.shape[0] for t in tensors))
+    spans = [slice(start, stop) for start, stop in zip([0] + stops, stops)]
     return ad.fused("stack", np.concatenate([t.data for t in tensors]),
-                    tuple(tensors), lambda g: np.split(g, bounds))
+                    tuple(tensors), lambda g: [g[span] for span in spans])
 
 
 class EmbeddingSet:

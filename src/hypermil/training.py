@@ -31,7 +31,8 @@ from .errors import (
 )
 from .geometry import GeometryConfig
 from .losses import LossConfig, _loss, cls_loss, cone_plan, total_loss
-from .model import HierarchyLevel, ModelDims, aggregate, embed_slide, init_params
+from .model import (HierarchyLevel, ModelDims, aggregate, embed_slide, init_params,
+                    segment_plan)
 
 log = logging.getLogger(__name__)
 
@@ -171,11 +172,12 @@ def select_top_k(bags, class_vectors, k):
     along its last two axes, the axes one bag's [N x D] block has, so each
     bag's row is bit for bit what that bag ranked alone gives. The region
     means are sums over the block, one `np.add.reduceat` at the region
-    starts the sizes give, over the region sizes: bit for bit the mean of
-    each region's rows. The bags are checked in order before they are
-    stacked: a label outside [0, C) for C class vectors is a ShapeError, a
-    bag `slide_tangents` would refuse (`FeatureBag.check`) is refused here
-    first, and so is a bag of another layout than the first (ShapeError).
+    starts of the layout's `model.segment_plan`, over the region sizes: bit
+    for bit the mean of each region's rows. The bags are checked in order
+    before they are stacked: a label outside [0, C) for C class vectors is
+    a ShapeError, a bag `slide_tangents` would refuse (`FeatureBag.check`)
+    is refused here first, and so is a bag of another layout than the first
+    (ShapeError).
     """
     if not bags:
         raise ShapeError("select_top_k needs at least one bag")
@@ -197,7 +199,7 @@ def select_top_k(bags, class_vectors, k):
     vectors = vectors[labels]
     patch_sims = _cosine(patches, vectors, vector_norms)
     patch_rows = np.argsort(-patch_sims, axis=1, kind="stable")[:, :k]
-    starts = np.cumsum(sizes) - sizes
+    starts = segment_plan(sizes, patches.shape[1]).starts
     region_means = np.add.reduceat(patches, starts, axis=1) / sizes[:, None]
     region_sims = _cosine(region_means, vectors, vector_norms)
     region_rows = np.argsort(-region_sims, axis=1, kind="stable")[:, :k]

@@ -103,6 +103,17 @@ def test_fused_gradient_with_missing_axis_raises():
     assert_array_equal(b.grad, [[4.0, 4.0, 4.0]])
 
 
+def test_fused_skips_a_none_gradient():
+    # a backward may give None for a parent that needs no gradient
+    a = _t(np.arange(3.0))
+    const = ad.Tensor(np.ones(3))
+    out = ad.fused("half", a.data * const.data, (const, a),
+                   lambda g: (None, g * const.data))
+    out.sum().backward()
+    assert const.grad is None
+    assert_array_equal(a.grad, np.ones(3))
+
+
 def test_clamped_acos_has_zero_not_nan_gradient():
     # the acos/asin/acosh derivative factor at and beyond the clamp: zero,
     # with no sqrt or division evaluated on a non-positive value

@@ -1,6 +1,7 @@
 """Metrics against brute-force oracles, the nested protocol, ablation, export."""
 
 import concurrent.futures
+import hashlib
 import multiprocessing
 from dataclasses import replace
 
@@ -16,6 +17,30 @@ from hypermil.data import Bundle, FeatureBag, SyntheticSpec, generate, make_spli
 from hypermil.errors import ConfigError, MetricError, TrainingError
 from hypermil.model import ModelDims, init_params
 from hypermil.training import TrainConfig
+
+
+# the SHA-256 of the `evaluate` scores of fresh parameters over 17 parts of
+# 102 wide bags (32 regions of 16 patches), the benchmark's `eval-wide`
+# layout; the scoring arithmetic may be reorganised, but not its bits
+WIDE_SCORES_SHA256 = "75a21353e88d984fc7743c6e15ce1cd8de0eb9ad4da3652a9d992d258ad0c335"
+
+
+def test_wide_evaluate_scores_pinned():
+    bundle = generate(SyntheticSpec(slides_per_class=34, n_regions=32, seed=7919))
+    cfg = TrainConfig(seed=7919)
+    dims = ModelDims(d_in=bundle.dim, k=cfg.k, n_classes=len(bundle.class_vectors))
+    params = init_params(dims, 7919, bundle.class_vectors)
+    by_class = {}
+    for bag in bundle.bags:
+        by_class.setdefault(bag.label, []).append(bag)
+    parts = [[] for _ in range(17)]
+    for members in by_class.values():
+        for part, rows in zip(parts, np.array_split(np.arange(len(members)), 17)):
+            part += [members[i] for i in rows]
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(ev.evaluate(part, params, cfg.geometry())[2].tobytes())
+    assert digest.hexdigest() == WIDE_SCORES_SHA256
 
 
 def _brute_force_binary_auc(scores, positive):

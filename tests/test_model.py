@@ -120,6 +120,19 @@ def test_mlp_matches_manual():
     assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("n_rows", [64, 512, 9])
+def test_mlp_in_place_forward_is_the_expression(n_rows):
+    # the default bundle's patch block, an `eval-wide` one and the class
+    # text: the in-place forward gives the bits of the plain expression
+    dims = md.ModelDims(d_in=32, k=16, n_classes=3)
+    params = md.init_params(dims, 3)
+    x = np.random.default_rng(0).normal(size=(n_rows, dims.d_in))
+    for m in (params.adaptor_i, params.adaptor_t):
+        got = m(ad.Tensor(x)).data
+        want = np.tanh(x @ m.w1.data.T + m.b1.data) @ m.w2.data.T + m.b2.data
+        assert_array_equal(got, want)
+
+
 def test_mlp_gradients_finite_difference():
     params = md.init_params(DIMS, 12)
     rng = np.random.default_rng(11)
@@ -162,8 +175,8 @@ def test_nan_input_names_adaptor_and_aggregate():
 def _attention_weights(features, agg, counts=None):
     """The block-diagonal segment weights `aggregate` pools with, from the
     same numpy core."""
-    _, seg, starts, p = md._attention(features, agg, counts)
-    return md._block_weights(p, seg, starts.size)
+    _, plan, p = md._attention(features, agg, counts)
+    return md._block_weights(p, plan)
 
 
 def test_attention_weights_distribution():
@@ -245,10 +258,42 @@ def test_segmented_aggregate_gradients_finite_difference():
 def test_segmented_aggregate_rejects_empty_and_mismatched_segments():
     params = md.init_params(DIMS, 0)
     x = ad.Tensor(np.zeros((5, 4)))
-    with pytest.raises(EmptyBagError):
-        md.aggregate(x, params.agg_region, [2, 0, 3])
-    with pytest.raises(ShapeError):
-        md.aggregate(x, params.agg_region, [2, 2])
+    # an error is never cached: the same bad counts raise again
+    for _ in range(2):
+        with pytest.raises(EmptyBagError):
+            md.aggregate(x, params.agg_region, [2, 0, 3])
+        with pytest.raises(EmptyBagError):
+            md.aggregate(x, params.agg_region, [])
+        with pytest.raises(ShapeError):
+            md.aggregate(x, params.agg_region, [2, 2])
+
+
+def test_segment_plan_once_per_layout():
+    md._segment_plan.cache_clear()
+    plan = md.segment_plan(np.array([1, 3, 2]), 6)
+    assert_array_equal(plan.seg, [0, 1, 1, 1, 2, 2])
+    assert_array_equal(plan.starts, [0, 1, 4])
+    # each row's flat position in the [3 x 6] block-diagonal weights
+    assert_array_equal(plan.scatter, [0, 7, 8, 9, 16, 17])
+    for arr in plan:
+        assert not arr.flags.writeable
+    assert md.segment_plan([1, 3, 2], 6) is plan
+    assert md._segment_plan.cache_info().misses == 1
+    assert_array_equal(md.segment_plan(None, 4).seg, [0, 0, 0, 0])
+    assert md._segment_plan.cache_info().misses == 2
+
+
+def test_slide_tangents_plan_each_layout_once():
+    params = md.init_params(DIMS, 1)
+    rng = np.random.default_rng(8)
+    md._segment_plan.cache_clear()
+    # two bags of one layout: its patch and region layouts, one miss each
+    for _ in range(2):
+        md.slide_tangents(_bag(rng), params)
+    assert md._segment_plan.cache_info()[:2] == (2, 2)
+    # a second layout: two more
+    md.slide_tangents(_bag(rng, n_regions=3), params)
+    assert md._segment_plan.cache_info()[:2] == (2, 4)
 
 
 # -- embedding pipeline ---------------------------------------------------------
