@@ -45,6 +45,7 @@ check of each slide's block.
 import itertools
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -171,13 +172,27 @@ class SyntheticSpec:
             )
 
 
-def _spawn(seed, n, what):
-    """`n` child seeds of `seed`. A count beyond what numpy can spawn is a
-    ConfigError naming `what`."""
+def _spawn(seed):
+    """The child seeds of `seed`, built one at a time: child(i) is bit for
+    bit `SeedSequence(seed).spawn(n)[i]` for any n > i, without the other
+    n - 1 children being built first."""
+    parent = np.random.SeedSequence(seed)
+    return lambda i: np.random.SeedSequence(parent.entropy, spawn_key=(i,),
+                                            pool_size=parent.pool_size)
+
+
+def _check_fits(n_bytes, what):
+    """ConfigError naming `what` when its `n_bytes` exceed the physical
+    memory of the machine (page size times physical pages). A cgroup limit
+    below physical memory is not read; where the two `sysconf` names are
+    missing, nothing is checked."""
     try:
-        return np.random.SeedSequence(seed).spawn(n)
-    except OverflowError:
-        raise ConfigError(f"{what} are more than can be seeded") from None
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if n_bytes > memory:
+        raise ConfigError(f"{what} take {n_bytes} bytes, more than the "
+                          f"{memory} bytes of physical memory")
 
 
 def _unit_rows(m):
@@ -193,8 +208,10 @@ def generate(spec):
     patches is untouched by it: at the defaults (sigma_site 0.25) the shift
     opens no measurable gap between in-domain and out-of-domain AUC.
     A slide whose [regions x patches x D] block cannot be allocated is a
-    ConfigError naming the three sizes, and so are more slides than can be
-    seeded or more sites than can be drawn, naming the count.
+    ConfigError naming the three sizes, and so are more sites than can be
+    drawn and more slides than physical memory holds as float32 values
+    (slides x regions x patches x D x 4 bytes; a cgroup limit below
+    physical memory is not read), naming the count, before any is drawn.
     """
     try:
         # one [regions x patches x D] block, refilled for each slide, a
@@ -204,8 +221,11 @@ def generate(spec):
         raise ConfigError(f"a slide of {spec.n_regions} x {spec.n_patches} x "
                           f"{spec.d_in} patch values does not fit in memory") from None
     n_slides = spec.n_classes * spec.slides_per_class
-    seeds = _spawn(spec.seed, 2 + n_slides, f"{n_slides} slides")
-    rng = np.random.default_rng(seeds[0])
+    _check_fits(n_slides * spec.n_regions * spec.n_patches * spec.d_in * 4,
+                f"{n_slides} slides of {spec.n_regions} x {spec.n_patches} x "
+                f"{spec.d_in} float32 patch values")
+    seed = _spawn(spec.seed)
+    rng = np.random.default_rng(seed(0))
 
     # classes share a common stem (the anchor) plus equal-norm offsets along
     # mutually orthogonal directions, so every prototype pair sits at the same
@@ -227,7 +247,7 @@ def generate(spec):
     # at its own operating point. we draw two shared axes orthogonal to the
     # class semantics (prototypes and background), so raw class geometry is
     # untouched; learned models can ignore these axes, see the docstring
-    site_rng = np.random.default_rng(seeds[1])
+    site_rng = np.random.default_rng(seed(1))
     semantic = np.concatenate([prototypes, background[None, :]], axis=0)
     basis, _ = np.linalg.qr(semantic.T)
     axes = site_rng.standard_normal((spec.d_in, 2))
@@ -244,7 +264,7 @@ def generate(spec):
     index = 0
     for c in range(spec.n_classes):
         for _ in range(spec.slides_per_class):
-            slide_rng = np.random.default_rng(seeds[2 + index])
+            slide_rng = np.random.default_rng(seed(2 + index))
             site = index % spec.n_sites
             shift = site_shift[site]
             for patches in block:
@@ -472,7 +492,9 @@ def make_splits(bags, n_outer, n_inner, ratios=(0.6, 0.2, 0.2), seed=0):
     out-of-domain test set. Within the in-domain slides, each inner split
     draws train/val/test by the given ratios per class. Everything is keyed
     by sorted slide ids and the seed, so bundle order does not matter.
-    More splits than can be seeded are a ConfigError naming the counts.
+    More splits than physical memory holds as slide id references (outer
+    x inner x slides x 8 bytes; a cgroup limit below physical memory is not
+    read) are a ConfigError naming the counts, before any split is drawn.
     """
     if n_outer < 1 or n_inner < 1:
         raise ConfigError("n_outer and n_inner must be at least 1")
@@ -480,6 +502,8 @@ def make_splits(bags, n_outer, n_inner, ratios=(0.6, 0.2, 0.2), seed=0):
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     if len(ratios) != 3 or min(ratios) <= 0 or not math.isclose(sum(ratios), 1.0):
         raise ConfigError(f"ratios must be three positive values summing to 1: {ratios}")
+    _check_fits(n_outer * n_inner * len(bags) * 8,
+                f"{n_outer} x {n_inner} outer x inner splits of {len(bags)} slides")
     by_id = {}
     for bag in bags:
         if bag.slide_id in by_id:
@@ -492,9 +516,8 @@ def make_splits(bags, n_outer, n_inner, ratios=(0.6, 0.2, 0.2), seed=0):
             f"need at least {n_outer} distinct sites for {n_outer} outer folds, "
             f"got {len(sites)}"
         )
-    seeds = _spawn(seed, 1 + n_outer * n_inner,
-                   f"{n_outer} x {n_inner} outer x inner splits")
-    site_order = list(np.array(sites)[np.random.default_rng(seeds[0]).permutation(len(sites))])
+    split_seed = _spawn(seed)
+    site_order = list(np.array(sites)[np.random.default_rng(split_seed(0)).permutation(len(sites))])
 
     folds = []
     for outer in range(n_outer):
@@ -512,7 +535,7 @@ def make_splits(bags, n_outer, n_inner, ratios=(0.6, 0.2, 0.2), seed=0):
                 )
         inner = []
         for i in range(n_inner):
-            rng = np.random.default_rng(seeds[1 + outer * n_inner + i])
+            rng = np.random.default_rng(split_seed(1 + outer * n_inner + i))
             train, val, test = [], [], []
             for c in classes:
                 pool = list(per_class[c])

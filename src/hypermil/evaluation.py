@@ -35,7 +35,7 @@ from . import autodiff as ad
 from . import geometry as geo
 from . import training
 from .data import make_splits
-from .errors import ConfigError, MetricError
+from .errors import ConfigError, MetricError, TrainingError
 from .fileio import atomic_write_text
 from .model import (HierarchyLevel, embed_slide, embed_text, slide_tangents,
                     text_level)
@@ -269,7 +269,9 @@ def _run_folds(bundle, cfgs, n_outer, n_inner, jobs):
     processes, which inherit the bundle and the plan through fork: a task
     sends only its (cfg, outer, inner) and gets back only its FoldMetrics
     row. The first failed fold's error is raised here, once the folds not
-    yet handed to a worker are cancelled and the pool has shut down.
+    yet handed to a worker are cancelled and the pool has shut down; a
+    worker process that ends abruptly (killed, say, by the out-of-memory
+    killer) is a TrainingError.
     """
     if jobs < 0:
         raise ConfigError(f"jobs must not be negative, got {jobs}")
@@ -282,12 +284,19 @@ def _run_folds(bundle, cfgs, n_outer, n_inner, jobs):
 
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
 
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(tasks)),
-                    mp_context=multiprocessing.get_context("fork"),
-                    initializer=_worker_inputs.append, initargs=(inputs,)) as pool:
-                rows = list(pool.map(_fold, tasks))
+            try:
+                with ProcessPoolExecutor(
+                        max_workers=min(jobs, len(tasks)),
+                        mp_context=multiprocessing.get_context("fork"),
+                        initializer=_worker_inputs.append,
+                        initargs=(inputs,)) as pool:
+                    rows = list(pool.map(_fold, tasks))
+            except BrokenProcessPool as exc:
+                raise TrainingError(
+                    "a fold worker process ended abruptly before its fold "
+                    f"finished: {exc}") from exc
     if rows is None:
         rows = [_fold(task, inputs) for task in tasks]
     n = n_outer * n_inner

@@ -25,15 +25,16 @@ them, row by row), so a caller reading the same rows several times
 computes those once: `geodesic_core`, the geodesic distances of two
 `Rows` with a backward, which `geodesic` wraps and `evaluation` calls
 once per scored slide; and `exterior_angle_core`, the exterior angles
-theta(u_i, v_j) of two `Rows`, optionally on a mask of pairs, with the
-origin and coincidence guards and a backward. The third,
-`half_aperture_core`, is the half-aperture of a column of space norms.
-The primitives compute the `Rows` of their arguments and call the cores:
-`exterior_angle` is one call of `exterior_angle_core` and
+theta(u_i, v_j) of two `Rows`, optionally reading only the pairs at given
+flat positions, with the origin and coincidence guards and a backward.
+The third, `half_aperture_core`, is the half-aperture of a column of
+space norms. The primitives compute the `Rows` of their arguments and
+call the cores: `exterior_angle` is one call of `exterior_angle_core` and
 `angle_distance` two, theta(u, v) and theta(v, u). The fused loss node of
 `losses` computes the `Rows` of its stacked rows once, and makes one
-`geodesic_core` call and one masked `exterior_angle_core` call over them,
-whose returned norms go to `half_aperture_core` as `half_aperture`'s do.
+`geodesic_core` call and one `exterior_angle_core` call over them, on the
+flat positions of the slide's cone plan, whose returned norms go to
+`half_aperture_core` as `half_aperture`'s do.
 So the geodesic and exterior-angle formulas, their guards and their
 backwards have one code path.
 `Points.time` is a constant tensor, not a graph node: nothing
@@ -232,35 +233,35 @@ def _exterior_backward(g, saved):
     return g_rho_inner, g_tu, g_nu, g_tv
 
 
-# the rho<u,v>_H placed in the entries outside the mask of
-# `exterior_angle_core`: far enough below -1 that the square root and the
-# arc cosine stay finite
+# the rho<u,v>_H placed in the entries `exterior_angle_core` does not read:
+# far enough below -1 that the square root and the arc cosine stay finite
 _PLACEHOLDER_INNER = -2.0
 
 
-def exterior_angle_core(u, v, cfg, mask=None):
+def exterior_angle_core(u, v, cfg, pairs=None):
     """Exterior angles theta(u_i, v_j) of the rows of two `Rows`.
 
     Returns (theta, norms, backward): the [N x M] angle matrix, the column
     of norms |u_s,i|, and backward(g_theta, g_norms=None) giving the
     gradients (g_su, g_sv) on the two space arrays of
     sum(g_theta * theta) + sum(g_norms * norms). GeometryError when a row
-    of u sits at the origin, or when a pair is coincident. Given a boolean
-    [N x M] `mask`, only the masked pairs are checked for coincidence, and
-    the other entries get a placeholder rho<u,v>_H before the square root
-    and the arc cosine, so they hold a finite angle that means nothing: the
-    caller must read only masked entries, and give the others zero
-    gradient.
+    of u sits at the origin, or when a pair is coincident. Given `pairs`,
+    flat positions into the [N x M] matrix (repeats are harmless), only
+    those pairs are checked for coincidence, and every other entry gets a
+    placeholder rho<u,v>_H before the square root and the arc cosine, so it
+    holds a finite angle that means nothing: the caller must read only the
+    entries at `pairs`, and give the others zero gradient.
     """
     su, tu, sv, tv = u.space, u.time, v.space, v.time
     nu = _norms(u.sumsq, cfg, "exterior angle")
     rho_inner = _scale(_inner(su, tu, sv, tv), cfg.curvature)
-    checked = rho_inner if mask is None else rho_inner[mask]
+    checked = rho_inner if pairs is None else rho_inner.take(pairs)
     # rho * <u_i, v_j>_H is always <= -1 on the manifold
     if (-checked - 1.0 < cfg.epsilon).any():
         raise GeometryError("exterior angle is undefined for coincident points")
-    if mask is not None:
-        rho_inner = np.where(mask, rho_inner, _PLACEHOLDER_INNER)
+    if pairs is not None:
+        rho_inner = np.full(rho_inner.shape, _PLACEHOLDER_INNER)
+        rho_inner.put(pairs, checked)
     theta, saved = _exterior_forward(rho_inner, tu, nu, tv)
 
     def backward(g_theta, g_norms=None):

@@ -40,12 +40,13 @@ slides before its epoch loop, one `cone_plan` call per layout, and
 `total_loss` takes each slide's own, while `ama_total` (weights (1, 0))
 and `shc_total` ((0, 1)) build theirs on the spot, as a batch of one,
 and leave the classification term out, as do the roots of
-`training.gradient_check_suite`, over plans cut down to one query or one
-family of pairs. The body reads the space whole, the class text in
-`HierarchyLevel` order as `model.embed_text` lays it out (row
-level.value * C + c is class c at that level). Every angle the terms read
-is an exterior angle theta(u, v), and all of them come from one masked
-call of `geometry.exterior_angle_core`, the core behind
+`training.gradient_check_suite`, over the alignment plan of the slide
+row alone and over the hierarchy plan with one family's weights zeroed.
+The body reads the space whole, the class text in `HierarchyLevel` order
+as `model.embed_text` lays it out (row level.value * C + c is class c at
+that level). Every angle the terms read is an exterior angle theta(u, v),
+and all of them come from one call of `geometry.exterior_angle_core` on
+the plan's flat pair positions (its `flats`), the core behind
 `geometry.exterior_angle` and `geometry.angle_distance` too, whose rows
 are the apex rows (the slide, the regions, the text and, with the
 alignment term on, the selected image rows) and whose columns are all
@@ -69,7 +70,7 @@ checked: their entries of the matrix hold a placeholder angle that nothing
 reads. The NaN guard runs once, on the node's value.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -257,24 +258,22 @@ _LEVELS = (HierarchyLevel.SLIDE, HierarchyLevel.REGION, HierarchyLevel.PATCH)
 @dataclass(frozen=True)
 class ConePlan:
     """Which angles the alignment and hierarchy terms of one slide read, as
-    index arrays into its stacked rows, built once by `cone_plan` (with the
+    index arrays into its stacked rows, built whole by `cone_plan` (with the
     plans of the other slides of its layout, when a caller has them).
 
     The stacked rows are the slide, the regions, the patches and the class
     text, in that order, and `stops` are the rows where each of the four
     ends, the last being the row count. `apex` holds the apex rows of the
-    angle matrix and `mask` its [apex x rows] pairs some term reads.
-    `cones` holds (flat positions, apex positions, weights) of the
+    [apex x rows] angle matrix, and every position below is a flat position
+    into it. `cones` holds (flat positions, apex positions, weights) of the
     entailment pairs and then, with more than one class, of the
     contradiction pairs; `phi` holds the (theta(u, v), theta(v, u)) flat
     positions of each alignment pair set, and `ama_weights` the alignment
-    weight of each selected image row. `flats`, every flat position in the
-    order the backward scatters into them, and `mask` are worked out from
-    `cones`, `phi` and `apex` here, so a plan whose cones are cut down with
-    `dataclasses.replace` reads and guards exactly its own pairs; a plan
-    without entailment pairs keeps an empty first cone, since the cones are
-    paired with the entailment and contradiction cores by position. A plan
-    with neither term on is `empty`: it holds the label and the stops only.
+    weight of each selected image row. `flats` holds every flat position
+    some term reads, in the order the backward scatters into them: the
+    cones' flat positions, then each phi set's theta(u, v) and theta(v, u).
+    A plan with neither term on is `empty`: it holds the label and the
+    stops only.
     """
 
     label: int
@@ -283,23 +282,11 @@ class ConePlan:
     cones: tuple = ()
     phi: tuple = ()
     ama_weights: np.ndarray = None
-    mask: np.ndarray = field(init=False, default=None)
-    flats: np.ndarray = field(init=False, default=None)
-
-    def __post_init__(self):
-        if self.apex is None:
-            return
-        shape = (self.apex.size, self.stops[-1])
-        flats = np.concatenate([flat for flat, *_ in self.cones]
-                               + [f.ravel() for uv in self.phi for f in uv])
-        mask = np.zeros(shape[0] * shape[1], dtype=bool)
-        mask[flats] = True
-        object.__setattr__(self, "flats", flats)
-        object.__setattr__(self, "mask", mask.reshape(shape))
+    flats: np.ndarray = None
 
     @property
     def empty(self):
-        return self.flats is None
+        return self.apex is None
 
 
 def cone_plan(sizes, n_classes, labels, selections, lambda_a, lambda_s):
@@ -314,8 +301,9 @@ def cone_plan(sizes, n_classes, labels, selections, lambda_a, lambda_s):
     several times builds it once, and a caller holding many slides of one
     layout builds theirs in one call: the index arrays every slide of the
     layout shares (the stops, the slide-over-region, region-over-patch and
-    text-chain pairs, the weights) are built once, and the rest along a
-    leading slide axis. The pairs each plan keeps:
+    text-chain pairs, the weights) are built once, and the rest, `flats`
+    among them, along a leading slide axis, each plan holding row views of
+    them. The pairs each plan keeps:
 
     * entailment (lambda_s): the slide over its regions, each region over
       its own patches, each class's text over its text one level down, and
@@ -441,9 +429,13 @@ def cone_plan(sizes, n_classes, labels, selections, lambda_a, lambda_s):
     phi = [(pairs(a, b), pairs(b, a))
            for a, b in ((image, pos), (image, neg), (pos, neg))] if ama else []
     ama_weights = lambda_a * weights
+    # every flat position of each slide, in the order the backward of
+    # `_cone_losses` scatters into them
+    flats = np.concatenate([flat for flat, _, _ in cones] + [
+        f.reshape(n_slides, -1) for uv in phi for f in uv], axis=1)
     return [ConePlan(label, stops, apex[s],
                      tuple((flat[s], flat_at[s], w) for flat, flat_at, w in cones),
-                     tuple((uv[s], vu[s]) for uv, vu in phi), ama_weights)
+                     tuple((uv[s], vu[s]) for uv, vu in phi), ama_weights, flats[s])
             for s, label in enumerate(labels.tolist())]
 
 
@@ -457,21 +449,21 @@ def _cone_losses(rows, n_image, n_regions, plan, cfg, geom):
 
     A ShapeError is raised when the rows do not end where the plan's do.
     Every angle the terms read is an exterior angle theta(u, v) of one
-    masked `geometry.exterior_angle_core` call over the plan's apex rows
-    and all rows, and the half-apertures come from the norms it returns.
-    One `_ent` call covers
-    every entailment pair, one `_con` call every contradiction pair and the
-    two `_ama` calls every selected image row. The backward scatters into
-    one dense gradient of the angle matrix with one `bincount`. The
-    coincidence guard covers exactly the masked pairs; pairs no term reads,
-    such as a region against a patch of another region, are not checked.
+    `geometry.exterior_angle_core` call over the plan's apex rows and all
+    rows, on the plan's `flats`, and the half-apertures come from the norms
+    it returns. One `_ent` call covers every entailment pair, one `_con`
+    call every contradiction pair and the two `_ama` calls every selected
+    image row. The backward scatters into one dense gradient of the angle
+    matrix with one `bincount` over `flats`. The coincidence guard covers
+    exactly the pairs at `flats`; pairs no term reads, such as a region
+    against a patch of another region, are not checked.
     """
     stops = (1, 1 + n_regions, n_image, rows.space.shape[0])
     if stops != plan.stops:
         raise ShapeError(f"embeddings with rows ending at {stops} "
                          f"do not fit a cone plan of rows ending at {plan.stops}")
     theta, norms, geo_backward = geo.exterior_angle_core(rows.take(plan.apex), rows,
-                                                         geom, plan.mask)
+                                                         geom, plan.flats)
     aperture, aperture_backward = geo.half_aperture_core(norms, geom, cfg.alpha)
     theta = theta.ravel()
 
@@ -486,7 +478,7 @@ def _cone_losses(rows, n_image, n_regions, plan, cfg, geom):
             plan.ama_weights)
         value = image_term + text_term
     # the entailment core, then the contradiction core when the plan has
-    # contradiction pairs
+    # contradiction pairs (the cones come in that order)
     cores = (lambda th, ap: _ent(th, ap, cfg.beta_ent),
              lambda th, ap: _con(th, ap, cfg.beta_con, geom.epsilon))
     backwards = []
@@ -512,7 +504,7 @@ def _cone_losses(rows, n_image, n_regions, plan, cfg, geom):
             # each phi gradient goes to both of its angles
             g_flat += [g_p.ravel() for g_p in g_phi for _ in range(2)]
         g_theta = np.bincount(plan.flats, np.concatenate(g_flat),
-                              minlength=theta.size).reshape(plan.mask.shape)
+                              minlength=theta.size).reshape(plan.apex.size, -1)
         g_apex, g_space = geo_backward(g_theta, aperture_backward(g_aperture[:, None]))
         g_space[plan.apex] += g_apex
         return g_space
@@ -597,11 +589,11 @@ def ama_total(embeddings, label, selections, cfg, geom):
     positive. Terms at a level average over the selected embeddings.
 
     This is the loss node without L_cls and with weights (1, 0), its plan
-    built here (see `cone_plan`): all levels come from one masked
-    exterior-angle matrix, and each image row reads its own level's text,
-    weighted by 1 / K_level. Angle distances between a text row and an
-    image row, or between label and wrong-class text, of different levels
-    are not read, so they are not guarded either.
+    built here (see `cone_plan`): all levels come from one exterior-angle
+    matrix, read at the plan's pairs, and each image row reads its own
+    level's text, weighted by 1 / K_level. Angle distances between a text
+    row and an image row, or between label and wrong-class text, of
+    different levels are not read, so they are not guarded either.
     """
     return _loss(embeddings, _one_plan(embeddings, label, selections, 1.0, 0.0),
                  cfg, geom, cls=False)
@@ -618,12 +610,12 @@ def shc_total(embeddings, label, selections, cfg, geom):
     term is the mean over its pair set, terms are summed.
 
     This is the loss node without L_cls and with weights (0, 1), its plan
-    built here (see `cone_plan`): one masked exterior-angle matrix holds
-    every pair of every term, and the text-to-image terms of all levels
-    weight each image row by 1 / K_level (1 / (K_level (C-1)) per
-    contradiction entry), which is the sum over levels of the per-level
-    means. Pairs no term reads, such as a region against a patch of another
-    region, are not checked for coincidence.
+    built here (see `cone_plan`): one exterior-angle matrix, read at the
+    plan's pairs, holds every pair of every term, and the text-to-image
+    terms of all levels weight each image row by 1 / K_level (1 / (K_level
+    (C-1)) per contradiction entry), which is the sum over levels of the
+    per-level means. Pairs no term reads, such as a region against a patch
+    of another region, are not checked for coincidence.
     """
     return _loss(embeddings, _one_plan(embeddings, label, selections, 0.0, 1.0),
                  cfg, geom, cls=False)

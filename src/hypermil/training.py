@@ -366,6 +366,13 @@ def _tiny_bag(rng, d_in, n_regions, n_patches, n_classes):
     return FeatureBag(slide_id="tiny", label=label, site="site-0", regions=regions)
 
 
+def _zero_weights(cone):
+    """A cone of a `losses.ConePlan`, (flat positions, apex positions,
+    weights), with every weight zero."""
+    flat, apex_at, weights = cone
+    return flat, apex_at, np.zeros_like(weights)
+
+
 def gradient_check_suite(trials=20, seed=0, h=1e-5):
     """Finite-difference checks of every loss family over a tiny model.
 
@@ -378,9 +385,12 @@ def gradient_check_suite(trials=20, seed=0, h=1e-5):
     * cls_loss: `cls_loss` of the trial's embedded bag;
     * ama_loss: the loss node, cls off, over the alignment plan (weights
       (1, 0)) of the slide row alone;
-    * ent_loss and con_loss: the loss node, cls off, over only the
-      entailment pairs, and only the contradiction pairs, of the bag's
-      hierarchy plan (weights (0, 1)) for its top-K selections;
+    * ent_loss and con_loss: the loss node, cls off, over the bag's
+      hierarchy plan (weights (0, 1)) for its top-K selections, with its
+      contradiction weights, and with its entailment weights, set to zero.
+      Every penalty is finite (the exponent is clipped at 700 and the hinge
+      is at most pi/2), so a zero-weighted pair adds exactly 0 to the value
+      and the gradient; its pair is still checked for coincidence;
     * total_loss: `total_loss` over the bag's plan, built as `train` does.
 
     The five whole-model checks perturb the same leaves, so they share their
@@ -416,12 +426,11 @@ def gradient_check_suite(trials=20, seed=0, h=1e-5):
             for picked, lambda_a, lambda_s in (
                 (selections, loss_cfg.lambda_a, loss_cfg.lambda_s),
                 (slide_only, 1.0, 0.0), (selections, 0.0, 1.0)))
-        # the entailment pairs alone, and the contradiction pairs behind an
-        # empty entailment cone
-        ent_cone, con_cone = shc.cones
-        no_cone = tuple(a[:0] for a in ent_cone)
-        roots = (ama, replace(shc, cones=(ent_cone,)),
-                 replace(shc, cones=(no_cone, con_cone)))
+        # the hierarchy plan with its contradiction weights zeroed, and with
+        # its entailment weights zeroed; the positions stay as they are
+        ent, con = shc.cones
+        roots = (ama, replace(shc, cones=(ent, _zero_weights(con))),
+                 replace(shc, cones=(_zero_weights(ent), con)))
         leaves = [t for _, t in params.trainable()]
 
         probe = rng.standard_normal((1, k))

@@ -12,12 +12,15 @@ import stat
 import struct
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import hypermil
 from hypermil import autodiff as ad
+from hypermil import evaluation
 from hypermil.cli import main
 from hypermil.data import make_splits, read_bundle, write_bundle
 from hypermil.model import ModelDims, init_params, save_checkpoint
@@ -335,6 +338,32 @@ def test_protocol_pool_fold_error_is_one_error_line(workdir, bundle_path, capfd)
     assert "Traceback" not in err and "RESULT" not in out
 
 
+def _dying_fold(task, inputs=None):
+    # a fold worker that ends abruptly, as one the out-of-memory killer stops
+    os._exit(3)
+
+
+@pytest.mark.parametrize("command", [["protocol", "--outer", "2", "--inner", "1"],
+                                     ["ablate"]], ids=" ".join)
+def test_pool_worker_death_is_one_error_line(workdir, capfd, monkeypatch, command):
+    # three sites, so that `ablate` has an outer fold to hold out
+    path = workdir / "three-sites.bundle"
+    if not path.exists():
+        assert main(["gen", "--classes", "2", "--slides-per-class", "9",
+                     "--regions", "2", "--patches", "3", "--dim", "8",
+                     "--sites", "3", "--seed", "11", "--out", str(path)]) == 0
+        capfd.readouterr()
+    cfg = workdir / "dying.json"
+    cfg.write_text(json.dumps(TRAIN_CONFIG))
+    monkeypatch.setattr(evaluation, "_fold", _dying_fold)
+    code = main(command + ["--data", str(path), "--config", str(cfg), "--jobs", "2"])
+    out, err = capfd.readouterr()
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "ended abruptly" in errors[0], err
+    assert "Traceback" not in err and "RESULT" not in out
+
+
 @pytest.mark.parametrize("argv", [
     ["protocol", "--outer", "0"],
     ["protocol", "--inner", "-1"],
@@ -374,6 +403,32 @@ def test_train_rejects_a_boolean_label(workdir, bundle_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "label of type bool" in err
+
+
+@pytest.mark.parametrize("argv, count", [
+    ([arg if arg != "6" else "1000000000" for arg in GEN_ARGS], "2000000000 slides"),
+    (["splits", "--outer", "1", "--inner", "1000000000"], "1 x 1000000000 outer"),
+], ids=("gen", "splits"))
+def test_counts_beyond_memory_are_one_error_line_without_allocating(
+        workdir, bundle_path, capsys, argv, count):
+    if argv[0] == "splits":
+        argv = argv + ["--data", str(bundle_path)]
+    argv = argv + ["--out", str(workdir / "never-written")]
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "physical memory" in errors[0], err
+    assert count in errors[0] and "RESULT" not in out
+    assert elapsed < 1.0 and peak < 4 * 2**20, (elapsed, peak)
+    assert not (workdir / "never-written").exists()
 
 
 def test_splits_plan_roundtrips(workdir, bundle_path, capsys):

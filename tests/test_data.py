@@ -467,6 +467,16 @@ def test_read_bundle_fuzz_raises_only_typed_errors(tmp_path):
 # -- splits ---------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("seed", [0, 7919, 2**70])
+def test_spawn_builds_each_child_as_spawn_does(seed):
+    n = 23
+    children = np.random.SeedSequence(seed).spawn(n)
+    child = dt._spawn(seed)
+    for i in (0, 1, n - 1):
+        assert child(i).state == children[i].state
+        assert np.array_equal(child(i).generate_state(8), children[i].generate_state(8))
+
+
 def test_make_splits_validation():
     bags = dt.generate(SMALL).bags
     with pytest.raises(ConfigError):

@@ -225,31 +225,37 @@ def test_exterior_angle_degenerate_inputs():
         geo.half_aperture(geo.origin(cfg, 1), cfg)
 
 
-def test_exterior_angle_core_mask_keeps_the_masked_entries():
+def test_exterior_angle_core_pairs_keep_the_listed_entries():
     cfg = _cfg(2.0, 4)
     rng = np.random.default_rng(29)
     su = rng.normal(size=(5, 4))
     sv = rng.normal(size=(9, 4))
     mask = rng.random((5, 9)) < 0.4
+    pairs = np.flatnonzero(mask)
     u, v = geo.rows(su, cfg), geo.rows(sv, cfg)
     full, full_norms, full_backward = geo.exterior_angle_core(u, v, cfg)
-    part, part_norms, part_backward = geo.exterior_angle_core(u, v, cfg, mask)
-    assert np.array_equal(part[mask], full[mask])
-    assert np.array_equal(part_norms, full_norms)
-    assert np.isfinite(part).all()
-    # a gradient on the masked entries and the norms only
-    g = np.where(mask, rng.normal(size=mask.shape), 0.0)
-    g_norms = rng.normal(size=(5, 1))
-    for got, want in zip(part_backward(g, g_norms), full_backward(g, g_norms)):
-        assert np.array_equal(got, want)
-    # only the masked pairs are checked for coincidence
+    # repeated and unsorted positions read the same entries
+    repeated = rng.permutation(np.concatenate([pairs, pairs[::3]]))
+    for listed in (pairs, repeated):
+        part, part_norms, part_backward = geo.exterior_angle_core(u, v, cfg, listed)
+        assert np.array_equal(part[mask], full[mask])
+        assert np.array_equal(part_norms, full_norms)
+        assert np.isfinite(part).all()
+        # a gradient on the listed entries and the norms only
+        g = np.where(mask, rng.normal(size=mask.shape), 0.0)
+        g_norms = rng.normal(size=(5, 1))
+        for got, want in zip(part_backward(g, g_norms), full_backward(g, g_norms)):
+            assert np.array_equal(got, want)
+    # only the listed pairs are checked for coincidence
     sv[2] = su[1]
     v = geo.rows(sv, cfg)
     mask[1, 2] = False
-    geo.exterior_angle_core(u, v, cfg, mask)
+    geo.exterior_angle_core(u, v, cfg, np.flatnonzero(mask))
     mask[1, 2] = True
     with pytest.raises(GeometryError, match="coincident"):
-        geo.exterior_angle_core(u, v, cfg, mask)
+        geo.exterior_angle_core(u, v, cfg, np.flatnonzero(mask))
+    with pytest.raises(GeometryError, match="coincident"):
+        geo.exterior_angle_core(u, v, cfg, np.array([1 * 9 + 2] * 3))
 
 
 def test_primitives_run_the_exterior_angle_core(monkeypatch):

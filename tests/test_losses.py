@@ -258,6 +258,14 @@ def test_cone_plan_refuses_labels_outside_the_classes():
         ls.cone_plan([2, 2], 3, [0, 3], rows, 0.0, 0.0)
 
 
+def _flats(cones, phi):
+    """Every flat position of a plan's `cones` and `phi`, in the order
+    `ConePlan` documents: the cones' flat positions, then each phi set's
+    theta(u, v) and theta(v, u)."""
+    return np.concatenate([flat for flat, _, _ in cones]
+                          + [f.ravel() for uv in phi for f in uv])
+
+
 def _cone_plan_by_search(sizes, n_classes, label, selections, lambda_a, lambda_s):
     """`cone_plan` with the apex rows found by `np.unique` and each row's
     position among them by `np.searchsorted`: the oracle of the positions
@@ -336,12 +344,9 @@ def test_cone_plan_positions_match_unique_and_searchsorted():
             for got, want in zip(plan.phi, phi):
                 for g, w in zip(got, want):
                     same(g, w)
-            # a plan worked out from the oracle's arrays has the same
-            # mask and flat positions
-            oracle = ls.ConePlan(plan.label, plan.stops, apex, tuple(cones), phi,
-                                 ama_weights)
-            same(plan.mask, oracle.mask)
-            same(plan.flats, oracle.flats)
+            # the flat positions, in the documented order, from the
+            # oracle's arrays
+            same(plan.flats, _flats(cones, phi))
 
 
 def _cone_plan_reference(sizes, n_classes, label, selections, lambda_a, lambda_s):
@@ -397,7 +402,8 @@ def _cone_plan_reference(sizes, n_classes, label, selections, lambda_a, lambda_s
                           np.repeat(lambda_s / others.size * weights, others.size)))
     phi = tuple((pairs(a, b), pairs(b, a))
                 for a, b in ((image, pos), (image, neg), (pos, neg))) if ama else ()
-    return ls.ConePlan(label, stops, apex, tuple(cones), phi, lambda_a * weights)
+    return ls.ConePlan(label, stops, apex, tuple(cones), phi, lambda_a * weights,
+                       _flats(cones, phi))
 
 
 def _assert_same_plan(got, want):
@@ -410,7 +416,7 @@ def _assert_same_plan(got, want):
     assert got.stops == want.stops and got.empty == want.empty
     if want.empty:
         return
-    for name in ("apex", "ama_weights", "mask", "flats"):
+    for name in ("apex", "ama_weights", "flats"):
         same(getattr(got, name), getattr(want, name))
     assert len(got.cones) == len(want.cones) and len(got.phi) == len(want.phi)
     for got_set, want_set in zip(got.cones + got.phi, want.cones + want.phi):
