@@ -17,8 +17,9 @@ rows are the same either way.
 Scoring has one path, `_scores`, which `predict` runs on one bag and
 `evaluate` on all of its bags: the class text is embedded once per call,
 each bag runs its own adaptor and pooling graph (`model.slide_tangents`),
-and the slide tangents of all bags are mapped and scored in one pass. So
-an `evaluate` row equals `predict` on its bag bit for bit.
+and the slide tangents of all bags are mapped in one call and their
+distances to the class text taken in one stacked call, one one-row product
+per slide. So an `evaluate` row equals `predict` on its bag bit for bit.
 
 `export_embeddings` and `mean_origin_distances` read the same walk over
 the embeddings (`_embeddings`): the class text level by level, then each
@@ -35,7 +36,7 @@ from . import autodiff as ad
 from . import geometry as geo
 from . import training
 from .data import make_splits
-from .errors import ConfigError, MetricError, TrainingError
+from .errors import ConfigError, MetricError, NumericalError, TrainingError
 from .fileio import atomic_write_text
 from .model import (HierarchyLevel, embed_slide, embed_text, slide_tangents,
                     text_level)
@@ -50,15 +51,17 @@ def _scores(bags, params, geom):
     text is embedded once per call. Each bag runs its own `slide_tangents`
     graph (the adaptor and the two `aggregate` calls) and only its slide
     tangent is read, so no per-bag level is mapped. The B tangents are
-    stacked and mapped in one `exp_map_origin` call, and the softmax runs
-    over the rows of the distance matrix at once. The distances are one
-    `geometry.geodesic_core` call per slide row: a [1 x k] by [k x C]
-    product whatever B is, since BLAS may round a several-row product
-    differently from a one-row one in the last bit, and a row of `evaluate`
-    must equal `predict` on its bag bit for bit. The row statistics
-    (`geometry.rows`) of the slides and of the anchors are computed once
-    per call; they are computed row by row, so a slide's are the same
-    whatever B is.
+    stacked and mapped in one `exp_map_origin` call, and the distances are
+    one `geometry.geodesic_core` call over the slides as B stacked [1 x k]
+    rows: numpy runs it as B one-row [1 x k] by [k x C] products, so a row
+    of `evaluate` equals `predict` on its bag bit for bit (BLAS may round a
+    several-row product differently from a one-row one in the last bit).
+    The row statistics (`geometry.rows`) of the slides and of the anchors
+    are computed once per call, row by row, so a slide's are the same
+    whatever B is. The distances run outside any autodiff node, so they are
+    checked here: a slide mapped to infinity can have NaN distances, or
+    only infinite ones, whose softmax row is NaN; either is a
+    NumericalError.
     """
     with ad.no_grad():
         text = embed_text(params, geom)
@@ -66,8 +69,12 @@ def _scores(bags, params, geom):
                                    for bag in bags])
         slides = geo.rows(geo.exp_map_origin(tangents, geom).space.data, geom)
         anchors = geo.rows(text_level(text, HierarchyLevel.SLIDE).space.data, geom)
-    d = np.concatenate([geo.geodesic_core(slides.take(slice(i, i + 1)), anchors, geom)[0]
-                        for i in range(len(bags))])
+    stacked = geo.Rows(*(a[:, None] for a in slides))
+    d = geo.geodesic_core(stacked, anchors, geom)[0][:, 0]
+    nan = np.isnan(d).any()
+    if nan or np.isinf(d).all(axis=1).any():
+        what = "NaN" if nan else "only infinite distances"
+        raise NumericalError(f"geodesic produced {what} in the forward pass")
     z = -d - np.max(-d, axis=1, keepdims=True)
     p = np.exp(z)
     return p / p.sum(axis=1, keepdims=True)
@@ -86,8 +93,10 @@ def predict(bag, params, geom):
 
 def score_bags(bags, params, geom):
     """One `predict` row per bag, all bags scored in one pass that shares one
-    text embedding and one `exp_map_origin` call. No bags, or a bag whose
-    label is not one of the model's classes, is a MetricError."""
+    text embedding, one `exp_map_origin` call and one stacked distance call.
+    No bags, or a bag whose label is not one of the model's classes, is a
+    MetricError; a slide whose distances are NaN, or all infinite, is a
+    NumericalError."""
     if not bags:
         raise MetricError("no bags to score")
     for bag in bags:
@@ -104,9 +113,9 @@ def evaluate(bags, params, geom):
 
     The class text depends on the parameters alone, so it is embedded once
     per call. Each bag's adaptor and pooling run per bag, and the slide
-    level of all bags is mapped and scored in one pass (`score_bags`); a
-    one-bag pass is `predict`, so every row equals `predict` on that bag
-    bit for bit.
+    level of all bags is mapped and scored in one pass (`score_bags`): one
+    map and one stacked distance call of one-row products. A one-bag pass
+    is `predict`, so every row equals `predict` on that bag bit for bit.
     """
     scores, labels = score_bags(bags, params, geom)
     return (
@@ -158,8 +167,11 @@ def _paired(what, values, labels):
 def auc(scores, labels):
     """Rank-statistic AUC; macro one-vs-rest for more than two classes.
 
-    Scores and labels of different lengths, or none, are a MetricError."""
+    Scores and labels of different lengths, or none, or a NaN score, are a
+    MetricError."""
     scores, labels = _paired("scores", np.asarray(scores, dtype=np.float64), labels)
+    if np.isnan(scores).any():
+        raise MetricError("scores hold NaN, which has no rank")
     if scores.ndim == 1:
         return _binary_auc(scores, labels == 1)
     if scores.shape[1] == 2:

@@ -24,9 +24,10 @@ with the time part and squared norm of each of its rows (`rows` computes
 them, row by row), so a caller reading the same rows several times
 computes those once: `geodesic_core`, the geodesic distances of two
 `Rows` with a backward, which `geodesic` wraps and `evaluation` calls
-once per scored slide; and `exterior_angle_core`, the exterior angles
-theta(u_i, v_j) of two `Rows`, optionally reading only the pairs at given
-flat positions, with the origin and coincidence guards and a backward.
+once per scoring call, on its slides stacked one row each; and
+`exterior_angle_core`, the exterior angles theta(u_i, v_j) of two `Rows`,
+optionally reading only the pairs at given flat positions, with the origin
+and coincidence guards and a backward.
 The third, `half_aperture_core`, is the half-aperture of a column of
 space norms. The primitives compute the `Rows` of their arguments and
 call the cores: `exterior_angle` is one call of `exterior_angle_core` and
@@ -295,7 +296,9 @@ def geodesic_core(u, v, cfg):
     Returns (distances, backward): the [N x M] matrix, and backward(g)
     giving the gradients (g_su, g_sv) on the two space arrays of
     sum(g * distances). The acosh argument is clamped to >= 1, with zero
-    gradient at the clamp.
+    gradient at the clamp. The rows of u may come as a stack of B one-row
+    [1 x k] arrays (time and squared norm [B x 1 x 1]): the distances are
+    then [B x 1 x M], each row from its own one-row product.
     """
     su, tu, sv, tv = u.space, u.time, v.space, v.time
     arg = np.maximum(_scale(_inner(su, tu, sv, tv), -cfg.curvature), 1.0)

@@ -17,13 +17,15 @@ Aggregation happens on tangent features because a weighted sum of manifold
 points does not stay on the manifold; only the per-level outputs are mapped.
 Both levels pool through one function, `aggregate`, over consecutive row
 segments: all regions of a slide are pooled at once by a segment softmax
-and one matmul with the block-diagonal region-by-patch weights, and the
-slide is the single segment of its regions. A layout's segments (each
-row's segment, each segment's first row and each row's place in the block
-weights) are a `segment_plan`, checked and worked out once per distinct
-layout and cached, not stored on the bag. The adaptor and the attention
-run their elementwise steps in place in their own buffers, in the order of
-the expressions they stand for, so the bits are those of the expressions.
+and one matmul (each region's weights by its own patches when the regions
+are of one size, else the block-diagonal region-by-patch weights by all
+patches), and the slide is the single segment of its regions. A layout's
+segments (each row's segment, each segment's first row, each row's place
+in the block weights and whether the segments are of one size) are a
+`segment_plan`, checked and worked out once per distinct layout and
+cached, not stored on the bag. The adaptor and the attention run their
+elementwise steps in place in their own buffers, in the order of the
+expressions they stand for, so the bits are those of the expressions.
 
 Both learned stages are fused autodiff nodes (`autodiff.fused`) computed in
 numpy with a hand-derived backward: the adaptor MLP is one "adaptor" node
@@ -385,12 +387,13 @@ class SegmentPlan(NamedTuple):
     seg: np.ndarray      # [N] each row's segment id
     starts: np.ndarray   # [R] each segment's first row
     scatter: np.ndarray  # [N] each row's flat position in an [R x N] matrix
+    even: bool           # whether every segment has the same number of rows
 
 
 def segment_plan(counts, n_rows):
-    """The read-only `SegmentPlan` of segments of `counts` rows each (one
-    segment of all `n_rows` rows when `counts` is None), worked out once per
-    distinct layout and then read from a cache.
+    """The `SegmentPlan` of segments of `counts` rows each (one segment of
+    all `n_rows` rows when `counts` is None), its arrays read-only, worked
+    out once per distinct layout and then read from a cache.
 
     No segments or a segment without rows raises EmptyBagError, and counts
     that do not sum to `n_rows` ShapeError, on every call: an error is
@@ -411,8 +414,9 @@ def _segment_plan(layout, n_rows):
         )
     seg = np.repeat(np.arange(counts.size), counts)
     plan = SegmentPlan(seg, np.cumsum(counts) - counts,
-                       seg * n_rows + np.arange(n_rows))
-    for arr in plan:
+                       seg * n_rows + np.arange(n_rows),
+                       bool((counts == counts[0]).all()))
+    for arr in plan[:3]:
         arr.setflags(write=False)
     return plan
 
@@ -443,12 +447,35 @@ def _attention(features, agg, counts):
     return hidden, plan, s
 
 
-def _block_weights(p, plan):
-    """The block-diagonal [R x N] matrix whose row r holds segment r's
-    weights and zeros elsewhere."""
-    weights = np.zeros((plan.starts.size, p.size))
+def _pool(p, f, plan):
+    """[R x D]: each segment's rows of f summed with their weights p.
+
+    One segment is the [1 x N] product p f. Segments of one size are
+    pooled by one stacked matmul over a reshape view of the rows, each
+    segment's weight row (repeated twice) by its own rows. Segments of
+    different sizes are pooled by one matmul with the block-diagonal
+    [R x N] weights, whose row r holds segment r's weights and zeros
+    elsewhere. Laying such segments out in a zero-padded grid instead
+    would hold R times the largest segment's rows, many times N on a
+    skewed layout, and pooling each size on its own costs several BLAS
+    calls, more than this one product on a layout of a few regions.
+    """
+    n_seg = plan.starts.size
+    if n_seg == 1:
+        return p[None] @ f
+    if plan.even:
+        w = p.reshape(n_seg, 1, -1)
+        # Two weight rows, not one: numpy sends a one-row matmul to gemv and
+        # a two-row one to gemm. With OpenBLAS, gemm sums each segment's
+        # products in row order, as the block-diagonal product does while
+        # OpenBLAS runs it unblocked (its other entries are zeros, which add
+        # nothing), so the pooled rows keep that product's bits; gemv rounds
+        # differently. A block-diagonal product large enough to be blocked
+        # may split a segment's sum, and differ in the last bits.
+        return (np.concatenate((w, w), axis=1) @ f.reshape(n_seg, w.shape[2], -1))[:, 0]
+    weights = np.zeros((n_seg, p.size))
     weights.reshape(-1)[plan.scatter] = p
-    return weights
+    return weights @ f
 
 
 def aggregate(features, agg, counts=None):
@@ -458,11 +485,11 @@ def aggregate(features, agg, counts=None):
     The one pooling function of both levels: patches into regions (one
     segment per region) and regions into the slide (one segment). One fused
     node over (features, w1, w2) computes the scores of all rows, the
-    segment softmax and the pooling matmul with the block-diagonal weights,
-    so a slide's pooling costs one node whatever its number of regions.
-    The segments' ids, starts and weight positions are a `segment_plan`,
-    worked out and checked once per distinct layout, and the scores and
-    softmax run in place (`_attention`).
+    segment softmax and the pooling matmul (`_pool`), so a slide's pooling
+    costs one node whatever its number of regions. The segments' ids,
+    starts and weight positions are a `segment_plan`, worked out and
+    checked once per distinct layout, and the scores and softmax run in
+    place (`_attention`).
     The backward takes each row's weight gradient g_block = rowsum(g[seg] * f),
     the softmax backward g_s = p * (g_block - segsum(p * g_block)), and
     through the tanh layer g_pre = (w2 g_s) * (1 - hidden^2); the features
@@ -481,7 +508,7 @@ def aggregate(features, agg, counts=None):
         return (p[:, None] * g_rows + g_pre.T @ w1, g_pre @ f,
                 (g_s[None] @ hidden.T).T)
 
-    return ad.fused("aggregate", _block_weights(p, plan) @ f,
+    return ad.fused("aggregate", _pool(p, f, plan),
                     (features, agg.w1, agg.w2), backward)
 
 

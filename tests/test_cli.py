@@ -516,16 +516,33 @@ def test_missing_required_flag_is_usage_error():
     assert exc.value.code == 2
 
 
-def test_entry_point_subprocess(workdir):
-    path = workdir / "sub.bundle"
-    # the child imports the package from where this process found it, also
-    # when that is a source checkout on pytest's own path only
+def _run_cli(argv, timeout=None):
+    """`python -m hypermil.cli argv` in a child process. The child imports
+    the package from where this process found it, also when that is a
+    source checkout on pytest's own path only."""
     package_dir = os.path.dirname(os.path.dirname(hypermil.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_dir, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hypermil.cli"] + GEN_ARGS + ["--out", str(path)],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "hypermil.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_entry_point_subprocess(workdir):
+    path = workdir / "sub.bundle"
+    proc = _run_cli(GEN_ARGS + ["--out", str(path)])
     assert proc.returncode == 0
     assert proc.stdout.startswith("RESULT gen")
+
+
+def test_eval_of_slides_mapped_to_infinity_is_one_error_line(workdir, bundle_path):
+    # every parameter is finite, but the slides' exponential map overflows
+    # to infinity, so their distances are NaN; ranking NaN scores once never
+    # ended, so the command runs in a child process under a timeout
+    params = init_params(ModelDims(d_in=8, k=4, d_hidden=8, n_classes=2), 0)
+    params.adaptor_i.b2.data[0, 0] = 1000.0
+    path = workdir / "huge.ckpt"
+    save_checkpoint(params, path)
+    proc = _run_cli(["eval", "--data", str(bundle_path), "--params", str(path)],
+                    timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: geodesic produced NaN in the forward pass\n"

@@ -14,8 +14,9 @@ from hypermil import evaluation as ev
 from hypermil import geometry as geo
 from hypermil import training
 from hypermil.data import Bundle, FeatureBag, SyntheticSpec, generate, make_splits
-from hypermil.errors import ConfigError, MetricError, TrainingError
-from hypermil.model import ModelDims, init_params
+from hypermil.errors import ConfigError, MetricError, NumericalError, TrainingError
+from hypermil.model import (HierarchyLevel, ModelDims, embed_text, init_params,
+                            slide_tangents, text_level)
 from hypermil.training import TrainConfig
 
 
@@ -66,6 +67,12 @@ def test_auc_edge_values():
     assert ev.auc(np.array([1.0, 1.0, 1.0, 1.0]), labels) == 0.5
     assert ev.auc(np.array([0.1, 0.2, 0.3, 0.4]), labels) == 1.0
     assert ev.auc(np.array([0.4, 0.3, 0.2, 0.1]), labels) == 0.0
+
+
+def test_auc_of_a_nan_score_is_a_metric_error():
+    # NaN equals nothing, so ranking it would never close its tie group
+    with pytest.raises(MetricError, match="NaN"):
+        ev.auc([0.2, np.nan, 0.4], [0, 1, 0])
 
 
 def test_auc_needs_both_classes():
@@ -485,6 +492,52 @@ def test_evaluate_rows_equal_predict_at_the_wide_shape():
     geom = TrainConfig().geometry()
     for start in range(0, len(bundle.bags), 6):
         _assert_rows_equal_predict(bundle.bags[start:start + 6], params, geom)
+
+
+def _looped_scores(bags, params, geom):
+    """The [B x C] scores of `_scores`, with the distances taken by one
+    `geodesic_core` call per slide row: the oracle of the stacked call."""
+    with ad.no_grad():
+        text = embed_text(params, geom)
+        tangents = np.concatenate([slide_tangents(bag, params)[0].data
+                                   for bag in bags])
+        slides = geo.rows(geo.exp_map_origin(tangents, geom).space.data, geom)
+        anchors = geo.rows(text_level(text, HierarchyLevel.SLIDE).space.data, geom)
+    d = np.concatenate([geo.geodesic_core(slides.take(slice(i, i + 1)), anchors,
+                                          geom)[0] for i in range(len(bags))])
+    z = -d - np.max(-d, axis=1, keepdims=True)
+    p = np.exp(z)
+    return p / p.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n_bags", [1, 2, 6])
+def test_stacked_distances_equal_a_per_slide_loop(n_bags):
+    bundle = generate(WIDE_SPEC)
+    params = init_params(WIDE_DIMS, 7919, bundle.class_vectors)
+    geom = TrainConfig().geometry()
+    for start in range(0, len(bundle.bags) - n_bags + 1, 6):
+        bags = bundle.bags[start:start + n_bags]
+        got = ev._scores(bags, params, geom)
+        assert got.shape == (n_bags, WIDE_DIMS.n_classes)
+        assert np.array_equal(got, _looped_scores(bags, params, geom)), start
+
+
+@pytest.mark.parametrize("bad, what", [(np.nan, "NaN"), (np.inf, "only infinite")])
+def test_scores_of_a_slide_at_infinity_are_a_numerical_error(monkeypatch, bad, what):
+    # a slide mapped to infinity can be NaN from every class text, or
+    # infinitely far from each; either leaves its softmax row NaN
+    core = geo.geodesic_core
+
+    def distances(u, v, cfg):
+        d, backward = core(u, v, cfg)
+        d[-1] = bad
+        return d, backward
+
+    bundle = generate(WIDE_SPEC)
+    params = init_params(WIDE_DIMS, 7919, bundle.class_vectors)
+    monkeypatch.setattr(geo, "geodesic_core", distances)
+    with pytest.raises(NumericalError, match=f"geodesic produced {what}"):
+        ev.evaluate(bundle.bags[:3], params, TrainConfig().geometry())
 
 
 def test_evaluate_rows_equal_predict_with_one_patch_and_one_region_bags():

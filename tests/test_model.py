@@ -173,10 +173,13 @@ def test_nan_input_names_adaptor_and_aggregate():
 
 
 def _attention_weights(features, agg, counts=None):
-    """The block-diagonal segment weights `aggregate` pools with, from the
-    same numpy core."""
+    """The dense block-diagonal [R x N] segment weights: row r holds segment
+    r's attention weights, from `aggregate`'s own numpy core, and zeros
+    elsewhere. `_attention_weights(...) @ x` is the oracle of the pooling."""
     _, plan, p = md._attention(features, agg, counts)
-    return md._block_weights(p, plan)
+    weights = np.zeros((plan.starts.size, p.size))
+    weights[plan.seg, np.arange(p.size)] = p
+    return weights
 
 
 def test_attention_weights_distribution():
@@ -242,6 +245,29 @@ def test_segmented_aggregate_matches_per_region_loop():
         assert not np.delete(weights[r], np.arange(start, stop)).any()
 
 
+POOL_DIMS = md.ModelDims(d_in=8, k=16, n_classes=3)
+
+
+@pytest.mark.parametrize("counts", [
+    [16] * 4, [16] * 32, [7] * 8, [37] * 10, [1, 3, 7], [250, 20, 260, 3],
+    None, [1] * 6,
+], ids=["4x16", "32x16", "8x7", "10x37", "ragged-1-3-7",
+        "ragged-crossing-256-512", "one-segment", "one-row-each"])
+def test_aggregate_equals_the_dense_block_product_bit_for_bit(counts):
+    # the per-segment products of segments of one size must keep the bits
+    # of one dense product by the block-diagonal weights, whose extra
+    # entries are zeros
+    params = md.init_params(POOL_DIMS, 11)
+    rng = np.random.default_rng(12)
+    n = 37 if counts is None else sum(counts)
+    for _ in range(5):
+        x = ad.Tensor(rng.normal(size=(n, POOL_DIMS.k)))
+        got = md.aggregate(x, params.agg_region, counts).data
+        want = _attention_weights(x, params.agg_region, counts) @ x.data
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def test_segmented_aggregate_gradients_finite_difference():
     params = md.init_params(DIMS, 7)
     rng = np.random.default_rng(10)
@@ -275,12 +301,16 @@ def test_segment_plan_once_per_layout():
     assert_array_equal(plan.starts, [0, 1, 4])
     # each row's flat position in the [3 x 6] block-diagonal weights
     assert_array_equal(plan.scatter, [0, 7, 8, 9, 16, 17])
-    for arr in plan:
+    assert plan.even is False
+    for arr in (plan.seg, plan.starts, plan.scatter):
         assert not arr.flags.writeable
     assert md.segment_plan([1, 3, 2], 6) is plan
     assert md._segment_plan.cache_info().misses == 1
     assert_array_equal(md.segment_plan(None, 4).seg, [0, 0, 0, 0])
     assert md._segment_plan.cache_info().misses == 2
+    # segments of one size, which `aggregate` pools by a reshape view
+    assert md.segment_plan(None, 4).even is True
+    assert md.segment_plan([2, 2, 2], 6).even is True
 
 
 def test_slide_tangents_plan_each_layout_once():
