@@ -16,10 +16,15 @@ rows are the same either way.
 
 Scoring has one path, `_scores`, which `predict` runs on one bag and
 `evaluate` on all of its bags: the class text is embedded once per call,
-each bag runs its own adaptor and pooling graph (`model.slide_tangents`),
-and the slide tangents of all bags are mapped in one call and their
-distances to the class text taken in one stacked call, one one-row product
-per slide. So an `evaluate` row equals `predict` on its bag bit for bit.
+the bags of each region layout run the adaptor and the pooling in one
+stacked pass (`model.slide_tangents`, each array of a pass capped at
+`_PASS_ENTRIES` entries), and the slide tangents of all bags are mapped in
+one call and their distances to the class text taken in one stacked call,
+one one-row product per slide. A stacked pass runs each product once per
+bag, the BLAS call that bag gets alone, never one product over the rows of
+several bags, so an `evaluate` row equals `predict` on its bag bit for bit.
+Stacking pays only where bags share a layout: a bag whose layout no other
+bag of the call has is scored by the one-bag graph, as `predict` scores it.
 
 `export_embeddings` and `mean_origin_distances` read the same walk over
 the embeddings (`_embeddings`): the class text level by level, then each
@@ -42,17 +47,62 @@ from .model import (HierarchyLevel, embed_slide, embed_text, slide_tangents,
                     text_level)
 
 
+# the most float64 entries an array of one scoring pass holds, 1 MB; a bag
+# whose own arrays hold more is scored in a pass of its own. Passes this
+# small reuse the memory the last pass freed: one `evaluate` of 102 bags of
+# 32 x 16 patches in a fresh process (one BLAS thread, 2-core Xeon VM) took
+# 3131 page faults and 23 ms with 8 MB arrays, 694 and 15 ms with these,
+# and 132 and 15 ms one bag at a time
+_PASS_ENTRIES = 1 << 17
+
+
+def _bag_entries(bag, dims):
+    """The entries one bag adds to the largest array of a scoring pass: its
+    N patch rows times the widest of the patch block (d_in), the adaptor's
+    tanh layer and output, and, when its regions differ in size, the
+    block-diagonal pooling weights, R per row (`model._pool`)."""
+    sizes = bag.sizes
+    ragged = sizes.size if sizes.min() != sizes.max() else 0
+    return int(sizes.sum()) * max(dims.d_in, dims.hidden, dims.k, ragged)
+
+
+def _passes(bags, dims):
+    """The positions in `bags` of each scoring pass: the bags of one layout
+    (`sizes`) in input order, layouts in the order of their first bag, cut
+    into passes none of whose arrays holds more than `_PASS_ENTRIES`
+    entries (`_bag_entries`)."""
+    layouts = {}
+    for pos, bag in enumerate(bags):
+        layouts.setdefault(bag.sizes.tobytes(), []).append(pos)
+    for members in layouts.values():
+        if len(members) == 1:  # a lone bag is a pass, whatever its size
+            yield members
+            continue
+        per_pass = max(1, _PASS_ENTRIES // _bag_entries(bags[members[0]], dims))
+        for start in range(0, len(members), per_pass):
+            yield members[start:start + per_pass]
+
+
 def _scores(bags, params, geom):
-    """[B x C] class probabilities of B bags: each row the softmax over the
-    negative geodesics from the bag's slide point to the slide-level class
-    text.
+    """[B x C] class probabilities of B bags, row b for bags[b]: each row
+    the softmax over the negative geodesics from the bag's slide point to
+    the slide-level class text.
 
     The one scoring path, of `predict` (B = 1) and `score_bags`. The class
-    text is embedded once per call. Each bag runs its own `slide_tangents`
-    graph (the adaptor and the two `aggregate` calls) and only its slide
-    tangent is read, so no per-bag level is mapped. The B tangents are
-    stacked and mapped in one `exp_map_origin` call, and the distances are
-    one `geometry.geodesic_core` call over the slides as B stacked [1 x k]
+    text is embedded once per call. The bags are grouped by layout, and
+    each group runs through one `slide_tangents` pass (one adaptor and two
+    `aggregate` nodes over its stacked patch blocks), or several when an
+    array of the pass would hold more than `_PASS_ENTRIES` entries: the
+    patch block, the adaptor's layers or, for regions of different sizes,
+    the [B x R x N] pooling weights (`_bag_entries`). That bounds each
+    array a pass allocates, not their sum, and a bag whose own arrays are
+    larger is scored alone, as `predict` scores it. A pass runs each
+    product once per bag, the call that bag gets alone, so a bag's slide
+    tangent does not depend on the bags it is scored with; a pass of one
+    bag runs the one-bag graph, with no bag axis. Only the slide tangents
+    are read, so no per-bag level is mapped. The B tangents, back in input
+    order, are mapped in one `exp_map_origin` call, and the distances are one
+    `geometry.geodesic_core` call over the slides as B stacked [1 x k]
     rows: numpy runs it as B one-row [1 x k] by [k x C] products, so a row
     of `evaluate` equals `predict` on its bag bit for bit (BLAS may round a
     several-row product differently from a one-row one in the last bit).
@@ -65,8 +115,13 @@ def _scores(bags, params, geom):
     """
     with ad.no_grad():
         text = embed_text(params, geom)
-        tangents = np.concatenate([slide_tangents(bag, params)[0].data
-                                   for bag in bags])
+        passes = list(_passes(bags, params.dims))
+        # each pass's slides, [B x 1 x k] (or [1 x k] for one bag), as rows
+        tangents = np.concatenate([
+            slide_tangents([bags[pos] for pos in members], params)[0].data
+            .reshape(len(members), -1) for members in passes])
+        if len(passes) > 1:  # from pass order back to input order
+            tangents = tangents[np.argsort(np.concatenate(passes))]
         slides = geo.rows(geo.exp_map_origin(tangents, geom).space.data, geom)
         anchors = geo.rows(text_level(text, HierarchyLevel.SLIDE).space.data, geom)
     stacked = geo.Rows(*(a[:, None] for a in slides))
@@ -92,30 +147,36 @@ def predict(bag, params, geom):
 
 
 def score_bags(bags, params, geom):
-    """One `predict` row per bag, all bags scored in one pass that shares one
-    text embedding, one `exp_map_origin` call and one stacked distance call.
-    No bags, or a bag whose label is not one of the model's classes, is a
-    MetricError; a slide whose distances are NaN, or all infinite, is a
-    NumericalError."""
+    """One `predict` row per bag, in the order of `bags`, all bags scored in
+    one call that shares one text embedding, one `slide_tangents` pass per
+    layout (`_scores`), one `exp_map_origin` call and one stacked distance
+    call. The bags are checked in order first, so the first one at fault
+    is named: no bags, or a bag whose label is not one of the model's
+    classes, is a MetricError, and a bag `slide_tangents` would refuse
+    (`FeatureBag.check`) an EmptyBagError or ShapeError. A slide whose
+    distances are NaN, or all infinite, is a NumericalError."""
     if not bags:
         raise MetricError("no bags to score")
     for bag in bags:
         if not 0 <= bag.label < params.dims.n_classes:
             raise MetricError(f"slide {bag.slide_id} has label {bag.label}, the "
                               f"model has {params.dims.n_classes} classes")
+        bag.check(params.dims.d_in)
     scores = _scores(bags, params, geom)
     labels = np.array([bag.label for bag in bags])
     return scores, labels
 
 
 def evaluate(bags, params, geom):
-    """(AUC, F1, scores, labels) over a list of bags.
+    """(AUC, F1, scores, labels) over a list of bags, rows in its order.
 
     The class text depends on the parameters alone, so it is embedded once
-    per call. Each bag's adaptor and pooling run per bag, and the slide
-    level of all bags is mapped and scored in one pass (`score_bags`): one
-    map and one stacked distance call of one-row products. A one-bag pass
-    is `predict`, so every row equals `predict` on that bag bit for bit.
+    per call. The bags of each layout run their adaptor and pooling in one
+    stacked pass, or a few when they are many, and the slide level of all
+    bags is mapped and scored together (`score_bags`): one map and one
+    stacked distance call of one-row products. Every product of a pass is
+    the one its bag gets alone, and a one-bag call is `predict`, so every
+    row equals `predict` on that bag bit for bit.
     """
     scores, labels = score_bags(bags, params, geom)
     return (

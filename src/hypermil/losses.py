@@ -307,14 +307,20 @@ def cone_plan(sizes, n_classes, labels, selections, lambda_a, lambda_s):
 
     * entailment (lambda_s): the slide over its regions, each region over
       its own patches, each class's text over its text one level down, and
-      the label text of each selected image row's level over that row;
+      the label text of each selected image row's level over that row. The
+      slide over the region of a one-region slide, and a one-patch region
+      over its patch, are left out: pooling one row gives that row bit for
+      bit, so the pair coincides by the layout, and a point lies in its own
+      cone (penalty 0). Pairs that coincide by the data stay, and the
+      coincidence guard refuses them;
     * contradiction (lambda_s): the wrong-class text of that level against
       the row;
     * alignment (lambda_a): both directions of each (selected image row,
       text of its level) pair and of each (label text, wrong-class text)
       pair of that level, so that phi(u, v) = theta(u, v) + theta(v, u) - pi.
 
-    Each pair is weighted by lambda_s / (pairs in its term), except that
+    Each pair is weighted by lambda_s / (pairs in its term, the left-out
+    pairs counted), except that
     the pairs of image row i weigh lambda_s / K_level(i) (lambda_s /
     (K_level(i) (C-1)) per contradiction entry), and its alignment terms
     lambda_a / K_level(i); so the weighted sum is the weighted sum of the
@@ -407,16 +413,24 @@ def cone_plan(sizes, n_classes, labels, selections, lambda_a, lambda_s):
             return np.concatenate([np.broadcast_to(shared, (n_slides, shared.size)),
                                    own], axis=1)
 
-        u = per_slide(np.concatenate([np.zeros(n_regions, dtype=int),
-                                      1 + segment_plan(sizes, n_patches).seg,
-                                      slide_text, region_text]), pos[:, :, 0])
+        # a one-region slide is its region, and a one-patch region its
+        # patch, bit for bit (attention gives one row the weight 1): those
+        # pairs coincide by the layout, and as a point lies in its own cone
+        # their penalty is 0, so they are left out and the others keep their
+        # weights
+        seg = segment_plan(sizes, n_patches).seg
+        kept = np.concatenate([np.full(n_regions, n_regions > 1),
+                               np.asarray(sizes)[seg] > 1,
+                               np.ones(2 * n_classes, dtype=bool)])
+        u = per_slide(np.concatenate([np.zeros(n_regions, dtype=int), 1 + seg,
+                                      slide_text, region_text])[kept], pos[:, :, 0])
         v = per_slide(np.concatenate([1 + np.arange(n_regions),
                                       1 + n_regions + np.arange(n_patches),
-                                      region_text, patch_text]), rows)
+                                      region_text, patch_text])[kept], rows)
         terms = np.array([n_regions, n_patches, n_classes, n_classes])
         u_at = positions(u)
         cones.append((u_at * n_rows + v, u_at,
-                      np.concatenate([np.repeat(lambda_s / terms, terms),
+                      np.concatenate([np.repeat(lambda_s / terms, terms)[kept],
                                       lambda_s * weights])))
         if n_classes > 1:
             cones.append((pairs(neg, image).reshape(n_slides, -1),
@@ -607,7 +621,10 @@ def shc_total(embeddings, label, selections, cfg, geom):
     and region-level text entails patch-level text; the label-class text
     entails the selected image embeddings at every level. Contradiction
     terms: wrong-class text contradicts the same image embeddings. Each
-    term is the mean over its pair set, terms are summed.
+    term is the mean over its pair set, terms are summed. The slide of a
+    one-region slide is its region, and a one-patch region its patch, so
+    that pair's penalty is 0 (a point lies in its own cone); it counts in
+    its term's mean but is not read, so it is not refused as coincident.
 
     This is the loss node without L_cls and with weights (0, 1), its plan
     built here (see `cone_plan`): one exterior-angle matrix, read at the

@@ -2,16 +2,31 @@
 
 A slide arrives as a `FeatureBag`: raw patch features grouped into
 regions, held as one contiguous block with the regions' sizes.
-`slide_tangents` casts the block to float64 once, passes the sizes to
-`aggregate` as its segments, and runs only the constant-cost checks the
-bag leaves to its reader (`FeatureBag.check`); rank and equal widths were
-checked when the bag was made. The image adaptor (a two-layer MLP) maps
-every patch into the tangent space at the origin; gated-attention
-aggregators then pool patches into region features and regions into a
-slide feature, still in the tangent space, and `embed_slide` pushes each
-level onto the manifold with the exponential map. Class text features
-are a frozen base vector per class plus a learnable offset per (class,
-level), passed through their own adaptor and mapped the same way.
+`slide_tangents` takes B bags of one layout, runs only the constant-cost
+checks a bag leaves to its reader (`FeatureBag.check`, then the layout,
+`same_layout`; rank and equal widths were checked when the bag was made),
+stacks their blocks into one [B x N x d_in] float64 array by one call (one
+bag's block stays [N x d_in]) and passes the shared sizes to `aggregate`
+as its segments. The image adaptor (a two-layer MLP) maps every patch into
+the tangent space at the origin; gated-attention aggregators then pool
+patches into region features and regions into a slide feature, still in
+the tangent space, and `embed_slide` (the pass of one bag) pushes each
+level onto the manifold with the exponential map. Class text features are
+a frozen base vector per class plus a learnable offset per (class, level),
+passed through their own adaptor and mapped the same way.
+
+The adaptor and `aggregate` take rows with any leading axes, the bag axis
+of a stacked pass among them; a pass of one bag has none, so the one-bag
+callers (a training step, `predict`) pay for no reshape of an axis they do
+not have. numpy runs a product over stacked operands as one BLAS call per
+block, the call that block gets alone, so every bag of a pass gets bit for
+bit the tangents of a pass of its own: the two adaptor products, the
+attention's tanh-layer product and one-row score, and the pooling product
+of its layout. No forward product takes the rows of several bags at once,
+which BLAS could round differently. In the backward the weight gradients
+are sums over the blocks: the adaptor's are each one product over the
+stacked rows, `aggregate`'s the sum of each block's own products; for one
+bag either is that bag's own product.
 
 Aggregation happens on tangent features because a weighted sum of manifold
 points does not stay on the manifold; only the per-level outputs are mapped.
@@ -20,12 +35,14 @@ segments: all regions of a slide are pooled at once by a segment softmax
 and one matmul (each region's weights by its own patches when the regions
 are of one size, else the block-diagonal region-by-patch weights by all
 patches), and the slide is the single segment of its regions. A layout's
-segments (each row's segment, each segment's first row, each row's place
-in the block weights and whether the segments are of one size) are a
-`segment_plan`, checked and worked out once per distinct layout and
-cached, not stored on the bag. The adaptor and the attention run their
-elementwise steps in place in their own buffers, in the order of the
-expressions they stand for, so the bits are those of the expressions.
+segments, over a stack of blocks laid end to end (each row's segment, each
+segment's first row, each row's place in the block weights, whether the
+segments are of one size and how many one block holds), are a
+`segment_plan`, checked and worked out once per distinct layout and block
+count and cached, not stored on the bag; so the segment softmax of a
+stack runs over one vector of all its rows. The adaptor and the attention
+run their elementwise steps in place in their own buffers, in the order of
+the expressions they stand for, so the bits are those of the expressions.
 
 Both learned stages are fused autodiff nodes (`autodiff.fused`) computed in
 numpy with a hand-derived backward: the adaptor MLP is one "adaptor" node
@@ -38,9 +55,10 @@ patch and class-text tangents in that order (the row order of
 map of its own level would give. Its `EmbeddingSet` is plain data: that
 one space, the region sizes, and basic-slice views of the space. So a
 training step maps once, and its loss node reads that space whole.
-Scoring reads no image level: it takes each bag's unmapped slide tangent
-from `slide_tangents`, embeds the class text once (`embed_text`) and maps
-the slide tangents of all its bags in one call.
+Scoring reads no image level: it takes the unmapped slide tangents of
+each layout's bags from one stacked `slide_tangents` pass, embeds the class
+text once (`embed_text`) and maps the slide tangents of all its bags in one
+call.
 
 The class text of all levels is stacked in `HierarchyLevel` order (row
 level.value * N_C + c is class c at that level), after the image rows in
@@ -141,16 +159,22 @@ class Mlp:
     def __call__(self, x):
         """tanh(x w1' + b1) w2' + b2 as one fused node over (x, w1, b1, w2, b2).
 
-        The forward runs in two buffers, the tanh layer's and the output's:
-        each bias is added and the tanh taken in place, the same operations
-        in the same order as the expression, so the bits are the same. The
-        backward goes through the tanh layer by hand:
-        g_pre = (g w2) * (1 - hidden^2), then the two affine maps; the input
-        gets no gradient when it needs none, such as the constant patch block.
+        `x` holds rows, [N x d_in], or a stack of row blocks with leading
+        axes, [... x N x d_in]: numpy runs each product of a stack as one
+        product per block, the BLAS call one block alone gets, so each
+        block's rows are bit for bit what it gives alone. The forward runs
+        in two buffers, the tanh layer's and the output's: each bias is
+        added and the tanh taken in place, the same operations in the same
+        order as the expression, so the bits are the same. The backward goes
+        through the tanh layer by hand: g_pre = (g w2) * (1 - hidden^2), then
+        the two affine maps, whose weight and bias gradients are sums over
+        the rows of every block, each one product or sum over the stacked
+        rows (for one block, that block's own); the input gets no gradient
+        when it needs none, such as the constant patch block.
         """
         w1, b1, w2, b2 = self.w1.data, self.b1.data, self.w2.data, self.b2.data
         xd = x.data
-        if xd.ndim != 2 or xd.shape[1] != w1.shape[1]:
+        if xd.ndim < 2 or xd.shape[-1] != w1.shape[1]:
             raise ShapeError(
                 f"adaptor: input has shape {xd.shape}, expected rows of "
                 f"{w1.shape[1]} features"
@@ -163,9 +187,10 @@ class Mlp:
 
         def backward(g):
             g_pre = (g @ w2) * (1.0 - hidden * hidden)
-            return (g_pre @ w1 if x.requires_grad else None, (xd.T @ g_pre).T,
-                    g_pre.sum(axis=0, keepdims=True),
-                    (hidden.T @ g).T, g.sum(axis=0, keepdims=True))
+            rows_pre, rows_g = _rows(g_pre), _rows(g)
+            return (g_pre @ w1 if x.requires_grad else None,
+                    (_rows(xd).T @ rows_pre).T, rows_pre.sum(axis=0, keepdims=True),
+                    (_rows(hidden).T @ rows_g).T, rows_g.sum(axis=0, keepdims=True))
 
         return ad.fused("adaptor", out, (x, self.w1, self.b1, self.w2, self.b2),
                         backward)
@@ -382,29 +407,33 @@ def _from_buffer(buffer, dims):
 
 
 class SegmentPlan(NamedTuple):
-    """The layout of consecutive row segments, as `aggregate` pools them."""
+    """The layout of consecutive row segments, as `aggregate` pools them,
+    over a stack of blocks of that layout laid end to end (one block, or
+    several: each block of N rows holds the same R segments)."""
 
-    seg: np.ndarray      # [N] each row's segment id
-    starts: np.ndarray   # [R] each segment's first row
-    scatter: np.ndarray  # [N] each row's flat position in an [R x N] matrix
+    seg: np.ndarray      # [B*N] each row's segment id in the stack
+    starts: np.ndarray   # [B*R] each segment's first row in the stack
+    scatter: np.ndarray  # [B*N] each row's flat position in B [R x N] matrices
     even: bool           # whether every segment has the same number of rows
+    n_seg: int           # R, the segments of one block
 
 
-def segment_plan(counts, n_rows):
+def segment_plan(counts, n_rows, blocks=1):
     """The `SegmentPlan` of segments of `counts` rows each (one segment of
-    all `n_rows` rows when `counts` is None), its arrays read-only, worked
-    out once per distinct layout and then read from a cache.
+    all `n_rows` rows when `counts` is None) in each of `blocks` blocks of
+    `n_rows` rows, its arrays read-only, worked out once per distinct
+    layout and block count and then read from a cache.
 
     No segments or a segment without rows raises EmptyBagError, and counts
     that do not sum to `n_rows` ShapeError, on every call: an error is
     never cached.
     """
     counts = np.asarray([n_rows] if counts is None else counts, dtype=np.intp)
-    return _segment_plan(counts.tobytes(), n_rows)
+    return _segment_plan(counts.tobytes(), n_rows, blocks)
 
 
 @functools.lru_cache(maxsize=16)
-def _segment_plan(layout, n_rows):
+def _segment_plan(layout, n_rows, blocks):
     counts = np.frombuffer(layout, dtype=np.intp)
     if counts.size == 0 or (counts <= 0).any():
         raise EmptyBagError("cannot aggregate an empty set of features")
@@ -412,35 +441,53 @@ def _segment_plan(layout, n_rows):
         raise ShapeError(
             f"segment sizes sum to {counts.sum()}, features have {n_rows} rows"
         )
-    seg = np.repeat(np.arange(counts.size), counts)
-    plan = SegmentPlan(seg, np.cumsum(counts) - counts,
-                       seg * n_rows + np.arange(n_rows),
-                       bool((counts == counts[0]).all()))
+    stacked = np.tile(counts, blocks)
+    seg = np.repeat(np.arange(stacked.size), stacked)
+    plan = SegmentPlan(seg, np.cumsum(stacked) - stacked,
+                       seg * n_rows + np.arange(seg.size) % n_rows,
+                       bool((counts == counts[0]).all()), counts.size)
     for arr in plan[:3]:
         arr.setflags(write=False)
     return plan
 
 
+def _rows(a):
+    """The rows of `a`, its leading axes flattened: [... x M] as [rows x M];
+    a matrix is its own rows, taken with no reshape call."""
+    return a if a.ndim == 2 else a.reshape(-1, a.shape[-1])
+
+
+def _block_sum(a):
+    """The sum of the [M x K] blocks of a stack [... x M x K]: each block's
+    own product, added over the blocks."""
+    return a.reshape((-1,) + a.shape[-2:]).sum(axis=0)
+
+
 def _attention(features, agg, counts):
     """Numpy core of gated attention over row segments.
 
-    Returns (hidden, plan, p): the tanh layer tanh(w1 f') [A x N], the
-    segments' `SegmentPlan` and each row's weight p, the softmax of its
-    score w2' hidden within its segment. The tanh, the shift by the segment
-    maximum, the exp and the divide run in place, in the order of the
-    expressions they stand for.
+    `features` holds [N x k] rows or a stack of such blocks with leading
+    axes, each block split into the same segments. Returns (hidden, plan,
+    p): the tanh layer tanh(w1 f') [... x A x N], the `SegmentPlan` of the
+    blocks laid end to end and each row's weight p, the softmax of its
+    score w2' hidden within its segment, as one vector over the stacked
+    rows. The products are one per block, the score a one-row product, so
+    each block's weights are what it gives alone; the segment maximum and
+    sum read each segment's rows in order, as for one block. The tanh, the
+    shift by the segment maximum, the exp and the divide run in place, in
+    the order of the expressions they stand for.
     """
     f = features.data
-    if f.ndim != 2 or f.shape[1] != agg.w1.data.shape[1]:
+    if f.ndim < 2 or f.shape[-1] != agg.w1.data.shape[1]:
         raise ShapeError(
             f"aggregate: features have shape {f.shape}, expected rows of "
             f"{agg.w1.data.shape[1]} features"
         )
-    plan = segment_plan(counts, f.shape[0])
+    plan = segment_plan(counts, f.shape[-2], math.prod(f.shape[:-2]))
     seg, starts = plan.seg, plan.starts
-    hidden = agg.w1.data @ f.T
+    hidden = agg.w1.data @ f.mT
     np.tanh(hidden, out=hidden)
-    s = (agg.w2.data.T @ hidden)[0]
+    s = (agg.w2.data.T @ hidden).reshape(-1)
     s -= np.maximum.reduceat(s, starts)[seg]
     np.exp(s, out=s)
     s /= np.add.reduceat(s, starts)[seg]
@@ -448,9 +495,11 @@ def _attention(features, agg, counts):
 
 
 def _pool(p, f, plan):
-    """[R x D]: each segment's rows of f summed with their weights p.
+    """[... x R x D]: each segment's rows of f [... x N x D] summed with
+    their weights p (one vector over the stacked rows), block by block,
+    each block by its own products.
 
-    One segment is the [1 x N] product p f. Segments of one size are
+    One segment is the one-row product p f. Segments of one size are
     pooled by one stacked matmul over a reshape view of the rows, each
     segment's weight row (repeated twice) by its own rows. Segments of
     different sizes are pooled by one matmul with the block-diagonal
@@ -458,13 +507,16 @@ def _pool(p, f, plan):
     elsewhere. Laying such segments out in a zero-padded grid instead
     would hold R times the largest segment's rows, many times N on a
     skewed layout, and pooling each size on its own costs several BLAS
-    calls, more than this one product on a layout of a few regions.
+    calls, more than this one product on a layout of a few regions. The
+    case is the layout's, the same for every block of a stack: pooling a
+    one-segment layout as an even one would round differently.
     """
-    n_seg = plan.starts.size
+    lead = f.shape[:-2]
+    n_seg = plan.n_seg
     if n_seg == 1:
-        return p[None] @ f
+        return p.reshape(lead + (1, -1)) @ f
     if plan.even:
-        w = p.reshape(n_seg, 1, -1)
+        w = p.reshape(lead + (n_seg, 1, -1))
         # Two weight rows, not one: numpy sends a one-row matmul to gemv and
         # a two-row one to gemm. With OpenBLAS, gemm sums each segment's
         # products in row order, as the block-diagonal product does while
@@ -472,28 +524,33 @@ def _pool(p, f, plan):
         # nothing), so the pooled rows keep that product's bits; gemv rounds
         # differently. A block-diagonal product large enough to be blocked
         # may split a segment's sum, and differ in the last bits.
-        return (np.concatenate((w, w), axis=1) @ f.reshape(n_seg, w.shape[2], -1))[:, 0]
-    weights = np.zeros((n_seg, p.size))
+        rows = f.reshape(lead + (n_seg, w.shape[-1], -1))
+        return (np.concatenate((w, w), axis=-2) @ rows)[..., 0, :]
+    weights = np.zeros(lead + (n_seg, f.shape[-2]))
     weights.reshape(-1)[plan.scatter] = p
     return weights @ f
 
 
 def aggregate(features, agg, counts=None):
     """Attention-weighted sum of the rows of each segment, an [R x D] tangent
-    feature with one row per segment.
+    feature with one row per segment, or [... x R x D] for a stack of
+    [... x N x D] blocks of one layout, each block pooled by its own
+    products (`_attention`, `_pool`), so bit for bit as it is pooled alone.
 
     The one pooling function of both levels: patches into regions (one
     segment per region) and regions into the slide (one segment). One fused
     node over (features, w1, w2) computes the scores of all rows, the
     segment softmax and the pooling matmul (`_pool`), so a slide's pooling
-    costs one node whatever its number of regions. The segments' ids,
-    starts and weight positions are a `segment_plan`, worked out and
-    checked once per distinct layout, and the scores and softmax run in
-    place (`_attention`).
+    costs one node whatever its number of regions, and so does a stack's.
+    The segments' ids, starts and weight positions are a `segment_plan`,
+    worked out and checked once per distinct layout and block count, and
+    the scores and softmax run in place (`_attention`).
     The backward takes each row's weight gradient g_block = rowsum(g[seg] * f),
     the softmax backward g_s = p * (g_block - segsum(p * g_block)), and
     through the tanh layer g_pre = (w2 g_s) * (1 - hidden^2); the features
-    get p * g[seg] + g_pre' w1.
+    get p * g[seg] + g_pre' w1, block by block, and the weights the sums
+    over the blocks of each block's own products (`_block_sum`). One block
+    runs these expressions as they stand, with no axis to reshape.
     """
     f = features.data
     hidden, plan, p = _attention(features, agg, counts)
@@ -501,12 +558,17 @@ def aggregate(features, agg, counts=None):
     w1, w2 = agg.w1.data, agg.w2.data
 
     def backward(g):
-        g_rows = g[seg]
-        g_block = (g_rows * f).sum(axis=1)
+        g_rows = _rows(g)[seg]
+        g_block = (g_rows * _rows(f)).sum(axis=1)
         g_s = p * (g_block - np.add.reduceat(p * g_block, starts)[seg])
+        if f.ndim == 2:
+            g_pre = (w2 * g_s) * (1.0 - hidden * hidden)
+            return (p[:, None] * g_rows + g_pre.T @ w1, g_pre @ f,
+                    (g_s[None] @ hidden.T).T)
+        g_s = g_s.reshape(f.shape[:-2] + (1, -1))  # [... x 1 x N]
         g_pre = (w2 * g_s) * (1.0 - hidden * hidden)
-        return (p[:, None] * g_rows + g_pre.T @ w1, g_pre @ f,
-                (g_s[None] @ hidden.T).T)
+        return ((p[:, None] * g_rows).reshape(f.shape) + g_pre.mT @ w1,
+                _block_sum(g_pre @ f), _block_sum(g_s @ hidden.mT).T)
 
     return ad.fused("aggregate", _pool(p, f, plan),
                     (features, agg.w1, agg.w2), backward)
@@ -589,33 +651,65 @@ def text_level(text, level):
     return geo.Points(text.space[text_rows(text.count, level)], text.cfg)
 
 
-def slide_tangents(bag, params):
-    """The (slide, regions, patches) tangent features of one bag, [1 x k],
-    [N_r x k] and [sum N_p x k] nodes, none of them mapped.
+def same_layout(bags, check):
+    """The region sizes all of `bags` share, once each bag, in order, has
+    passed `check(bag)` and holds the sizes of the first; a bag of another
+    layout is a ShapeError naming it and the first. No bags is a
+    ShapeError."""
+    if not bags:
+        raise ShapeError("no bags to stack")
+    sizes = bags[0].sizes
+    for bag in bags:
+        check(bag)
+        if bag is not bags[0] and bag.sizes.tobytes() != sizes.tobytes():
+            raise ShapeError(f"slide {bag.slide_id} has regions of "
+                             f"{bag.sizes.tolist()} patches, not the "
+                             f"{sizes.tolist()} of slide {bags[0].slide_id}")
+    return sizes
 
-    The bag's block is cast to float64 once and its stored layout is used
-    as it is: no per-region loop, concatenation or bounds run here. A bag
-    without regions or with an empty region raises EmptyBagError, and one
-    whose patches are not `d_in` wide raises ShapeError (`FeatureBag.check`).
+
+def slide_tangents(bags, params):
+    """The (slide, regions, patches) tangent features of B bags of one
+    layout, [B x 1 x k], [B x N_r x k] and [B x sum N_p x k] nodes, none of
+    them mapped; row b of each is bags[b]'s. One bag runs as the [N x d_in]
+    block it is, with no bag axis: its nodes are [1 x k], [N_r x k] and
+    [sum N_p x k], and its graph is the one-bag graph, with no reshape of a
+    leading axis, for the one-bag callers (`embed_slide`, `predict`).
+
+    The bags are checked in order before anything is stacked: a bag
+    without regions or with an empty region raises EmptyBagError, one
+    whose patches are not `d_in` wide ShapeError (`FeatureBag.check`), and
+    one of another layout than the first ShapeError (`same_layout`), each
+    naming the slide. The patch blocks, all of one shape, are then cast to
+    float64 by one call (several bags are stacked by it into one
+    [B x N x d_in] array), and the stored layout is used as it is: no
+    per-region loop, concatenation or bounds run here. One adaptor node and
+    two `aggregate` nodes cover all B bags, and each runs every forward
+    product once per bag, the call that bag gets alone; none takes the rows
+    of several bags, so each bag's tangents are bit for bit those of a pass
+    of its own.
     """
-    bag.check(params.dims.d_in)
-    patch_tan = params.adaptor_i(ad.Tensor(bag.patches.astype(np.float64)))
-    region_tan = aggregate(patch_tan, params.agg_region, bag.sizes)
+    sizes = same_layout(bags, lambda bag: bag.check(params.dims.d_in))
+    if len(bags) == 1:
+        patches = bags[0].patches.astype(np.float64)
+    else:
+        patches = np.array([bag.patches for bag in bags], dtype=np.float64)
+    patch_tan = params.adaptor_i(ad.Tensor(patches))
+    region_tan = aggregate(patch_tan, params.agg_region, sizes)
     return aggregate(region_tan, params.agg_slide), region_tan, patch_tan
 
 
 def embed_slide(bag, params, geom):
     """Hyperbolic embeddings of one slide at all levels plus class text.
 
-    The slide, region and patch tangents (`slide_tangents`) and the
-    class-text tangents (the text adaptor over
-    `ClassSemanticsTable.features`) are stacked in that order by one
-    "stack" node and mapped by one `exp_map_origin` call, here: the
-    returned `EmbeddingSet` holds that one space, which the loss node reads
-    whole. Scoring maps no image level, so it calls `slide_tangents` and
-    not this.
+    The slide, region and patch tangents (`slide_tangents` of the one bag)
+    and the class-text tangents (the text adaptor over
+    `ClassSemanticsTable.features`) are stacked in that order by one "stack"
+    node and mapped by one `exp_map_origin` call, here: the returned
+    `EmbeddingSet` holds that one space, which the loss node reads whole.
+    Scoring maps no image level, so it calls `slide_tangents` and not this.
     """
-    image = slide_tangents(bag, params)
+    image = slide_tangents([bag], params)
     text = params.adaptor_t(params.semantics.features())
     return EmbeddingSet(geo.exp_map_origin(_stack(image + (text,)), geom), bag.sizes)
 

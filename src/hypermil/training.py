@@ -32,7 +32,7 @@ from .errors import (
 from .geometry import GeometryConfig
 from .losses import LossConfig, _loss, cls_loss, cone_plan, total_loss
 from .model import (HierarchyLevel, ModelDims, aggregate, embed_slide, init_params,
-                    segment_plan)
+                    same_layout, segment_plan)
 
 log = logging.getLogger(__name__)
 
@@ -177,20 +177,13 @@ def select_top_k(bags, class_vectors, k):
     before they are stacked: a label outside [0, C) for C class vectors is
     a ShapeError, a bag `slide_tangents` would refuse (`FeatureBag.check`)
     is refused here first, and so is a bag of another layout than the first
-    (ShapeError).
+    (ShapeError, `model.same_layout`).
     """
     if not bags:
         raise ShapeError("select_top_k needs at least one bag")
     vectors = np.asarray(class_vectors, dtype=np.float64)
     n_classes, width = vectors.shape
-    sizes = bags[0].sizes
-    layout = sizes.tobytes()
-    for bag in bags:
-        _check(bag, n_classes, width)
-        if bag.sizes.tobytes() != layout:
-            raise ShapeError(f"slide {bag.slide_id} has regions of "
-                             f"{bag.sizes.tolist()} patches, not the "
-                             f"{sizes.tolist()} of slide {bags[0].slide_id}")
+    sizes = same_layout(bags, lambda bag: _check(bag, n_classes, width))
     patches = np.stack([bag.patches for bag in bags], dtype=np.float64)
     labels = [bag.label for bag in bags]
     # the norm of each class vector taken alone, as one bag's ranking takes

@@ -126,6 +126,23 @@ def test_train_reports_seed_and_checkpoint(workdir, bundle_path, capsys):
     assert out.exists()
 
 
+@pytest.mark.parametrize("layout", [["--patches", "1"], ["--regions", "1"]],
+                         ids=["one-patch-regions", "one-region"])
+def test_layouts_with_one_row_pools_train_without_skips(workdir, capsys, layout):
+    # a one-patch region pools to its patch and a one-region slide to its
+    # region, bit for bit; under the default loss weights those pairs are a
+    # point in its own cone, not a degenerate step
+    path = workdir / f"one-{layout[0][2:]}.bundle"
+    assert main(["gen", "--slides-per-class", "4", *layout, "--out", str(path)]) == 0
+    cfg = workdir / "two-epochs.json"
+    cfg.write_text(json.dumps({"epochs": 2}))
+    capsys.readouterr()
+    code = main(["train", "--data", str(path), "--config", str(cfg),
+                 "--out", str(workdir / f"one-{layout[0][2:]}.ckpt")])
+    assert code == 0, capsys.readouterr().err
+    assert " skipped=0 " in capsys.readouterr().out
+
+
 def test_train_rejects_unknown_config_key(workdir, bundle_path, capsys):
     cfg = workdir / "bad.json"
     cfg.write_text(json.dumps({"epochs": 1, "bogus": 3}))

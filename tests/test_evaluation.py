@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import hashlib
+import itertools
 import multiprocessing
 from dataclasses import replace
 
@@ -14,7 +15,8 @@ from hypermil import evaluation as ev
 from hypermil import geometry as geo
 from hypermil import training
 from hypermil.data import Bundle, FeatureBag, SyntheticSpec, generate, make_splits
-from hypermil.errors import ConfigError, MetricError, NumericalError, TrainingError
+from hypermil.errors import (ConfigError, EmptyBagError, MetricError, NumericalError,
+                             ShapeError, TrainingError)
 from hypermil.model import (HierarchyLevel, ModelDims, embed_text, init_params,
                             slide_tangents, text_level)
 from hypermil.training import TrainConfig
@@ -413,9 +415,9 @@ def test_predict_maps_only_the_slide(monkeypatch):
     # the class text of all three levels, then the slide alone
     assert calls == [(3 * 2, 4), (1, 4)]
 
-    # evaluate over N bags: one text embedding, N per-bag tangent graphs, and
-    # one map of the class text of all three levels, then one of every slide
-    # at once
+    # evaluate over N bags of one layout: one text embedding, one stacked
+    # tangent pass, and one map of the class text of all three levels, then
+    # one of every slide at once
     embedded = {"embed_text": 0, "slide_tangents": 0}
 
     def counting(name, fn):
@@ -430,7 +432,7 @@ def test_predict_maps_only_the_slide(monkeypatch):
     calls.clear()
     n = len(bundle.bags)
     ev.evaluate(bundle.bags, params, geom)
-    assert embedded == {"embed_text": 1, "slide_tangents": n}
+    assert embedded == {"embed_text": 1, "slide_tangents": 1}
     assert calls == [(3 * 2, 4), (n, 4)]
 
 
@@ -495,11 +497,12 @@ def test_evaluate_rows_equal_predict_at_the_wide_shape():
 
 
 def _looped_scores(bags, params, geom):
-    """The [B x C] scores of `_scores`, with the distances taken by one
-    `geodesic_core` call per slide row: the oracle of the stacked call."""
+    """The [B x C] scores of `_scores`, with one `slide_tangents` pass per
+    bag and the distances taken by one `geodesic_core` call per slide row:
+    the oracle of the stacked passes and the stacked call."""
     with ad.no_grad():
         text = embed_text(params, geom)
-        tangents = np.concatenate([slide_tangents(bag, params)[0].data
+        tangents = np.concatenate([slide_tangents([bag], params)[0].data
                                    for bag in bags])
         slides = geo.rows(geo.exp_map_origin(tangents, geom).space.data, geom)
         anchors = geo.rows(text_level(text, HierarchyLevel.SLIDE).space.data, geom)
@@ -548,6 +551,104 @@ def test_evaluate_rows_equal_predict_with_one_patch_and_one_region_bags():
     bags = [one_patch, *bundle.bags[:2], one_region, *bundle.bags[2:]]
     params = init_params(WIDE_DIMS, 3, bundle.class_vectors)
     _assert_rows_equal_predict(bags, params, TrainConfig().geometry())
+
+
+def _mixed_layout_bags():
+    """Bags of three layouts, interleaved: 4 x 16, 2 x 16 and a ragged one,
+    with both classes in each."""
+    rng = np.random.default_rng(41)
+    even = generate(replace(WIDE_SPEC, slides_per_class=3, n_regions=4)).bags
+    few = [replace(bag, slide_id=f"few-{b}") for b, bag in enumerate(
+        generate(replace(WIDE_SPEC, slides_per_class=2, n_regions=2)).bags)]
+    ragged = [FeatureBag(f"ragged-{b}", b % 2, "x",
+                         [rng.standard_normal((n, 32)) for n in (1, 3, 7)])
+              for b in range(4)]
+    return [bag for trio in itertools.zip_longest(even, few, ragged)
+            for bag in trio if bag is not None]
+
+
+def test_evaluate_over_mixed_layouts_keeps_input_order():
+    bags = _mixed_layout_bags()
+    params = init_params(WIDE_DIMS, 42, generate(WIDE_SPEC).class_vectors)
+    geom = TrainConfig().geometry()
+    _, _, scores, labels = ev.evaluate(bags, params, geom)
+    assert labels.tolist() == [bag.label for bag in bags]
+    for bag, row in zip(bags, scores):
+        assert np.array_equal(row, ev.predict(bag, params, geom)), bag.slide_id
+    # reversed input, reversed rows
+    assert np.array_equal(ev.evaluate(bags[::-1], params, geom)[2], scores[::-1])
+
+
+def test_scoring_passes_under_the_cap_give_the_same_rows(monkeypatch):
+    bags = _mixed_layout_bags()
+    params = init_params(WIDE_DIMS, 43, generate(WIDE_SPEC).class_vectors)
+    geom = TrainConfig().geometry()
+    passes = []
+    tangents = ev.slide_tangents
+
+    def counted(group, p):
+        passes.append([bag.slide_id for bag in group])
+        return tangents(group, p)
+
+    monkeypatch.setattr(ev, "slide_tangents", counted)
+    whole = ev._scores(bags, params, geom)
+    # one pass per layout, each in input order
+    assert passes == [[bag.slide_id for bag in bags if bag.sizes.tolist() == sizes]
+                      for sizes in ([16] * 4, [16] * 2, [1, 3, 7])]
+    # 9 bags of 4 x 16 x 32 entries, 6 of 2 x 16 x 32 and 4 of 11 x 32: two
+    # of the largest per pass, or one, and a cap below every bag, which
+    # leaves each bag a pass of its own
+    assert [len(group) for group in passes] == [9, 6, 4]
+    one_bag = bags[0].patches.size
+    for cap, n_passes in ((2 * one_bag, 5 + 2 + 1), (one_bag, 9 + 3 + 1),
+                          (1, len(bags))):
+        monkeypatch.setattr(ev, "_PASS_ENTRIES", cap)
+        passes.clear()
+        assert np.array_equal(ev._scores(bags, params, geom), whole), cap
+        assert len(passes) == n_passes, cap
+
+
+def test_ragged_pooling_weights_count_in_the_pass_cap(monkeypatch):
+    # a ragged layout pools by [B x R x N] block-diagonal weights; with more
+    # regions than features those, not the patch block, are the largest
+    # array of a pass and set how many bags share it
+    rng = np.random.default_rng(45)
+    sizes = [1, 2, 3] * 20  # 60 regions of 120 patches; 60 > d_in = 32 > k
+    ragged = [FeatureBag(f"ragged-{b}", b % 2, "x",
+                         [rng.standard_normal((n, 32)) for n in sizes])
+              for b in range(6)]
+    even = [FeatureBag(f"even-{b}", b % 2, "x",
+                       [rng.standard_normal((2, 32)) for _ in range(60)])
+            for b in range(6)]
+    bags = ragged + even
+    params = init_params(WIDE_DIMS, 46)
+    geom = TrainConfig().geometry()
+    whole = ev._scores(bags, params, geom)
+    # room for two [60 x 120] pooling weights, or three [120 x 32] patch
+    # blocks: the ragged bags pass two at a time, the even ones three
+    monkeypatch.setattr(ev, "_PASS_ENTRIES", 2 * 60 * 120)
+    assert [len(group) for group in ev._passes(bags, WIDE_DIMS)] == [2, 2, 2, 3, 3]
+    assert np.array_equal(ev._scores(bags, params, geom), whole)
+    # a lone bag is a pass of its own, whatever the cap
+    monkeypatch.setattr(ev, "_PASS_ENTRIES", 1)
+    assert list(ev._passes(bags[:1], WIDE_DIMS)) == [[0]]
+
+
+def test_scoring_a_bag_a_pass_refuses_is_a_typed_error():
+    bundle = generate(replace(WIDE_SPEC, slides_per_class=2, n_regions=4))
+    params = init_params(WIDE_DIMS, 44, bundle.class_vectors)
+    geom = TrainConfig().geometry()
+    # the same layout as the others, but 33 features wide; and, later, one
+    # with an empty region
+    wide = FeatureBag("wide", 0, "x", [np.zeros((16, 33))] * 4)
+    empty = FeatureBag("empty", 1, "x", [np.zeros((16, 32))] * 3 + [np.zeros((0, 32))])
+    bags = bundle.bags[:2] + [wide] + bundle.bags[2:] + [empty]
+    with pytest.raises(ShapeError, match=r"^slide wide region 0 is not a \[patches"):
+        ev.evaluate(bags, params, geom)
+    with pytest.raises(EmptyBagError, match="^slide empty region 3 has no patches"):
+        ev.evaluate(bags[:2] + bags[3:], params, geom)
+    with pytest.raises(ShapeError, match="^slide wide "):
+        ev.predict(wide, params, geom)
 
 
 def test_evaluate_without_bags_is_a_metric_error():

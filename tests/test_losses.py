@@ -406,6 +406,45 @@ def _cone_plan_reference(sizes, n_classes, label, selections, lambda_a, lambda_s
                        _flats(cones, phi))
 
 
+def _entailment_pairs(plan):
+    """{(u, v): weight} of the entailment pairs of a plan, as stacked rows."""
+    flat, _, weights = plan.cones[0]
+    n_rows = plan.stops[-1]
+    pairs = list(zip(plan.apex[flat // n_rows].tolist(), (flat % n_rows).tolist()))
+    assert len(set(pairs)) == len(pairs)
+    return dict(zip(pairs, weights.tolist()))
+
+
+@pytest.mark.parametrize("sizes, left_out", [
+    ([1, 3, 7], [(1, 4)]),
+    ([1], [(0, 1), (1, 2)]),
+    ([5], [(0, 1)]),
+    ([16] * 4, []),
+], ids=["ragged-1-3-7", "one-region-one-patch", "one-region", "4x16"])
+def test_cone_plan_leaves_out_exactly_the_pairs_the_layout_makes_coincide(
+        sizes, left_out):
+    # a one-region slide's slide over its region, and a one-patch region
+    # over its patch: every other pair keeps its place and its weight, and
+    # so do the contradiction and alignment pairs
+    n_regions = len(sizes)
+    sel = {HierarchyLevel.SLIDE: np.array([0]),
+           HierarchyLevel.REGION: np.arange(n_regions)[::-1][:2],
+           HierarchyLevel.PATCH: np.unique([0, sum(sizes) - 1])}
+    for weights in ((0.0, 10.0), (1.0, 10.0)):
+        got = _plan(sizes, 3, 1, sel, *weights)
+        want = _cone_plan_reference(sizes, 3, 1, sel, *weights)
+        got_pairs, all_pairs = _entailment_pairs(got), _entailment_pairs(want)
+        assert sorted(set(all_pairs) - set(got_pairs)) == left_out
+        assert got_pairs == {pair: w for pair, w in all_pairs.items()
+                             if pair not in left_out}
+        assert np.array_equal(got.apex, want.apex)
+        for got_set, want_set in zip(got.cones[1:] + got.phi,
+                                     want.cones[1:] + want.phi):
+            for g, w in zip(got_set, want_set):
+                assert np.array_equal(g, w)
+        assert np.array_equal(got.ama_weights, want.ama_weights)
+
+
 def _assert_same_plan(got, want):
     """Every field of two plans equal, array for array and dtype for dtype."""
     def same(g, w):
@@ -566,11 +605,18 @@ def _con_matrix(u, v):
 def _looped_shc_total(emb, label, selections):
     """shc_total with the region->patch term as one [1 x n_r] matrix per
     region and the text->image terms as one pair of matrices per level,
-    the reference for the masked and stacked forms."""
-    parts = [_ent_matrix(emb.slide, emb.regions).mean()]
+    the reference for the masked and stacked forms. The slide over the
+    region of a one-region slide, and a one-patch region over its patch,
+    coincide by the layout once pooled, and a point lies in its own cone:
+    their penalty is a constant 0, counted in its term's mean, whatever
+    the rows hold."""
+    zero = ad.Tensor(np.zeros((1, 1)))
+    parts = [_ent_matrix(emb.slide, emb.regions).mean() if len(emb.sizes) > 1
+             else zero.mean()]
     per_region = [
         _ent_matrix(geo.select(emb.regions, [r]),
                     geo.select(emb.patches, np.arange(start, stop)))
+        if stop - start > 1 else zero
         for r, (start, stop) in enumerate(_spans(emb.sizes))
     ]
     parts.append(_concat(per_region, axis=1).mean())
@@ -596,9 +642,12 @@ def _looped_shc_total(emb, label, selections):
 
 def _equivalence_cases():
     """(name, embeddings, label, selections) for the stacked-versus-looped
-    comparisons: collinear, violated, random, uneven regions, an empty
-    patch selection, two classes (once with an active contradiction term)
-    and one class."""
+    comparisons: collinear, violated, random, uneven regions (one of them a
+    one-patch region), an empty patch selection, two classes (once with an
+    active contradiction term), one class, one region, and one region of
+    one patch. The rows of a one-patch region or a one-region slide do not
+    coincide here, as pooling would make them: the left-out pairs are left
+    out by the layout alone."""
     rng = np.random.default_rng(35)
     violated = _with_row(_collinear_embeddings(), "slide", 0, [-2.5, 0.3])
     # the slide sits near the wrong class's ray: contradiction is active
@@ -621,6 +670,12 @@ def _equivalence_cases():
         ("two-class", _random_embeddings(rng, n_classes=2), 1, partial),
         ("two-class-violated", violated_two, 0, _full_selection()),
         ("one-class", _collinear_embeddings(n_classes=1), 0, _full_selection()),
+        ("one-region", _random_embeddings(rng, sizes=(4,)), 1,
+         {HierarchyLevel.SLIDE: np.array([0]), HierarchyLevel.REGION: np.array([0]),
+          HierarchyLevel.PATCH: np.array([3, 0])}),
+        ("one-region-one-patch", _random_embeddings(rng, sizes=(1,)), 2,
+         {HierarchyLevel.SLIDE: np.array([0]), HierarchyLevel.REGION: np.array([0]),
+          HierarchyLevel.PATCH: np.array([0])}),
     ]
 
 
@@ -772,13 +827,14 @@ def test_ama_total_empty_patch_level_contributes_zero():
     assert_allclose(full - reduced, img_term.item() + txt_term.item(), rtol=1e-9)
 
 
-def _random_embeddings(rng, n_classes=3):
+def _random_embeddings(rng, n_classes=3, sizes=(2, 2)):
     g2 = geo.GeometryConfig(1.0, 2)
     patches, regions, slide, text = (rng.normal(size=(n, 2)) * scale for n, scale in
-                                     ((4, 0.8), (2, 0.6), (1, 0.5), (3 * n_classes, 0.4)))
+                                     ((sum(sizes), 0.8), (len(sizes), 0.6), (1, 0.5),
+                                      (3 * n_classes, 0.4)))
     return EmbeddingSet(
         geo.exp_map_origin(np.concatenate([slide, regions, patches, text]), g2),
-        np.array([2, 2]))
+        np.array(sizes))
 
 
 def test_total_loss_weights():

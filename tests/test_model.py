@@ -311,6 +311,14 @@ def test_segment_plan_once_per_layout():
     # segments of one size, which `aggregate` pools by a reshape view
     assert md.segment_plan(None, 4).even is True
     assert md.segment_plan([2, 2, 2], 6).even is True
+    # two blocks of the layout laid end to end: segment ids, starts and
+    # places in two [3 x 6] block weights run on into the second block
+    stacked = md.segment_plan([1, 3, 2], 6, 2)
+    assert_array_equal(stacked.seg, [0, 1, 1, 1, 2, 2, 3, 4, 4, 4, 5, 5])
+    assert_array_equal(stacked.starts, [0, 1, 4, 6, 7, 10])
+    assert_array_equal(stacked.scatter, [0, 7, 8, 9, 16, 17, 18, 25, 26, 27, 34, 35])
+    assert (stacked.even, stacked.n_seg, plan.n_seg) == (False, 3, 3)
+    assert md._segment_plan.cache_info().misses == 4
 
 
 def test_slide_tangents_plan_each_layout_once():
@@ -319,10 +327,10 @@ def test_slide_tangents_plan_each_layout_once():
     md._segment_plan.cache_clear()
     # two bags of one layout: its patch and region layouts, one miss each
     for _ in range(2):
-        md.slide_tangents(_bag(rng), params)
+        md.slide_tangents([_bag(rng)], params)
     assert md._segment_plan.cache_info()[:2] == (2, 2)
     # a second layout: two more
-    md.slide_tangents(_bag(rng, n_regions=3), params)
+    md.slide_tangents([_bag(rng, n_regions=3)], params)
     assert md._segment_plan.cache_info()[:2] == (2, 4)
 
 
@@ -370,7 +378,7 @@ def test_embed_slide_maps_every_level_once():
     params = md.init_params(DIMS, 15)
     bag = _bag(np.random.default_rng(8), n_regions=3, n_patches=4)
     emb = md.embed_slide(bag, params, GEOM)
-    slide_tan, region_tan, patch_tan = md.slide_tangents(bag, params)
+    slide_tan, region_tan, patch_tan = md.slide_tangents([bag], params)
     # each level's rows are, bit for bit, a map of its own level's tangents
     for got, tangent in ((emb.slide, slide_tan), (emb.regions, region_tan),
                          (emb.patches, patch_tan)):
@@ -390,16 +398,114 @@ def test_embed_slide_maps_every_level_once():
 def test_slide_tangents_are_the_pooled_adaptor_rows():
     params = md.init_params(DIMS, 16)
     bag = _bag(np.random.default_rng(10), n_regions=3, n_patches=4)
-    slide_tan, region_tan, patch_tan = md.slide_tangents(bag, params)
+    slide_tan, region_tan, patch_tan = md.slide_tangents([bag], params)
     raw = ad.Tensor(np.concatenate(bag.regions, axis=0, dtype=np.float64))
     want_patches = params.adaptor_i(raw)
     want_regions = md.aggregate(want_patches, params.agg_region, [4, 4, 4])
     want_slide = md.aggregate(want_regions, params.agg_slide)
+    # a pass of one bag runs its own [N x d_in] block: no bag axis
     for got, want in ((slide_tan, want_slide), (region_tan, want_regions),
                       (patch_tan, want_patches)):
+        assert got.shape == want.shape
         assert np.array_equal(got.data, want.data)
     assert [t._op for t in (slide_tan, region_tan, patch_tan)] == [
         "aggregate", "aggregate", "adaptor"]
+
+
+# region layouts of the stacked-pass checks: even, ragged, skewed, one
+# region, and one-patch regions
+STACK_LAYOUTS = {
+    "4x16": [16] * 4, "8x7": [7] * 8, "10x37": [37] * 10, "3x100": [100] * 3,
+    "32x16": [16] * 32, "2x1000": [1000] * 2, "ragged-1-3-7": [1, 3, 7],
+    "skewed": [250, 20, 260, 3],
+    "ragged-32": np.random.default_rng(31).integers(8, 25, 32).tolist(),
+    "one-region": [40], "one-patch-regions": [1] * 6,
+}
+
+
+def _layout_bags(rng, sizes, n_bags, d_in):
+    return [FeatureBag(f"s{b}", 0, "x", [rng.normal(size=(n, d_in)).astype(np.float32)
+                                         for n in sizes])
+            for b in range(n_bags)]
+
+
+@pytest.mark.parametrize("d_in", [32, 128])
+@pytest.mark.parametrize("layout", list(STACK_LAYOUTS))
+def test_stacked_slide_tangents_equal_one_pass_per_bag(layout, d_in):
+    # every product of a stacked pass is the one its bag gets alone, so each
+    # bag's slide, region and patch tangents keep the bits of the one-bag
+    # graph (no bag axis) whatever B is
+    params = md.init_params(md.ModelDims(d_in=d_in, k=16, n_classes=3), 13)
+    rng = np.random.default_rng(14)
+    with ad.no_grad():
+        for n_bags in (2, 17):
+            bags = _layout_bags(rng, STACK_LAYOUTS[layout], n_bags, d_in)
+            stacked = md.slide_tangents(bags, params)
+            for b, bag in enumerate(bags):
+                alone = md.slide_tangents([bag], params)
+                for got, want in zip(stacked, alone):
+                    assert np.array_equal(got.data[b], want.data), (n_bags, b)
+
+
+def test_a_stacked_pass_is_three_nodes_over_the_leaves():
+    # one adaptor and two aggregates, whatever the number of bags; one bag
+    # has no bag axis
+    params = md.init_params(DIMS, 21)
+    rng = np.random.default_rng(22)
+    for n_bags, lead in ((1, ()), (5, (5,))):
+        slide_tan, region_tan, patch_tan = md.slide_tangents(
+            _layout_bags(rng, [3, 3], n_bags, 8), params)
+        assert slide_tan.shape == (*lead, 1, 4)
+        assert region_tan.shape == (*lead, 2, 4) and patch_tan.shape == (*lead, 6, 4)
+        assert [slide_tan._op, slide_tan._parents[0]._op,
+                slide_tan._parents[0]._parents[0]._op] == [
+            "aggregate", "aggregate", "adaptor"]
+
+
+@pytest.mark.parametrize("counts", [[1, 3, 2], [3, 3], None],
+                         ids=["ragged", "even", "one-segment"])
+def test_a_stacked_pass_has_the_gradients_of_its_bags(counts):
+    # each block's input gradient is bit for bit its own pass's; a weight's
+    # gradient is the sum over the blocks, taken over all their rows at once
+    params = md.init_params(DIMS, 25)
+    rng = np.random.default_rng(26)
+    blocks = rng.normal(size=(3, 6, 8))
+    probe = rng.normal(size=(3, 1 if counts is None else len(counts), 4))
+
+    def grads(x, probe):
+        params.zero_grads()
+        leaf = ad.Tensor(x, requires_grad=True)
+        out = md.aggregate(params.adaptor_i(leaf), params.agg_region, counts)
+        (out * ad.Tensor(probe)).sum().backward()
+        return leaf.grad, params.grad.copy()
+
+    stacked_x, stacked_w = grads(blocks, probe)
+    alone = [grads(block, block_probe) for block, block_probe in zip(blocks, probe)]
+    for b, (alone_x, _) in enumerate(alone):
+        assert np.array_equal(stacked_x[b], alone_x), b
+    assert_allclose(stacked_w, sum(w for _, w in alone), rtol=1e-12, atol=1e-15)
+    assert np.any(stacked_w != 0.0)
+
+
+def test_a_stacked_pass_refuses_a_bag_before_stacking():
+    params = md.init_params(DIMS, 23)
+    rng = np.random.default_rng(24)
+    good = _layout_bags(rng, [3, 3], 2, 8)
+    wide = FeatureBag("wide", 0, "x", [np.zeros((3, 9))] * 2)
+    other = FeatureBag("other", 0, "x", [np.zeros((2, 8)), np.zeros((4, 8))])
+    empty = FeatureBag("empty", 0, "x", [np.zeros((3, 8)), np.zeros((0, 8))])
+    cases = ((wide, ShapeError, r"^slide wide region 0 is not a \[patches x 8\]"),
+             (other, ShapeError, r"^slide other has regions of \[2, 4\] patches, "
+                                 r"not the \[3, 3\] of slide s0"),
+             (empty, EmptyBagError, "^slide empty region 1 has no patches"))
+    for bad, error, message in cases:
+        with pytest.raises(error, match=message):
+            md.slide_tangents([good[0], bad, good[1]], params)
+    # the first bag at fault is the one named
+    with pytest.raises(ShapeError, match="^slide wide "):
+        md.slide_tangents([good[0], wide, other], params)
+    with pytest.raises(ShapeError, match="no bags"):
+        md.slide_tangents([], params)
 
 
 def test_embed_slide_errors():
