@@ -9,14 +9,14 @@ Every graph node, generic or fused, is one `fused(op, data, parents,
 backward)` call: the caller computes the forward value in numpy and gives
 a backward that returns one gradient per parent, and `fused` guards,
 records and accumulates. The generic primitives are glue: broadcasting
-`add`, `sub` and `mul`, `scalar_mul`, `reshape`, `tensor_sum`,
-`tensor_mean` and `getitem`. The library composes them where no fused
-node is worth writing, such as the aggregation probe of
+`add`, `sub` and `mul`, `scalar_mul`, `tensor_sum`, `tensor_mean` and
+`getitem`, with `Tensor`'s operators, indexing, `sum` and `mean` as their
+method forms. The library composes them where no fused node is worth
+writing, such as the aggregation probe of
 `training.gradient_check_suite`, and so do the looped reference oracles
 that the tests check the fused nodes against; `as_tensor` turns any other
-value into a constant leaf. The math itself lives in
-named fused nodes, each computing its forward and hand-derived backward
-in numpy:
+value into a constant leaf. The math itself lives in named fused nodes,
+each computing its forward and hand-derived backward in numpy:
   * the hyperbolic primitives in `geometry` (`exp_map_origin`, `geodesic`,
     `exterior_angle`, `angle_distance`, `half_aperture`),
   * the two softmax NLLs, the two cone penalties and the per-slide loss
@@ -154,18 +154,13 @@ class Tensor:
     def __getitem__(self, idx):
         return getitem(self, idx)
 
-    # -- method forms of the shape/reduction primitives ----------------------
+    # -- method forms of the reduction primitives ----------------------------
 
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims=False):
         return tensor_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
 
 def as_tensor(x):
@@ -283,18 +278,7 @@ def guarded_rsqrt(mask, denom_sq):
     return np.where(mask, 1.0 / np.sqrt(safe), 0.0)
 
 
-# -- shape / reduction ops ------------------------------------------------
-
-
-def reshape(a, shape):
-    try:
-        data = a.data.reshape(shape)
-    except ValueError:
-        raise ShapeError(
-            f"reshape: cannot reshape {a.data.shape} into {tuple(shape)}"
-        ) from None
-    src = a.data.shape
-    return fused("reshape", data, (a,), lambda g: (g.reshape(src),))
+# -- reduction and indexing ops -------------------------------------------
 
 
 def _reduce(op, a, axis, keepdims):

@@ -21,7 +21,7 @@ import numpy as np
 from . import evaluation, training
 from .data import SyntheticSpec, generate, make_splits, read_bundle, write_bundle
 from .errors import HypermilError, SplitError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_json
 from .geometry import GeometryConfig
 from .model import load_checkpoint, params_from_checkpoint, save_checkpoint
 
@@ -158,11 +158,7 @@ def _cmd_train(args):
 def _split_bags(path, bundle):
     """The bags a split file names: a non-empty JSON list of distinct slide
     ids."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            wanted = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # nested too deeply
-            raise SplitError(f"{path} is not valid JSON: {exc}") from None
+    wanted = read_json(path, SplitError)
     if not isinstance(wanted, list) or not all(isinstance(i, str) for i in wanted):
         raise SplitError(f"{path} must hold a JSON list of slide ids")
     if not wanted:

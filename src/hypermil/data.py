@@ -44,7 +44,6 @@ check of each slide's block.
 
 import itertools
 import json
-import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -62,7 +61,7 @@ from .errors import (
     TruncatedPayloadError,
     VersionError,
 )
-from .fileio import atomic_write_bytes, atomic_write_text
+from .fileio import atomic_write_bytes, atomic_write_text, read_json
 
 _BUNDLE_MAGIC = b"HPFB1"
 _BUNDLE_VERSION = 1
@@ -364,11 +363,7 @@ def read_bundle(path):
         )
 
     where = manifest_path(path)
-    with open(where, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # nested too deeply
-            raise FormatError(f"{where} is not valid JSON: {exc}") from None
+    manifest = read_json(where, FormatError)
     if not isinstance(manifest, dict):
         raise FormatError(f"{where} must hold one JSON object")
     if manifest.get("format") != "HPFB1" or manifest.get("version") != version:
@@ -479,18 +474,23 @@ class OuterFold:
     inner: tuple  # of InnerSplit
 
 
+# the train/val/test fractions of each class of an inner split
+SPLIT_RATIOS = (0.6, 0.2, 0.2)
+
+
 @dataclass(frozen=True)
 class SplitPlan:
     folds: tuple
     seed: int
 
 
-def make_splits(bags, n_outer, n_inner, ratios=(0.6, 0.2, 0.2), seed=0):
+def make_splits(bags, n_outer, n_inner, seed=0):
     """Site-disjoint outer folds with stratified Monte-Carlo inner splits.
 
     Fold f's sites are in-domain; every other site's slides form its
     out-of-domain test set. Within the in-domain slides, each inner split
-    draws train/val/test by the given ratios per class. Everything is keyed
+    draws train/val/test by the fixed fractions `SPLIT_RATIOS` per class,
+    with at least one slide each in val and test. Everything is keyed
     by sorted slide ids and the seed, so bundle order does not matter.
     More splits than physical memory holds as slide id references (outer
     x inner x slides x 8 bytes; a cgroup limit below physical memory is not
@@ -500,8 +500,6 @@ def make_splits(bags, n_outer, n_inner, ratios=(0.6, 0.2, 0.2), seed=0):
         raise ConfigError("n_outer and n_inner must be at least 1")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
-    if len(ratios) != 3 or min(ratios) <= 0 or not math.isclose(sum(ratios), 1.0):
-        raise ConfigError(f"ratios must be three positive values summing to 1: {ratios}")
     _check_fits(n_outer * n_inner * len(bags) * 8,
                 f"{n_outer} x {n_inner} outer x inner splits of {len(bags)} slides")
     by_id = {}
@@ -541,13 +539,13 @@ def make_splits(bags, n_outer, n_inner, ratios=(0.6, 0.2, 0.2), seed=0):
                 pool = list(per_class[c])
                 rng.shuffle(pool)
                 n = len(pool)
-                n_test = max(1, int(round(ratios[2] * n)))
-                n_val = max(1, int(round(ratios[1] * n)))
+                n_test = max(1, int(round(SPLIT_RATIOS[2] * n)))
+                n_val = max(1, int(round(SPLIT_RATIOS[1] * n)))
                 n_train = n - n_val - n_test
                 if n_train < 1:
                     raise SplitError(
                         f"outer fold {outer}: class {c} cannot be split "
-                        f"{ratios} over {n} slides"
+                        f"{SPLIT_RATIOS} over {n} slides"
                     )
                 train += pool[:n_train]
                 val += pool[n_train:n_train + n_val]

@@ -28,25 +28,24 @@ class EmptyBagError(HypermilError):
 
 
 class FormatError(HypermilError):
-    """Base class for binary file-format errors; carries a stable code."""
-
-    code = "format"
+    """A bundle, manifest or checkpoint is malformed; the subclasses name
+    the four faults of a file's framing."""
 
 
 class BadMagicError(FormatError):
-    code = "bad_magic"
+    """The file does not start with its format's magic bytes."""
 
 
 class VersionError(FormatError):
-    code = "version_mismatch"
+    """The file, or its manifest, holds another version of the format."""
 
 
 class TruncatedPayloadError(FormatError):
-    code = "truncated"
+    """The file ends before what its header declares."""
 
 
 class PayloadLengthError(FormatError):
-    code = "payload_length"
+    """The payload length disagrees with what the header or manifest declares."""
 
 
 class ConfigError(HypermilError):

@@ -1,6 +1,23 @@
-"""Atomic file writes: temp file in the target directory, then rename."""
+"""File access shared by the package: atomic writes (a temp file in the
+target directory, then a rename) and the one JSON reader, which maps a
+malformed document to the caller's typed error."""
 
+import json
 import os
+
+
+def read_json(path, error):
+    """The JSON document in the UTF-8 file at `path`.
+
+    A document that is not valid JSON, or that nests deeper than the parser
+    recurses, raises `error` (a `HypermilError` class) naming `path`; an
+    OSError from opening the file passes through.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # nested too deeply
+            raise error(f"{path} is not valid JSON: {exc}") from None
 
 
 def atomic_write_bytes(path, payload):

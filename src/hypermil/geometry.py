@@ -7,14 +7,16 @@ time part is always recomputed from the space part, never stored as a free
 parameter, so the manifold constraint holds by construction.
 
 Every function is differentiable through the autodiff engine and operates on
-batches: `Points` holds N points as rows, and pair functions (geodesic,
-exterior angle, angle distance) return the full N x M matrix over two
-batches.
+batches: `Points` holds N points as the rows of a matrix (a 1-D array is a
+ShapeError, not one point), and pair functions (geodesic, exterior angle,
+angle distance) return the full N x M matrix over two batches.
 
 Numerical guards: acos/asin arguments are clamped to [-1, 1] and acosh
 arguments to >= 1 (zero gradient outside the domain); genuinely undefined
 configurations (exterior angle at the origin or between coincident points)
-raise GeometryError instead of being silently patched.
+raise GeometryError instead of being silently patched. Both guards use the
+fixed tolerance `EPSILON`: a space norm below it is the origin, and
+rho<u,v>_H within it of -1 is a coincident pair.
 
 Fused primitives: `exp_map_origin` (both branches), `geodesic`,
 `exterior_angle`, `angle_distance` and `half_aperture` are each one
@@ -60,12 +62,18 @@ from .errors import ConfigError, GeometryError, ShapeError, check_field_types
 # sinh(t)/t switches to its Taylor expansion below this threshold
 _TAYLOR_T = 1e-4
 
+# the tolerance of the origin and coincidence guards, and of the angle
+# clamp of the contradiction penalty (`losses`)
+EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class GeometryConfig:
+    """The curvature -rho of the manifold (rho > 0) and the dimension of its
+    space parts (at least 2)."""
+
     curvature: float = 1.0
     dim: int = 16
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         check_field_types(self)
@@ -73,8 +81,6 @@ class GeometryConfig:
             raise ConfigError(f"curvature must be positive, got {self.curvature}")
         if self.dim < 2:
             raise ConfigError(f"dimension must be at least 2, got {self.dim}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
 
     @property
     def sqrt_curvature(self):
@@ -110,14 +116,14 @@ class Points:
 
 def _as_matrix(x):
     x = ad.as_tensor(x)
-    if x.ndim == 1:
-        x = x.reshape(1, x.shape[0])
     if x.ndim != 2:
         raise ShapeError(f"expected points as rows of a matrix, got shape {x.shape}")
     return x
 
 
 def from_space(space, cfg):
+    """The Points whose space parts are the rows of the matrix `space`; any
+    other shape is a ShapeError."""
     return Points(_as_matrix(space), cfg)
 
 
@@ -135,7 +141,8 @@ def _scale(t, s):
 
 
 def exp_map_origin(x, cfg):
-    """Map tangent vectors at the origin onto the manifold.
+    """Map tangent vectors at the origin, the rows of the matrix x, onto the
+    manifold; any other shape of x is a ShapeError.
 
     space = x * sinh(sqrt(rho)|x|) / (sqrt(rho)|x|), with the ratio replaced
     by its Taylor expansion 1 + t^2/6 + t^4/120 for t = sqrt(rho)|x| below
@@ -194,8 +201,8 @@ def rows(s, cfg):
     return Rows(s, np.sqrt(sumsq + 1.0 / cfg.curvature), sumsq)
 
 
-def _norms(sumsq, cfg, caller):
-    if (sumsq < cfg.epsilon * cfg.epsilon).any():
+def _norms(sumsq, caller):
+    if (sumsq < EPSILON * EPSILON).any():
         raise GeometryError(f"{caller} is undefined for a point at the origin")
     return np.sqrt(sumsq)
 
@@ -254,11 +261,11 @@ def exterior_angle_core(u, v, cfg, pairs=None):
     entries at `pairs`, and give the others zero gradient.
     """
     su, tu, sv, tv = u.space, u.time, v.space, v.time
-    nu = _norms(u.sumsq, cfg, "exterior angle")
+    nu = _norms(u.sumsq, "exterior angle")
     rho_inner = _scale(_inner(su, tu, sv, tv), cfg.curvature)
     checked = rho_inner if pairs is None else rho_inner.take(pairs)
     # rho * <u_i, v_j>_H is always <= -1 on the manifold
-    if (-checked - 1.0 < cfg.epsilon).any():
+    if (-checked - 1.0 < EPSILON).any():
         raise GeometryError("exterior angle is undefined for coincident points")
     if pairs is not None:
         rho_inner = np.full(rho_inner.shape, _PLACEHOLDER_INNER)
@@ -370,7 +377,7 @@ def half_aperture(u, cfg, alpha=0.1):
     to 1, zero gradient); a point at the origin itself is an error.
     """
     s = u.space.data
-    n = _norms(rows(s, cfg).sumsq, cfg, "half aperture")
+    n = _norms(rows(s, cfg).sumsq, "half aperture")
     aperture, backward = half_aperture_core(n, cfg, alpha)
     return ad.fused("half_aperture", aperture, (u.space,),
                     lambda g: (backward(g) * (s / n),))

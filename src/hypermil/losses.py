@@ -200,8 +200,8 @@ def ent_penalty(theta, aperture, beta):
     return ad.fused("ent_penalty", out, (theta, aperture), backward)
 
 
-def _con(raw, ap, beta, epsilon):
-    th = np.maximum(raw, epsilon)
+def _con(raw, ap, beta):
+    th = np.maximum(raw, geo.EPSILON)
     ratio = ap / th
     z = ratio - 1.0
     scale = np.exp(np.minimum(z, _EXP_CLIP))
@@ -210,22 +210,22 @@ def _con(raw, ap, beta, epsilon):
 
     def backward(g):
         g_z, g_hinge = _penalty_grads(g, z, scale, out, hinge)
-        g_theta = np.where(raw >= epsilon, -g_z * ratio / th - g_hinge * beta, 0.0)
+        g_theta = np.where(raw >= geo.EPSILON, -g_z * ratio / th - g_hinge * beta, 0.0)
         return g_theta, g_z / th + g_hinge
 
     return out, backward
 
 
-def con_penalty(theta, aperture, beta, epsilon=1e-8):
+def con_penalty(theta, aperture, beta):
     """exp(aperture/theta - 1) * max(aperture - beta * theta, 0), elementwise.
 
-    theta is clamped to >= epsilon (zero gradient through the clamp) so a
-    coincident-direction pair produces a large finite penalty. One fused
-    node, broadcasting `aperture` as `ent_penalty` does.
+    theta is clamped to >= `geometry.EPSILON` (zero gradient through the
+    clamp) so a coincident-direction pair produces a large finite penalty.
+    One fused node, broadcasting `aperture` as `ent_penalty` does.
     """
     theta = ad.as_tensor(theta)
     aperture = ad.as_tensor(aperture)
-    out, backward = _con(theta.data, aperture.data, beta, epsilon)
+    out, backward = _con(theta.data, aperture.data, beta)
     return ad.fused("con_penalty", out, (theta, aperture), backward)
 
 
@@ -494,7 +494,7 @@ def _cone_losses(rows, n_image, n_regions, plan, cfg, geom):
     # the entailment core, then the contradiction core when the plan has
     # contradiction pairs (the cones come in that order)
     cores = (lambda th, ap: _ent(th, ap, cfg.beta_ent),
-             lambda th, ap: _con(th, ap, cfg.beta_con, geom.epsilon))
+             lambda th, ap: _con(th, ap, cfg.beta_con))
     backwards = []
     for (flat, apex_at, w), core in zip(plan.cones, cores):
         out, core_backward = core(theta[flat], aperture[apex_at, 0])

@@ -14,8 +14,9 @@ Everything is deterministic in (seed, bundle, config): epoch shuffles and
 fold seeds derive from seed sequences, and no other randomness exists.
 """
 
-import json
 import logging
+import numbers
+import sys
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
     TrainingError,
     check_field_types,
 )
+from .fileio import read_json
 from .geometry import GeometryConfig
 from .losses import LossConfig, _loss, cls_loss, cone_plan, total_loss
 from .model import (HierarchyLevel, ModelDims, aggregate, embed_slide, init_params,
@@ -80,11 +82,7 @@ def train_config_from_dict(raw):
 
 
 def load_train_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # nested too deeply
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    raw = read_json(path, ConfigError)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path} must hold a single configuration object")
     return train_config_from_dict(raw)
@@ -370,7 +368,9 @@ def gradient_check_suite(trials=20, seed=0, h=1e-5):
     """Finite-difference checks of every loss family over a tiny model.
 
     Returns {check name: max relative error across trials}. Raises
-    ConfigError for fewer than one trial or a negative seed, and
+    ConfigError, before any check runs, for `trials` that is not an integer
+    of at least 1, `seed` that is not a nonnegative integer, or a step h
+    that is not a positive finite number (a boolean is not a number), and
     NumericalError if any forward pass produces NaN.
 
     What each check roots at:
@@ -391,10 +391,15 @@ def gradient_check_suite(trials=20, seed=0, h=1e-5):
     and all five losses computed from it. Each check still takes its
     analytic gradient from its own forward and backward pass.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be at least 1, got {trials}")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    # a boolean is not a number; NaN and an infinite h fail the comparison
+    if (isinstance(trials, bool) or not isinstance(trials, numbers.Integral)
+            or trials < 1):
+        raise ConfigError(f"trials must be an integer of at least 1, got {trials!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    if (isinstance(h, bool) or not isinstance(h, numbers.Real)
+            or not 0 < h <= sys.float_info.max):
+        raise ConfigError(f"step h must be a positive finite number, got {h!r}")
     names = ("aggregation", "cls_loss", "ama_loss", "ent_loss", "con_loss",
              "total_loss")
     worst = {name: 0.0 for name in names}

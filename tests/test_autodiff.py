@@ -141,16 +141,11 @@ def test_sum_mean_axis_keepdims():
                 reduce(axis=bad)
 
 
-def test_reshape_getitem():
-    x = np.arange(6.0).reshape(2, 3)
-    a = _t(x)
-    a.reshape(3, 2)[:, 0].sum().backward()
-    # column 0 of the (2,3)->(3,2) reshape = flat elements 0, 2, 4
-    g = np.zeros(6)
-    g[[0, 2, 4]] = 1.0
-    assert_array_equal(a.grad, g.reshape(2, 3))
-    with pytest.raises(ShapeError):
-        a.reshape(4, 2)
+def test_getitem_gradient():
+    a = _t(np.arange(6.0).reshape(2, 3))
+    a[:, ::2].sum().backward()
+    # the columns 0 and 2 of both rows take the gradient, column 1 none
+    assert_array_equal(a.grad, [[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
 
 
 def test_getitem_repeated_indices_accumulate():
@@ -175,7 +170,6 @@ _NAN_CASES = (
     ("sub", lambda: _t([np.inf]) - _t([np.inf])),
     ("mul", lambda: _t([0.0]) * _t([np.inf])),
     ("scalar_mul", lambda: _t([np.inf]) * 0.0),
-    ("reshape", lambda: _t([np.nan, 1.0]).reshape(2, 1)),
     ("sum", lambda: _t([np.inf, -np.inf]).sum()),
     ("mean", lambda: _t([np.inf, -np.inf]).mean(axis=0)),
     ("index", lambda: _t([np.nan, 1.0])[:1]),
@@ -232,7 +226,6 @@ _PRIMITIVE_CASES = {
     "mul-row": (ad.mul, [(1, 3), (2, 3)]),
     "mul-scalar": (ad.mul, [(), (2, 3)]),
     "scalar_mul": (lambda a: ad.scalar_mul(a, -2.5), [(2, 3)]),
-    "reshape": (lambda a: a.reshape(3, 2), [(2, 3)]),
     "getitem-slice": (lambda a: a[:, 1:3], [(2, 3)]),
     "getitem-repeated": (lambda a: a[np.array([0, 2, 0, 0])], [(3, 2)]),
 }
@@ -265,12 +258,12 @@ def _tanh(a):
 
 def test_fd_check_on_composite():
     rng = np.random.default_rng(3)
-    w = _t(rng.normal(size=(3, 3)))
-    x = _t(rng.normal(size=(3, 2)))
+    w = _t(rng.normal(size=(3, 3, 1)))
+    x = _t(rng.normal(size=(1, 3, 2)))
 
     def f():
         # w @ x as a broadcast product summed over the inner axis
-        h = _tanh((w.reshape(3, 3, 1) * x.reshape(1, 3, 2)).sum(axis=1))
+        h = _tanh((w * x).sum(axis=1))
         return (h * h).mean() + _tanh(h).sum() * 0.01
 
     err = ad.finite_difference_check(f, [w, x])

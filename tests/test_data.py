@@ -482,8 +482,6 @@ def test_make_splits_validation():
     with pytest.raises(ConfigError):
         dt.make_splits(bags, 0, 3)
     with pytest.raises(ConfigError):
-        dt.make_splits(bags, 2, 2, ratios=(0.5, 0.2, 0.2))
-    with pytest.raises(ConfigError):
         dt.make_splits(bags, 2, 2, seed=-1)
     with pytest.raises(SplitError):
         dt.make_splits(bags, 5, 2)  # only 4 sites

@@ -1,5 +1,7 @@
 """Hyperbolic geometry: manifold constraints, closed-form values, oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -60,8 +62,6 @@ def test_config_validation():
         geo.GeometryConfig(curvature=-1.0)
     with pytest.raises(ConfigError):
         geo.GeometryConfig(dim=1)
-    with pytest.raises(ConfigError):
-        geo.GeometryConfig(epsilon=0.0)
     with pytest.raises(ConfigError, match="curvature"):
         geo.GeometryConfig(curvature=float("inf"))
 
@@ -94,6 +94,16 @@ def test_geodesic_closed_forms():
 def test_geodesic_dim_mismatch():
     with pytest.raises(ShapeError):
         geo.geodesic(_pts([1.0, 0.0]), _pts([1.0, 0.0, 0.0]), _cfg(1.0, 2))
+
+
+def test_points_must_be_rows_of_a_matrix():
+    # a 1-D array is not read as one row; it is refused, naming its shape
+    for make in (geo.from_space, geo.exp_map_origin):
+        for bad in (np.array([0.3, -0.2]), ad.Tensor([0.3, -0.2]),
+                    np.zeros((1, 1, 2))):
+            shape = re.escape(str(np.shape(getattr(bad, "data", bad))))
+            with pytest.raises(ShapeError, match=f"got shape {shape}"):
+                make(bad, _cfg(1.0, 2))
 
 
 def test_exp_map_zero_is_origin():

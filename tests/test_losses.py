@@ -599,7 +599,7 @@ def _con_matrix(u, v):
     primitives."""
     theta = geo.exterior_angle(u, v, GEOM)
     aperture = geo.half_aperture(u, GEOM, CFG.alpha)
-    return ls.con_penalty(theta, aperture, CFG.beta_con, GEOM.epsilon)
+    return ls.con_penalty(theta, aperture, CFG.beta_con)
 
 
 def _looped_shc_total(emb, label, selections):

@@ -390,7 +390,7 @@ def test_embed_slide_maps_every_level_once():
     space = emb.space.space
     assert space._op == "exp_map_origin" and space._parents[0]._op == "stack"
     assert emb.n_image == 1 + 3 + 12
-    for got in (emb.image, emb.text, emb.slide, emb.regions, emb.patches):
+    for got in (emb.text, emb.slide, emb.regions, emb.patches):
         assert got.space._parents == (space,)
         assert np.shares_memory(got.space.data, space.data)
 

@@ -44,3 +44,14 @@ def test_code_lines_counts_each_module_and_the_total(tmp_path):
     assert proc.stdout == ("big               8\n"
                            "short             3\n"
                            "total            11\n")
+
+
+def test_code_lines_refuses_a_path_that_is_not_a_directory(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(SHORT)
+    for path in (tmp_path / "missing", module):
+        proc = subprocess.run([sys.executable, str(CODE_LINES), str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"code_lines.py: {path} is not a directory\n"

@@ -796,7 +796,14 @@ def test_gradient_check_roots_measure_the_training_terms(monkeypatch):
     assert ama.item() == ama_total(emb, label, slide_only, cfg, geom).item()
 
 
-def test_gradient_check_suite_rejects_bad_arguments():
-    for bad in (dict(trials=0), dict(trials=-1), dict(seed=-1)):
+def test_gradient_check_suite_rejects_bad_arguments(monkeypatch):
+    # each is refused before the first trial builds its model
+    monkeypatch.setattr(tr, "init_params",
+                        lambda *args: pytest.fail("a trial started"))
+    for bad in (dict(trials=0), dict(trials=-1), dict(trials=1.5),
+                dict(trials=True), dict(trials="2"), dict(seed=-1),
+                dict(seed=0.5), dict(seed=False), dict(h=0.0), dict(h=-1.0),
+                dict(h=float("nan")), dict(h=float("inf")), dict(h=10 ** 400),
+                dict(h=True), dict(h="1e-5"), dict(h=None)):
         with pytest.raises(ConfigError):
-            tr.gradient_check_suite(**bad)
+            tr.gradient_check_suite(**{"trials": 1, **bad})

@@ -7,6 +7,9 @@ are not counted. Prints one line per module and the total:
 
     python3 tools/code_lines.py src/hypermil
 
+A path that is not a directory is refused with one line on stderr and exit
+status 2, as is a wrong number of arguments.
+
 Standard library only; not imported by the package.
 """
 
@@ -48,8 +51,12 @@ def main(argv):
     if len(argv) != 1:
         print("usage: code_lines.py DIRECTORY", file=sys.stderr)
         return 2
+    directory = Path(argv[0])
+    if not directory.is_dir():
+        print(f"code_lines.py: {directory} is not a directory", file=sys.stderr)
+        return 2
     total = 0
-    for path in sorted(Path(argv[0]).glob("*.py")):
+    for path in sorted(directory.glob("*.py")):
         count = code_lines(path)
         total += count
         print(f"{path.stem:<12} {count:>6}")
