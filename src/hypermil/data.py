@@ -60,6 +60,8 @@ from .errors import (
     SplitError,
     TruncatedPayloadError,
     VersionError,
+    check_field_types,
+    check_integer,
 )
 from .fileio import atomic_write_bytes, atomic_write_text, read_json
 
@@ -152,6 +154,7 @@ class SyntheticSpec:
     seed: int = 7
 
     def __post_init__(self):
+        check_field_types(self)
         counts = (self.n_classes, self.slides_per_class, self.n_regions,
                   self.n_patches, self.d_in, self.n_sites)
         if any(c < 1 for c in counts):
@@ -492,14 +495,15 @@ def make_splits(bags, n_outer, n_inner, seed=0):
     draws train/val/test by the fixed fractions `SPLIT_RATIOS` per class,
     with at least one slide each in val and test. Everything is keyed
     by sorted slide ids and the seed, so bundle order does not matter.
-    More splits than physical memory holds as slide id references (outer
-    x inner x slides x 8 bytes; a cgroup limit below physical memory is not
-    read) are a ConfigError naming the counts, before any split is drawn.
+    Counts below 1, a negative seed and any of the three that is not an
+    integer (a boolean is not one) are a ConfigError naming it. More splits
+    than physical memory holds as slide id references (outer x inner x
+    slides x 8 bytes; a cgroup limit below physical memory is not read) are
+    a ConfigError naming the counts, before any split is drawn.
     """
-    if n_outer < 1 or n_inner < 1:
-        raise ConfigError("n_outer and n_inner must be at least 1")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    check_integer("n_outer", n_outer, 1)
+    check_integer("n_inner", n_inner, 1)
+    check_integer("seed", seed, 0)
     _check_fits(n_outer * n_inner * len(bags) * 8,
                 f"{n_outer} x {n_inner} outer x inner splits of {len(bags)} slides")
     by_id = {}

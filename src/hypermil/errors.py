@@ -1,7 +1,8 @@
-"""Exception taxonomy shared across the package, and the field type check
-of the configuration dataclasses."""
+"""Exception taxonomy shared across the package, the field type check of
+the configuration dataclasses and the integer check of a count argument."""
 
 import dataclasses
+import math
 import numbers
 import sys
 
@@ -67,22 +68,31 @@ class TrainingError(HypermilError):
 _FIELD_KINDS = {
     float: (numbers.Real, "a finite number"),
     int: (numbers.Integral, "an integer"),
-    bool: (bool, "true or false"),
 }
 
 
 def check_field_types(config):
     """Raise ConfigError for a field of the dataclass `config` whose value
     does not have the declared type: float fields take real numbers that
-    are finite as floats, int fields integers, bool fields booleans (a
-    boolean is never a number) and a field declared as a class takes an
-    instance of it."""
+    are finite as floats, int fields integers (a boolean is neither) and a
+    field declared as a class takes an instance of it."""
     for f in dataclasses.fields(config):
         kind, what = _FIELD_KINDS.get(f.type, (f.type, f"a {f.type.__name__}"))
         value = getattr(config, f.name)
-        if (not isinstance(value, kind)
-                or isinstance(value, bool) != (f.type is bool)
-                # not NaN, not infinite and, for an int, not beyond the
-                # float range, where isfinite would overflow
-                or f.type is float and not abs(value) <= sys.float_info.max):
+        if (not isinstance(value, kind) or isinstance(value, bool)
+                # not NaN, not infinite and, for an int, not beyond the float
+                # range, where isfinite would overflow; a narrower numpy
+                # float is not compared with the float64 maximum, which it
+                # cannot hold
+                or f.type is float and not (
+                    abs(value) <= sys.float_info.max
+                    if isinstance(value, numbers.Integral) else math.isfinite(value))):
             raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+
+
+def check_integer(name, value, minimum):
+    """Raise ConfigError, naming the argument `name`, unless `value` is an
+    integer (a boolean is not one) of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"{name} must be an integer of at least {minimum}, "
+                          f"got {value!r}")

@@ -58,12 +58,12 @@ _PASS_ENTRIES = 1 << 17
 
 def _bag_entries(bag, dims):
     """The entries one bag adds to the largest array of a scoring pass: its
-    N patch rows times the widest of the patch block (d_in), the adaptor's
-    tanh layer and output, and, when its regions differ in size, the
-    block-diagonal pooling weights, R per row (`model._pool`)."""
+    N patch rows times the widest of the patch block and the adaptor's tanh
+    layer (both d_in), the adaptor's output (k) and, when its regions differ
+    in size, the block-diagonal pooling weights, R per row (`model._pool`)."""
     sizes = bag.sizes
     ragged = sizes.size if sizes.min() != sizes.max() else 0
-    return int(sizes.sum()) * max(dims.d_in, dims.hidden, dims.k, ragged)
+    return int(sizes.sum()) * max(dims.d_in, dims.k, ragged)
 
 
 def _passes(bags, dims):

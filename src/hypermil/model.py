@@ -72,9 +72,10 @@ one vector laid out like that head, so the optimizer updates them in one
 vectorized step and a copy is one array copy. That layout (`_layout`) is
 the one list of parameter names: `ModelParams.named` and `trainable` follow
 it. It lives in memory only: checkpoints are a little-endian binary table
-of named float64 arrays (magic "HPCK1"), one record per parameter name and
-per model dimension, written atomically and read back bit-exactly, whatever
-the buffer order.
+of named float64 arrays (magic "HPCK1"), one record per parameter name,
+one per model dimension (meta.d_in, meta.k, meta.n_classes) and one per
+scalar the caller adds (meta.*), written atomically and read back
+bit-exactly, whatever the buffer order.
 """
 
 import functools
@@ -98,6 +99,7 @@ from .errors import (
     ShapeError,
     TruncatedPayloadError,
     VersionError,
+    check_field_types,
 )
 from .fileio import atomic_write_bytes
 
@@ -113,19 +115,19 @@ class HierarchyLevel(Enum):
 
 @dataclass(frozen=True)
 class ModelDims:
+    """The three sizes a model is built from: the width d_in of the input
+    features, which is also the width of each adaptor's tanh layer, the
+    embedding dimension k and the number of classes. A value that is not an
+    integer, or below 1 (k below 2), is a ConfigError."""
+
     d_in: int
     k: int = 16
-    d_hidden: int = 0  # 0 means d_in
     n_classes: int = 2
-    shared_aggregators: bool = False
 
     def __post_init__(self):
-        if self.d_in < 1 or self.k < 2 or self.n_classes < 1 or self.d_hidden < 0:
+        check_field_types(self)
+        if self.d_in < 1 or self.k < 2 or self.n_classes < 1:
             raise ConfigError(f"invalid model dimensions: {self}")
-
-    @property
-    def hidden(self):
-        return self.d_hidden if self.d_hidden else self.d_in
 
     @property
     def attention(self):
@@ -134,12 +136,11 @@ class ModelDims:
 
     def param_shapes(self):
         """{parameter name: shape} of every array `ModelParams.named` holds."""
-        mlp = {"w1": (self.hidden, self.d_in), "b1": (1, self.hidden),
-               "w2": (self.k, self.hidden), "b2": (1, self.k)}
+        mlp = {"w1": (self.d_in, self.d_in), "b1": (1, self.d_in),
+               "w2": (self.k, self.d_in), "b2": (1, self.k)}
         agg = {"w1": (self.attention, self.k), "w2": (self.attention, 1)}
-        owners = [("adaptor_i", mlp), ("adaptor_t", mlp), ("agg_region", agg)]
-        if not self.shared_aggregators:
-            owners.append(("agg_slide", agg))
+        owners = (("adaptor_i", mlp), ("adaptor_t", mlp), ("agg_region", agg),
+                  ("agg_slide", agg))
         shapes = {f"{owner}.{name}": shape
                   for owner, table in owners for name, shape in table.items()}
         shapes["semantics.base"] = (self.n_classes, self.d_in)
@@ -305,14 +306,14 @@ def _xavier(rng, fan_out, fan_in):
 _INIT_RADIUS = 0.1
 
 
-def _init_mlp(rng, owner, d_in, hidden, k):
-    w1 = _xavier(rng, hidden, d_in)
-    w2 = _INIT_RADIUS * _xavier(rng, k, hidden)
+def _init_mlp(rng, owner, d_in, k):
+    w1 = _xavier(rng, d_in, d_in)
+    w2 = _INIT_RADIUS * _xavier(rng, k, d_in)
     # a constant bias in one output coordinate keeps the initial embeddings
     # strictly off the origin, where the exterior angle is undefined
     b2 = np.zeros((1, k))
     b2[0, 0] = _INIT_RADIUS
-    return {f"{owner}.w1": w1, f"{owner}.b1": np.zeros((1, hidden)),
+    return {f"{owner}.w1": w1, f"{owner}.b1": np.zeros((1, d_in)),
             f"{owner}.w2": w2, f"{owner}.b2": b2}
 
 
@@ -325,8 +326,10 @@ def _init_aggregator(rng, owner, dims):
 def init_params(dims, seed, base_vectors=None):
     """Fresh parameters, deterministic in (dims, seed, base_vectors).
 
-    Dimensions whose parameters cannot be allocated are a ConfigError
-    naming them."""
+    One generator of `seed` draws, in this order, the image and text
+    adaptors, the region and slide aggregators, the base vectors unless
+    they are given, and the offsets. Dimensions whose parameters cannot be
+    allocated are a ConfigError naming them."""
     if base_vectors is not None:
         base = np.asarray(base_vectors, dtype=np.float64)
         if base.shape != (dims.n_classes, dims.d_in):
@@ -337,12 +340,11 @@ def init_params(dims, seed, base_vectors=None):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     try:
         arrays = {
-            **_init_mlp(rng, "adaptor_i", dims.d_in, dims.hidden, dims.k),
-            **_init_mlp(rng, "adaptor_t", dims.d_in, dims.hidden, dims.k),
+            **_init_mlp(rng, "adaptor_i", dims.d_in, dims.k),
+            **_init_mlp(rng, "adaptor_t", dims.d_in, dims.k),
             **_init_aggregator(rng, "agg_region", dims),
+            **_init_aggregator(rng, "agg_slide", dims),
         }
-        if not dims.shared_aggregators:
-            arrays.update(_init_aggregator(rng, "agg_slide", dims))
         if base_vectors is None:
             base = rng.standard_normal((dims.n_classes, dims.d_in))
             base /= np.linalg.norm(base, axis=1, keepdims=True)
@@ -352,8 +354,8 @@ def init_params(dims, seed, base_vectors=None):
         return params_from_arrays(arrays, dims)
     except (MemoryError, ValueError):  # ValueError: beyond numpy's size limit
         raise ConfigError(
-            f"the parameters of a model with d_in={dims.d_in}, k={dims.k}, "
-            f"d_hidden={dims.hidden} and n_classes={dims.n_classes} "
+            f"the parameters of a model with d_in={dims.d_in}, k={dims.k} "
+            f"and n_classes={dims.n_classes} "
             "do not fit in memory") from None
 
 
@@ -392,10 +394,7 @@ def _from_buffer(buffer, dims):
     adaptor_t = Mlp(p("adaptor_t.w1"), p("adaptor_t.b1"),
                     p("adaptor_t.w2"), p("adaptor_t.b2"))
     agg_region = AttentionAggregator(p("agg_region.w1"), p("agg_region.w2"))
-    if dims.shared_aggregators:
-        agg_slide = agg_region
-    else:
-        agg_slide = AttentionAggregator(p("agg_slide.w1"), p("agg_slide.w2"))
+    agg_slide = AttentionAggregator(p("agg_slide.w1"), p("agg_slide.w2"))
     semantics = ClassSemanticsTable(
         ad.Tensor(views["semantics.base"]), p("semantics.offsets")
     )
@@ -720,7 +719,7 @@ def embed_slide(bag, params, geom):
 # -- checkpoints --------------------------------------------------------------
 
 
-_DIMS_META = ("d_in", "k", "d_hidden", "n_classes", "shared_aggregators")
+_DIMS_META = ("d_in", "k", "n_classes")
 
 # the highest record rank `save_checkpoint` writes: semantics.offsets is
 # [C x 3 x D_in]
@@ -801,9 +800,11 @@ def load_checkpoint(path):
 def params_from_checkpoint(records):
     """Rebuild ModelParams (and leftover meta scalars) from checkpoint records.
 
-    A missing record or a non-integral dimension raises FormatError, and a
-    parameter array whose shape does not match the recorded dimensions
-    raises ShapeError; each names the record.
+    The dimensions are the records meta.d_in, meta.k and meta.n_classes.
+    Every meta.* record comes back in the meta mapping, and a record the
+    dimensions do not name is not read. A missing record or a non-integral
+    dimension raises FormatError, and a parameter array whose shape does not
+    match the recorded dimensions raises ShapeError; each names the record.
     """
     meta = {}
     for name, arr in records.items():
@@ -817,13 +818,7 @@ def params_from_checkpoint(records):
         if not float(meta[key]).is_integer():
             raise FormatError(f"checkpoint record meta.{key} is {meta[key]}, "
                               "not an integer")
-    dims = ModelDims(
-        d_in=int(meta["d_in"]),
-        k=int(meta["k"]),
-        d_hidden=int(meta["d_hidden"]),
-        n_classes=int(meta["n_classes"]),
-        shared_aggregators=bool(meta["shared_aggregators"]),
-    )
+    dims = ModelDims(**{key: int(meta[key]) for key in _DIMS_META})
     arrays = {}
     for name, shape in dims.param_shapes().items():
         if name not in records:

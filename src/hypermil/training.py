@@ -1,14 +1,15 @@
 """Optimization: Adam, top-K instance selection, and the training loop.
 
-One slide is one optimization step. Before its epoch loop, `train` selects
-each training slide's top-K patches/regions whose raw features are most
-cosine-similar to the label class's frozen base vector (the stand-in for
-instance labels) and builds the slide's cone plan, in one pass over all
-slides of each region layout. Per slide the loop then embeds the bag,
-assembles the total objective over the slide's plan, backpropagates, and
-takes an Adam step. Slides whose embeddings hit a genuinely undefined
-geometric configuration (coincident points, an embedding at the origin) are
-skipped and counted; a run fails if more than 1% of steps skip.
+One slide is one optimization step, and every epoch ends with a
+validation pass. Before its epoch loop, `train` selects each training
+slide's top-K patches/regions whose raw features are most cosine-similar
+to the label class's frozen base vector (the stand-in for instance labels)
+and builds the slide's cone plan, in one pass over all slides of each
+region layout. Per slide the loop then embeds the bag, assembles the
+total objective over the slide's plan, backpropagates, and takes an Adam
+step. Slides whose embeddings hit a genuinely undefined geometric
+configuration (coincident points, an embedding at the origin) are skipped
+and counted; a run fails if more than 1% of steps skip.
 
 Everything is deterministic in (seed, bundle, config): epoch shuffles and
 fold seeds derive from seed sequences, and no other randomness exists.
@@ -29,6 +30,7 @@ from .errors import (
     ShapeError,
     TrainingError,
     check_field_types,
+    check_integer,
 )
 from .fileio import read_json
 from .geometry import GeometryConfig
@@ -45,11 +47,7 @@ class TrainConfig:
     epochs: int = 20
     seed: int = 0
     k: int = 16
-    d_hidden: int = 0  # 0 means match the input dimension
-    shared_aggregators: bool = False
     curvature: float = 1.0
-    val_every: int = 1
-    accumulate: int = 1
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
@@ -60,8 +58,6 @@ class TrainConfig:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.val_every < 1 or self.accumulate < 1:
-            raise ConfigError("val_every and accumulate must be at least 1")
 
     def geometry(self):
         return GeometryConfig(curvature=self.curvature, dim=self.k)
@@ -250,6 +246,10 @@ def _fold_seed(*parts):
 def train(bundle, split, cfg):
     """Train on split.train_ids, validate on split.val_ids.
 
+    The model takes the bundle's feature width and classes and embeds in
+    `cfg.k` dimensions. Each epoch visits the training slides in a seeded shuffle and takes one
+    Adam step after each slide that did not skip, then scores the
+    validation slides; `best_params` are those of the best validation AUC.
     Every training slide's cone plan is built once, before the first epoch,
     by one `select_top_k` and one `cone_plan` call per region layout; a
     training slide either would refuse is named, the first in split order,
@@ -265,13 +265,7 @@ def train(bundle, split, cfg):
     if n_classes < 2:
         raise TrainingError(f"need at least 2 classes, got {n_classes}")
 
-    dims = ModelDims(
-        d_in=bundle.dim,
-        k=cfg.k,
-        d_hidden=cfg.d_hidden,
-        n_classes=n_classes,
-        shared_aggregators=cfg.shared_aggregators,
-    )
+    dims = ModelDims(d_in=bundle.dim, k=cfg.k, n_classes=n_classes)
     geom = cfg.geometry()
     params = init_params(dims, cfg.seed, bundle.class_vectors)
     state = AdamState(params)
@@ -284,13 +278,12 @@ def train(bundle, split, cfg):
     best_val_auc = -1.0
     skipped = 0
     steps = 0
-    pending = 0
     for epoch in range(cfg.epochs):
         order = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, epoch])
         ).permutation(len(train_bags))
         epoch_losses = []
-        for n, pos in enumerate(order, 1):
+        for pos in order:
             bag = train_bags[pos]
             steps += 1
             try:
@@ -299,21 +292,17 @@ def train(bundle, split, cfg):
                 loss.backward()
             except GeometryError as exc:
                 # raised in the forward pass only: the slide added no
-                # gradient, and the window's earlier slides keep theirs
+                # gradient, so there is no step to take
                 skipped += 1
                 log.warning("skipping slide %s: %s", bag.slide_id, exc)
-            else:
-                epoch_losses.append(float(loss.data))
-                pending += 1
-            # a window closes after `accumulate` slides and at the epoch's end
-            if pending and (pending >= cfg.accumulate or n == len(order)):
-                adam_step(params, state, cfg.lr)
-                params.zero_grads()
-                pending = 0
+                continue
+            epoch_losses.append(float(loss.data))
+            adam_step(params, state, cfg.lr)
+            params.zero_grads()
 
         val_auc = float("nan")
         val_f1 = float("nan")
-        if val_bags and (epoch + 1) % cfg.val_every == 0:
+        if val_bags:
             val_auc, val_f1 = evaluate(val_bags, params, geom)[:2]
             # ties go to the later epoch: once AUC saturates the distances
             # keep calibrating, so the most-trained of the tied checkpoints wins
@@ -391,12 +380,9 @@ def gradient_check_suite(trials=20, seed=0, h=1e-5):
     and all five losses computed from it. Each check still takes its
     analytic gradient from its own forward and backward pass.
     """
+    check_integer("trials", trials, 1)
+    check_integer("seed", seed, 0)
     # a boolean is not a number; NaN and an infinite h fail the comparison
-    if (isinstance(trials, bool) or not isinstance(trials, numbers.Integral)
-            or trials < 1):
-        raise ConfigError(f"trials must be an integer of at least 1, got {trials!r}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     if (isinstance(h, bool) or not isinstance(h, numbers.Real)
             or not 0 < h <= sys.float_info.max):
         raise ConfigError(f"step h must be a positive finite number, got {h!r}")

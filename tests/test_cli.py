@@ -29,7 +29,7 @@ GEN_ARGS = [
     "gen", "--classes", "2", "--slides-per-class", "6", "--regions", "2",
     "--patches", "3", "--dim", "8", "--sites", "2", "--seed", "11",
 ]
-TRAIN_CONFIG = {"epochs": 1, "k": 4, "d_hidden": 8, "seed": 2}
+TRAIN_CONFIG = {"epochs": 1, "k": 4, "seed": 2}
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +177,7 @@ def test_train_overflow_is_one_error_line(workdir, capsys):
     assert err.startswith("error:") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("field", ["d_hidden", "k"])
+@pytest.mark.parametrize("field", ["k"])
 def test_train_rejects_dimensions_beyond_memory(workdir, bundle_path, capsys, field):
     # 2**62 rows are beyond numpy's size limit: refused before any allocation
     cfg = workdir / f"huge-{field}.json"
@@ -188,6 +188,22 @@ def test_train_rejects_dimensions_beyond_memory(workdir, bundle_path, capsys, fi
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"{field}={2**62}" in err and "do not fit in memory" in err
+
+
+@pytest.mark.parametrize("key", ["d_hidden", "shared_aggregators", "val_every",
+                                 "accumulate"])
+def test_train_refuses_a_removed_setting(workdir, bundle_path, capsys, key):
+    # the adaptor width, tied aggregators, the validation stride and
+    # gradient accumulation are not settings; a config naming one is refused
+    cfg = workdir / f"removed-{key}.json"
+    cfg.write_text(json.dumps({"epochs": 1, key: 1}))
+    code = main(["train", "--data", str(bundle_path), "--config", str(cfg),
+                 "--out", str(workdir / "never.ckpt")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "unknown configuration keys" in err and key in err
+    assert not (workdir / "never.ckpt").exists()
 
 
 def test_eval_full_bundle(bundle_path, checkpoint_path, capsys):
@@ -262,7 +278,7 @@ def test_eval_missing_data_file(checkpoint_path, capsys):
 
 
 def test_eval_misshapen_checkpoint_is_an_error(workdir, bundle_path, capsys):
-    params = init_params(ModelDims(d_in=8, k=4, d_hidden=8, n_classes=2), 0)
+    params = init_params(ModelDims(d_in=8, k=4, n_classes=2), 0)
     params.adaptor_i.w1 = ad.Tensor(np.zeros((5, 8)))
     path = workdir / "misshapen.ckpt"
     save_checkpoint(params, path)
@@ -300,7 +316,7 @@ def test_eval_repeated_checkpoint_record_is_an_error(workdir, bundle_path,
 
 
 def test_eval_infinite_curvature_is_an_error(workdir, bundle_path, capsys):
-    params = init_params(ModelDims(d_in=8, k=4, d_hidden=8, n_classes=2), 0)
+    params = init_params(ModelDims(d_in=8, k=4, n_classes=2), 0)
     path = workdir / "inf-curvature.ckpt"
     save_checkpoint(params, path, {"curvature": float("inf")})
     code = main(["eval", "--data", str(bundle_path), "--params", str(path)])
@@ -555,7 +571,7 @@ def test_eval_of_slides_mapped_to_infinity_is_one_error_line(workdir, bundle_pat
     # every parameter is finite, but the slides' exponential map overflows
     # to infinity, so their distances are NaN; ranking NaN scores once never
     # ended, so the command runs in a child process under a timeout
-    params = init_params(ModelDims(d_in=8, k=4, d_hidden=8, n_classes=2), 0)
+    params = init_params(ModelDims(d_in=8, k=4, n_classes=2), 0)
     params.adaptor_i.b2.data[0, 0] = 1000.0
     path = workdir / "huge.ckpt"
     save_checkpoint(params, path)

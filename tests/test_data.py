@@ -59,6 +59,18 @@ def test_spec_validation():
             dt.SyntheticSpec(**bad)
 
 
+def test_spec_refuses_wrong_types():
+    # a count is an integer, and a boolean is not one; a sigma is a finite number
+    for bad in (dict(n_regions=1.5), dict(seed="3"), dict(n_patches=True),
+                dict(d_in=32.0), dict(n_sites=None), dict(purity="0.3"),
+                dict(sigma_class=float("inf")), dict(sigma_site=False)):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            dt.SyntheticSpec(**bad)
+    # ints are numbers, and numpy scalars are accepted like Python ones
+    spec = dt.SyntheticSpec(purity=1, n_regions=np.int64(4), sigma_patch=np.float32(0.1))
+    assert spec.n_regions == 4
+
+
 # -- generation -----------------------------------------------------------------
 
 
@@ -487,6 +499,19 @@ def test_make_splits_validation():
         dt.make_splits(bags, 5, 2)  # only 4 sites
     with pytest.raises(SplitError):
         dt.make_splits(bags + [bags[0]], 2, 2)  # duplicate id
+
+
+def test_make_splits_refuses_counts_that_are_not_integers():
+    bags = dt.generate(SMALL).bags
+    for args, name in (((1.5, 1), "n_outer"), ((1, "2"), "n_inner"),
+                       ((True, 1), "n_outer"), ((1, True), "n_inner"),
+                       ((1, 1, 0.5), "seed"), ((1, 1, True), "seed"),
+                       ((1, 1, None), "seed")):
+        with pytest.raises(ConfigError, match=name):
+            dt.make_splits(bags, *args)
+    # numpy integers are integers
+    assert dt.make_splits(bags, np.int64(2), np.int32(2), seed=np.uint8(3)) == \
+        dt.make_splits(bags, 2, 2, seed=3)
 
 
 def test_make_splits_structure():

@@ -10,6 +10,7 @@ refuses). The four fuzz tests take about 3 s together. The bundle fuzz
 lives next to the bundle reader, in `test_data.py`.
 """
 
+import dataclasses
 import json
 import random
 
@@ -112,9 +113,9 @@ def _config_mutation(rng, config):
 
 def test_train_config_fuzz_raises_only_typed_errors(tmp_path):
     path = tmp_path / "fuzz.json"
-    config = {"lr": 0.001, "epochs": 3, "seed": 2, "k": 4, "curvature": 1.0,
-              "shared_aggregators": False, "tau": 0.05, "lambda_s": 10.0,
-              "top_k": 8}
+    # every settable value, at its default, as one flat mapping
+    config = dataclasses.asdict(tr.TrainConfig())
+    config.update(config.pop("loss"))
     rng = random.Random(1)
     outcomes = {"loaded": 0, "typed error": 0}
     for _ in range(1500):

@@ -37,11 +37,20 @@ def _bag(rng, n_regions=2, n_patches=3, d_in=8, label=0):
 
 
 def test_model_dims_validation():
-    for bad in (dict(d_in=0), dict(k=1), dict(n_classes=0), dict(d_hidden=-1)):
+    for bad in (dict(d_in=0), dict(k=1), dict(n_classes=0)):
         with pytest.raises(ConfigError):
             md.ModelDims(**{"d_in": 8, **bad})
-    assert md.ModelDims(d_in=8, d_hidden=0).hidden == 8
-    assert md.ModelDims(d_in=8, d_hidden=5).hidden == 5
+
+
+def test_model_dims_refuse_wrong_types():
+    # a boolean is not a count, and neither is a fraction or a string
+    for bad in (dict(d_in=8.5), dict(d_in=True), dict(k="4"), dict(k=4.0),
+                dict(n_classes=False), dict(n_classes=None)):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            md.ModelDims(**{"d_in": 8, **bad})
+    # numpy integers are integers
+    assert md.ModelDims(d_in=np.int64(8), k=np.int32(4)).param_shapes() == \
+        md.ModelDims(d_in=8, k=4).param_shapes()
 
 
 # -- initialization -------------------------------------------------------------
@@ -73,15 +82,6 @@ def test_init_params_base_vectors_frozen():
 def test_init_params_base_vector_shape_checked():
     with pytest.raises(ShapeError):
         md.init_params(DIMS, 0, np.zeros((2, 8)))
-
-
-def test_shared_aggregators():
-    dims = md.ModelDims(d_in=8, k=4, n_classes=3, shared_aggregators=True)
-    params = md.init_params(dims, 0)
-    assert params.agg_slide is params.agg_region
-    names = [n for n, _ in params.named()]
-    assert "agg_slide.w1" not in names
-    assert "agg_region.w1" in names
 
 
 def test_params_are_views_into_one_buffer():
@@ -570,13 +570,37 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(a.slide.space.data, b.slide.space.data)
 
 
-def test_checkpoint_shared_aggregators_roundtrip(tmp_path):
-    dims = md.ModelDims(d_in=8, k=4, n_classes=3, shared_aggregators=True)
-    params = md.init_params(dims, 13)
-    path = tmp_path / "shared.ckpt"
-    md.save_checkpoint(params, path)
-    restored, _ = md.params_from_checkpoint(md.load_checkpoint(path))
-    assert restored.agg_slide is restored.agg_region
+def test_checkpoint_with_the_former_dimension_records_loads(tmp_path):
+    # checkpoints once recorded meta.d_hidden (0: the adaptor is d_in wide)
+    # and meta.shared_aggregators (0: the slide has its own aggregator); one
+    # that holds them at those values loads to the same buffer
+    params = md.init_params(DIMS, 13)
+    path = tmp_path / "former.ckpt"
+    md.save_checkpoint(params, path, meta={"d_hidden": 0, "shared_aggregators": 0})
+    records = md.load_checkpoint(path)
+    assert {"meta.d_hidden", "meta.shared_aggregators"} < set(records)
+    restored, meta = md.params_from_checkpoint(records)
+    assert restored.dims == DIMS
+    assert restored.buffer.tobytes() == params.buffer.tobytes()
+    assert meta["d_hidden"] == 0.0 and meta["shared_aggregators"] == 0.0
+
+
+def test_checkpoint_of_a_tied_or_narrower_model_is_refused(tmp_path):
+    params = md.init_params(DIMS, 13)
+    path = tmp_path / "former.ckpt"
+    md.save_checkpoint(params, path, meta={"d_hidden": 0, "shared_aggregators": 0})
+    # one aggregator for both levels: no agg_slide.* records
+    records = md.load_checkpoint(path)
+    records["meta.shared_aggregators"] = np.asarray(1.0)
+    del records["agg_slide.w1"], records["agg_slide.w2"]
+    with pytest.raises(FormatError, match="agg_slide.w1"):
+        md.params_from_checkpoint(records)
+    # an adaptor whose tanh layer is not d_in wide
+    records = md.load_checkpoint(path)
+    records["meta.d_hidden"] = np.asarray(5.0)
+    records["adaptor_i.w1"] = np.zeros((5, 8))
+    with pytest.raises(ShapeError, match="adaptor_i.w1"):
+        md.params_from_checkpoint(records)
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -657,7 +681,7 @@ def test_checkpoint_missing_records_are_format_errors(tmp_path):
     params = md.init_params(DIMS, 16)
     path = tmp_path / "model.ckpt"
     md.save_checkpoint(params, path)
-    for name in ("meta.d_in", "meta.shared_aggregators", "adaptor_t.b2",
+    for name in ("meta.d_in", "meta.n_classes", "adaptor_t.b2",
                  "semantics.base"):
         records = md.load_checkpoint(path)
         del records[name]

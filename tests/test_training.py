@@ -38,7 +38,7 @@ from hypermil.model import (
 
 
 def test_train_config_validation():
-    for bad in (dict(lr=0.0), dict(epochs=0), dict(val_every=0), dict(accumulate=0)):
+    for bad in (dict(lr=0.0), dict(epochs=0)):
         with pytest.raises(ConfigError):
             tr.TrainConfig(**bad)
     geom = tr.TrainConfig(curvature=2.0, k=8).geometry()
@@ -65,7 +65,7 @@ def test_train_config_rejects_wrong_types():
         {"epochs": 3.0},
         {"lr": True},
         {"lambda_s": float("nan")},
-        {"shared_aggregators": 1},
+        {"epochs": True},
         {"seed": -1},
     ):
         with pytest.raises(ConfigError):
@@ -75,6 +75,10 @@ def test_train_config_rejects_wrong_types():
     # ints are numbers, and numpy scalars are accepted like Python ones
     cfg = tr.train_config_from_dict({"lr": 1, "seed": np.int64(3)})
     assert cfg.lr == 1 and cfg.seed == 3
+    # a numpy float narrower than float64 too, without an overflow warning
+    assert tr.TrainConfig(lr=np.float32(0.5)).lr == 0.5
+    with pytest.raises(ConfigError):
+        tr.TrainConfig(lr=np.float32("inf"))
 
 
 def test_load_train_config(tmp_path):
@@ -614,26 +618,19 @@ def test_train_loss_pinned_under_each_weighting():
 def test_train_params_pinned_under_each_weighting():
     # SHA-256 of the final parameter buffer of the four runs whose losses
     # `test_train_loss_pinned_under_each_weighting` pins, recorded when each
-    # training slide's plan was built on its own, and of the full weighting
-    # with one aggregator for both levels and with 3- and 4-slide Adam
-    # windows (the last 2 of the 6 slides close an epoch's window), recorded
-    # when Adam masked out parameters without a gradient
+    # training slide's plan was built on its own
     pins = {
-        (0.0, 0.0, False, 1): "250eaafe21fb0833bacef1d1b35bf7587afcbf75a2d6ae804188c6f5eb1dd83b",
-        (1.0, 0.0, False, 1): "8cd0323ae262ec0703a4bd91873fcc770a562ed1e1947be8257c4fb3fc4008d8",
-        (0.0, 10.0, False, 1): "a029568eb05f9d57db3efefb138a2f560b2a38c599f5d5f63b12b771b49b610f",
-        (1.0, 10.0, False, 1): "070e214437a98a3686af23bb20717a0ae2b2139f8e4dbe599d28d7801707948a",
-        (1.0, 10.0, True, 1): "dc568a82f9b2f7da53cec6a25527189f2db7d679b87ee7a9cd4e3a050fc8992a",
-        (1.0, 10.0, False, 3): "388388cb82108fe1d6c1a4826ffa4a855b062e23b20faaaefdfe6e49b9cdd486",
-        (1.0, 10.0, False, 4): "7f748cfe70098b9071d3a094091570df0a8546ce7d4ebce790cd41a911de0c33",
+        (0.0, 0.0): "250eaafe21fb0833bacef1d1b35bf7587afcbf75a2d6ae804188c6f5eb1dd83b",
+        (1.0, 0.0): "8cd0323ae262ec0703a4bd91873fcc770a562ed1e1947be8257c4fb3fc4008d8",
+        (0.0, 10.0): "a029568eb05f9d57db3efefb138a2f560b2a38c599f5d5f63b12b771b49b610f",
+        (1.0, 10.0): "070e214437a98a3686af23bb20717a0ae2b2139f8e4dbe599d28d7801707948a",
     }
     bundle = generate(SyntheticSpec())
     split = make_splits(bundle.bags, 1, 1, seed=0).folds[0].inner[0]
     split = InnerSplit(split.train_ids[:6], (), ())
     for key, want in pins.items():
-        lambda_a, lambda_s, shared, accumulate = key
-        cfg = tr.TrainConfig(epochs=2, shared_aggregators=shared, accumulate=accumulate,
-                             loss=LossConfig(lambda_a=lambda_a, lambda_s=lambda_s))
+        lambda_a, lambda_s = key
+        cfg = tr.TrainConfig(epochs=2, loss=LossConfig(lambda_a=lambda_a, lambda_s=lambda_s))
         res = tr.train(bundle, split, cfg)
         got = hashlib.sha256(res.params.buffer.tobytes()).hexdigest()
         assert got == want, key
@@ -692,9 +689,9 @@ def _grads(params):
             for n, t in params.trainable()}
 
 
-def test_skipped_slide_keeps_the_accumulation_window(monkeypatch):
+def test_skipped_slide_takes_no_step(monkeypatch):
     bundle, split, cfg = _tiny_setup()
-    cfg = tr.TrainConfig(epochs=1, k=6, seed=3, accumulate=2)
+    cfg = tr.TrainConfig(epochs=1, k=6, seed=3)
     embedded, steps, losses = [], [], []
 
     def recording_embed(bag, params, geom):
@@ -716,20 +713,24 @@ def test_skipped_slide_keeps_the_accumulation_window(monkeypatch):
     with pytest.raises(TrainingError):  # one skip is above 1% of the steps
         tr.train(bundle, split, cfg)
 
-    # the first step carries the first and third slides; the second, which
-    # failed in its forward pass, adds nothing and removes nothing
+    # one step per slide but the second, which failed in its forward pass;
+    # the recorded steps move nothing, so each holds its own slide's
+    # gradient at the initial parameters
     dims = ModelDims(d_in=bundle.dim, k=cfg.k, n_classes=2)
     params = init_params(dims, cfg.seed, bundle.class_vectors)
     geom = cfg.geometry()
-    for bag in (embedded[0], embedded[2]):
+    kept = embedded[:1] + embedded[2:]
+    assert len(steps) == len(kept) == len(split.train_ids) - 1
+    for bag, got in zip(kept, steps):
+        params.zero_grads()
         sel = tr.select_top_k([bag], bundle.class_vectors, cfg.loss.top_k)
         (plan,) = cone_plan(bag.sizes, 2, [bag.label], sel, cfg.loss.lambda_a,
                             cfg.loss.lambda_s)
         total_loss(embed_slide(bag, params, geom), plan, cfg.loss, geom).backward()
-    want = _grads(params)
-    assert steps[0].keys() == want.keys()
-    for name, g in want.items():
-        assert np.array_equal(steps[0][name], g), name
+        want = _grads(params)
+        assert got.keys() == want.keys()
+        for name, g in want.items():
+            assert np.array_equal(got[name], g), name
 
 
 # -- gradient-check harness --------------------------------------------------------
