@@ -50,7 +50,7 @@ import threading
 import numpy as np
 
 from .backend import has_nan
-from .errors import NumericalError, ShapeError
+from .errors import NumericalError, ShapeError, check_positive
 
 _state = threading.local()
 
@@ -331,10 +331,10 @@ def finite_difference_check(f, params, h=1e-5):
     With several roots the result is a tuple holding one worst error per
     root. Each root takes its analytic gradient from its own call of `f` and
     backward pass; each perturbed value of a component is evaluated by one
-    call of `f` that serves every root.
+    call of `f` that serves every root. A step h that is not a positive
+    finite number is a ConfigError, before `f` is called.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    check_positive("step h", h)
     params = list(params)
     first = f()
     several = isinstance(first, tuple)

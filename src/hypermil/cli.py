@@ -19,7 +19,8 @@ from collections import Counter
 import numpy as np
 
 from . import evaluation, training
-from .data import SyntheticSpec, generate, make_splits, read_bundle, write_bundle
+from .data import (SyntheticSpec, bags_with_ids, generate, make_splits, read_bundle,
+                   write_bundle)
 from .errors import HypermilError, SplitError
 from .fileio import atomic_write_text, read_json
 from .geometry import GeometryConfig
@@ -157,7 +158,7 @@ def _cmd_train(args):
 
 def _split_bags(path, bundle):
     """The bags a split file names: a non-empty JSON list of distinct slide
-    ids."""
+    ids, each in the bundle."""
     wanted = read_json(path, SplitError)
     if not isinstance(wanted, list) or not all(isinstance(i, str) for i in wanted):
         raise SplitError(f"{path} must hold a JSON list of slide ids")
@@ -167,11 +168,7 @@ def _split_bags(path, bundle):
     if repeated:
         raise SplitError(f"{path} names slide ids more than once: "
                          f"{', '.join(repeated)}")
-    by_id = {bag.slide_id: bag for bag in bundle.bags}
-    missing = [i for i in wanted if i not in by_id]
-    if missing:
-        raise SplitError(f"{path}: slide ids not in bundle: {', '.join(missing)}")
-    return [by_id[i] for i in wanted]
+    return bags_with_ids(bundle.bags, wanted, path)
 
 
 def _cmd_eval(args):

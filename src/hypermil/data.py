@@ -19,9 +19,13 @@ patch count, its `sizes`), laid out once when the bag is made. Its
 `regions` are row views into that block, and the bag is frozen, so the
 layout cannot drift from the data. Construction checks what the bag alone
 decides: every region is a 2-D array and all have one width. What depends
-on the model, or may wait until the bag is read, is `FeatureBag.check`,
-which `model.slide_tangents` and `training.select_top_k` run: no regions, an
-empty region, and a width other than the model's.
+on the model, or may wait until the bag is read, is `FeatureBag.check`, the
+one check of a bag against a model: no regions, an empty region, a width
+other than the model's and, where labels are read, a label outside its
+classes. `model.same_layout` runs it on every bag of a stacked pass (the
+width alone for scoring, the classes too for top-K selection), and
+`training` and `evaluation.evaluate` on every bag they are given, in
+order, before any work.
 
 Bundles are a payload/manifest pair. The payload is little-endian binary:
 magic "HPFB1", version u32, total data bytes u64, then the slides' patch
@@ -85,8 +89,8 @@ class FeatureBag:
     Construction raises ShapeError, naming the slide and the region, for a
     region that is not a 2-D array or whose width differs from the first
     2-D region's. What depends on the model or may wait until the bag is
-    used, no regions, an empty region or a width other than the model's,
-    is `check`ed where the bag is read.
+    used, no regions, an empty region, a width other than the model's or a
+    label outside its classes, is `check`ed where the bag is read.
     """
 
     slide_id: str
@@ -115,11 +119,16 @@ class FeatureBag:
         object.__setattr__(self, "regions", tuple(
             patches[start:stop] for start, stop in zip([0] + stops, stops)))
 
-    def check(self, width):
-        """Raise EmptyBagError when the bag has no regions or a region has no
-        patches, and ShapeError when its patches are not `width` features
-        wide, each naming the slide and the region at fault. A constant
-        number of numpy calls whatever the bag's size."""
+    def check(self, width, n_classes=None):
+        """Raise ShapeError when `n_classes` is given and the label is
+        outside [0, n_classes), EmptyBagError when the bag has no regions or
+        a region has no patches, and ShapeError when its patches are not
+        `width` features wide, in that order, each naming the slide (and the
+        region at fault). A constant number of numpy calls whatever the
+        bag's size."""
+        if n_classes is not None and not 0 <= self.label < n_classes:
+            raise ShapeError(f"slide {self.slide_id} has label {self.label}, "
+                             f"outside the {n_classes} classes")
         if not self.sizes.size:
             raise EmptyBagError(f"slide {self.slide_id} has no regions")
         if self.patches.shape[1] != width and self.sizes[0]:
@@ -460,6 +469,16 @@ def _field(entry, key, where, kind):
 
 
 # -- nested site-based splits -------------------------------------------------
+
+
+def bags_with_ids(bags, ids, where):
+    """The bags of `bags` whose slide ids are `ids`, in that order; ids that
+    no bag has are a SplitError naming them all, after `where`."""
+    by_id = {bag.slide_id: bag for bag in bags}
+    missing = [str(i) for i in ids if i not in by_id]
+    if missing:
+        raise SplitError(f"{where}: slide ids not in bundle: {', '.join(missing)}")
+    return [by_id[i] for i in ids]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Exception taxonomy shared across the package, the field type check of
-the configuration dataclasses and the integer check of a count argument."""
+the configuration dataclasses, and the checks of a count argument and of a
+positive step argument."""
 
 import dataclasses
 import math
@@ -80,14 +81,18 @@ def check_field_types(config):
         kind, what = _FIELD_KINDS.get(f.type, (f.type, f"a {f.type.__name__}"))
         value = getattr(config, f.name)
         if (not isinstance(value, kind) or isinstance(value, bool)
-                # not NaN, not infinite and, for an int, not beyond the float
-                # range, where isfinite would overflow; a narrower numpy
-                # float is not compared with the float64 maximum, which it
-                # cannot hold
-                or f.type is float and not (
-                    abs(value) <= sys.float_info.max
-                    if isinstance(value, numbers.Integral) else math.isfinite(value))):
+                or f.type is float and not _finite(value)):
             raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+
+
+def _finite(value):
+    """Whether the real `value` is finite as a float: not NaN, not infinite
+    and, for an int, not beyond the float range, where isfinite would
+    overflow. A narrower numpy float is not compared with the float64
+    maximum, which it cannot hold."""
+    if isinstance(value, numbers.Integral):
+        return abs(value) <= sys.float_info.max
+    return math.isfinite(value)
 
 
 def check_integer(name, value, minimum):
@@ -96,3 +101,11 @@ def check_integer(name, value, minimum):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ConfigError(f"{name} must be an integer of at least {minimum}, "
                           f"got {value!r}")
+
+
+def check_positive(name, value):
+    """Raise ConfigError, naming the argument `name`, unless `value` is a
+    number (a boolean is not one) above 0 that is finite as a float."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (value > 0 and _finite(value))):
+        raise ConfigError(f"{name} must be a positive finite number, got {value!r}")

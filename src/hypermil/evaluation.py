@@ -15,14 +15,16 @@ processes that inherit the bundle and send back only each fold's row. The
 rows are the same either way.
 
 Scoring has one path, `_scores`, which `predict` runs on one bag and
-`evaluate` on all of its bags: the class text is embedded once per call,
-the bags of each region layout run the adaptor and the pooling in one
-stacked pass (`model.slide_tangents`, each array of a pass capped at
-`_PASS_ENTRIES` entries), and the slide tangents of all bags are mapped in
-one call and their distances to the class text taken in one stacked call,
-one one-row product per slide. A stacked pass runs each product once per
-bag, the BLAS call that bag gets alone, never one product over the rows of
-several bags, so an `evaluate` row equals `predict` on its bag bit for bit.
+`evaluate`, the one entry that scores bags against their labels, on all of
+its bags once it has checked each of them: the class text is embedded once
+per call, the bags of each region layout (`model.layout_groups`) run the
+adaptor and the pooling in one stacked pass (`model.slide_tangents`, each
+array of a pass capped at `_PASS_ENTRIES` entries), and the slide tangents
+of all bags are mapped in one call and their distances to the class text
+taken in one stacked call, one one-row product per slide. A stacked pass
+runs each product once per bag, the BLAS call that bag gets alone, never
+one product over the rows of several bags, so an `evaluate` row equals
+`predict` on its bag bit for bit.
 Stacking pays only where bags share a layout: a bag whose layout no other
 bag of the call has is scored by the one-bag graph, as `predict` scores it.
 
@@ -41,10 +43,10 @@ from . import autodiff as ad
 from . import geometry as geo
 from . import training
 from .data import make_splits
-from .errors import ConfigError, MetricError, NumericalError, TrainingError
+from .errors import MetricError, NumericalError, TrainingError, check_integer
 from .fileio import atomic_write_text
-from .model import (HierarchyLevel, embed_slide, embed_text, slide_tangents,
-                    text_level)
+from .model import (HierarchyLevel, embed_slide, embed_text, layout_groups,
+                    slide_tangents, text_level)
 
 
 # the most float64 entries an array of one scoring pass holds, 1 MB; a bag
@@ -68,13 +70,10 @@ def _bag_entries(bag, dims):
 
 def _passes(bags, dims):
     """The positions in `bags` of each scoring pass: the bags of one layout
-    (`sizes`) in input order, layouts in the order of their first bag, cut
-    into passes none of whose arrays holds more than `_PASS_ENTRIES`
-    entries (`_bag_entries`)."""
-    layouts = {}
-    for pos, bag in enumerate(bags):
-        layouts.setdefault(bag.sizes.tobytes(), []).append(pos)
-    for members in layouts.values():
+    (`model.layout_groups`: in input order, layouts in the order of their
+    first bag), cut into passes none of whose arrays holds more than
+    `_PASS_ENTRIES` entries (`_bag_entries`)."""
+    for members in layout_groups(bags):
         if len(members) == 1:  # a lone bag is a pass, whatever its size
             yield members
             continue
@@ -88,7 +87,7 @@ def _scores(bags, params, geom):
     the softmax over the negative geodesics from the bag's slide point to
     the slide-level class text.
 
-    The one scoring path, of `predict` (B = 1) and `score_bags`. The class
+    The one scoring path, of `predict` (B = 1) and `evaluate`. The class
     text is embedded once per call. The bags are grouped by layout, and
     each group runs through one `slide_tangents` pass (one adaptor and two
     `aggregate` nodes over its stacked patch blocks), or several when an
@@ -100,12 +99,14 @@ def _scores(bags, params, geom):
     product once per bag, the call that bag gets alone, so a bag's slide
     tangent does not depend on the bags it is scored with; a pass of one
     bag runs the one-bag graph, with no bag axis. Only the slide tangents
-    are read, so no per-bag level is mapped. The B tangents, back in input
-    order, are mapped in one `exp_map_origin` call, and the distances are one
-    `geometry.geodesic_core` call over the slides as B stacked [1 x k]
-    rows: numpy runs it as B one-row [1 x k] by [k x C] products, so a row
-    of `evaluate` equals `predict` on its bag bit for bit (BLAS may round a
-    several-row product differently from a one-row one in the last bit).
+    are read, so no per-bag level is mapped. Each pass copies its slide
+    tangents into the rows of one [B x k] array at its bags' input
+    positions; that array is mapped in one `exp_map_origin` call, and the
+    distances are one `geometry.geodesic_core` call over the slides as B
+    stacked [1 x k] rows: numpy runs it as B one-row [1 x k] by [k x C]
+    products, so a row of `evaluate` equals `predict` on its bag bit for
+    bit (BLAS may round a several-row product differently from a one-row
+    one in the last bit).
     The row statistics (`geometry.rows`) of the slides and of the anchors
     are computed once per call, row by row, so a slide's are the same
     whatever B is. The distances run outside any autodiff node, so they are
@@ -115,13 +116,11 @@ def _scores(bags, params, geom):
     """
     with ad.no_grad():
         text = embed_text(params, geom)
-        passes = list(_passes(bags, params.dims))
-        # each pass's slides, [B x 1 x k] (or [1 x k] for one bag), as rows
-        tangents = np.concatenate([
-            slide_tangents([bags[pos] for pos in members], params)[0].data
-            .reshape(len(members), -1) for members in passes])
-        if len(passes) > 1:  # from pass order back to input order
-            tangents = tangents[np.argsort(np.concatenate(passes))]
+        tangents = np.empty((len(bags), params.dims.k))
+        for members in _passes(bags, params.dims):
+            # the pass's slides, [B x 1 x k] (or [1 x k] for one bag), as rows
+            tangents[members] = slide_tangents(
+                [bags[pos] for pos in members], params)[0].data.reshape(len(members), -1)
         slides = geo.rows(geo.exp_map_origin(tangents, geom).space.data, geom)
         anchors = geo.rows(text_level(text, HierarchyLevel.SLIDE).space.data, geom)
     stacked = geo.Rows(*(a[:, None] for a in slides))
@@ -146,39 +145,29 @@ def predict(bag, params, geom):
     return _scores([bag], params, geom)[0]
 
 
-def score_bags(bags, params, geom):
-    """One `predict` row per bag, in the order of `bags`, all bags scored in
-    one call that shares one text embedding, one `slide_tangents` pass per
-    layout (`_scores`), one `exp_map_origin` call and one stacked distance
-    call. The bags are checked in order first, so the first one at fault
-    is named: no bags, or a bag whose label is not one of the model's
-    classes, is a MetricError, and a bag `slide_tangents` would refuse
-    (`FeatureBag.check`) an EmptyBagError or ShapeError. A slide whose
-    distances are NaN, or all infinite, is a NumericalError."""
+def evaluate(bags, params, geom):
+    """(AUC, F1, scores, labels) over a list of bags, rows in its order: the
+    one entry that scores bags against their labels.
+
+    The bags are checked in order before any is scored, so the first one at
+    fault is named: no bags is a MetricError, and a bag whose label is not
+    one of the model's classes, or that `slide_tangents` would refuse, fails
+    `FeatureBag.check` (ShapeError or EmptyBagError). The class text depends
+    on the parameters alone, so it is embedded once per call. The bags of
+    each layout run their adaptor and pooling in one stacked pass, or a few
+    when they are many, and the slide level of all bags is mapped and scored
+    together (`_scores`): one map and one stacked distance call of one-row
+    products. Every product of a pass is the one its bag gets alone, and a
+    one-bag call is `predict`, so every row equals `predict` on that bag bit
+    for bit. A slide whose distances are NaN, or all infinite, is a
+    NumericalError; scores that leave AUC undefined are a MetricError.
+    """
     if not bags:
         raise MetricError("no bags to score")
     for bag in bags:
-        if not 0 <= bag.label < params.dims.n_classes:
-            raise MetricError(f"slide {bag.slide_id} has label {bag.label}, the "
-                              f"model has {params.dims.n_classes} classes")
-        bag.check(params.dims.d_in)
+        bag.check(params.dims.d_in, params.dims.n_classes)
     scores = _scores(bags, params, geom)
     labels = np.array([bag.label for bag in bags])
-    return scores, labels
-
-
-def evaluate(bags, params, geom):
-    """(AUC, F1, scores, labels) over a list of bags, rows in its order.
-
-    The class text depends on the parameters alone, so it is embedded once
-    per call. The bags of each layout run their adaptor and pooling in one
-    stacked pass, or a few when they are many, and the slide level of all
-    bags is mapped and scored together (`score_bags`): one map and one
-    stacked distance call of one-row products. Every product of a pass is
-    the one its bag gets alone, and a one-bag call is `predict`, so every
-    row equals `predict` on that bag bit for bit.
-    """
-    scores, labels = score_bags(bags, params, geom)
     return (
         auc(scores, labels),
         f1(scores.argmax(axis=1), labels, n_classes=scores.shape[1]),
@@ -346,8 +335,7 @@ def _run_folds(bundle, cfgs, n_outer, n_inner, jobs):
     worker process that ends abruptly (killed, say, by the out-of-memory
     killer) is a TrainingError.
     """
-    if jobs < 0:
-        raise ConfigError(f"jobs must not be negative, got {jobs}")
+    check_integer("jobs", jobs, 0)
     inputs = bundle, make_splits(bundle.bags, n_outer, n_inner, seed=cfgs[0].seed)
     tasks = [(cfg, outer, inner) for cfg in cfgs
              for outer in range(n_outer) for inner in range(n_inner)]
@@ -379,8 +367,8 @@ def _run_folds(bundle, cfgs, n_outer, n_inner, jobs):
 def run_protocol(bundle, n_outer, n_inner, cfg, jobs=1):
     """Train and evaluate one model per (outer, inner) pair. The folds run in
     this process at `jobs` <= 1, else on up to `jobs` forked worker
-    processes, with the same rows either way; ConfigError for a negative
-    `jobs`."""
+    processes, with the same rows either way; ConfigError for `jobs` that
+    is not a nonnegative integer."""
     return _run_folds(bundle, [cfg], n_outer, n_inner, jobs)[0]
 
 
@@ -391,7 +379,8 @@ def ablate(bundle, cfg, n_outer=3, n_inner=3, jobs=1):
     (0, 0), (lambda_a, 0), (0, lambda_s), (lambda_a, lambda_s).
     All four variants' folds run in one pass over one split plan, in this
     process or on one pool of up to `jobs` forked workers, as in
-    `run_protocol`; a negative `jobs` is a ConfigError before any training.
+    `run_protocol`; `jobs` that is not a nonnegative integer is a
+    ConfigError before any training.
     """
     la, ls = cfg.loss.lambda_a, cfg.loss.lambda_s
     variants = [("cls-only", 0.0, 0.0), ("ama-only", la, 0.0),

@@ -81,6 +81,7 @@ bit-exactly, whatever the buffer order.
 import functools
 import itertools
 import math
+import numbers
 import operator
 import struct
 from dataclasses import dataclass
@@ -100,6 +101,7 @@ from .errors import (
     TruncatedPayloadError,
     VersionError,
     check_field_types,
+    check_integer,
 )
 from .fileio import atomic_write_bytes
 
@@ -328,15 +330,11 @@ def init_params(dims, seed, base_vectors=None):
 
     One generator of `seed` draws, in this order, the image and text
     adaptors, the region and slide aggregators, the base vectors unless
-    they are given, and the offsets. Dimensions whose parameters cannot be
-    allocated are a ConfigError naming them."""
-    if base_vectors is not None:
-        base = np.asarray(base_vectors, dtype=np.float64)
-        if base.shape != (dims.n_classes, dims.d_in):
-            raise ShapeError(
-                f"base vectors have shape {base.shape}, "
-                f"expected {(dims.n_classes, dims.d_in)}"
-            )
+    they are given, and the offsets. A seed that is not a nonnegative
+    integer is a ConfigError, and so are dimensions whose parameters cannot
+    be allocated, naming them. Given base vectors are checked, as the
+    parameter semantics.base, by `params_from_arrays`."""
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     try:
         arrays = {
@@ -346,9 +344,9 @@ def init_params(dims, seed, base_vectors=None):
             **_init_aggregator(rng, "agg_slide", dims),
         }
         if base_vectors is None:
-            base = rng.standard_normal((dims.n_classes, dims.d_in))
-            base /= np.linalg.norm(base, axis=1, keepdims=True)
-        arrays["semantics.base"] = base
+            base_vectors = rng.standard_normal((dims.n_classes, dims.d_in))
+            base_vectors /= np.linalg.norm(base_vectors, axis=1, keepdims=True)
+        arrays["semantics.base"] = base_vectors
         arrays["semantics.offsets"] = 0.1 * rng.standard_normal(
             (dims.n_classes, 3, dims.d_in))
         return params_from_arrays(arrays, dims)
@@ -361,16 +359,25 @@ def init_params(dims, seed, base_vectors=None):
 
 def params_from_arrays(arrays, dims):
     """ModelParams holding copies of `arrays` ({name: array} for every name
-    of `dims.param_shapes()`) in one flat buffer."""
-    layout = _layout(dims)
-    buffer = np.empty(layout[-1][3])
-    for name, shape, start, stop in layout:
-        arr = np.asarray(arrays[name], dtype=np.float64)
+    of `dims.param_shapes()`; other names are not read) in one flat buffer.
+
+    The one check of a parameter array: each is converted to float64 and
+    checked, in buffer order, before the buffer is allocated by the one
+    concatenation of them all. An array that is not numbers, or whose shape
+    is not the one `dims` needs, is a ShapeError naming the parameter, so
+    dimensions that no array matches never reach an allocation."""
+    flat = []
+    for name, shape, _, _ in _layout(dims):
+        try:
+            arr = np.asarray(arrays[name], dtype=np.float64)
+        except (TypeError, ValueError) as exc:  # not numbers, or ragged
+            raise ShapeError(f"parameter {name} is not an array of numbers: "
+                             f"{exc}") from None
         if arr.shape != shape:
             raise ShapeError(f"parameter {name} has shape {arr.shape}, "
                              f"the model dimensions need {shape}")
-        buffer[start:stop] = arr.reshape(-1)
-    return _from_buffer(buffer, dims)
+        flat.append(arr.reshape(-1))
+    return _from_buffer(np.concatenate(flat), dims)
 
 
 def _from_buffer(buffer, dims):
@@ -646,16 +653,25 @@ def text_level(text, level):
     return geo.Points(text.space[text_rows(text.count, level)], text.cfg)
 
 
-def same_layout(bags, check):
+def layout_groups(bags):
+    """The positions in `bags` of the bags of each layout (`sizes`), each
+    group in input order, the groups in the order of their first bag."""
+    groups = {}
+    for pos, bag in enumerate(bags):
+        groups.setdefault(bag.sizes.tobytes(), []).append(pos)
+    return list(groups.values())
+
+
+def same_layout(bags, width, n_classes=None):
     """The region sizes all of `bags` share, once each bag, in order, has
-    passed `check(bag)` and holds the sizes of the first; a bag of another
-    layout is a ShapeError naming it and the first. No bags is a
-    ShapeError."""
+    passed `FeatureBag.check(width, n_classes)` and holds the sizes of the
+    first; a bag of another layout is a ShapeError naming it and the first.
+    No bags is a ShapeError."""
     if not bags:
         raise ShapeError("no bags to stack")
     sizes = bags[0].sizes
     for bag in bags:
-        check(bag)
+        bag.check(width, n_classes)
         if bag is not bags[0] and bag.sizes.tobytes() != sizes.tobytes():
             raise ShapeError(f"slide {bag.slide_id} has regions of "
                              f"{bag.sizes.tolist()} patches, not the "
@@ -684,7 +700,7 @@ def slide_tangents(bags, params):
     of several bags, so each bag's tangents are bit for bit those of a pass
     of its own.
     """
-    sizes = same_layout(bags, lambda bag: bag.check(params.dims.d_in))
+    sizes = same_layout(bags, params.dims.d_in)
     # The one-bag fork pays for itself: sending one bag down the stacked
     # path as a [1 x N x d_in] block (the stack node then flattening the
     # bag axis) took a default training step from a best of 607-657 us to
@@ -727,11 +743,15 @@ _MAX_RANK = 3
 
 
 def save_checkpoint(params, path, meta=None):
-    """Write named parameter arrays plus meta.* scalars; atomic and bit-exact."""
+    """Write named parameter arrays plus meta.* scalars; atomic and bit-exact.
+    A `meta` value that is not a real number (a boolean is not one) is a
+    ConfigError naming its key, before anything is written."""
     records = {name: t.data for name, t in params.named()}
     for key in _DIMS_META:
         records[f"meta.{key}"] = np.asarray(float(getattr(params.dims, key)))
     for key, value in (meta or {}).items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"checkpoint meta.{key} must be a number, got {value!r}")
         records[f"meta.{key}"] = np.asarray(float(value))
     chunks = [_CHECKPOINT_MAGIC, struct.pack("<I", _CHECKPOINT_VERSION)]
     for name in sorted(records):
@@ -803,8 +823,9 @@ def params_from_checkpoint(records):
     The dimensions are the records meta.d_in, meta.k and meta.n_classes.
     Every meta.* record comes back in the meta mapping, and a record the
     dimensions do not name is not read. A missing record or a non-integral
-    dimension raises FormatError, and a parameter array whose shape does not
-    match the recorded dimensions raises ShapeError; each names the record.
+    dimension raises FormatError naming the record; the parameter arrays are
+    then checked against the recorded dimensions by `params_from_arrays`,
+    whose ShapeError names the parameter.
     """
     meta = {}
     for name, arr in records.items():
@@ -819,14 +840,7 @@ def params_from_checkpoint(records):
             raise FormatError(f"checkpoint record meta.{key} is {meta[key]}, "
                               "not an integer")
     dims = ModelDims(**{key: int(meta[key]) for key in _DIMS_META})
-    arrays = {}
-    for name, shape in dims.param_shapes().items():
+    for name in dims.param_shapes():
         if name not in records:
             raise FormatError(f"checkpoint has no {name} record")
-        if records[name].shape != shape:
-            raise ShapeError(
-                f"checkpoint record {name} has shape {records[name].shape}, "
-                f"the recorded model dimensions need {shape}"
-            )
-        arrays[name] = records[name]
-    return params_from_arrays(arrays, dims), meta
+    return params_from_arrays(records, dims), meta

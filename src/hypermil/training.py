@@ -16,27 +16,25 @@ fold seeds derive from seed sequences, and no other randomness exists.
 """
 
 import logging
-import numbers
-import sys
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import FeatureBag
+from .data import FeatureBag, bags_with_ids
 from .errors import (
     ConfigError,
     GeometryError,
-    ShapeError,
     TrainingError,
     check_field_types,
     check_integer,
+    check_positive,
 )
 from .fileio import read_json
 from .geometry import GeometryConfig
 from .losses import LossConfig, _loss, cls_loss, cone_plan, total_loss
 from .model import (HierarchyLevel, ModelDims, aggregate, embed_slide, init_params,
-                    same_layout, segment_plan)
+                    layout_groups, same_layout, segment_plan)
 
 log = logging.getLogger(__name__)
 
@@ -141,15 +139,6 @@ def _cosine(rows, vectors, vector_norms):
     return (rows @ vectors[:, :, None])[:, :, 0] / denom
 
 
-def _check(bag, n_classes, width):
-    """Refuse a bag whose label is outside [0, n_classes) (ShapeError) or
-    which `FeatureBag.check` refuses at `width`, naming the slide."""
-    if not 0 <= bag.label < n_classes:
-        raise ShapeError(f"slide {bag.slide_id} has label {bag.label}, outside the "
-                         f"{n_classes} classes")
-    bag.check(width)
-
-
 def select_top_k(bags, class_vectors, k):
     """Per-level index sets of the K embeddings most similar to each bag's
     label class, for a list of bags of one layout (`sizes`).
@@ -168,16 +157,15 @@ def select_top_k(bags, class_vectors, k):
     means are sums over the block, one `np.add.reduceat` at the region
     starts of the layout's `model.segment_plan`, over the region sizes: bit
     for bit the mean of each region's rows. The bags are checked in order
-    before they are stacked: a label outside [0, C) for C class vectors is
-    a ShapeError, a bag `slide_tangents` would refuse (`FeatureBag.check`)
-    is refused here first, and so is a bag of another layout than the first
-    (ShapeError, `model.same_layout`).
+    before they are stacked, by `model.same_layout` with the width and the
+    count of the C class vectors: a label outside [0, C) is a ShapeError, a
+    bag `slide_tangents` would refuse (`FeatureBag.check`) is refused here
+    first, and so is a bag of another layout than the first (ShapeError).
+    No bags is a ShapeError too.
     """
-    if not bags:
-        raise ShapeError("select_top_k needs at least one bag")
     vectors = np.asarray(class_vectors, dtype=np.float64)
     n_classes, width = vectors.shape
-    sizes = same_layout(bags, lambda bag: _check(bag, n_classes, width))
+    sizes = same_layout(bags, width, n_classes)
     patches = np.stack([bag.patches for bag in bags], dtype=np.float64)
     labels = [bag.label for bag in bags]
     # the norm of each class vector taken alone, as one bag's ranking takes
@@ -201,15 +189,15 @@ def _cone_plans(bags, class_vectors, loss_cfg):
     """The `losses.cone_plan` of each training bag, in the order of `bags`:
     its region sizes, its label and its top-K selections, with the loss
     weights of `loss_cfg`. One `select_top_k` and one `cone_plan` call per
-    layout; the bags are checked in order first, so the first bag either
-    would refuse is the one named, whatever its layout."""
+    layout (`model.layout_groups`); every bag is first checked in order by
+    `FeatureBag.check` with the width and the count of the class vectors,
+    so the first bag either would refuse is the one named, whatever its
+    layout."""
     n_classes, width = np.shape(class_vectors)
-    layouts = {}
-    for pos, bag in enumerate(bags):
-        _check(bag, n_classes, width)
-        layouts.setdefault(bag.sizes.tobytes(), []).append(pos)
+    for bag in bags:
+        bag.check(width, n_classes)
     plans = [None] * len(bags)
-    for members in layouts.values():
+    for members in layout_groups(bags):
         group = [bags[pos] for pos in members]
         selections = select_top_k(group, class_vectors, loss_cfg.top_k)
         built = cone_plan(group[0].sizes, n_classes, [bag.label for bag in group],
@@ -250,15 +238,16 @@ def train(bundle, split, cfg):
     `cfg.k` dimensions. Each epoch visits the training slides in a seeded shuffle and takes one
     Adam step after each slide that did not skip, then scores the
     validation slides; `best_params` are those of the best validation AUC.
-    Every training slide's cone plan is built once, before the first epoch,
-    by one `select_top_k` and one `cone_plan` call per region layout; a
-    training slide either would refuse is named, the first in split order,
-    before any step runs."""
+    Split ids that the bundle lacks are a SplitError naming them, before any
+    model is built. Every training slide's cone plan is built once, before
+    the first epoch, by one `select_top_k` and one `cone_plan` call per
+    region layout; a training slide either would refuse is named, the first
+    in split order, before any step runs."""
     from .evaluation import evaluate  # local import, evaluation uses train()
 
-    by_id = {bag.slide_id: bag for bag in bundle.bags}
-    train_bags = [by_id[i] for i in split.train_ids]
-    val_bags = [by_id[i] for i in split.val_ids]
+    n_train = len(split.train_ids)
+    bags = bags_with_ids(bundle.bags, (*split.train_ids, *split.val_ids), "split")
+    train_bags, val_bags = bags[:n_train], bags[n_train:]
     if not train_bags:
         raise TrainingError("training split is empty")
     n_classes = len(bundle.class_vectors)
@@ -382,10 +371,7 @@ def gradient_check_suite(trials=20, seed=0, h=1e-5):
     """
     check_integer("trials", trials, 1)
     check_integer("seed", seed, 0)
-    # a boolean is not a number; NaN and an infinite h fail the comparison
-    if (isinstance(h, bool) or not isinstance(h, numbers.Real)
-            or not 0 < h <= sys.float_info.max):
-        raise ConfigError(f"step h must be a positive finite number, got {h!r}")
+    check_positive("step h", h)
     names = ("aggregation", "cls_loss", "ama_loss", "ent_loss", "con_loss",
              "total_loss")
     worst = {name: 0.0 for name in names}

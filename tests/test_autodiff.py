@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from hypermil import autodiff as ad
 from hypermil.backend import has_nan
-from hypermil.errors import NumericalError, ShapeError
+from hypermil.errors import ConfigError, NumericalError, ShapeError
 
 
 def _t(x, grad=True):
@@ -302,7 +302,8 @@ def test_fd_check_several_roots_match_single_roots():
 
 def test_fd_check_rejects_bad_inputs():
     p = _t([1.0, 2.0])
-    with pytest.raises(ValueError):
-        ad.finite_difference_check(lambda: p.sum(), [p], h=0.0)
+    for h in (0.0, -1.0, float("nan"), float("inf"), True, "1e-5"):
+        with pytest.raises(ConfigError, match="^step h must be a positive finite "):
+            ad.finite_difference_check(lambda: p.sum(), [p], h=h)
     with pytest.raises(ShapeError):
         ad.finite_difference_check(lambda: p * 2.0, [p])

@@ -319,6 +319,16 @@ def test_negative_jobs_is_a_config_error():
         ev.ablate(bundle, TINY_CFG, n_outer=2, n_inner=1, jobs=-1)
 
 
+def test_jobs_that_is_not_an_integer_is_a_config_error(monkeypatch):
+    bundle = generate(TINY_SPEC)
+    monkeypatch.setattr(ev.training, "train", lambda *args: pytest.fail("a fold ran"))
+    for jobs in ("2", 1.5, None, True):
+        with pytest.raises(ConfigError, match="^jobs must be an integer of at least 0"):
+            ev.run_protocol(bundle, 2, 1, TINY_CFG, jobs=jobs)
+        with pytest.raises(ConfigError, match="^jobs must be an integer of at least 0"):
+            ev.ablate(bundle, TINY_CFG, n_outer=2, n_inner=1, jobs=jobs)
+
+
 def test_run_protocol_single_fold_has_no_ood():
     bundle = generate(TINY_SPEC)
     report = ev.run_protocol(bundle, 1, 1, TINY_CFG)
@@ -473,7 +483,9 @@ def test_evaluate_rows_equal_predict_bit_for_bit():
 
 
 def _assert_rows_equal_predict(bags, params, geom):
-    scores, _ = ev.score_bags(bags, params, geom)
+    # the path `evaluate` and `predict` share: some of these bag sets hold
+    # one class, on which `evaluate` would fail for want of an AUC
+    scores = ev._scores(bags, params, geom)
     assert len(scores) == len(bags)
     for bag, row in zip(bags, scores):
         assert np.array_equal(row, ev.predict(bag, params, geom)), bag.slide_id
@@ -657,9 +669,10 @@ def test_evaluate_without_bags_is_a_metric_error():
         ev.evaluate([], params, TrainConfig(k=4).geometry())
 
 
-def test_scoring_a_label_beyond_the_model_classes_is_a_metric_error():
+def test_scoring_a_label_beyond_the_model_classes_is_a_shape_error():
     bags = generate(replace(TINY_SPEC, n_classes=3)).bags
     params = init_params(ModelDims(d_in=8, k=4, n_classes=2), 3)
     first = next(bag for bag in bags if bag.label == 2)
-    with pytest.raises(MetricError, match=first.slide_id):
+    with pytest.raises(ShapeError, match=f"^slide {first.slide_id} has label 2, "
+                                         "outside the 2 classes$"):
         ev.evaluate(bags, params, TrainConfig(k=4).geometry())

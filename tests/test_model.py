@@ -1,5 +1,6 @@
 """Model components: init, attention pooling, embedding pipeline, checkpoints."""
 
+import re
 import struct
 
 import numpy as np
@@ -80,8 +81,20 @@ def test_init_params_base_vectors_frozen():
 
 
 def test_init_params_base_vector_shape_checked():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"^parameter semantics\.base has shape "
+                                         r"\(2, 8\), the model dimensions need \(3, 8\)$"):
         md.init_params(DIMS, 0, np.zeros((2, 8)))
+
+
+def test_init_params_refuses_a_bad_seed_or_base_vectors_of_no_numbers():
+    for seed in (-1, 1.5, True, "0"):
+        with pytest.raises(ConfigError, match="^seed must be an integer of at least 0"):
+            md.init_params(DIMS, seed)
+    for base in ([["a", "b"]], [[1.0, 2.0], [3.0]], {"a": 1}):
+        with pytest.raises(ShapeError, match="^parameter semantics.base is not an "
+                                             "array of numbers") as caught:
+            md.init_params(DIMS, 0, base)
+        assert "fit in memory" not in str(caught.value)
 
 
 def test_params_are_views_into_one_buffer():
@@ -568,6 +581,16 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     a = md.embed_slide(bag, params, GEOM)
     b = md.embed_slide(bag, restored, GEOM)
     assert np.array_equal(a.slide.space.data, b.slide.space.data)
+
+
+def test_checkpoint_meta_that_is_not_a_number_is_refused_before_writing(tmp_path):
+    params = md.init_params(DIMS, 12)
+    path = tmp_path / "model.ckpt"
+    for value in ("b", "1.5", None, True, [1.0]):
+        with pytest.raises(ConfigError, match=f"^checkpoint meta.a must be a number, "
+                                              f"got {re.escape(repr(value))}$"):
+            md.save_checkpoint(params, path, meta={"epoch": 3, "a": value})
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_checkpoint_with_the_former_dimension_records_loads(tmp_path):

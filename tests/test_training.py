@@ -16,6 +16,7 @@ from hypermil.errors import (
     EmptyBagError,
     GeometryError,
     ShapeError,
+    SplitError,
     TrainingError,
 )
 from hypermil.losses import LossConfig, ama_total, cone_plan, shc_total, total_loss
@@ -366,7 +367,7 @@ def test_select_top_k_checks_bags_in_order_and_takes_one_layout():
         tr.select_top_k([good, recut, bad], np.eye(2, 3), 2)
     with pytest.raises(ShapeError, match="^slide c has label 2, outside the 2 classes"):
         tr.select_top_k([good, bad, recut], np.eye(2, 3), 2)
-    with pytest.raises(ShapeError, match="at least one bag"):
+    with pytest.raises(ShapeError, match="^no bags to stack$"):
         tr.select_top_k([], np.eye(2, 3), 2)
 
 
@@ -524,6 +525,19 @@ def test_train_rejects_empty_split_and_single_class():
     ids = tuple(b.slide_id for b in solo.bags)
     with pytest.raises(TrainingError):
         tr.train(solo, InnerSplit(ids[:4], ids[4:], ()), cfg)
+
+
+def test_train_refuses_split_ids_the_bundle_lacks(monkeypatch):
+    bundle, split, cfg = _tiny_setup()
+    # refused before any model is built
+    monkeypatch.setattr(tr, "init_params", lambda *args: pytest.fail("a model was built"))
+    for bad, missing in ((InnerSplit(("nope",) + split.train_ids, split.val_ids, ()),
+                          "nope"),
+                         (InnerSplit(split.train_ids, split.val_ids + ("x", "y"), ()),
+                          "x, y"),
+                         (InnerSplit(("a",) + split.train_ids, ("b",), ()), "a, b")):
+        with pytest.raises(SplitError, match=f"^split: slide ids not in bundle: {missing}$"):
+            tr.train(bundle, bad, cfg)
 
 
 def test_train_fails_when_too_many_slides_skip():
@@ -808,3 +822,9 @@ def test_gradient_check_suite_rejects_bad_arguments(monkeypatch):
                 dict(h=True), dict(h="1e-5"), dict(h=None)):
         with pytest.raises(ConfigError):
             tr.gradient_check_suite(**{"trials": 1, **bad})
+
+
+def test_gradient_check_suite_takes_a_float32_step():
+    # a narrower float is not compared with the float64 maximum, which would
+    # overflow its cast and warn
+    assert max(tr.gradient_check_suite(trials=1, h=np.float32(1e-5)).values()) < 1e-4
